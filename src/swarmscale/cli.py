@@ -6,28 +6,9 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from importlib import resources
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_bundled, load_config
 from .runner import RunError, run_ensemble, run_experiment
-
-
-def bundled_config_names():
-    root = resources.files("swarmscale") / "configs"
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".yaml"))
-
-
-def _resolve_config(name: str) -> str:
-    if os.path.exists(name):
-        return name
-    # bare names fall back to the configs shipped with the package
-    base = name if name.endswith(".yaml") else name + ".yaml"
-    bundled = resources.files("swarmscale") / "configs" / base
-    if bundled.is_file():
-        return str(bundled)
-    raise ConfigError(
-        [f"config not found: {name} (bundled: {', '.join(bundled_config_names())})"]
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(_resolve_config(args.config))
+        # a name that is not a file falls back to the configs shipped with the package
+        if os.path.exists(args.config):
+            cfg = load_config(args.config)
+        else:
+            cfg = load_bundled(args.config)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

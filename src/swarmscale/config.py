@@ -8,7 +8,7 @@ prefixed with its key path (e.g. ``micro.m``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -54,43 +54,48 @@ class FeasibleConfig:
     bound: float = 0.0       # halfline: {x <= bound}
 
 
+def _field(check, default, **bounds):
+    """A section field: its default, and the _Checker method and bounds that validate it."""
+    return field(default=default, metadata={"check": check, "bounds": bounds})
+
+
 @dataclass(frozen=True)
 class MicroConfig:
-    m: float = 0.5
-    lam: float = 1.0
-    sigma: float = 1.0 / 3.0**0.5
-    dt: float = 0.1
-    alpha: float = 30.0
-    diffusion: str = "anisotropic"
-    init_box: tuple = (-3.0, 3.0)
+    m: float = _field("num", 0.5, lo=0, hi=1, lo_open=True)
+    lam: float = _field("num", 1.0, lo=0, lo_open=True)
+    sigma: float = _field("num", 1.0 / 3.0**0.5, lo=0)
+    dt: float = _field("num", 0.1, lo=0, lo_open=True)
+    alpha: float = _field("num", 30.0, lo=0, lo_open=True)
+    diffusion: str = _field("choice", "anisotropic", options=DIFFUSION_MODES)
+    init_box: tuple = _field("span", (-3.0, 3.0))
 
 
 @dataclass(frozen=True)
 class MacroConfig:
-    x_min: float = -3.0
-    x_max: float = 3.0
-    n_cells: int = 401
-    T: float = 0.1
-    cfl: float = 0.8
-    boundary: str = "outflow"
-    snapshot_every: int = 0  # 0 disables full-field snapshots
+    x_min: float = _field("num", -3.0)
+    x_max: float = _field("num", 3.0)
+    n_cells: int = _field("integer", 401, lo=3)
+    T: float = _field("num", 0.1)
+    cfl: float = _field("num", 0.8, lo=0, hi=1, lo_open=True)
+    boundary: str = _field("choice", "outflow", options=BOUNDARIES)
+    snapshot_every: int = _field("integer", 0, lo=0)  # 0 disables full-field snapshots
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    beta0: float = 1.0
-    kappa0: float = 5.0
-    eta_kappa: float = 1.1
-    eta_beta: float = 1.1
+    beta0: float = _field("num", 1.0, lo=0, lo_open=True)
+    kappa0: float = _field("num", 5.0, lo=0, lo_open=True)
+    eta_kappa: float = _field("num", 1.1, lo=1, lo_open=True)
+    eta_beta: float = _field("num", 1.1, lo=1, lo_open=True)
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    zeta0: float = 0.5
-    zeta_min: float = 0.1
-    zeta_max: float = 0.9
-    t_star: int = 240
-    transfer_rule: str = "conserve"
+    zeta0: float = _field("num", 0.5, lo=0, hi=1, lo_open=True, hi_open=True)
+    zeta_min: float = _field("num", 0.1, lo=0, hi=1, lo_open=True, hi_open=True)
+    zeta_max: float = _field("num", 0.9, lo=0, hi=1, lo_open=True, hi_open=True)
+    t_star: int = _field("integer", 240, lo=0)
+    transfer_rule: str = _field("choice", "conserve", options=TRANSFER_RULES)
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_span(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v) and v[0] < v[1]
+
+
 class _Checker:
     """Accumulates key-path-prefixed validation errors."""
 
@@ -215,7 +224,7 @@ class _Checker:
             return default
         return v
 
-    def choice(self, data, key, path, options, default=None):
+    def choice(self, data, key, path, default=None, options=()):
         if key not in data:
             return default
         v = data[key]
@@ -225,10 +234,29 @@ class _Checker:
             return default
         return v
 
+    def span(self, data, key, path, default=None):
+        if key not in data:
+            return default
+        v = data[key]
+        if not _is_span(v):
+            self.fail(f"{path}.{key}", "must be [lo, hi] with lo < hi")
+            return default
+        return (float(v[0]), float(v[1]))
+
+
+def _parse_section(cls, data, path, chk: _Checker):
+    """Build a section dataclass, checking each key by its field's declared bounds."""
+    data = chk.section(data, path, {f.name for f in fields(cls)})
+    return cls(**{
+        f.name: getattr(chk, f.metadata["check"])(data, f.name, path, f.default,
+                                                  **f.metadata["bounds"])
+        for f in fields(cls)
+    })
+
 
 def _parse_feasible(data, dim, chk: _Checker):
     data = chk.section(data, "feasible_set", {"kind", "balls", "intervals", "bound"})
-    kind = chk.choice(data, "kind", "feasible_set", FEASIBLE_KINDS)
+    kind = chk.choice(data, "kind", "feasible_set", options=FEASIBLE_KINDS)
     if kind is None:
         if "kind" not in data:
             chk.fail("feasible_set.kind", "missing required key")
@@ -264,8 +292,7 @@ def _parse_feasible(data, dim, chk: _Checker):
             return None
         parsed = []
         for i, iv in enumerate(ivs):
-            if (not isinstance(iv, list) or len(iv) != 2
-                    or not all(_is_num(v) for v in iv) or iv[0] >= iv[1]):
+            if not _is_span(iv):
                 chk.fail(f"feasible_set.intervals[{i}]", "must be [lo, hi] with lo < hi")
                 continue
             parsed.append((float(iv[0]), float(iv[1])))
@@ -278,17 +305,6 @@ def _parse_feasible(data, dim, chk: _Checker):
         chk.fail("feasible_set.bound", "missing required key")
         return None
     return FeasibleConfig(kind="halfline", bound=bound)
-
-
-def _parse_penalty_scale(data, path, chk: _Checker) -> PenaltyConfig:
-    d = PenaltyConfig()
-    data = chk.section(data, path, {"beta0", "kappa0", "eta_kappa", "eta_beta"})
-    return PenaltyConfig(
-        beta0=chk.num(data, "beta0", path, d.beta0, lo=0, lo_open=True),
-        kappa0=chk.num(data, "kappa0", path, d.kappa0, lo=0, lo_open=True),
-        eta_kappa=chk.num(data, "eta_kappa", path, d.eta_kappa, lo=1, lo_open=True),
-        eta_beta=chk.num(data, "eta_beta", path, d.eta_beta, lo=1, lo_open=True),
-    )
 
 
 def config_from_dict(data) -> ExperimentConfig:
@@ -305,13 +321,13 @@ def config_from_dict(data) -> ExperimentConfig:
         if key not in data:
             chk.fail(key, "missing required key")
 
-    mode = chk.choice(data, "mode", "", MODES)
+    mode = chk.choice(data, "mode", "", options=MODES)
 
     # objective
     obj = None
     if "objective" in data:
         od = chk.section(data.get("objective"), "objective", {"name", "dim"})
-        name = chk.choice(od, "name", "objective", ("ackley", "rastrigin"))
+        name = chk.choice(od, "name", "objective", options=("ackley", "rastrigin"))
         dim = chk.integer(od, "dim", "objective", lo=1)
         if "name" not in od:
             chk.fail("objective.name", "missing required key")
@@ -328,39 +344,8 @@ def config_from_dict(data) -> ExperimentConfig:
     if data.get("feasible_set") is not None:
         feasible = _parse_feasible(data["feasible_set"], dim, chk)
 
-    md = chk.section(data.get("micro", {}), "micro",
-                     {"m", "lam", "sigma", "dt", "alpha", "diffusion", "init_box"})
-    dm = MicroConfig()
-    init_box = dm.init_box
-    if "init_box" in md:
-        ib = md["init_box"]
-        if (not isinstance(ib, list) or len(ib) != 2
-                or not all(_is_num(v) for v in ib) or ib[0] >= ib[1]):
-            chk.fail("micro.init_box", "must be [lo, hi] with lo < hi")
-        else:
-            init_box = (float(ib[0]), float(ib[1]))
-    micro = MicroConfig(
-        m=chk.num(md, "m", "micro", dm.m, lo=0, hi=1, lo_open=True),
-        lam=chk.num(md, "lam", "micro", dm.lam, lo=0, lo_open=True),
-        sigma=chk.num(md, "sigma", "micro", dm.sigma, lo=0),
-        dt=chk.num(md, "dt", "micro", dm.dt, lo=0, lo_open=True),
-        alpha=chk.num(md, "alpha", "micro", dm.alpha, lo=0, lo_open=True),
-        diffusion=chk.choice(md, "diffusion", "micro", DIFFUSION_MODES, dm.diffusion),
-        init_box=init_box,
-    )
-
-    Md = chk.section(data.get("macro", {}), "macro",
-                     {"x_min", "x_max", "n_cells", "T", "cfl", "boundary", "snapshot_every"})
-    dM = MacroConfig()
-    macro = MacroConfig(
-        x_min=chk.num(Md, "x_min", "macro", dM.x_min),
-        x_max=chk.num(Md, "x_max", "macro", dM.x_max),
-        n_cells=chk.integer(Md, "n_cells", "macro", dM.n_cells, lo=3),
-        T=chk.num(Md, "T", "macro", dM.T),
-        cfl=chk.num(Md, "cfl", "macro", dM.cfl, lo=0, hi=1, lo_open=True),
-        boundary=chk.choice(Md, "boundary", "macro", BOUNDARIES, dM.boundary),
-        snapshot_every=chk.integer(Md, "snapshot_every", "macro", dM.snapshot_every, lo=0),
-    )
+    micro = _parse_section(MicroConfig, data.get("micro", {}), "micro", chk)
+    macro = _parse_section(MacroConfig, data.get("macro", {}), "macro", chk)
     if macro.x_min >= macro.x_max:
         chk.fail("macro.x_min", "must be below macro.x_max")
     if macro.T == 0:
@@ -368,20 +353,11 @@ def config_from_dict(data) -> ExperimentConfig:
 
     pd = chk.section(data.get("penalty", {}), "penalty",
                      {"micro", "macro", "failure_kappa_rule"})
-    penalty_micro = _parse_penalty_scale(pd.get("micro", {}), "penalty.micro", chk)
-    penalty_macro = _parse_penalty_scale(pd.get("macro", {}), "penalty.macro", chk)
-    kappa_rule = chk.choice(pd, "failure_kappa_rule", "penalty", KAPPA_RULES, "divide")
-
-    cd = chk.section(data.get("coupling", {}), "coupling",
-                     {"zeta0", "zeta_min", "zeta_max", "t_star", "transfer_rule"})
-    dc = CouplingConfig()
-    coupling = CouplingConfig(
-        zeta0=chk.num(cd, "zeta0", "coupling", dc.zeta0, lo=0, hi=1, lo_open=True, hi_open=True),
-        zeta_min=chk.num(cd, "zeta_min", "coupling", dc.zeta_min, lo=0, hi=1, lo_open=True, hi_open=True),
-        zeta_max=chk.num(cd, "zeta_max", "coupling", dc.zeta_max, lo=0, hi=1, lo_open=True, hi_open=True),
-        t_star=chk.integer(cd, "t_star", "coupling", dc.t_star, lo=0),
-        transfer_rule=chk.choice(cd, "transfer_rule", "coupling", TRANSFER_RULES, dc.transfer_rule),
-    )
+    penalty_micro = _parse_section(PenaltyConfig, pd.get("micro", {}), "penalty.micro", chk)
+    penalty_macro = _parse_section(PenaltyConfig, pd.get("macro", {}), "penalty.macro", chk)
+    kappa_rule = chk.choice(pd, "failure_kappa_rule", "penalty",
+                            ExperimentConfig.failure_kappa_rule, options=KAPPA_RULES)
+    coupling = _parse_section(CouplingConfig, data.get("coupling", {}), "coupling", chk)
     if not coupling.zeta_min < coupling.zeta_max:
         chk.fail("coupling.zeta_min", "must be below coupling.zeta_max")
     elif not coupling.zeta_min <= coupling.zeta0 <= coupling.zeta_max:
@@ -431,61 +407,31 @@ def load_config(path) -> ExperimentConfig:
 
 def load_bundled(name: str) -> ExperimentConfig:
     """Load one of the experiment configs shipped inside the package."""
-    base = name if name.endswith(".yaml") else name + ".yaml"
-    path = resources.files("swarmscale") / "configs" / base
+    root = resources.files("swarmscale") / "configs"
+    path = root / (name if name.endswith(".yaml") else name + ".yaml")
     if not path.is_file():
-        raise ConfigError([f"no bundled config named {name!r}"])
+        names = sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".yaml"))
+        raise ConfigError([f"config not found: {name} (bundled: {', '.join(names)})"])
     return load_config(path)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-scalar key-tree; load(config_to_dict(cfg)) reproduces cfg exactly."""
-    out = {
-        "mode": cfg.mode,
-        "objective": {"name": cfg.objective.name, "dim": cfg.objective.dim},
-        "n_steps": cfg.n_steps,
-        "n_particles": cfg.n_particles,
-        "seed": cfg.seed,
-        "output": cfg.output,
-        "micro": {
-            "m": cfg.micro.m,
-            "lam": cfg.micro.lam,
-            "sigma": cfg.micro.sigma,
-            "dt": cfg.micro.dt,
-            "alpha": cfg.micro.alpha,
-            "diffusion": cfg.micro.diffusion,
-            "init_box": list(cfg.micro.init_box),
-        },
-        "macro": {
-            "x_min": cfg.macro.x_min,
-            "x_max": cfg.macro.x_max,
-            "n_cells": cfg.macro.n_cells,
-            "T": cfg.macro.T,
-            "cfl": cfg.macro.cfl,
-            "boundary": cfg.macro.boundary,
-            "snapshot_every": cfg.macro.snapshot_every,
-        },
-        "penalty": {
-            "micro": _penalty_dict(cfg.penalty_micro),
-            "macro": _penalty_dict(cfg.penalty_macro),
-            "failure_kappa_rule": cfg.failure_kappa_rule,
-        },
-        "coupling": {
-            "zeta0": cfg.coupling.zeta0,
-            "zeta_min": cfg.coupling.zeta_min,
-            "zeta_max": cfg.coupling.zeta_max,
-            "t_star": cfg.coupling.t_star,
-            "transfer_rule": cfg.coupling.transfer_rule,
-        },
+    out = asdict(cfg)
+    del out["feasible_set"]
+    out["micro"]["init_box"] = list(cfg.micro.init_box)
+    out["penalty"] = {
+        "micro": out.pop("penalty_micro"),
+        "macro": out.pop("penalty_macro"),
+        "failure_kappa_rule": out.pop("failure_kappa_rule"),
     }
-    if cfg.feasible_set is not None:
-        fs = cfg.feasible_set
+    out["coupling"] = out.pop("coupling")  # keep the file order: penalty, then coupling
+    fs = cfg.feasible_set
+    if fs is not None:
         if fs.kind == "balls":
             out["feasible_set"] = {
                 "kind": "balls",
-                "balls": [
-                    {"center": list(c), "radius_sq": r2} for c, r2 in fs.balls
-                ],
+                "balls": [{"center": list(c), "radius_sq": r2} for c, r2 in fs.balls],
             }
         elif fs.kind == "intervals":
             out["feasible_set"] = {
@@ -495,15 +441,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         else:
             out["feasible_set"] = {"kind": "halfline", "bound": fs.bound}
     return out
-
-
-def _penalty_dict(p: PenaltyConfig) -> dict:
-    return {
-        "beta0": p.beta0,
-        "kappa0": p.kappa0,
-        "eta_kappa": p.eta_kappa,
-        "eta_beta": p.eta_beta,
-    }
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

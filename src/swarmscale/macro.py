@@ -8,9 +8,12 @@ same explicit update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .micro import gibbs_weights
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
 # concentrates toward a spike and vacuum cells do appear.
@@ -125,8 +128,7 @@ def consensus_point_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> 
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    values = np.asarray(pf.evaluate(grid.centers[:, None]), dtype=float)
-    w = np.exp(-alpha * (values - values.min())) * state.rho
+    w = gibbs_weights(pf.evaluate(grid.centers[:, None]), alpha) * state.rho
     total = w.sum()
     if total <= 0.0:
         raise ZeroDivisionError("consensus undefined: zero weighted mass")
@@ -134,8 +136,23 @@ def consensus_point_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> 
 
 
 def max_wavespeed(state: MacroState) -> float:
-    """Largest characteristic speed |u_j| + |T| over the grid."""
-    return float(np.max(np.abs(state.velocity()))) + abs(state.T)
+    """Largest characteristic speed |u_j| + |T| over the grid.
+
+    Raises FloatingPointError on a non-finite state: a NaN speed would pass
+    every CFL comparison and stall the sub-step loop instead of failing.
+    """
+    speeds = np.abs(state.velocity())
+    speed = float(np.max(speeds)) + abs(state.T)
+    if not math.isfinite(speed):
+        bad = np.flatnonzero(~np.isfinite(speeds))
+        if not bad.size:
+            raise FloatingPointError(f"non-finite closure spread T={state.T}")
+        j = bad[0]
+        raise FloatingPointError(
+            f"non-finite grid state at cell {j}: rho={float(state.rho[j])}, "
+            f"rho_u={float(state.rho_u[j])}"
+        )
+    return speed
 
 
 def cfl_dt(state: MacroState, grid: Grid1D, cfl: float) -> float:

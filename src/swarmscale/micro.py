@@ -155,10 +155,9 @@ def step_euler_maruyama(
 
     if params.diffusion == "isotropic":
         theta = rng.standard_normal(state.n_particles)[:, None]
-        scale = np.linalg.norm(r, axis=-1, keepdims=True)
     else:
         theta = rng.standard_normal(state.positions.shape)
-        scale = r
+    scale = diffusion_diagonal(params.diffusion, r)
 
     velocities = (
         (m / c) * state.velocities

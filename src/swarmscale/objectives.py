@@ -104,6 +104,14 @@ class BallUnion(FeasibleSet):
         return np.any(inside, axis=-1)
 
 
+def _scalarize(x: np.ndarray) -> np.ndarray:
+    """Drop a trailing axis of length 1, so (..., 1) points become (...) scalars."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim and x.shape[-1] == 1:
+        x = x[..., 0]
+    return x
+
+
 @dataclass(frozen=True)
 class IntervalUnion(FeasibleSet):
     """Union of closed 1D intervals [lo, hi]."""
@@ -118,20 +126,14 @@ class IntervalUnion(FeasibleSet):
             raise ValueError("every interval needs lo < hi")
         object.__setattr__(self, "bounds", bounds)
 
-    def _scalarize(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim and x.shape[-1] == 1:
-            x = x[..., 0]
-        return x
-
     def distance(self, x: np.ndarray) -> np.ndarray:
-        x = self._scalarize(x)
+        x = _scalarize(x)
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         per = np.maximum(np.maximum(lo - x[..., None], x[..., None] - hi), 0.0)
         return np.min(per, axis=-1)
 
     def member(self, x: np.ndarray) -> np.ndarray:
-        x = self._scalarize(x)
+        x = _scalarize(x)
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         return np.any((x[..., None] >= lo) & (x[..., None] <= hi), axis=-1)
 
@@ -142,17 +144,11 @@ class Halfspace1D(FeasibleSet):
 
     bound: float
 
-    def _scalarize(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim and x.shape[-1] == 1:
-            x = x[..., 0]
-        return x
-
     def distance(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, self._scalarize(x) - self.bound)
+        return np.maximum(0.0, _scalarize(x) - self.bound)
 
     def member(self, x: np.ndarray) -> np.ndarray:
-        return self._scalarize(x) <= self.bound
+        return _scalarize(x) <= self.bound
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Experiment drivers: single runs and seeded ensembles with CSV/JSON output.
 
-One outer iteration advances the active scales by the shared step dt: the
-swarm takes one SDE step, the grid solver sub-steps under its CFL bound up
-to the shared time, each scale updates its own penalty controller, and the
-coupled mode finishes with the mass transfer.  Given (config, seed) the
-written files are byte-identical across repeat runs.
+A run holds one or both scales of the swarm, the particles and the grid
+density, and drives them through one loop.  Each outer iteration advances
+every active scale by the shared step dt (the swarm takes one SDE step, the
+grid solver sub-steps under its CFL bound up to the shared time) and lets it
+update its own penalty controller; a coupled run then transfers mass between
+the scales, and each scale finally observes its consensus point.  Given
+(config, seed) the written files are byte-identical across repeat runs.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ MICROMACRO_COLUMNS = [
     "consensus_macro", "beta_macro", "kappa_macro", "violation_macro", "branch_macro",
     "zeta", "mass_micro", "mass_macro", "mass_total",
 ]
+
+
+def _trace_columns(cfg: ExperimentConfig) -> list:
+    """The trace.csv header of a run; its strings are also the keys of every row."""
+    if cfg.mode == "micro":
+        return micro_columns(cfg.objective.dim)
+    return MACRO_COLUMNS if cfg.mode == "macro" else MICROMACRO_COLUMNS
 
 
 class RunError(RuntimeError):
@@ -109,49 +118,186 @@ def _write_snapshot(out_dir, step, grid, macro: MacroState):
             writer.writerow([repr(float(x)), repr(float(r)), repr(float(q))])
 
 
-def _update_controller(ctrl, violation):
-    new = ctrl.update(violation)
-    return new, ("success" if ctrl.accepts(violation) else "failure")
+class _Scale:
+    """One representation of the swarm, with its own penalized objective and controller.
+
+    A scale that runs alone reports extra trace columns (the particle gap, or
+    the grid mass and peak); in a coupled run the transfer reports the masses.
+    """
+
+    def __init__(self, cfg, name, alone):
+        self.name = name
+        self.alone = alone
+        self.alpha = cfg.micro.alpha
+        self.pf = cfg.build_penalized(name)
+        self.ctrl = cfg.build_controller(name)
+        self.violation, self.branch = 0.0, "none"
+
+    def penalize(self):
+        """One (beta, kappa) update from the current violation; unconstrained runs skip it."""
+        if self.pf.feasible_set is None:
+            return
+        self.violation = self.measure_violation()
+        self.branch = "success" if self.ctrl.accepts(self.violation) else "failure"
+        self.ctrl = self.ctrl.update(self.violation)
+        self.pf = self.pf.with_beta(self.ctrl.beta)
+
+    def penalty_values(self):
+        return [self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch]
+
+
+class _Particles(_Scale):
+    """The particle swarm: one Euler-Maruyama step per outer step."""
+
+    def __init__(self, cfg, rng, mass, alone):
+        super().__init__(cfg, "micro", alone)
+        self.rng = rng
+        self.params = cfg.build_micro_params()
+        self.swarm = init_swarm(cfg.n_particles, cfg.objective.dim, rng,
+                                box=cfg.micro.init_box, particle_mass=mass / cfg.n_particles)
+
+    def clock(self, n):
+        return n * self.params.dt
+
+    def advance(self, n):
+        self.swarm = step_euler_maruyama(self.swarm, self.params, self.pf, self.rng)
+
+    def measure_violation(self):
+        return violation_micro(self.swarm, self.pf, self.alpha)
+
+    def observe(self):
+        self.consensus = [float(c) for c in consensus_point(self.swarm, self.pf, self.alpha)]
+        if self.alone:
+            self.gap = softmin_gap(self.swarm, self.pf, self.alpha)
+
+    def mass(self):
+        return self.swarm.total_mass
+
+    def arrays(self):
+        return self.swarm.positions, self.swarm.velocities
+
+    def row_values(self):
+        if not self.alone:
+            return self.consensus + self.penalty_values()
+        if __debug__:
+            assert self.gap <= np.log(self.swarm.n_particles) / self.alpha + 1e-9
+        return self.consensus + [self.gap] + self.penalty_values()
+
+
+class _Grid(_Scale):
+    """The density on the 1D grid: CFL sub-steps up to the shared time."""
+
+    def __init__(self, cfg, mass, alone):
+        super().__init__(cfg, "macro", alone)
+        self.grid = cfg.build_grid()
+        self.params = cfg.build_macro_params()
+        self.cfl, self.boundary, self.dt = cfg.macro.cfl, cfg.macro.boundary, cfg.micro.dt
+        self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
+
+    def clock(self, n):
+        return self.state.time
+
+    def advance(self, n):
+        # the PDE sub-steps, but the penalty loop lives on the shared outer
+        # grid n * dt so its cadence is physical time
+        self.state = _advance_macro(self.state, self.grid, self.params, self.pf, self.alpha,
+                                    self.cfl, self.boundary, n * self.dt)
+
+    def measure_violation(self):
+        return violation_macro(self.state, self.grid, self.pf, self.alpha)
+
+    def observe(self):
+        self.consensus = consensus_point_macro(self.state, self.grid, self.pf, self.alpha)
+
+    def mass(self):
+        return float(self.state.rho.sum() * self.grid.dx)
+
+    def peak(self, density):
+        """Center of the cell where density is largest."""
+        return float(self.grid.centers[int(np.argmax(density))])
+
+    def arrays(self):
+        return self.state.rho, self.state.rho_u
+
+    def row_values(self):
+        values = [self.consensus] + self.penalty_values()
+        if self.alone:
+            values += [self.mass(), self.peak(self.state.rho)]
+        return values
+
+
+class _Transfer:
+    """Post-step hook of a coupled run: re-splits the mass between the two scales."""
+
+    def __init__(self, cfg, particles, grid):
+        c = cfg.coupling
+        self.particles, self.grid, self.rule = particles, grid, c.transfer_rule
+        self.state = init_coupling(particles.swarm, grid.grid, zeta0=c.zeta0, t_star=c.t_star,
+                                   zeta_min=c.zeta_min, zeta_max=c.zeta_max)
+
+    def __call__(self, n):
+        p, g = self.particles, self.grid
+        self.state, p.swarm, g.state = transfer_mass(
+            self.state, p.swarm, g.state, g.grid, n, rule=self.rule)
+
+    def row_values(self):
+        mass_micro, mass_macro = self.particles.mass(), self.grid.mass()
+        return [self.state.zeta, mass_micro, mass_macro, mass_micro + mass_macro]
+
+
+def _build_scales(cfg):
+    """The active scales in step order, and the transfer hook of a coupled run or None."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.mode == "micro":
+        return [_Particles(cfg, rng, 1.0, alone=True)], None
+    if cfg.mode == "macro":
+        return [_Grid(cfg, 1.0, alone=True)], None
+    zeta0 = cfg.coupling.zeta0
+    particles = _Particles(cfg, rng, zeta0, alone=False)
+    grid = _Grid(cfg, 1.0 - zeta0, alone=False)
+    return [particles, grid], _Transfer(cfg, particles, grid)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute one configured run and write trace.csv plus summary.json."""
     os.makedirs(cfg.output, exist_ok=True)
     started = time.perf_counter()
-    constrained = cfg.feasible_set is not None
-    alpha = cfg.micro.alpha
-    dim = cfg.objective.dim
+    scales, transfer = _build_scales(cfg)
+    columns = _trace_columns(cfg)
+    grid = next((s for s in scales if isinstance(s, _Grid)), None)
+    snap = cfg.macro.snapshot_every if grid is not None else 0
 
-    if cfg.mode == "micro":
-        columns = micro_columns(dim)
-        rows, extra = _run_micro(cfg, constrained, alpha)
-    elif cfg.mode == "macro":
-        columns = MACRO_COLUMNS
-        rows, extra = _run_macro(cfg, constrained, alpha)
-    else:
-        columns = MICROMACRO_COLUMNS
-        rows, extra = _run_micromacro(cfg, constrained, alpha)
+    def row(n):
+        # the row time is the leading scale's clock: n * dt for the swarm,
+        # the accumulated sub-step time for a lone grid
+        values = [n, scales[0].clock(n)]
+        for s in scales:
+            values += s.row_values()
+        if transfer is not None:
+            values += transfer.row_values()
+        return dict(zip(columns, values, strict=True))
+
+    for s in scales:
+        s.observe()
+    rows = [row(0)]
+    for n in range(1, cfg.n_steps + 1):
+        try:
+            for s in scales:
+                s.advance(n)
+                s.penalize()
+            if transfer is not None:
+                transfer(n)
+            for s in scales:
+                s.observe()
+        except Exception as exc:
+            raise RunError(str(exc), n, _digest(*(a for s in scales for a in s.arrays()))) from exc
+        rows.append(row(n))
+        if snap and n % snap == 0:
+            _write_snapshot(cfg.output, n, grid.grid, grid.state)
 
     csv_path = os.path.join(cfg.output, "trace.csv")
     _write_csv(csv_path, columns, rows)
-
-    final = rows[-1]
-    wall = time.perf_counter() - started
-    summary = {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "n_steps": cfg.n_steps,
-        "final_consensus": extra["final_consensus"],
-        "final_beta": extra["final_beta"],
-        "final_kappa": extra["final_kappa"],
-        "final_violation": extra["final_violation"],
-        "final_zeta": extra.get("final_zeta"),
-        "final_masses": extra["final_masses"],
-        "argmin_estimate": extra["argmin_estimate"],
-        "objective_at_estimate": extra["objective_at_estimate"],
-        "final_time": final["time"],
-        "wall_time_s": wall,
-    }
+    summary = _summary(cfg, scales, transfer, rows[-1]["time"], time.perf_counter() - started)
     json_path = os.path.join(cfg.output, "summary.json")
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -167,57 +313,40 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     )
 
 
-def _run_micro(cfg, constrained, alpha):
-    rng = np.random.default_rng(cfg.seed)
-    params = cfg.build_micro_params()
-    pf = cfg.build_penalized("micro")
-    ctrl = cfg.build_controller("micro")
-    swarm = init_swarm(
-        cfg.n_particles, cfg.objective.dim, rng,
-        box=cfg.micro.init_box, particle_mass=1.0 / cfg.n_particles,
-    )
+def _summary(cfg, scales, transfer, final_time, wall):
+    """Final state keyed by scale name, None for a scale the run does not hold."""
+    by_name = {s.name: s for s in scales}
 
-    rows = []
-    consensus = consensus_point(swarm, pf, alpha)
-    rows.append(_micro_row(0, 0.0, consensus, softmin_gap(swarm, pf, alpha),
-                           ctrl, 0.0, "none"))
-    for n in range(1, cfg.n_steps + 1):
-        try:
-            swarm = step_euler_maruyama(swarm, params, pf, rng)
-            violation, branch = 0.0, "none"
-            if constrained:
-                violation = violation_micro(swarm, pf, alpha)
-                ctrl, branch = _update_controller(ctrl, violation)
-                pf = pf.with_beta(ctrl.beta)
-            consensus = consensus_point(swarm, pf, alpha)
-            gap = softmin_gap(swarm, pf, alpha)
-        except Exception as exc:
-            raise RunError(str(exc), n, _digest(swarm.positions, swarm.velocities)) from exc
-        if __debug__:
-            assert gap <= np.log(swarm.n_particles) / alpha + 1e-9
-        rows.append(_micro_row(n, n * params.dt, consensus, gap, ctrl, violation, branch))
+    def per_scale(value):
+        return {name: value(by_name[name]) if name in by_name else None
+                for name in ("micro", "macro")}
 
-    estimate = [float(c) for c in consensus]
-    extra = {
-        "final_consensus": {"micro": estimate, "macro": None},
-        "final_beta": {"micro": ctrl.beta, "macro": None},
-        "final_kappa": {"micro": ctrl.kappa, "macro": None},
-        "final_violation": {"micro": rows[-1]["violation"], "macro": None},
-        "final_masses": {"micro": swarm.total_mass, "macro": None,
-                         "total": swarm.total_mass},
+    masses = per_scale(lambda s: s.mass())
+    masses["total"] = sum(m for m in masses.values() if m is not None)
+    grid = by_name.get("macro")
+    if grid is None:
+        estimate = by_name["micro"].consensus
+    else:
+        # the peak of the combined density on the grid
+        density = grid.state.rho
+        if "micro" in by_name:
+            density = density + micro_cell_density(by_name["micro"].swarm, grid.grid)
+        estimate = [grid.peak(density)]
+    return {
+        "mode": cfg.mode,
+        "seed": cfg.seed,
+        "n_steps": cfg.n_steps,
+        "final_consensus": per_scale(lambda s: s.consensus),
+        "final_beta": per_scale(lambda s: s.ctrl.beta),
+        "final_kappa": per_scale(lambda s: s.ctrl.kappa),
+        "final_violation": per_scale(lambda s: s.violation),
+        "final_zeta": transfer.state.zeta if transfer is not None else None,
+        "final_masses": masses,
         "argmin_estimate": estimate,
         "objective_at_estimate": float(cfg.build_objective()(np.asarray(estimate))),
+        "final_time": final_time,
+        "wall_time_s": wall,
     }
-    return rows, extra
-
-
-def _micro_row(step, t, consensus, gap, ctrl, violation, branch):
-    row = {"step": step, "time": t}
-    for k, c in enumerate(consensus):
-        row[f"consensus_{k}"] = float(c)
-    row.update(softmin_gap=float(gap), beta=ctrl.beta, kappa=ctrl.kappa,
-               violation=float(violation), branch=branch)
-    return row
 
 
 def _advance_macro(state, grid, mp, pf, alpha, cfl, boundary, target_time):
@@ -248,167 +377,6 @@ def _advance_macro(state, grid, mp, pf, alpha, cfl, boundary, target_time):
     )
 
 
-def _macro_summary_fields(state, grid, pf, alpha):
-    consensus = consensus_point_macro(state, grid, pf, alpha)
-    argmax = float(grid.centers[int(np.argmax(state.rho))])
-    return consensus, argmax
-
-
-def _run_macro(cfg, constrained, alpha):
-    grid = cfg.build_grid()
-    mp = cfg.build_macro_params()
-    pf = cfg.build_penalized("macro")
-    ctrl = cfg.build_controller("macro")
-    state = init_macro(grid, total_mass=1.0, T=cfg.macro.T)
-    snap = cfg.macro.snapshot_every
-
-    rows = []
-    consensus, argmax = _macro_summary_fields(state, grid, pf, alpha)
-    rows.append(_macro_row(0, state, grid, consensus, ctrl, 0.0, "none", argmax))
-    for n in range(1, cfg.n_steps + 1):
-        try:
-            # PDE advances by CFL sub-steps; the penalty loop lives on the
-            # shared outer grid n * dt so its cadence is physical time.
-            state = _advance_macro(state, grid, mp, pf, alpha, cfg.macro.cfl,
-                                   cfg.macro.boundary, n * cfg.micro.dt)
-            violation, branch = 0.0, "none"
-            if constrained:
-                violation = violation_macro(state, grid, pf, alpha)
-                ctrl, branch = _update_controller(ctrl, violation)
-                pf = pf.with_beta(ctrl.beta)
-            consensus, argmax = _macro_summary_fields(state, grid, pf, alpha)
-        except Exception as exc:
-            raise RunError(str(exc), n, _digest(state.rho, state.rho_u)) from exc
-        rows.append(_macro_row(n, state, grid, consensus, ctrl, violation, branch, argmax))
-        if snap and n % snap == 0:
-            _write_snapshot(cfg.output, n, grid, state)
-
-    extra = {
-        "final_consensus": {"micro": None, "macro": consensus},
-        "final_beta": {"micro": None, "macro": ctrl.beta},
-        "final_kappa": {"micro": None, "macro": ctrl.kappa},
-        "final_violation": {"micro": None, "macro": rows[-1]["violation"]},
-        "final_masses": {"micro": None, "macro": float(state.rho.sum() * grid.dx),
-                         "total": float(state.rho.sum() * grid.dx)},
-        "argmin_estimate": [argmax],
-        "objective_at_estimate": float(cfg.build_objective()(np.asarray([argmax]))),
-    }
-    return rows, extra
-
-
-def _macro_row(step, state, grid, consensus, ctrl, violation, branch, argmax):
-    return {
-        "step": step,
-        "time": state.time,
-        "consensus": float(consensus),
-        "beta": ctrl.beta,
-        "kappa": ctrl.kappa,
-        "violation": float(violation),
-        "branch": branch,
-        "total_mass": float(state.rho.sum() * grid.dx),
-        "argmax_center": argmax,
-    }
-
-
-def _run_micromacro(cfg, constrained, alpha):
-    rng = np.random.default_rng(cfg.seed)
-    params = cfg.build_micro_params()
-    grid = cfg.build_grid()
-    mp = cfg.build_macro_params()
-    pf_m = cfg.build_penalized("micro")
-    pf_M = cfg.build_penalized("macro")
-    ctrl_m = cfg.build_controller("micro")
-    ctrl_M = cfg.build_controller("macro")
-
-    zeta0 = cfg.coupling.zeta0
-    swarm = init_swarm(cfg.n_particles, 1, rng, box=cfg.micro.init_box,
-                       particle_mass=zeta0 / cfg.n_particles)
-    macro = init_macro(grid, total_mass=1.0 - zeta0, T=cfg.macro.T)
-    coupling = init_coupling(
-        swarm, grid, zeta0=zeta0, t_star=cfg.coupling.t_star,
-        zeta_min=cfg.coupling.zeta_min, zeta_max=cfg.coupling.zeta_max,
-    )
-    snap = cfg.macro.snapshot_every
-
-    rows = [_mm_row(0, 0.0, consensus_point(swarm, pf_m, alpha)[0], ctrl_m, 0.0, "none",
-                    consensus_point_macro(macro, grid, pf_M, alpha), ctrl_M, 0.0, "none",
-                    coupling, swarm, macro, grid)]
-    for n in range(1, cfg.n_steps + 1):
-        try:
-            swarm = step_euler_maruyama(swarm, params, pf_m, rng)
-            viol_m, branch_m = 0.0, "none"
-            if constrained:
-                viol_m = violation_micro(swarm, pf_m, alpha)
-                ctrl_m, branch_m = _update_controller(ctrl_m, viol_m)
-                pf_m = pf_m.with_beta(ctrl_m.beta)
-
-            macro = _advance_macro(macro, grid, mp, pf_M, alpha, cfg.macro.cfl,
-                                   cfg.macro.boundary, n * params.dt)
-            viol_M, branch_M = 0.0, "none"
-            if constrained:
-                viol_M = violation_macro(macro, grid, pf_M, alpha)
-                ctrl_M, branch_M = _update_controller(ctrl_M, viol_M)
-                pf_M = pf_M.with_beta(ctrl_M.beta)
-
-            coupling, swarm, macro = transfer_mass(
-                coupling, swarm, macro, grid, n, rule=cfg.coupling.transfer_rule)
-
-            cons_m = consensus_point(swarm, pf_m, alpha)[0]
-            cons_M = consensus_point_macro(macro, grid, pf_M, alpha)
-        except Exception as exc:
-            raise RunError(
-                str(exc), n,
-                _digest(swarm.positions, swarm.velocities, macro.rho, macro.rho_u),
-            ) from exc
-        rows.append(_mm_row(n, n * params.dt, cons_m, ctrl_m, viol_m, branch_m,
-                            cons_M, ctrl_M, viol_M, branch_M,
-                            coupling, swarm, macro, grid))
-        if snap and n % snap == 0:
-            _write_snapshot(cfg.output, n, grid, macro)
-
-    combined = macro.rho + micro_cell_density(swarm, grid)
-    argmax = float(grid.centers[int(np.argmax(combined))])
-    mass_micro = swarm.total_mass
-    mass_macro = float(macro.rho.sum() * grid.dx)
-    extra = {
-        "final_consensus": {"micro": [float(cons_m)], "macro": float(cons_M)},
-        "final_beta": {"micro": ctrl_m.beta, "macro": ctrl_M.beta},
-        "final_kappa": {"micro": ctrl_m.kappa, "macro": ctrl_M.kappa},
-        "final_violation": {"micro": rows[-1]["violation_micro"],
-                            "macro": rows[-1]["violation_macro"]},
-        "final_zeta": coupling.zeta,
-        "final_masses": {"micro": mass_micro, "macro": mass_macro,
-                         "total": mass_micro + mass_macro},
-        "argmin_estimate": [argmax],
-        "objective_at_estimate": float(cfg.build_objective()(np.asarray([argmax]))),
-    }
-    return rows, extra
-
-
-def _mm_row(step, t, cons_m, ctrl_m, viol_m, branch_m,
-            cons_M, ctrl_M, viol_M, branch_M, coupling, swarm, macro, grid):
-    mass_micro = swarm.total_mass
-    mass_macro = float(macro.rho.sum() * grid.dx)
-    return {
-        "step": step,
-        "time": t,
-        "consensus_micro": float(cons_m),
-        "beta_micro": ctrl_m.beta,
-        "kappa_micro": ctrl_m.kappa,
-        "violation_micro": float(viol_m),
-        "branch_micro": branch_m,
-        "consensus_macro": float(cons_M),
-        "beta_macro": ctrl_M.beta,
-        "kappa_macro": ctrl_M.kappa,
-        "violation_macro": float(viol_M),
-        "branch_macro": branch_M,
-        "zeta": coupling.zeta,
-        "mass_micro": mass_micro,
-        "mass_macro": mass_macro,
-        "mass_total": mass_micro + mass_macro,
-    }
-
-
 @dataclass
 class EnsembleReport:
     n_runs: int
@@ -427,12 +395,8 @@ def run_ensemble(cfg: ExperimentConfig, n_runs: int, base_seed=None) -> Ensemble
         base_seed = cfg.seed
     os.makedirs(cfg.output, exist_ok=True)
 
-    if cfg.mode == "micro":
-        cons_cols = [f"consensus_{k}" for k in range(cfg.objective.dim)]
-    elif cfg.mode == "macro":
-        cons_cols = ["consensus"]
-    else:
-        cons_cols = ["consensus_micro"]
+    # the leading scale's consensus point, one column per coordinate
+    cons_cols = [c for c in _trace_columns(cfg) if c.startswith("consensus")][: cfg.objective.dim]
     pooled_cols = ["run", "seed", "step", "time"] + cons_cols
 
     records, pooled_rows = [], []
@@ -446,10 +410,7 @@ def run_ensemble(cfg: ExperimentConfig, n_runs: int, base_seed=None) -> Ensemble
                             "error": str(exc), "failed_step": exc.step})
             continue
         for row in report.rows:
-            pooled = {"run": k, "seed": seed, "step": row["step"], "time": row["time"]}
-            for c in cons_cols:
-                pooled[c] = row[c]
-            pooled_rows.append(pooled)
+            pooled_rows.append({"run": k, "seed": seed, **{c: row[c] for c in pooled_cols[2:]}})
         records.append({"run": k, "seed": seed, "ok": True,
                         "summary": report.summary})
 

@@ -232,6 +232,17 @@ def test_cfl_dt_mixed_velocities():
         cfl_dt(state, grid, 1.2)
 
 
+def test_non_finite_state_raises_naming_the_cell():
+    grid = Grid1D(0.0, 1.0, 10)
+    rho_u = np.zeros(10)
+    rho_u[3] = np.nan
+    state = MacroState(np.ones(10), rho_u, T=0.1)
+    with pytest.raises(FloatingPointError, match="cell 3"):
+        cfl_dt(state, grid, 0.8)
+    with pytest.raises(FloatingPointError, match="cell 3"):
+        lax_friedrichs_step(state, grid, 0.01, PARAMS, 0.0)
+
+
 def test_eigenvalues_basic():
     lam1, lam2 = hyperbolicity_eigenvalues(np.array([1.0]), np.array([0.0]), 1.0)
     assert lam1[0] == 1.0 and lam2[0] == -1.0
