@@ -21,7 +21,7 @@ from swarmscale.macro import (
 from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
 
 grid = Grid1D(-4.0, 4.0, 200)
-params = MacroParams(gamma=0.5, m=0.5, lam=1.0)
+params = MacroParams(m=0.5, lam=1.0)
 pf = PenalizedObjective(ObjectiveFunction("ackley", 1), None, beta=0.0)
 
 # Unit-mass bump centered well away from the minimizer at 0.

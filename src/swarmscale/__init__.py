@@ -31,6 +31,7 @@ from .micro import (
     SwarmState,
     consensus_point,
     diffusion_diagonal,
+    gibbs_mean,
     gibbs_weights,
     init_swarm,
     softmin_gap,
@@ -86,6 +87,7 @@ __all__ = [
     "SwarmState",
     "consensus_point",
     "diffusion_diagonal",
+    "gibbs_mean",
     "gibbs_weights",
     "init_swarm",
     "softmin_gap",

@@ -1,14 +1,16 @@
 """Experiment configuration: YAML loading, validation, and serialization.
 
-Configs are nested key-trees with one section per solver component.  The
-numeric defaults match the bundled experiment files; values that a config
-file sets are validated eagerly and errors are reported together, each
-prefixed with its key path (e.g. ``micro.m``).
+Configs are nested key-trees with one section per solver component, and the
+dataclass tree of ``ExperimentConfig`` is that key-tree.  The numeric
+defaults match the bundled experiment files; values that a config file sets
+are validated eagerly and errors are reported together, each prefixed with
+its key path (e.g. ``micro.m``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -18,6 +20,7 @@ from .macro import BOUNDARIES, Grid1D, MacroParams
 from .micro import DIFFUSION_MODES, MicroParams
 from .micromacro import TRANSFER_RULES
 from .objectives import (
+    OBJECTIVE_NAMES,
     BallUnion,
     Halfspace1D,
     IntervalUnion,
@@ -29,8 +32,6 @@ from .penalty import KAPPA_RULES, PenaltyController
 MODES = ("micro", "macro", "micromacro")
 FEASIBLE_KINDS = ("balls", "intervals", "halfline")
 
-REQUIRED_KEYS = ("mode", "objective", "n_steps", "n_particles", "seed", "output")
-
 
 class ConfigError(ValueError):
     """Validation failure; ``errors`` holds one message per offending key."""
@@ -40,10 +41,77 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
+# -- value checks: each returns the parsed value or raises ValueError ------
+
+
+def _is_num(v) -> bool:
+    # the magnitude test also rejects nan, +-inf and ints beyond the float range
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _is_span(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v) and v[0] < v[1]
+
+
+def _num(v, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
+    if not _is_num(v):
+        raise ValueError("must be a number")
+    v = float(v)
+    lo_bad = lo is not None and (v <= lo if lo_open else v < lo)
+    hi_bad = hi is not None and (v >= hi if hi_open else v > hi)
+    if lo_bad or hi_bad:
+        left = "(" if lo_open else "["
+        right = ")" if hi_open else "]"
+        lo_s = "-inf" if lo is None else f"{lo:g}"
+        hi_s = "inf" if hi is None else f"{hi:g}"
+        raise ValueError(f"must lie in {left}{lo_s}, {hi_s}{right}")
+    return v
+
+
+def _integer(v, lo=None, hi=None) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError("must be an integer")
+    if (lo is not None and v < lo) or (hi is not None and v > hi):
+        raise ValueError(f"must lie in [{lo}, {hi}]" if hi is not None else f"must be >= {lo}")
+    return v
+
+
+def _choice(v, options=()):
+    if v not in options:
+        raise ValueError(f"must be one of {list(options)}")
+    return v
+
+
+def _span(v) -> tuple:
+    if not _is_span(v):
+        raise ValueError("must be [lo, hi] with lo < hi")
+    return (float(v[0]), float(v[1]))
+
+
+def _path(v) -> str:
+    if not isinstance(v, str) or not v:
+        raise ValueError("must be a nonempty path string")
+    return v
+
+
+# -- the config tree -------------------------------------------------------
+
+
+def _field(check, default=MISSING, **bounds):
+    """A config key: its value check and bounds, and its default (none: a required key)."""
+    return field(default=default, metadata={"check": check, "bounds": bounds})
+
+
+def _section(cls, required=False):
+    """A nested config section; an absent optional one takes all its defaults."""
+    return field(default_factory=MISSING if required else cls, metadata={"section": cls})
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    name: str
-    dim: int
+    name: str = _field(_choice, options=OBJECTIVE_NAMES)
+    dim: int = _field(_integer, lo=1)
 
 
 @dataclass(frozen=True)
@@ -54,65 +122,75 @@ class FeasibleConfig:
     bound: float = 0.0       # halfline: {x <= bound}
 
 
-def _field(check, default, **bounds):
-    """A section field: its default, and the _Checker method and bounds that validate it."""
-    return field(default=default, metadata={"check": check, "bounds": bounds})
-
-
 @dataclass(frozen=True)
 class MicroConfig:
-    m: float = _field("num", 0.5, lo=0, hi=1, lo_open=True)
-    lam: float = _field("num", 1.0, lo=0, lo_open=True)
-    sigma: float = _field("num", 1.0 / 3.0**0.5, lo=0)
-    dt: float = _field("num", 0.1, lo=0, lo_open=True)
-    alpha: float = _field("num", 30.0, lo=0, lo_open=True)
-    diffusion: str = _field("choice", "anisotropic", options=DIFFUSION_MODES)
-    init_box: tuple = _field("span", (-3.0, 3.0))
+    m: float = _field(_num, 0.5, lo=0, hi=1, lo_open=True)
+    lam: float = _field(_num, 1.0, lo=0, lo_open=True)
+    sigma: float = _field(_num, 1.0 / 3.0**0.5, lo=0)
+    dt: float = _field(_num, 0.1, lo=0, lo_open=True)
+    alpha: float = _field(_num, 30.0, lo=0, lo_open=True)
+    diffusion: str = _field(_choice, "anisotropic", options=DIFFUSION_MODES)
+    init_box: tuple = _field(_span, (-3.0, 3.0))
 
 
 @dataclass(frozen=True)
 class MacroConfig:
-    x_min: float = _field("num", -3.0)
-    x_max: float = _field("num", 3.0)
-    n_cells: int = _field("integer", 401, lo=3)
-    T: float = _field("num", 0.1)
-    cfl: float = _field("num", 0.8, lo=0, hi=1, lo_open=True)
-    boundary: str = _field("choice", "outflow", options=BOUNDARIES)
-    snapshot_every: int = _field("integer", 0, lo=0)  # 0 disables full-field snapshots
+    x_min: float = _field(_num, -3.0)
+    x_max: float = _field(_num, 3.0)
+    n_cells: int = _field(_integer, 401, lo=3)
+    T: float = _field(_num, 0.1)
+    cfl: float = _field(_num, 0.8, lo=0, hi=1, lo_open=True)
+    boundary: str = _field(_choice, "outflow", options=BOUNDARIES)
+    snapshot_every: int = _field(_integer, 0, lo=0)  # 0 disables full-field snapshots
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    beta0: float = _field("num", 1.0, lo=0, lo_open=True)
-    kappa0: float = _field("num", 5.0, lo=0, lo_open=True)
-    eta_kappa: float = _field("num", 1.1, lo=1, lo_open=True)
-    eta_beta: float = _field("num", 1.1, lo=1, lo_open=True)
+    beta0: float = _field(_num, 1.0, lo=0, lo_open=True)
+    kappa0: float = _field(_num, 5.0, lo=0, lo_open=True)
+    eta_kappa: float = _field(_num, 1.1, lo=1, lo_open=True)
+    eta_beta: float = _field(_num, 1.1, lo=1, lo_open=True)
+
+
+@dataclass(frozen=True)
+class PenaltySection:
+    """One controller per scale, and the kappa back-off rule they share."""
+
+    micro: PenaltyConfig = _section(PenaltyConfig)
+    macro: PenaltyConfig = _section(PenaltyConfig)
+    failure_kappa_rule: str = _field(_choice, "divide", options=KAPPA_RULES)
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    zeta0: float = _field("num", 0.5, lo=0, hi=1, lo_open=True, hi_open=True)
-    zeta_min: float = _field("num", 0.1, lo=0, hi=1, lo_open=True, hi_open=True)
-    zeta_max: float = _field("num", 0.9, lo=0, hi=1, lo_open=True, hi_open=True)
-    t_star: int = _field("integer", 240, lo=0)
-    transfer_rule: str = _field("choice", "conserve", options=TRANSFER_RULES)
+    zeta0: float = _field(_num, 0.5, lo=0, hi=1, lo_open=True, hi_open=True)
+    zeta_min: float = _field(_num, 0.1, lo=0, hi=1, lo_open=True, hi_open=True)
+    zeta_max: float = _field(_num, 0.9, lo=0, hi=1, lo_open=True, hi_open=True)
+    t_star: int = _field(_integer, 240, lo=0)
+    transfer_rule: str = _field(_choice, "conserve", options=TRANSFER_RULES)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str
-    objective: ObjectiveConfig
-    n_steps: int
-    n_particles: int
-    seed: int
-    output: str
+    """One experiment.  The field tree is the YAML tree.
+
+    Every field is a key of the file and every nested dataclass a section of
+    it; each key declares its default and bounds once, in its field, and
+    ``config_to_dict`` writes the same tree back.  ``feasible_set`` alone is
+    parsed by hand, because its keys depend on its kind and the dimension.
+    """
+
+    mode: str = _field(_choice, options=MODES)
+    objective: ObjectiveConfig = _section(ObjectiveConfig, required=True)
+    n_steps: int = _field(_integer, lo=1)
+    n_particles: int = _field(_integer, lo=1)
+    seed: int = _field(_integer, lo=0, hi=2**64 - 1)
+    output: str = _field(_path)
     feasible_set: FeasibleConfig | None = None
-    micro: MicroConfig = field(default_factory=MicroConfig)
-    macro: MacroConfig = field(default_factory=MacroConfig)
-    penalty_micro: PenaltyConfig = field(default_factory=PenaltyConfig)
-    penalty_macro: PenaltyConfig = field(default_factory=PenaltyConfig)
-    failure_kappa_rule: str = "divide"
-    coupling: CouplingConfig = field(default_factory=CouplingConfig)
+    micro: MicroConfig = _section(MicroConfig)
+    macro: MacroConfig = _section(MacroConfig)
+    penalty: PenaltySection = _section(PenaltySection)
+    coupling: CouplingConfig = _section(CouplingConfig)
 
     # -- builders for the runtime objects ---------------------------------
 
@@ -130,9 +208,8 @@ class ExperimentConfig:
         return Halfspace1D(fs.bound)
 
     def build_penalized(self, scale: str = "micro") -> PenalizedObjective:
-        beta0 = (self.penalty_micro if scale == "micro" else self.penalty_macro).beta0
         fs = self.build_feasible_set()
-        beta = beta0 if fs is not None else 0.0
+        beta = getattr(self.penalty, scale).beta0 if fs is not None else 0.0
         return PenalizedObjective(self.build_objective(), fs, beta)
 
     def build_micro_params(self) -> MicroParams:
@@ -143,33 +220,21 @@ class ExperimentConfig:
         return Grid1D(self.macro.x_min, self.macro.x_max, self.macro.n_cells)
 
     def build_macro_params(self) -> MacroParams:
-        return MacroParams(gamma=1.0 - self.micro.m, m=self.micro.m, lam=self.micro.lam)
+        return MacroParams(m=self.micro.m, lam=self.micro.lam)
 
     def build_controller(self, scale: str = "micro") -> PenaltyController:
-        c = self.penalty_micro if scale == "micro" else self.penalty_macro
+        c = getattr(self.penalty, scale)
         return PenaltyController(
             beta=c.beta0,
             kappa=c.kappa0,
             kappa0=c.kappa0,
             eta_kappa=c.eta_kappa,
             eta_beta=c.eta_beta,
-            failure_kappa_rule=self.failure_kappa_rule,
+            failure_kappa_rule=self.penalty.failure_kappa_rule,
         )
 
 
-# -- validation helpers ----------------------------------------------------
-
-
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_span(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v) and v[0] < v[1]
+# -- validation ------------------------------------------------------------
 
 
 class _Checker:
@@ -190,73 +255,43 @@ class _Checker:
                 self.fail(f"{path}.{key}" if path else str(key), "unknown key")
         return data
 
-    def num(self, data, key, path, default=None, lo=None, hi=None,
-            lo_open=False, hi_open=False):
+    def get(self, data, key, path, check, default=None, **bounds):
+        """check(data[key], **bounds); the default if the key is absent or fails."""
         if key not in data:
             return default
-        v = data[key]
-        full = f"{path}.{key}" if path else key
-        if not _is_num(v):
-            self.fail(full, "must be a number")
+        try:
+            return check(data[key], **bounds)
+        except ValueError as exc:
+            self.fail(f"{path}.{key}" if path else key, str(exc))
             return default
-        v = float(v)
-        lo_bad = lo is not None and (v <= lo if lo_open else v < lo)
-        hi_bad = hi is not None and (v >= hi if hi_open else v > hi)
-        if lo_bad or hi_bad:
-            left = "(" if lo_open else "["
-            right = ")" if hi_open else "]"
-            lo_s = "-inf" if lo is None else f"{lo:g}"
-            hi_s = "inf" if hi is None else f"{hi:g}"
-            self.fail(full, f"must lie in {left}{lo_s}, {hi_s}{right}")
-            return default
-        return v
-
-    def integer(self, data, key, path, default=None, lo=None, hi=None):
-        if key not in data:
-            return default
-        v = data[key]
-        full = f"{path}.{key}" if path else key
-        if not _is_int(v):
-            self.fail(full, "must be an integer")
-            return default
-        if (lo is not None and v < lo) or (hi is not None and v > hi):
-            self.fail(full, f"must lie in [{lo}, {hi}]" if hi is not None else f"must be >= {lo}")
-            return default
-        return v
-
-    def choice(self, data, key, path, default=None, options=()):
-        if key not in data:
-            return default
-        v = data[key]
-        full = f"{path}.{key}" if path else key
-        if v not in options:
-            self.fail(full, f"must be one of {list(options)}")
-            return default
-        return v
-
-    def span(self, data, key, path, default=None):
-        if key not in data:
-            return default
-        v = data[key]
-        if not _is_span(v):
-            self.fail(f"{path}.{key}", "must be [lo, hi] with lo < hi")
-            return default
-        return (float(v[0]), float(v[1]))
 
 
 def _parse_section(cls, data, path, chk: _Checker):
-    """Build a section dataclass, checking each key by its field's declared bounds."""
+    """Build a section dataclass, checking each key by its field and recursing into sections.
+
+    A required key that fails or is missing is left as None.  A field with
+    neither a check nor a section (``feasible_set``) keeps its default.
+    """
     data = chk.section(data, path, {f.name for f in fields(cls)})
-    return cls(**{
-        f.name: getattr(chk, f.metadata["check"])(data, f.name, path, f.default,
-                                                  **f.metadata["bounds"])
-        for f in fields(cls)
-    })
+    values = {}
+    for f in fields(cls):
+        key = f"{path}.{f.name}" if path else f.name
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in data:
+            chk.fail(key, "missing required key")
+            values[f.name] = None
+        elif "section" in f.metadata:
+            values[f.name] = _parse_section(f.metadata["section"], data.get(f.name, {}), key, chk)
+        elif "check" in f.metadata:
+            default = None if required else f.default
+            values[f.name] = chk.get(data, f.name, path, f.metadata["check"], default,
+                                     **f.metadata["bounds"])
+    return cls(**values)
 
 
 def _parse_feasible(data, dim, chk: _Checker):
     data = chk.section(data, "feasible_set", {"kind", "balls", "intervals", "bound"})
-    kind = chk.choice(data, "kind", "feasible_set", options=FEASIBLE_KINDS)
+    kind = chk.get(data, "kind", "feasible_set", _choice, options=FEASIBLE_KINDS)
     if kind is None:
         if "kind" not in data:
             chk.fail("feasible_set.kind", "missing required key")
@@ -300,7 +335,7 @@ def _parse_feasible(data, dim, chk: _Checker):
     # halfline
     if dim != 1:
         chk.fail("feasible_set.kind", "halfline requires a 1-dimensional objective")
-    bound = chk.num(data, "bound", "feasible_set")
+    bound = chk.get(data, "bound", "feasible_set", _num)
     if bound is None:
         chk.fail("feasible_set.bound", "missing required key")
         return None
@@ -312,83 +347,27 @@ def config_from_dict(data) -> ExperimentConfig:
     chk = _Checker()
     if data is None:
         data = {}
-    top_allowed = {
-        "mode", "objective", "feasible_set", "micro", "macro",
-        "penalty", "coupling", "n_steps", "n_particles", "seed", "output",
-    }
-    data = chk.section(data, "", top_allowed)
-    for key in REQUIRED_KEYS:
-        if key not in data:
-            chk.fail(key, "missing required key")
+    cfg = _parse_section(ExperimentConfig, data, "", chk)
 
-    mode = chk.choice(data, "mode", "", options=MODES)
-
-    # objective
-    obj = None
-    if "objective" in data:
-        od = chk.section(data.get("objective"), "objective", {"name", "dim"})
-        name = chk.choice(od, "name", "objective", options=("ackley", "rastrigin"))
-        dim = chk.integer(od, "dim", "objective", lo=1)
-        if "name" not in od:
-            chk.fail("objective.name", "missing required key")
-        if "dim" not in od:
-            chk.fail("objective.dim", "missing required key")
-        if name is not None and dim is not None:
-            obj = ObjectiveConfig(name=name, dim=dim)
-
-    dim = obj.dim if obj is not None else 1
-    if obj is not None and mode in ("macro", "micromacro") and dim != 1:
-        chk.fail("objective.dim", f"mode {mode!r} runs on a 1D grid; dim must be 1")
-
-    feasible = None
-    if data.get("feasible_set") is not None:
-        feasible = _parse_feasible(data["feasible_set"], dim, chk)
-
-    micro = _parse_section(MicroConfig, data.get("micro", {}), "micro", chk)
-    macro = _parse_section(MacroConfig, data.get("macro", {}), "macro", chk)
-    if macro.x_min >= macro.x_max:
+    # the cross-field checks, and the feasible set, whose keys depend on the dimension
+    dim = getattr(cfg.objective, "dim", None) or 1
+    if cfg.mode in ("macro", "micromacro") and dim != 1:
+        chk.fail("objective.dim", f"mode {cfg.mode!r} runs on a 1D grid; dim must be 1")
+    if isinstance(data, dict) and data.get("feasible_set") is not None:
+        cfg = replace(cfg, feasible_set=_parse_feasible(data["feasible_set"], dim, chk))
+    if cfg.macro.x_min >= cfg.macro.x_max:
         chk.fail("macro.x_min", "must be below macro.x_max")
-    if macro.T == 0:
+    if cfg.macro.T == 0:
         chk.fail("macro.T", "must be nonzero (T = 0 loses strict hyperbolicity)")
-
-    pd = chk.section(data.get("penalty", {}), "penalty",
-                     {"micro", "macro", "failure_kappa_rule"})
-    penalty_micro = _parse_section(PenaltyConfig, pd.get("micro", {}), "penalty.micro", chk)
-    penalty_macro = _parse_section(PenaltyConfig, pd.get("macro", {}), "penalty.macro", chk)
-    kappa_rule = chk.choice(pd, "failure_kappa_rule", "penalty",
-                            ExperimentConfig.failure_kappa_rule, options=KAPPA_RULES)
-    coupling = _parse_section(CouplingConfig, data.get("coupling", {}), "coupling", chk)
+    coupling = cfg.coupling
     if not coupling.zeta_min < coupling.zeta_max:
         chk.fail("coupling.zeta_min", "must be below coupling.zeta_max")
     elif not coupling.zeta_min <= coupling.zeta0 <= coupling.zeta_max:
         chk.fail("coupling.zeta0", "must lie in [zeta_min, zeta_max]")
 
-    n_steps = chk.integer(data, "n_steps", "", lo=1)
-    n_particles = chk.integer(data, "n_particles", "", lo=1)
-    seed = chk.integer(data, "seed", "", lo=0, hi=2**64 - 1)
-
-    output = data.get("output")
-    if "output" in data and (not isinstance(output, str) or not output):
-        chk.fail("output", "must be a nonempty path string")
-        output = None
-
     if chk.errors:
         raise ConfigError(chk.errors)
-    return ExperimentConfig(
-        mode=mode,
-        objective=obj,
-        n_steps=n_steps,
-        n_particles=n_particles,
-        seed=seed,
-        output=output,
-        feasible_set=feasible,
-        micro=micro,
-        macro=macro,
-        penalty_micro=penalty_micro,
-        penalty_macro=penalty_macro,
-        failure_kappa_rule=kappa_rule,
-        coupling=coupling,
-    )
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -418,14 +397,8 @@ def load_bundled(name: str) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-scalar key-tree; load(config_to_dict(cfg)) reproduces cfg exactly."""
     out = asdict(cfg)
-    del out["feasible_set"]
+    del out["feasible_set"]  # written last, and by hand: its keys depend on its kind
     out["micro"]["init_box"] = list(cfg.micro.init_box)
-    out["penalty"] = {
-        "micro": out.pop("penalty_micro"),
-        "macro": out.pop("penalty_macro"),
-        "failure_kappa_rule": out.pop("failure_kappa_rule"),
-    }
-    out["coupling"] = out.pop("coupling")  # keep the file order: penalty, then coupling
     fs = cfg.feasible_set
     if fs is not None:
         if fs.kind == "balls":

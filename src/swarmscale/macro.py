@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .micro import gibbs_weights
+from .micro import gibbs_mean
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
 # concentrates toward a spike and vacuum cells do appear.
@@ -51,19 +51,23 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class MacroParams:
-    """Source-term coefficients: friction gamma, inertia m, attraction lam."""
+    """Source-term coefficients: inertia m and attraction lam.
 
-    gamma: float = 0.5
+    As in MicroParams, the friction is derived as ``gamma = 1 - m``.
+    """
+
     m: float = 0.5
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("inertia m must be positive")
-        if self.gamma < 0:
-            raise ValueError("friction gamma must be nonnegative")
+        if not 0.0 < self.m <= 1.0:
+            raise ValueError("inertia weight m must lie in (0, 1]")
         if self.lam <= 0:
             raise ValueError("attraction strength lam must be positive")
+
+    @property
+    def gamma(self) -> float:
+        return 1.0 - self.m
 
 
 @dataclass
@@ -128,11 +132,8 @@ def consensus_point_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> 
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    w = gibbs_weights(pf.evaluate(grid.centers[:, None]), alpha) * state.rho
-    total = w.sum()
-    if total <= 0.0:
-        raise ZeroDivisionError("consensus undefined: zero weighted mass")
-    return float(w @ grid.centers / total)
+    x = grid.centers
+    return float(gibbs_mean(pf.evaluate(x[:, None]), alpha, x, mass=state.rho))
 
 
 def max_wavespeed(state: MacroState) -> float:

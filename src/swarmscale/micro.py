@@ -105,6 +105,19 @@ def gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.exp(-alpha * (values - values.min()))
 
 
+def gibbs_mean(values, alpha: float, quantity: np.ndarray, mass=1.0):
+    """Average of quantity under the weights mass * exp(-alpha * values).
+
+    The mass is 1 for particles and the cell density on the grid.  Raises
+    ZeroDivisionError when the weighted mass vanishes.
+    """
+    w = gibbs_weights(values, alpha) * mass
+    total = w.sum()
+    if total <= 0.0:
+        raise ZeroDivisionError("Gibbs-weighted mean undefined: zero weighted mass")
+    return w @ quantity / total
+
+
 def consensus_point(state: SwarmState, pf, alpha: float) -> np.ndarray:
     """Weight-averaged swarm position with weights exp(-alpha * F_beta).
 
@@ -118,8 +131,7 @@ def consensus_point(state: SwarmState, pf, alpha: float) -> np.ndarray:
         raise FloatingPointError(
             f"non-finite objective value {values[idx]} at particle {idx}"
         )
-    w = gibbs_weights(values, alpha)
-    return w @ state.positions / w.sum()
+    return gibbs_mean(values, alpha, state.positions)
 
 
 def diffusion_diagonal(mode: str, displacement: np.ndarray) -> np.ndarray:
@@ -179,7 +191,5 @@ def softmin_gap(state: SwarmState, pf, alpha: float) -> float:
 
     Always lies in [0, log(N)/alpha]; shrinks as alpha grows.
     """
-    values = np.asarray(pf.evaluate(state.positions), dtype=float)
-    shifted = values - values.min()
-    n = values.shape[0]
-    return float(-(np.log(np.exp(-alpha * shifted).sum()) - np.log(n)) / alpha)
+    w = gibbs_weights(pf.evaluate(state.positions), alpha)
+    return float(-(np.log(w.sum()) - np.log(w.shape[0])) / alpha)

@@ -14,7 +14,7 @@ import numpy as np
 
 BOUNDARY_TOL = 1e-12
 
-_OBJECTIVE_NAMES = ("ackley", "rastrigin")
+OBJECTIVE_NAMES = ("ackley", "rastrigin")
 
 
 def ackley(x: np.ndarray) -> np.ndarray:
@@ -43,8 +43,8 @@ class ObjectiveFunction:
     dim: int
 
     def __post_init__(self):
-        if self.name not in _OBJECTIVE_NAMES:
-            raise ValueError(f"unknown objective {self.name!r}; expected one of {_OBJECTIVE_NAMES}")
+        if self.name not in OBJECTIVE_NAMES:
+            raise ValueError(f"unknown objective {self.name!r}; expected one of {OBJECTIVE_NAMES}")
         if self.dim < 1:
             raise ValueError("objective dimension must be a positive integer")
 
@@ -162,13 +162,10 @@ class PenalizedObjective:
     objective: ObjectiveFunction
     feasible_set: FeasibleSet | None = None
     beta: float = 0.0
-    p: int = 2
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("penalty strength beta must be nonnegative")
-        if self.p != 2:
-            raise ValueError("only the Euclidean norm (p = 2) is supported")
 
     def penalty(self, x: np.ndarray) -> np.ndarray:
         """Distance to the feasible set; identically 0 when unconstrained."""
@@ -184,4 +181,4 @@ class PenalizedObjective:
         return value + self.beta * self.feasible_set.distance(x)
 
     def with_beta(self, beta: float) -> "PenalizedObjective":
-        return PenalizedObjective(self.objective, self.feasible_set, beta, self.p)
+        return PenalizedObjective(self.objective, self.feasible_set, beta)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .macro import Grid1D, MacroState
-from .micro import SwarmState, gibbs_weights
+from .micro import SwarmState, gibbs_mean
 
 KAPPA_RULES = ("divide", "multiply")
 
@@ -67,19 +67,11 @@ def violation_micro(state: SwarmState, pf, alpha: float) -> float:
     A convex combination of per-particle penalties, so the result lies
     between their min and max; 0 when every particle is feasible.
     """
-    values = np.asarray(pf.evaluate(state.positions), dtype=float)
-    penalties = np.asarray(pf.penalty(state.positions), dtype=float)
-    w = gibbs_weights(values, alpha)
-    return float(w @ penalties / w.sum())
+    x = state.positions
+    return float(gibbs_mean(pf.evaluate(x), alpha, pf.penalty(x)))
 
 
 def violation_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> float:
     """Density-weighted average penalty over cell centers (midpoint rule)."""
     x = grid.centers[:, None]
-    values = np.asarray(pf.evaluate(x), dtype=float)
-    penalties = np.asarray(pf.penalty(x), dtype=float)
-    w = gibbs_weights(values, alpha) * state.rho
-    total = w.sum()
-    if total <= 0.0:
-        raise ZeroDivisionError("macroscopic violation undefined: zero weighted mass")
-    return float(w @ penalties / total)
+    return float(gibbs_mean(pf.evaluate(x), alpha, pf.penalty(x), mass=state.rho))

@@ -213,7 +213,7 @@ class TestPropertySuite:
 
     def test_finite_volume_mass_conservation(self):
         grid = Grid1D(-2.0, 2.0, 50)
-        params = MacroParams(gamma=0.5, m=0.5, lam=1.0)
+        params = MacroParams(m=0.5, lam=1.0)
         rng = np.random.default_rng(1003)
         state = MacroState(rng.uniform(0.5, 1.5, size=50), np.zeros(50), T=0.2)
         m0 = state.rho.sum() * grid.dx
@@ -394,7 +394,7 @@ class TestPropertySuite:
 
             # one finite-volume step vs a transcription of the stencil
             g5 = Grid1D(0.0, 5.0, 5)
-            params = MacroParams(gamma=0.5, m=0.5, lam=1.0)
+            params = MacroParams(m=0.5, lam=1.0)
             rho5 = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
             mom5 = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
             out = lax_friedrichs_step(

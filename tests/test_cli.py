@@ -192,3 +192,11 @@ def test_ensemble_seeds_are_consecutive(tmp_path):
 def test_ensemble_rejects_zero_runs(tmp_path, capsys):
     p = write_config(tmp_path)
     assert cli.main(["ensemble", "--config", str(p), "--runs", "0"]) == 2
+
+
+def test_validate_config_rejects_non_finite_numbers(tmp_path, capsys):
+    # a NaN inertia used to pass validation, and then `run` died with a traceback
+    p = tmp_path / "nan.yaml"
+    p.write_text(write_config(tmp_path).read_text().replace("dt: 0.1", "m: .nan"))
+    assert cli.main(["validate-config", "--config", str(p)]) == 2
+    assert "micro.m: must be a number" in capsys.readouterr().err

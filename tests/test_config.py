@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import yaml
 
 from importlib import resources
 
@@ -56,10 +57,10 @@ def test_bundled_constrained_swarm_parameters():
     assert cfg.micro.sigma == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
     assert cfg.micro.alpha == 30.0
     assert cfg.micro.diffusion == "anisotropic"
-    assert cfg.penalty_micro.beta0 == 1.0
-    assert cfg.penalty_micro.kappa0 == 5.0
-    assert cfg.penalty_micro.eta_kappa == 1.1
-    assert cfg.penalty_micro.eta_beta == 1.1
+    assert cfg.penalty.micro.beta0 == 1.0
+    assert cfg.penalty.micro.kappa0 == 5.0
+    assert cfg.penalty.micro.eta_kappa == 1.1
+    assert cfg.penalty.micro.eta_beta == 1.1
     assert cfg.n_steps == 400
     assert cfg.feasible_set.kind == "balls"
     assert len(cfg.feasible_set.balls) == 6
@@ -182,7 +183,7 @@ def test_builders_wire_the_parameters():
     assert fs.distance(np.array([0.0])) == pytest.approx(0.5)
 
     pf = cfg.build_penalized("micro")
-    assert pf.beta == cfg.penalty_micro.beta0
+    assert pf.beta == cfg.penalty.micro.beta0
 
     params = cfg.build_micro_params()
     assert params.dt == cfg.micro.dt and params.alpha == cfg.micro.alpha
@@ -207,3 +208,50 @@ def test_config_error_accumulates():
     msgs = str(exc.value)
     assert msgs.startswith("invalid config:")
     assert len(exc.value.errors) >= 3
+
+
+ONE_D = {"name": "ackley", "dim": 1}
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"micro": {"m": math.nan}}, "micro.m"),
+    ({"micro": {"dt": math.inf}}, "micro.dt"),
+    ({"macro": {"T": -math.inf}}, "macro.T"),
+    ({"micro": {"init_box": [-math.inf, 3.0]}}, "micro.init_box"),
+    ({"penalty": {"micro": {"beta0": math.nan}}}, "penalty.micro.beta0"),
+    ({"feasible_set": {"kind": "balls", "balls": [{"center": [0.0, math.nan], "radius_sq": 1.0}]}},
+     "feasible_set.balls[0].center"),
+    ({"feasible_set": {"kind": "balls", "balls": [{"center": [0.0, 0.0], "radius_sq": math.inf}]}},
+     "feasible_set.balls[0].radius_sq"),
+    ({"objective": ONE_D, "feasible_set": {"kind": "halfline", "bound": math.nan}},
+     "feasible_set.bound"),
+    ({"objective": ONE_D, "feasible_set": {"kind": "intervals", "intervals": [[0.0, math.inf]]}},
+     "feasible_set.intervals[0]"),
+])
+def test_non_finite_numbers_rejected(over, key):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(**over))
+    assert exc.value.errors[0].startswith(f"{key}: ")
+
+
+def test_bad_objective_name_does_not_cascade_into_the_feasible_set():
+    d = yaml.safe_load(bundled_config_path("ackley2d_constrained").read_text())
+    d["objective"]["name"] = "sphere"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(d)
+    assert exc.value.errors == ["objective.name: must be one of ['ackley', 'rastrigin']"]
+
+
+def test_penalty_section_is_read_from_yaml(tmp_path):
+    p = tmp_path / "penalty.yaml"
+    p.write_text(yaml.safe_dump(base_dict(penalty={
+        "micro": {"beta0": 2.5, "kappa0": 7.0},
+        "failure_kappa_rule": "multiply",
+    })))
+    cfg = load_config(p)
+    assert cfg.penalty.micro.beta0 == 2.5 and cfg.penalty.micro.kappa0 == 7.0
+    assert cfg.penalty.macro.beta0 == 1.0  # an absent section takes its defaults
+    assert cfg.penalty.failure_kappa_rule == "multiply"
+    ctrl = cfg.build_controller("micro")
+    assert (ctrl.beta, ctrl.kappa, ctrl.failure_kappa_rule) == (2.5, 7.0, "multiply")
+    assert config_to_dict(cfg)["penalty"]["failure_kappa_rule"] == "multiply"

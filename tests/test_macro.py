@@ -20,7 +20,7 @@ from swarmscale.macro import (
 )
 from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
 
-PARAMS = MacroParams(gamma=0.5, m=0.5, lam=1.0)
+PARAMS = MacroParams(m=0.5, lam=1.0)
 
 
 def ackley_pf(dim=1):

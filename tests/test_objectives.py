@@ -229,8 +229,6 @@ def test_penalized_rejects_bad_arguments():
     f = ObjectiveFunction("ackley", 1)
     with pytest.raises(ValueError):
         PenalizedObjective(f, None, beta=-1.0)
-    with pytest.raises(ValueError):
-        PenalizedObjective(f, Halfspace1D(0.0), beta=1.0, p=1)
 
 
 def test_with_beta_returns_updated_copy():
