@@ -18,6 +18,7 @@ from .macro import (
     Grid1D,
     MacroParams,
     MacroState,
+    advance_macro,
     cfl_dt,
     consensus_point_macro,
     flux,
@@ -76,6 +77,7 @@ __all__ = [
     "Grid1D",
     "MacroParams",
     "MacroState",
+    "advance_macro",
     "cfl_dt",
     "consensus_point_macro",
     "flux",

@@ -337,7 +337,8 @@ def _parse_feasible(data, dim, chk: _Checker):
         chk.fail("feasible_set.kind", "halfline requires a 1-dimensional objective")
     bound = chk.get(data, "bound", "feasible_set", _num)
     if bound is None:
-        chk.fail("feasible_set.bound", "missing required key")
+        if "bound" not in data:
+            chk.fail("feasible_set.bound", "missing required key")
         return None
     return FeasibleConfig(kind="halfline", bound=bound)
 

@@ -2,11 +2,11 @@
 
 A run holds one or both scales of the swarm, the particles and the grid
 density, and drives them through one loop.  Each outer iteration advances
-every active scale by the shared step dt (the swarm takes one SDE step, the
-grid solver sub-steps under its CFL bound up to the shared time) and lets it
-update its own penalty controller; a coupled run then transfers mass between
-the scales, and each scale finally observes its consensus point.  Given
-(config, seed) the written files are byte-identical across repeat runs.
+every active scale to the shared time n * dt (the swarm takes one SDE step,
+the grid solver takes its own sub-steps) and lets it update its own penalty
+controller; a coupled run then transfers mass between the scales, and each
+scale finally observes its consensus point.  Given (config, seed) every
+written file except timings.json is byte-identical across repeat runs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -22,20 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .macro import (
-    MacroState,
-    cfl_dt,
-    consensus_point_macro,
-    init_macro,
-    lax_friedrichs_step,
-    max_wavespeed,
-)
+from .macro import MacroState, advance_macro, consensus_point_macro, init_macro
 from .micro import consensus_point, init_swarm, softmin_gap, step_euler_maruyama
 from .micromacro import init_coupling, micro_cell_density, transfer_mass
 from .penalty import violation_macro, violation_micro
-
-# at most this many CFL sub-steps per outer step before declaring a stall
-MAX_SUBSTEPS = 100_000
 
 
 def micro_columns(dim: int):
@@ -101,6 +90,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_csv(path, columns, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -110,12 +105,9 @@ def _write_csv(path, columns, rows):
 
 
 def _write_snapshot(out_dir, step, grid, macro: MacroState):
-    path = os.path.join(out_dir, f"fields_{step:06d}.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "rho", "rho_u"])
-        for x, r, q in zip(grid.centers, macro.rho, macro.rho_u):
-            writer.writerow([repr(float(x)), repr(float(r)), repr(float(q))])
+    columns = ["x", "rho", "rho_u"]
+    rows = (dict(zip(columns, v)) for v in zip(grid.centers, macro.rho, macro.rho_u))
+    _write_csv(os.path.join(out_dir, f"fields_{step:06d}.csv"), columns, rows)
 
 
 class _Scale:
@@ -185,7 +177,7 @@ class _Particles(_Scale):
 
 
 class _Grid(_Scale):
-    """The density on the 1D grid: CFL sub-steps up to the shared time."""
+    """The density on the 1D grid, advanced by its own solver to the shared time."""
 
     def __init__(self, cfg, mass, alone):
         super().__init__(cfg, "macro", alone)
@@ -200,8 +192,8 @@ class _Grid(_Scale):
     def advance(self, n):
         # the PDE sub-steps, but the penalty loop lives on the shared outer
         # grid n * dt so its cadence is physical time
-        self.state = _advance_macro(self.state, self.grid, self.params, self.pf, self.alpha,
-                                    self.cfl, self.boundary, n * self.dt)
+        self.state = advance_macro(self.state, self.grid, self.params, self.pf, self.alpha,
+                                   self.cfl, self.boundary, n * self.dt)
 
     def measure_violation(self):
         return violation_macro(self.state, self.grid, self.pf, self.alpha)
@@ -259,13 +251,12 @@ def _build_scales(cfg):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Execute one configured run and write trace.csv plus summary.json."""
+    """Execute one configured run and write trace.csv, summary.json and timings.json."""
     os.makedirs(cfg.output, exist_ok=True)
     started = time.perf_counter()
-    scales, transfer = _build_scales(cfg)
     columns = _trace_columns(cfg)
-    grid = next((s for s in scales if isinstance(s, _Grid)), None)
-    snap = cfg.macro.snapshot_every if grid is not None else 0
+    snap = cfg.macro.snapshot_every if cfg.mode != "micro" else 0  # the grid steps last
+    scales, transfer, rows = [], None, []
 
     def row(n):
         # the row time is the leading scale's clock: n * dt for the swarm,
@@ -277,31 +268,32 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             values += transfer.row_values()
         return dict(zip(columns, values, strict=True))
 
-    for s in scales:
-        s.observe()
-    rows = [row(0)]
-    for n in range(1, cfg.n_steps + 1):
+    # step 0 builds the scales, so a config the solvers reject fails there
+    for n in range(cfg.n_steps + 1):
         try:
-            for s in scales:
-                s.advance(n)
-                s.penalize()
-            if transfer is not None:
-                transfer(n)
+            if n == 0:
+                scales, transfer = _build_scales(cfg)
+            else:
+                for s in scales:
+                    s.advance(n)
+                    s.penalize()
+                if transfer is not None:
+                    transfer(n)
             for s in scales:
                 s.observe()
         except Exception as exc:
             raise RunError(str(exc), n, _digest(*(a for s in scales for a in s.arrays()))) from exc
         rows.append(row(n))
-        if snap and n % snap == 0:
-            _write_snapshot(cfg.output, n, grid.grid, grid.state)
+        if snap and n and n % snap == 0:
+            _write_snapshot(cfg.output, n, scales[-1].grid, scales[-1].state)
 
     csv_path = os.path.join(cfg.output, "trace.csv")
     _write_csv(csv_path, columns, rows)
-    summary = _summary(cfg, scales, transfer, rows[-1]["time"], time.perf_counter() - started)
+    summary = _summary(cfg, scales, transfer, rows[-1]["time"])
     json_path = os.path.join(cfg.output, "summary.json")
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(json_path, summary)
+    _write_json(os.path.join(cfg.output, "timings.json"),
+                {"wall_time_s": time.perf_counter() - started})
     return RunReport(
         mode=cfg.mode,
         seed=cfg.seed,
@@ -313,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     )
 
 
-def _summary(cfg, scales, transfer, final_time, wall):
+def _summary(cfg, scales, transfer, final_time):
     """Final state keyed by scale name, None for a scale the run does not hold."""
     by_name = {s.name: s for s in scales}
 
@@ -345,36 +337,7 @@ def _summary(cfg, scales, transfer, final_time, wall):
         "argmin_estimate": estimate,
         "objective_at_estimate": float(cfg.build_objective()(np.asarray(estimate))),
         "final_time": final_time,
-        "wall_time_s": wall,
     }
-
-
-def _advance_macro(state, grid, mp, pf, alpha, cfl, boundary, target_time):
-    """CFL sub-steps until the shared time is reached.
-
-    The step is chosen against the end-of-step wavespeed, (s + a*dt)*dt <=
-    cfl*dx with a the largest source acceleration.  Sizing against the
-    pre-step speed alone lets the attraction term outrun the Courant bound
-    mid-step, which seeds a grid-scale parasitic mode.
-    """
-    accel_coeff = mp.lam / mp.m
-    for _ in range(MAX_SUBSTEPS):
-        remaining = target_time - state.time
-        if remaining <= 1e-12:
-            return state
-        consensus = consensus_point_macro(state, grid, pf, alpha)
-        a_max = accel_coeff * float(np.max(np.abs(grid.centers - consensus)))
-        dt_adv = cfl_dt(state, grid, cfl)
-        if a_max > 0.0:
-            s = max_wavespeed(state)
-            budget = cfl * grid.dx
-            dt_acc = (math.sqrt(s * s + 4.0 * a_max * budget) - s) / (2.0 * a_max)
-            dt_adv = min(dt_adv, dt_acc)
-        dt = min(dt_adv, remaining)
-        state = lax_friedrichs_step(state, grid, dt, mp, consensus, boundary=boundary)
-    raise RuntimeError(
-        f"grid solver stalled: {MAX_SUBSTEPS} sub-steps before t={target_time:g}"
-    )
 
 
 @dataclass
@@ -387,12 +350,11 @@ class EnsembleReport:
     runs: list
 
 
-def run_ensemble(cfg: ExperimentConfig, n_runs: int, base_seed=None) -> EnsembleReport:
-    """Independent runs with seeds base_seed + k; failures are recorded, not fatal."""
+def run_ensemble(cfg: ExperimentConfig, n_runs: int) -> EnsembleReport:
+    """Independent runs with seeds cfg.seed + k; failures are recorded, not fatal."""
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    if base_seed is None:
-        base_seed = cfg.seed
+    base_seed = cfg.seed
     os.makedirs(cfg.output, exist_ok=True)
 
     # the leading scale's consensus point, one column per coordinate
@@ -418,9 +380,7 @@ def run_ensemble(cfg: ExperimentConfig, n_runs: int, base_seed=None) -> Ensemble
     _write_csv(pooled_csv, pooled_cols, pooled_rows)
     payload = {"n_runs": n_runs, "base_seed": base_seed, "runs": records}
     json_path = os.path.join(cfg.output, "ensemble.json")
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(json_path, payload)
     return EnsembleReport(
         n_runs=n_runs, base_seed=base_seed, out_dir=cfg.output,
         pooled_csv=pooled_csv, json_path=json_path, runs=records,

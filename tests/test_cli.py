@@ -98,6 +98,10 @@ def test_run_is_byte_identical(tmp_path):
     t1 = (tmp_path / "o1" / "trace.csv").read_bytes()
     t2 = (tmp_path / "o2" / "trace.csv").read_bytes()
     assert t1 == t2
+    # the wall time goes to timings.json, so the summary is a rerun artifact too
+    s1 = (tmp_path / "o1" / "summary.json").read_bytes()
+    s2 = (tmp_path / "o2" / "summary.json").read_bytes()
+    assert s1 == s2
 
 
 def test_run_seed_and_out_flags(tmp_path):
@@ -164,6 +168,14 @@ def test_run_reports_solver_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert cli.main(["run", "--config", str(p)]) == 1
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_run_reports_a_config_the_solver_cannot_build(tmp_path, capsys):
+    # an integer beyond the float range passes validation but not the particle set-up
+    p = write_config(tmp_path, n_particles=10**400)
+    assert cli.main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "(step 0," in err
 
 
 def test_ensemble_runs_and_pools(tmp_path, capsys):

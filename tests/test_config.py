@@ -234,6 +234,17 @@ def test_non_finite_numbers_rejected(over, key):
     assert exc.value.errors[0].startswith(f"{key}: ")
 
 
+def test_bad_halfline_bound_is_one_error():
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(objective=ONE_D,
+                                   feasible_set={"kind": "halfline", "bound": "x"}))
+    assert [e for e in exc.value.errors if e.startswith("feasible_set.bound")] == [
+        "feasible_set.bound: must be a number"]
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(objective=ONE_D, feasible_set={"kind": "halfline"}))
+    assert exc.value.errors == ["feasible_set.bound: missing required key"]
+
+
 def test_bad_objective_name_does_not_cascade_into_the_feasible_set():
     d = yaml.safe_load(bundled_config_path("ackley2d_constrained").read_text())
     d["objective"]["name"] = "sphere"

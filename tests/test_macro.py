@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from swarmscale import macro
 from swarmscale.macro import (
     EPS_RHO,
     Grid1D,
     MacroParams,
     MacroState,
+    advance_macro,
     cfl_dt,
     consensus_point_macro,
     flux,
@@ -230,6 +232,39 @@ def test_cfl_dt_mixed_velocities():
         cfl_dt(state, grid, 0.0)
     with pytest.raises(ValueError):
         cfl_dt(state, grid, 1.2)
+
+
+@pytest.mark.parametrize("accel", [1e-3, 0.7, 25.0, 1e6])
+def test_cfl_dt_bounds_the_end_of_step_wavespeed(accel):
+    grid = Grid1D(0.0, 1.0, 10)
+    rng = np.random.default_rng(31)
+    state = MacroState(rng.uniform(0.5, 1.5, 10), rng.uniform(-1.0, 1.0, 10), T=0.4)
+    s = max_wavespeed(state)
+    dt = cfl_dt(state, grid, 0.8, accel)
+    assert 0.0 < dt <= cfl_dt(state, grid, 0.8)
+    # the root loses digits to cancellation when accel*dx << s*s; the slack is
+    # the one lax_friedrichs_step allows its CFL check
+    assert (s + accel * dt) * dt <= 0.8 * grid.dx * (1 + 1e-9)
+    assert cfl_dt(state, grid, 0.8, 0.0) == cfl_dt(state, grid, 0.8) == 0.8 * grid.dx / s
+
+
+def test_advance_macro_lands_on_the_target_and_conserves_mass():
+    grid = Grid1D(-2.0, 2.0, 40)
+    rng = np.random.default_rng(37)
+    state = MacroState(rng.uniform(0.5, 1.5, 40), np.zeros(40), T=0.2)
+    m0 = state.rho.sum() * grid.dx
+    for target in (0.05, 0.3, 0.31):
+        state = advance_macro(state, grid, PARAMS, ackley_pf(), 10.0, 0.8, "periodic", target)
+        assert abs(state.time - target) <= 1e-12
+        assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
+
+
+def test_advance_macro_reports_a_stall(monkeypatch):
+    grid = Grid1D(-2.0, 2.0, 40)
+    state = init_macro(grid, T=0.2)
+    monkeypatch.setattr(macro, "MAX_SUBSTEPS", 3)
+    with pytest.raises(RuntimeError, match="grid solver stalled: 3 sub-steps"):
+        advance_macro(state, grid, PARAMS, ackley_pf(), 10.0, 0.8, "periodic", 100.0)
 
 
 def test_non_finite_state_raises_naming_the_cell():

@@ -50,6 +50,16 @@ def test_non_finite_grid_state_fails_the_first_step(tmp_path, monkeypatch):
     assert exc.value.step == 1
 
 
+def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
+    cfg = tiny(tmp_path, "micro", n_particles=10**400)
+    with pytest.raises(RunError) as exc:
+        run_experiment(cfg)
+    assert exc.value.step == 0
+    assert isinstance(exc.value.__cause__, OverflowError)
+    report = run_ensemble(cfg, 2)
+    assert [(r["ok"], r["failed_step"]) for r in report.runs] == [(False, 0), (False, 0)]
+
+
 @pytest.mark.parametrize("mode, steps", [("micro", []), ("macro", [2, 4]),
                                          ("micromacro", [2, 4])])
 def test_snapshots_follow_their_cadence(tmp_path, mode, steps):
