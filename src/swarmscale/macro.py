@@ -9,11 +9,12 @@ same explicit update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .micro import gibbs_mean
+from .micro import gibbs_weights, weighted_mean
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
 # concentrates toward a spike and vacuum cells do appear.
@@ -47,9 +48,12 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
+        """Cell centers, built once per grid; read-only because every caller shares them."""
+        x = self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True)
@@ -127,16 +131,20 @@ def source(rho, rho_u, x, consensus: float, params: MacroParams):
     return np.zeros_like(rho), s_mom
 
 
+def _cell_weights(grid: Grid1D, pf, alpha: float) -> np.ndarray:
+    """Gibbs weights exp(-alpha * F_beta) at the cell centers, before the density."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return gibbs_weights(pf.evaluate(grid.centers[:, None]), alpha)
+
+
 def consensus_point_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> float:
     """Density-weighted soft argmin of the penalized objective over cell centers.
 
     Midpoint quadrature; the common dx cancels.  Weights are shifted by the
     minimum objective value before exponentiation so large alpha stays finite.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x = grid.centers
-    return float(gibbs_mean(pf.evaluate(x[:, None]), alpha, x, mass=state.rho))
+    return float(weighted_mean(_cell_weights(grid, pf, alpha) * state.rho, grid.centers))
 
 
 def max_wavespeed(state: MacroState) -> float:
@@ -251,23 +259,30 @@ def lax_friedrichs_step(
     nbr = _pad(rho_new, "outflow")
     hole = rho_new < HOLE_REL * np.minimum(nbr[:-2], nbr[2:])
     mom_new = np.where(hole, 0.0, mom_new)
-    return replace(state, rho=rho_new, rho_u=mom_new, time=state.time + dt)
+    return MacroState(rho_new, mom_new, state.T, state.time + dt)
 
 
 def advance_macro(state, grid, params, pf, alpha, cfl, boundary, target_time):
     """CFL sub-steps until target_time, each with its own consensus point.
 
-    Each step is bounded by cfl_dt against the largest source acceleration
-    over the grid; the last one is cut to land on target_time.  Raises
-    RuntimeError after MAX_SUBSTEPS sub-steps.
+    The Gibbs weights exp(-alpha * F_beta) of the cell centers are evaluated
+    once per call: pf, alpha and the grid change only between calls, so each
+    sub-step's consensus is the centers' mean under those weights times its
+    own density, bit for bit what consensus_point_macro returns.  Each step
+    is bounded by cfl_dt against the largest source acceleration over the
+    grid; the last one is cut to land on target_time.  Raises RuntimeError
+    after MAX_SUBSTEPS sub-steps.
     """
     accel_coeff = params.lam / params.m
+    x = grid.centers
+    weights = _cell_weights(grid, pf, alpha)
     for _ in range(MAX_SUBSTEPS):
         remaining = target_time - state.time
         if remaining <= 1e-12:
             return state
-        consensus = consensus_point_macro(state, grid, pf, alpha)
-        accel = accel_coeff * float(np.max(np.abs(grid.centers - consensus)))
+        consensus = float(weighted_mean(weights * state.rho, x))
+        # the centers are sorted, so the farthest one from consensus is an end cell
+        accel = accel_coeff * float(max(abs(x[0] - consensus), abs(x[-1] - consensus)))
         dt = min(cfl_dt(state, grid, cfl, accel), remaining)
         state = lax_friedrichs_step(state, grid, dt, params, consensus, boundary=boundary)
     raise RuntimeError(

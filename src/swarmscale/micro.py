@@ -105,17 +105,24 @@ def gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.exp(-alpha * (values - values.min()))
 
 
+def weighted_mean(weights: np.ndarray, quantity: np.ndarray):
+    """Average of quantity under nonnegative weights, one weight per row.
+
+    Raises ZeroDivisionError when the weights sum to zero.
+    """
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroDivisionError("Gibbs-weighted mean undefined: zero weighted mass")
+    return weights @ quantity / total
+
+
 def gibbs_mean(values, alpha: float, quantity: np.ndarray, mass=1.0):
     """Average of quantity under the weights mass * exp(-alpha * values).
 
     The mass is 1 for particles and the cell density on the grid.  Raises
     ZeroDivisionError when the weighted mass vanishes.
     """
-    w = gibbs_weights(values, alpha) * mass
-    total = w.sum()
-    if total <= 0.0:
-        raise ZeroDivisionError("Gibbs-weighted mean undefined: zero weighted mass")
-    return w @ quantity / total
+    return weighted_mean(gibbs_weights(values, alpha) * mass, quantity)
 
 
 def consensus_point(state: SwarmState, pf, alpha: float) -> np.ndarray:

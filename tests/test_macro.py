@@ -20,7 +20,7 @@ from swarmscale.macro import (
     lax_friedrichs_step,
     max_wavespeed,
 )
-from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
+from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 
 PARAMS = MacroParams(m=0.5, lam=1.0)
 
@@ -35,6 +35,10 @@ def test_grid_geometry():
     assert len(grid.centers) == 401
     assert grid.centers[0] == pytest.approx(-3.0 + grid.dx / 2)
     assert grid.centers[-1] == pytest.approx(3.0 - grid.dx / 2)
+    # built once and shared, so no caller may write into it
+    assert grid.centers is grid.centers
+    with pytest.raises(ValueError):
+        grid.centers[0] = 0.0
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 2)
     with pytest.raises(ValueError):
@@ -117,6 +121,13 @@ def test_consensus_macro_zero_mass_raises():
         consensus_point_macro(
             MacroState(np.ones(11), np.zeros(11), T=0.1), grid, ackley_pf(), -1.0
         )
+    # the sub-step loop reuses one set of weights and keeps both errors
+    with pytest.raises(ZeroDivisionError,
+                       match="^Gibbs-weighted mean undefined: zero weighted mass$"):
+        advance_macro(state, grid, PARAMS, ackley_pf(), 30.0, 0.8, "outflow", 0.1)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        advance_macro(MacroState(np.ones(11), np.zeros(11), T=0.1), grid, PARAMS,
+                      ackley_pf(), -1.0, 0.8, "outflow", 0.1)
 
 
 # ------------------------------------------------------------------- stepping
@@ -257,6 +268,55 @@ def test_advance_macro_lands_on_the_target_and_conserves_mass():
         state = advance_macro(state, grid, PARAMS, ackley_pf(), 10.0, 0.8, "periodic", target)
         assert abs(state.time - target) <= 1e-12
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
+
+
+def reference_advance(state, grid, params, pf, alpha, cfl, boundary, target_time):
+    """The sub-step loop spelled out with the public pieces, evaluating everything each step."""
+    while target_time - state.time > 1e-12:
+        c = consensus_point_macro(state, grid, pf, alpha)
+        accel = params.lam / params.m * float(np.max(np.abs(grid.centers - c)))
+        dt = min(cfl_dt(state, grid, cfl, accel), target_time - state.time)
+        state = lax_friedrichs_step(state, grid, dt, params, c, boundary=boundary)
+    return state
+
+
+def halfline_pf(beta):
+    return PenalizedObjective(ObjectiveFunction("rastrigin", 1), Halfspace1D(0.5), beta)
+
+
+@pytest.mark.parametrize("boundary", ["outflow", "periodic", "absorbing"])
+def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary):
+    grid = Grid1D(-3.0, 3.0, 81)
+    rng = np.random.default_rng(41)
+    state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81), T=0.3)
+    pf = halfline_pf(2.5)
+    for target in (0.05, 0.4):
+        got = advance_macro(state, grid, PARAMS, pf, 30.0, 0.8, boundary, target)
+        ref = reference_advance(state, grid, PARAMS, pf, 30.0, 0.8, boundary, target)
+        assert np.array_equal(got.rho, ref.rho)
+        assert np.array_equal(got.rho_u, ref.rho_u)
+        assert got.time == ref.time
+        state = got
+
+
+def test_advance_macro_evaluates_the_objective_once_per_call(monkeypatch):
+    class Counting:
+        def __init__(self, pf):
+            self.pf, self.calls = pf, 0
+
+        def evaluate(self, x):
+            self.calls += 1
+            return self.pf.evaluate(x)
+
+    steps = []
+    step = macro.lax_friedrichs_step
+    monkeypatch.setattr(macro, "lax_friedrichs_step",
+                        lambda *a, **k: steps.append(1) or step(*a, **k))
+    grid = Grid1D(-3.0, 3.0, 81)
+    pf = Counting(halfline_pf(2.5))
+    advance_macro(init_macro(grid, T=0.3), grid, PARAMS, pf, 30.0, 0.8, "outflow", 0.5)
+    assert len(steps) >= 5
+    assert pf.calls == 1
 
 
 def test_advance_macro_reports_a_stall(monkeypatch):
