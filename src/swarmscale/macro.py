@@ -173,7 +173,9 @@ def cfl_dt(state: MacroState, grid: Grid1D, cfl: float, accel: float = 0.0) -> f
     With a source acceleration accel > 0 the step is also sized against the
     end-of-step wavespeed, (s + accel*dt)*dt <= cfl*dx.  Sizing against the
     pre-step speed alone lets the attraction term outrun the Courant bound
-    mid-step, which seeds a grid-scale parasitic mode.
+    mid-step, which seeds a grid-scale parasitic mode.  The positive root is
+    taken in the form 2*budget / (s + sqrt(s^2 + 4*accel*budget)), which has
+    no cancellation when accel*budget << s^2.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
@@ -181,7 +183,7 @@ def cfl_dt(state: MacroState, grid: Grid1D, cfl: float, accel: float = 0.0) -> f
     budget = cfl * grid.dx
     dt = budget / s
     if accel > 0.0:
-        dt = min(dt, (math.sqrt(s * s + 4.0 * accel * budget) - s) / (2.0 * accel))
+        dt = min(dt, 2.0 * budget / (s + math.sqrt(s * s + 4.0 * accel * budget)))
     return dt
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
     assert isinstance(exc.value.__cause__, OverflowError)
     report = run_ensemble(cfg, 2)
     assert [(r["ok"], r["failed_step"]) for r in report.runs] == [(False, 0), (False, 0)]
+
+
+def test_a_vanishing_attraction_runs_to_completion(load_bundled):
+    # accel*dx << s*s once lam is tiny: the acceleration bound must not round to dt = 0
+    cfg = load_bundled("ackley1d_macro_constrained")
+    cfg = replace(cfg, micro=replace(cfg.micro, lam=1e-30))
+    report = run_experiment(cfg)
+    with open(report.csv_path) as fh:
+        assert len(fh.readlines()) == 1 + 1 + cfg.n_steps  # header, initial row, steps
 
 
 @pytest.mark.parametrize("mode, steps", [("micro", []), ("macro", [2, 4]),
