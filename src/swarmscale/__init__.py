@@ -22,7 +22,6 @@ from .macro import (
     cfl_dt,
     consensus_point_macro,
     flux,
-    hyperbolicity_eigenvalues,
     init_macro,
     lax_friedrichs_step,
     source,
@@ -81,7 +80,6 @@ __all__ = [
     "cfl_dt",
     "consensus_point_macro",
     "flux",
-    "hyperbolicity_eigenvalues",
     "init_macro",
     "lax_friedrichs_step",
     "source",

@@ -18,7 +18,6 @@ import yaml
 
 from .macro import BOUNDARIES, Grid1D, MacroParams
 from .micro import DIFFUSION_MODES, MicroParams
-from .micromacro import TRANSFER_RULES
 from .objectives import (
     OBJECTIVE_NAMES,
     BallUnion,
@@ -27,7 +26,7 @@ from .objectives import (
     ObjectiveFunction,
     PenalizedObjective,
 )
-from .penalty import KAPPA_RULES, PenaltyController
+from .penalty import PenaltyController
 
 MODES = ("micro", "macro", "micromacro")
 FEASIBLE_KINDS = ("balls", "intervals", "halfline")
@@ -69,11 +68,12 @@ def _num(v, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
     return v
 
 
-def _integer(v, lo=None, hi=None) -> int:
+def _integer(v, lo, hi=2**63 - 1) -> int:
+    # the default cap is the int64 range that numpy sizes and counters live in
     if not isinstance(v, int) or isinstance(v, bool):
         raise ValueError("must be an integer")
-    if (lo is not None and v < lo) or (hi is not None and v > hi):
-        raise ValueError(f"must lie in [{lo}, {hi}]" if hi is not None else f"must be >= {lo}")
+    if not lo <= v <= hi:
+        raise ValueError(f"must lie in [{lo}, {hi}]")
     return v
 
 
@@ -154,11 +154,10 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class PenaltySection:
-    """One controller per scale, and the kappa back-off rule they share."""
+    """One controller per scale."""
 
     micro: PenaltyConfig = _section(PenaltyConfig)
     macro: PenaltyConfig = _section(PenaltyConfig)
-    failure_kappa_rule: str = _field(_choice, "divide", options=KAPPA_RULES)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,6 @@ class CouplingConfig:
     zeta_min: float = _field(_num, 0.1, lo=0, hi=1, lo_open=True, hi_open=True)
     zeta_max: float = _field(_num, 0.9, lo=0, hi=1, lo_open=True, hi_open=True)
     t_star: int = _field(_integer, 240, lo=0)
-    transfer_rule: str = _field(_choice, "conserve", options=TRANSFER_RULES)
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,6 @@ class ExperimentConfig:
             kappa0=c.kappa0,
             eta_kappa=c.eta_kappa,
             eta_beta=c.eta_beta,
-            failure_kappa_rule=self.penalty.failure_kappa_rule,
         )
 
 

@@ -122,13 +122,13 @@ def flux(rho, rho_u, T: float):
 def source(rho, rho_u, x, consensus: float, params: MacroParams):
     """Momentum source: friction plus linear pull toward the consensus point.
 
-    Density component is identically zero, so the source moves no mass.
+    The density equation has no source, so only the momentum component is
+    returned and the source moves no mass.
     """
     rho = np.asarray(rho, dtype=float)
     rho_u = np.asarray(rho_u, dtype=float)
     x = np.asarray(x, dtype=float)
-    s_mom = (params.gamma / params.m) * rho_u + (params.lam / params.m) * (x - consensus) * rho
-    return np.zeros_like(rho), s_mom
+    return (params.gamma / params.m) * rho_u + (params.lam / params.m) * (x - consensus) * rho
 
 
 def _cell_weights(grid: Grid1D, pf, alpha: float) -> np.ndarray:
@@ -187,19 +187,6 @@ def cfl_dt(state: MacroState, grid: Grid1D, cfl: float, accel: float = 0.0) -> f
     return dt
 
 
-def hyperbolicity_eigenvalues(rho, rho_u, T: float):
-    """Characteristic speeds (u + |T|, u - |T|) of the flux Jacobian.
-
-    Coincide when T = 0, which is why that closure value is rejected
-    elsewhere.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("eigenvalues need strictly positive density")
-    u = np.asarray(rho_u, dtype=float) / rho
-    return u + abs(T), u - abs(T)
-
-
 def _pad(arr: np.ndarray, boundary: str) -> np.ndarray:
     if boundary == "periodic":
         return np.concatenate([arr[-1:], arr, arr[:1]])
@@ -218,7 +205,6 @@ def lax_friedrichs_step(
     params: MacroParams,
     consensus: float,
     boundary: str = "outflow",
-    source_enabled: bool = True,
 ) -> MacroState:
     """One explicit step; raises on a CFL violation instead of going unstable.
 
@@ -244,11 +230,7 @@ def lax_friedrichs_step(
     lam_dt = dt / (2.0 * grid.dx)
     rho_new = 0.5 * (rho_p[2:] + rho_p[:-2]) - lam_dt * (f_rho[2:] - f_rho[:-2])
     mom_new = 0.5 * (mom_p[2:] + mom_p[:-2]) - lam_dt * (f_mom[2:] - f_mom[:-2])
-
-    if source_enabled:
-        # the density source is identically zero
-        _, s_mom = source(state.rho, state.rho_u, grid.centers, consensus, params)
-        mom_new = mom_new - dt * s_mom
+    mom_new = mom_new - dt * source(state.rho, state.rho_u, grid.centers, consensus, params)
 
     rho_new = np.maximum(rho_new, 0.0)
     mom_new = np.where(rho_new <= EPS_RHO, 0.0, mom_new)

@@ -15,8 +15,6 @@ import numpy as np
 from .macro import EPS_RHO, Grid1D, MacroState
 from .micro import SwarmState
 
-TRANSFER_RULES = ("conserve", "literal")
-
 
 @dataclass(frozen=True)
 class CouplingState:
@@ -106,8 +104,7 @@ def compute_zeta(
     vsum = np.bincount(idx, weights=swarm.velocities[:, 0], minlength=grid.n_cells)
     vbar[occupied] = vsum[occupied] / counts[occupied]
 
-    u = macro.rho_u / np.maximum(macro.rho, EPS_RHO)
-    d = np.abs(u - vbar)
+    d = np.abs(macro.velocity() - vbar)
 
     rho_m = micro_cell_density(swarm, grid)
     cell_total = rho_m + macro.rho
@@ -127,7 +124,6 @@ def transfer_mass(
     macro: MacroState,
     grid: Grid1D,
     step: int,
-    rule: str = "conserve",
 ):
     """Re-split the total mass between the scales according to a fresh zeta.
 
@@ -136,13 +132,9 @@ def transfer_mass(
     activated transfer sees a one-step difference rather than the drift
     accumulated since initialization.  Afterwards the particle weight is set
     so the microscopic mass equals zeta * mu0, the macroscopic density
-    absorbs the difference, and (under the default "conserve" rule) one
-    multiplicative rescale pins the combined mass to its pre-transfer value.
-    The "literal" rule instead applies the signed update branch directly,
-    clipped at zero, without the rescale.
+    absorbs the difference, and one multiplicative rescale pins the combined
+    mass to its pre-transfer value.
     """
-    if rule not in TRANSFER_RULES:
-        raise ValueError(f"rule must be one of {TRANSFER_RULES}")
     if step < coupling.t_star:
         frozen = replace(coupling, rho_m_prev=micro_cell_density(swarm, grid))
         return frozen, swarm, macro
@@ -158,16 +150,12 @@ def transfer_mass(
     rho_m_new = micro_cell_density(new_swarm, grid)
     delta = rho_m_new - coupling.rho_m_prev
 
-    if rule == "literal":
-        rho_macro = macro.rho + delta if mu_new <= coupling.mu else macro.rho - delta
-        rho_macro = np.maximum(rho_macro, 0.0)
-    else:
-        rho_macro = np.maximum(macro.rho - delta, 0.0)
-        target = total_before - mu_new
-        got = rho_macro.sum() * dx
-        if target <= 0 or got <= 0:
-            raise ValueError("cannot rebalance: macroscopic mass would vanish")
-        rho_macro = rho_macro * (target / got)
+    rho_macro = np.maximum(macro.rho - delta, 0.0)
+    target = total_before - mu_new
+    got = rho_macro.sum() * dx
+    if target <= 0 or got <= 0:
+        raise ValueError("cannot rebalance: macroscopic mass would vanish")
+    rho_macro = rho_macro * (target / got)
 
     # a cell emptied by the transfer must not keep stale momentum
     rho_u = np.where(rho_macro <= EPS_RHO, 0.0, macro.rho_u)

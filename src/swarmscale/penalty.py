@@ -13,8 +13,6 @@ import numpy as np
 from .macro import Grid1D, MacroState
 from .micro import SwarmState, gibbs_mean
 
-KAPPA_RULES = ("divide", "multiply")
-
 
 @dataclass(frozen=True)
 class PenaltyController:
@@ -22,9 +20,7 @@ class PenaltyController:
 
     On success (violation within tolerance) kappa grows, tightening the
     tolerance 1/sqrt(kappa), and beta holds.  On failure beta grows and
-    kappa backs off.  ``failure_kappa_rule`` selects how kappa backs off:
-    "divide" (kappa/eta, the default) or "multiply" (min{kappa*eta, kappa0},
-    kept for comparison).
+    kappa backs off to min{kappa/eta_kappa, kappa0}.
     """
 
     beta: float = 1.0
@@ -32,15 +28,12 @@ class PenaltyController:
     kappa0: float = 5.0
     eta_kappa: float = 1.1
     eta_beta: float = 1.1
-    failure_kappa_rule: str = "divide"
 
     def __post_init__(self):
         if self.beta <= 0 or self.kappa <= 0 or self.kappa0 <= 0:
             raise ValueError("beta, kappa and kappa0 must be positive")
         if self.eta_kappa <= 1 or self.eta_beta <= 1:
             raise ValueError("growth factors eta_kappa and eta_beta must exceed 1")
-        if self.failure_kappa_rule not in KAPPA_RULES:
-            raise ValueError(f"failure_kappa_rule must be one of {KAPPA_RULES}")
 
     @property
     def threshold(self) -> float:
@@ -54,10 +47,7 @@ class PenaltyController:
         """Pure one-step update of (beta, kappa) given a violation measure."""
         if self.accepts(violation):
             return replace(self, kappa=self.eta_kappa * self.kappa)
-        if self.failure_kappa_rule == "divide":
-            kappa = min(self.kappa / self.eta_kappa, self.kappa0)
-        else:
-            kappa = min(self.kappa * self.eta_kappa, self.kappa0)
+        kappa = min(self.kappa / self.eta_kappa, self.kappa0)
         return replace(self, beta=self.eta_beta * self.beta, kappa=kappa)
 
 

@@ -223,14 +223,13 @@ class _Transfer:
 
     def __init__(self, cfg, particles, grid):
         c = cfg.coupling
-        self.particles, self.grid, self.rule = particles, grid, c.transfer_rule
+        self.particles, self.grid = particles, grid
         self.state = init_coupling(particles.swarm, grid.grid, zeta0=c.zeta0, t_star=c.t_star,
                                    zeta_min=c.zeta_min, zeta_max=c.zeta_max)
 
     def __call__(self, n):
         p, g = self.particles, self.grid
-        self.state, p.swarm, g.state = transfer_mass(
-            self.state, p.swarm, g.state, g.grid, n, rule=self.rule)
+        self.state, p.swarm, g.state = transfer_mass(self.state, p.swarm, g.state, g.grid, n)
 
     def row_values(self):
         mass_micro, mass_macro = self.particles.mass(), self.grid.mass()

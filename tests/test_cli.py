@@ -171,8 +171,8 @@ def test_run_reports_solver_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_run_reports_a_config_the_solver_cannot_build(tmp_path, capsys):
-    # an integer beyond the float range passes validation but not the particle set-up
-    p = write_config(tmp_path, n_particles=10**400)
+    # the largest particle count passes validation but not the particle set-up
+    p = write_config(tmp_path, n_particles=2**63 - 1)
     assert cli.main(["run", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert "solver failure" in err and "(step 0," in err

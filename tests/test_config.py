@@ -98,10 +98,16 @@ def test_zero_inertia_rejected():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError, match="unknown key"):
-        config_from_dict(base_dict(extra_knob=1))
-    with pytest.raises(ConfigError, match=r"micro\.warp"):
-        config_from_dict(base_dict(micro={"warp": 9}))
+    for over, key in [
+        ({"extra_knob": 1}, "extra_knob"),
+        ({"micro": {"warp": 9}}, "micro.warp"),
+        # removed keys: the kappa back-off and the transfer each have one rule
+        ({"penalty": {"failure_kappa_rule": "divide"}}, "penalty.failure_kappa_rule"),
+        ({"coupling": {"transfer_rule": "conserve"}}, "coupling.transfer_rule"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(base_dict(**over))
+        assert exc.value.errors == [f"{key}: unknown key"]
 
 
 def test_mode_and_objective_validation():
@@ -234,6 +240,21 @@ def test_non_finite_numbers_rejected(over, key):
     assert exc.value.errors[0].startswith(f"{key}: ")
 
 
+@pytest.mark.parametrize("over, key, bounds", [
+    ({"n_particles": 10**400}, "n_particles", [1, 2**63 - 1]),
+    ({"n_steps": 10**400}, "n_steps", [1, 2**63 - 1]),
+    ({"objective": {"name": "ackley", "dim": 10**400}}, "objective.dim", [1, 2**63 - 1]),
+    ({"macro": {"n_cells": 10**400}}, "macro.n_cells", [3, 2**63 - 1]),
+    ({"macro": {"snapshot_every": 10**400}}, "macro.snapshot_every", [0, 2**63 - 1]),
+    ({"coupling": {"t_star": 10**400}}, "coupling.t_star", [0, 2**63 - 1]),
+    ({"seed": 2**64}, "seed", [0, 2**64 - 1]),
+])
+def test_integer_keys_are_bounded(over, key, bounds):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(**over))
+    assert exc.value.errors == [f"{key}: must lie in {bounds}"]
+
+
 def test_bad_halfline_bound_is_one_error():
     with pytest.raises(ConfigError) as exc:
         config_from_dict(base_dict(objective=ONE_D,
@@ -257,12 +278,9 @@ def test_penalty_section_is_read_from_yaml(tmp_path):
     p = tmp_path / "penalty.yaml"
     p.write_text(yaml.safe_dump(base_dict(penalty={
         "micro": {"beta0": 2.5, "kappa0": 7.0},
-        "failure_kappa_rule": "multiply",
     })))
     cfg = load_config(p)
     assert cfg.penalty.micro.beta0 == 2.5 and cfg.penalty.micro.kappa0 == 7.0
     assert cfg.penalty.macro.beta0 == 1.0  # an absent section takes its defaults
-    assert cfg.penalty.failure_kappa_rule == "multiply"
     ctrl = cfg.build_controller("micro")
-    assert (ctrl.beta, ctrl.kappa, ctrl.failure_kappa_rule) == (2.5, 7.0, "multiply")
-    assert config_to_dict(cfg)["penalty"]["failure_kappa_rule"] == "multiply"
+    assert (ctrl.beta, ctrl.kappa, ctrl.kappa0) == (2.5, 7.0, 7.0)

@@ -15,10 +15,10 @@ from swarmscale.macro import (
     cfl_dt,
     consensus_point_macro,
     flux,
-    hyperbolicity_eigenvalues,
     init_macro,
     lax_friedrichs_step,
     max_wavespeed,
+    source,
 )
 from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 
@@ -68,14 +68,12 @@ def test_flux_values():
 
 
 def test_source_values():
-    from swarmscale.macro import source
-
-    s_rho, s_mom = source(np.array([0.0]), np.array([0.0]), np.array([1.0]), 0.0, PARAMS)
-    assert s_rho[0] == 0.0 and s_mom[0] == 0.0
-    s_rho, s_mom = source(np.array([1.0]), np.array([0.0]), np.array([2.3]), 2.3, PARAMS)
+    s_mom = source(np.array([0.0]), np.array([0.0]), np.array([1.0]), 0.0, PARAMS)
     assert s_mom[0] == 0.0
-    s_rho, s_mom = source(np.array([1.0]), np.array([2.0]), np.array([1.0]), 0.0, PARAMS)
-    assert s_rho[0] == 0.0 and s_mom[0] == pytest.approx(4.0)
+    s_mom = source(np.array([1.0]), np.array([0.0]), np.array([2.3]), 2.3, PARAMS)
+    assert s_mom[0] == 0.0
+    s_mom = source(np.array([1.0]), np.array([2.0]), np.array([1.0]), 0.0, PARAMS)
+    assert s_mom[0] == pytest.approx(4.0)
 
 
 def test_consensus_macro_single_cell():
@@ -134,14 +132,14 @@ def test_consensus_macro_zero_mass_raises():
 
 
 def test_constant_state_is_fixed_point():
+    # transport leaves a constant state fixed, so only the source moves it
     grid = Grid1D(0.0, 1.0, 20)
     state = MacroState(np.full(20, 0.7), np.zeros(20), T=0.3)
+    kick = -0.05 * source(state.rho, state.rho_u, grid.centers, 0.0, PARAMS)
     for boundary in ("periodic", "outflow"):
-        out = lax_friedrichs_step(
-            state, grid, 0.05, PARAMS, 0.0, boundary=boundary, source_enabled=False
-        )
+        out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.0, boundary=boundary)
         np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(out.rho_u, state.rho_u, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out.rho_u, kick, rtol=0, atol=1e-14)
     assert out.time == pytest.approx(0.05)
 
 
@@ -160,9 +158,7 @@ def test_step_matches_transcribed_stencil():
     mom = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
     T, dt, consensus = 0.2, 0.5, 2.3
     state = MacroState(rho, mom, T=T)
-    out = lax_friedrichs_step(
-        state, grid, dt, PARAMS, consensus, boundary="periodic", source_enabled=True
-    )
+    out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary="periodic")
 
     def phys_flux(r, q):
         return q, q * q / r + r * T * T
@@ -200,9 +196,7 @@ def test_hole_cells_carry_no_momentum():
     rho = np.array([1.0, eps, eps, eps, 1.0])
     mom = np.array([0.0, 1e-7, 0.0, 1e-7, 0.0])
     state = MacroState(rho, mom, T=0.1)
-    out = lax_friedrichs_step(
-        state, grid, 0.1, PARAMS, 2.5, boundary="periodic", source_enabled=False
-    )
+    out = lax_friedrichs_step(state, grid, 0.1, PARAMS, 2.5, boundary="periodic")
     # center cell: both new neighbors are ~0.5, its own density stays ~eps
     assert out.rho[2] < 0.05 * min(out.rho[1], out.rho[3])
     assert out.rho_u[2] == 0.0
@@ -337,17 +331,8 @@ def test_non_finite_state_raises_naming_the_cell():
         lax_friedrichs_step(state, grid, 0.01, PARAMS, 0.0)
 
 
-def test_eigenvalues_basic():
-    lam1, lam2 = hyperbolicity_eigenvalues(np.array([1.0]), np.array([0.0]), 1.0)
-    assert lam1[0] == 1.0 and lam2[0] == -1.0
-    # T = 0 collapses the pair onto the transport speed
-    lam1, lam2 = hyperbolicity_eigenvalues(np.array([2.0]), np.array([1.0]), 0.0)
-    assert lam1[0] == lam2[0] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        hyperbolicity_eigenvalues(np.array([0.0]), np.array([0.0]), 1.0)
-
-
 def test_eigenvalues_match_quasilinear_matrix():
+    # the CFL bound's wavespeed |u| + |T| is the spectral radius of the flux Jacobian
     rng = np.random.default_rng(37)
     for _ in range(200):
         rho = rng.uniform(0.1, 3.0)
@@ -356,12 +341,9 @@ def test_eigenvalues_match_quasilinear_matrix():
         if T == 0.0:
             continue
         a = np.array([[0.0, 1.0], [T * T - u * u, 2.0 * u]])
-        ref = np.sort(np.linalg.eigvals(a).real)
-        lam1, lam2 = hyperbolicity_eigenvalues(
-            np.array([rho]), np.array([rho * u]), T
-        )
-        got = np.sort([lam1[0], lam2[0]])
-        np.testing.assert_allclose(got, ref, atol=1e-10)
+        ref = np.max(np.abs(np.linalg.eigvals(a)))
+        got = max_wavespeed(MacroState(np.array([rho]), np.array([rho * u]), T))
+        assert got == pytest.approx(ref, rel=0, abs=1e-10)
 
 
 def test_init_macro_uniform_unit_mass():
@@ -377,9 +359,7 @@ def test_init_macro_uniform_unit_mass():
 def test_absorbing_boundary_drains_edges():
     grid = Grid1D(0.0, 1.0, 10)
     state = MacroState(np.ones(10), np.zeros(10), T=0.5)
-    out = lax_friedrichs_step(
-        state, grid, 0.05, PARAMS, 0.5, boundary="absorbing", source_enabled=False
-    )
+    out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.5, boundary="absorbing")
     # vacuum ghosts pull the edge cells down; the interior is untouched
     assert out.rho[0] < 1.0 and out.rho[-1] < 1.0
     np.testing.assert_allclose(out.rho[1:-1], 1.0, atol=1e-14)

@@ -205,23 +205,6 @@ def test_transfer_two_step_trace():
     assert total2 == pytest.approx(1.0, rel=1e-12)
 
 
-def test_transfer_literal_rule_skips_rescale():
-    grid = Grid1D(0.0, 5.0, 5)
-    swarm = two_cell_swarm()
-    macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]),
-                       np.array([0.0, 0.3, 0.0, 0.0, 0.0]), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
-
-    coupling, swarm, macro = transfer_mass(
-        coupling, swarm, macro, grid, step=0, rule="literal"
-    )
-    # mass decreased, so the signed branch adds the density difference
-    np.testing.assert_allclose(macro.rho, [0.02, 0.18, 0.0, 0.0, 0.0], atol=1e-12)
-    total = swarm.total_mass + macro.rho.sum() * grid.dx
-    # the signed branch does not conserve: that is why it is not the default
-    assert total == pytest.approx(0.4, rel=1e-10)
-
-
 def test_transfer_mu_tracking_and_conservation_along_a_run():
     grid = Grid1D(-3.0, 3.0, 25)
     rng = np.random.default_rng(11)
@@ -245,15 +228,6 @@ def test_transfer_mu_tracking_and_conservation_along_a_run():
         now = swarm.total_mass + macro.rho.sum() * grid.dx
         assert abs(now - total) <= 1e-10 * total
         assert np.all(macro.rho >= 0.0)
-
-
-def test_transfer_rejects_unknown_rule():
-    grid = Grid1D(0.0, 5.0, 5)
-    swarm = two_cell_swarm()
-    macro = MacroState(np.full(5, 0.1), np.zeros(5), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
-    with pytest.raises(ValueError, match="rule"):
-        transfer_mass(coupling, swarm, macro, grid, 0, rule="average")
 
 
 def test_transfer_rebalance_failure_raises():

@@ -152,22 +152,11 @@ def test_update_is_pure():
     assert ctrl.beta == 2.0 and ctrl.kappa == 3.0
 
 
-def test_multiply_failure_rule():
-    ctrl = PenaltyController(kappa=3.0, failure_kappa_rule="multiply")
-    out = ctrl.update(5.0)
-    assert out.kappa == pytest.approx(min(3.0 * 1.1, 5.0), rel=1e-15)
-    # growth clamps at kappa0
-    ctrl = PenaltyController(kappa=5.0, failure_kappa_rule="multiply")
-    assert ctrl.update(5.0).kappa == 5.0
-
-
 def test_controller_validation():
     with pytest.raises(ValueError):
         PenaltyController(beta=0.0)
     with pytest.raises(ValueError):
         PenaltyController(eta_kappa=1.0)
-    with pytest.raises(ValueError):
-        PenaltyController(failure_kappa_rule="reset")
 
 
 def test_accepts_uses_current_tolerance():

@@ -1,6 +1,8 @@
-"""Runner contract: solver failures, field snapshots and the pooled ensemble header."""
+"""Runner contract: solver failures, field snapshots, the pooled ensemble header and
+the pinned traces of the bundled configs."""
 
 import csv
+import hashlib
 import re
 from dataclasses import replace
 
@@ -52,11 +54,13 @@ def test_non_finite_grid_state_fails_the_first_step(tmp_path, monkeypatch):
 
 
 def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
-    cfg = tiny(tmp_path, "micro", n_particles=10**400)
+    # the largest count the config accepts: numpy refuses the array before allocating it
+    cfg = tiny(tmp_path, "micro", n_particles=2**63 - 1)
     with pytest.raises(RunError) as exc:
         run_experiment(cfg)
     assert exc.value.step == 0
-    assert isinstance(exc.value.__cause__, OverflowError)
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert "array is too big" in str(exc.value.__cause__)
     report = run_ensemble(cfg, 2)
     assert [(r["ok"], r["failed_step"]) for r in report.runs] == [(False, 0), (False, 0)]
 
@@ -96,3 +100,24 @@ def test_ensemble_pools_the_leading_scale_consensus(tmp_path, mode, dim, header)
     with open(report.pooled_csv) as fh:
         assert fh.readline().strip() == header
         assert len(fh.readlines()) == 2 * 3  # two runs, initial row plus two steps
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("ackley2d_unconstrained", "b86e85e3b1d14a9e"),
+    ("ackley2d_constrained", "371afaa0dea46248"),
+    ("ackley1d_macro_constrained", "b0bb0ca90cead4d2"),
+    ("rastrigin1d_micromacro", "05dcdf75d90c843b"),
+    ("rastrigin1d_micromacro_constrained", "764bcadb1abd6163"),
+])
+def test_bundled_trace_is_pinned(load_bundled, name, digest):
+    """Each bundled config at its own seed writes the pinned trace.csv (sha256 prefix).
+
+    The digests were produced with numpy 2.4.6.  A change that keeps the
+    numerics keeps them; a scheme change that moves one updates it here and
+    states the reason with the change.
+    """
+    cfg = load_bundled(name)
+    assert cfg.seed == 20240815
+    run_experiment(cfg)
+    with open(f"{cfg.output}/trace.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest
