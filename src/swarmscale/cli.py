@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
-
-from .config import ConfigError, load_bundled, load_config
+from .config import ConfigError, config_from_dict, config_to_dict, load_bundled, load_config
 from .runner import RunError, run_ensemble, run_experiment
 
 
@@ -56,13 +54,14 @@ def main(argv=None) -> int:
               f"{cfg.n_steps} steps")
         return 0
 
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("seed must be a 64-bit unsigned integer", file=sys.stderr)
-            return 2
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output=args.out)
+    # --seed and --out set config keys, so the config's own checks bound them
+    overrides = {key: value for key, value in [("seed", args.seed), ("output", args.out)]
+                 if value is not None}
+    try:
+        cfg = config_from_dict({**config_to_dict(cfg), **overrides})
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     try:
         if args.command == "run":

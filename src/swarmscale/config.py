@@ -10,7 +10,7 @@ its key path (e.g. ``micro.m``).
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -29,7 +29,9 @@ from .objectives import (
 from .penalty import PenaltyController
 
 MODES = ("micro", "macro", "micromacro")
-FEASIBLE_KINDS = ("balls", "intervals", "halfline")
+# each kind of feasible set, and the one key that describes a set of that kind
+FEASIBLE_KEYS = {"balls": "balls", "intervals": "intervals", "halfline": "bound"}
+FEASIBLE_KINDS = tuple(FEASIBLE_KEYS)
 
 
 class ConfigError(ValueError):
@@ -47,10 +49,6 @@ def _is_num(v) -> bool:
     # the magnitude test also rejects nan, +-inf and ints beyond the float range
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
-
-
-def _is_span(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v) and v[0] < v[1]
 
 
 def _num(v, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
@@ -83,8 +81,14 @@ def _choice(v, options=()):
     return v
 
 
+def _numbers(v) -> tuple:
+    if not isinstance(v, list) or not all(_is_num(x) for x in v):
+        raise ValueError("must be a list of numbers")
+    return tuple(float(x) for x in v)
+
+
 def _span(v) -> tuple:
-    if not _is_span(v):
+    if not isinstance(v, list) or len(v) != 2 or not all(_is_num(x) for x in v) or v[0] >= v[1]:
         raise ValueError("must be [lo, hi] with lo < hi")
     return (float(v[0]), float(v[1]))
 
@@ -108,6 +112,15 @@ def _section(cls, required=False):
     return field(default_factory=MISSING if required else cls, metadata={"section": cls})
 
 
+def _list(entry):
+    """A list key whose entries are each a value of ``entry``, a check or a section.
+
+    Absent, it is the empty tuple; given, it must not be empty.
+    """
+    spec = {"section": entry} if is_dataclass(entry) else {"check": entry, "bounds": {}}
+    return field(default=(), metadata={"each": spec})
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
     name: str = _field(_choice, options=OBJECTIVE_NAMES)
@@ -115,11 +128,19 @@ class ObjectiveConfig:
 
 
 @dataclass(frozen=True)
+class BallConfig:
+    center: tuple = _field(_numbers)
+    radius_sq: float = _field(_num, lo=0, lo_open=True)
+
+
+@dataclass(frozen=True)
 class FeasibleConfig:
-    kind: str
-    balls: tuple = ()        # ((center tuple, radius_sq), ...)
-    intervals: tuple = ()    # ((lo, hi), ...)
-    bound: float = 0.0       # halfline: {x <= bound}
+    """The feasible set K; ``kind`` names the one key that describes it."""
+
+    kind: str = _field(_choice, options=FEASIBLE_KINDS)
+    balls: tuple = _list(BallConfig)
+    intervals: tuple = _list(_span)                 # ((lo, hi), ...)
+    bound: float | None = _field(_num, None)        # halfline: {x <= bound}
 
 
 @dataclass(frozen=True)
@@ -174,8 +195,8 @@ class ExperimentConfig:
 
     Every field is a key of the file and every nested dataclass a section of
     it; each key declares its default and bounds once, in its field, and
-    ``config_to_dict`` writes the same tree back.  ``feasible_set`` alone is
-    parsed by hand, because its keys depend on its kind and the dimension.
+    ``config_to_dict`` writes the same tree back.  An absent or null
+    ``feasible_set`` means the run is unconstrained.
     """
 
     mode: str = _field(_choice, options=MODES)
@@ -184,7 +205,7 @@ class ExperimentConfig:
     n_particles: int = _field(_integer, lo=1)
     seed: int = _field(_integer, lo=0, hi=2**64 - 1)
     output: str = _field(_path)
-    feasible_set: FeasibleConfig | None = None
+    feasible_set: FeasibleConfig | None = field(default=None, metadata={"section": FeasibleConfig})
     micro: MicroConfig = _section(MicroConfig)
     macro: MacroConfig = _section(MacroConfig)
     penalty: PenaltySection = _section(PenaltySection)
@@ -200,7 +221,7 @@ class ExperimentConfig:
         if fs is None:
             return None
         if fs.kind == "balls":
-            return BallUnion([(np.asarray(c), r2) for c, r2 in fs.balls])
+            return BallUnion([(np.asarray(b.center), b.radius_sq) for b in fs.balls])
         if fs.kind == "intervals":
             return IntervalUnion(list(fs.intervals))
         return Halfspace1D(fs.bound)
@@ -252,92 +273,71 @@ class _Checker:
                 self.fail(f"{path}.{key}" if path else str(key), "unknown key")
         return data
 
-    def get(self, data, key, path, check, default=None, **bounds):
-        """check(data[key], **bounds); the default if the key is absent or fails."""
-        if key not in data:
-            return default
-        try:
-            return check(data[key], **bounds)
-        except ValueError as exc:
-            self.fail(f"{path}.{key}" if path else key, str(exc))
-            return default
+
+def _is_unset(value) -> bool:
+    """An optional key's unset default: None, or an empty tuple of entries."""
+    return value is None or value == ()
 
 
 def _parse_section(cls, data, path, chk: _Checker):
-    """Build a section dataclass, checking each key by its field and recursing into sections.
+    """Build a section dataclass, parsing each key by its field.
 
-    A required key that fails or is missing is left as None.  A field with
-    neither a check nor a section (``feasible_set``) keeps its default.
+    An absent key takes its default, and so does a null one whose default is
+    unset.  A required key that is missing or fails is left as None; an
+    optional one that fails keeps its default.
     """
     data = chk.section(data, path, {f.name for f in fields(cls)})
     values = {}
     for f in fields(cls):
         key = f"{path}.{f.name}" if path else f.name
         required = f.default is MISSING and f.default_factory is MISSING
-        if required and f.name not in data:
-            chk.fail(key, "missing required key")
-            values[f.name] = None
-        elif "section" in f.metadata:
-            values[f.name] = _parse_section(f.metadata["section"], data.get(f.name, {}), key, chk)
-        elif "check" in f.metadata:
+        if f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:
             default = None if required else f.default
-            values[f.name] = chk.get(data, f.name, path, f.metadata["check"], default,
-                                     **f.metadata["bounds"])
+        if f.name not in data or (data[f.name] is None and _is_unset(f.default)):
+            if required:
+                chk.fail(key, "missing required key")
+            values[f.name] = default
+        else:
+            values[f.name] = _parse_value(f.metadata, data[f.name], key, chk, default)
     return cls(**values)
 
 
-def _parse_feasible(data, dim, chk: _Checker):
-    data = chk.section(data, "feasible_set", {"kind", "balls", "intervals", "bound"})
-    kind = chk.get(data, "kind", "feasible_set", _choice, options=FEASIBLE_KINDS)
-    if kind is None:
-        if "kind" not in data:
-            chk.fail("feasible_set.kind", "missing required key")
-        return None
-    if kind == "balls":
-        balls = data.get("balls")
-        if not isinstance(balls, list) or not balls:
-            chk.fail("feasible_set.balls", "must be a nonempty list of {center, radius_sq}")
-            return None
-        parsed = []
-        for i, b in enumerate(balls):
-            path = f"feasible_set.balls[{i}]"
-            if not isinstance(b, dict) or set(b) != {"center", "radius_sq"}:
-                chk.fail(path, "must be a mapping with keys center and radius_sq")
-                continue
-            center = b["center"]
-            if (not isinstance(center, list) or len(center) != dim
-                    or not all(_is_num(c) for c in center)):
-                chk.fail(f"{path}.center", f"must be a list of {dim} numbers")
-                continue
-            r2 = b["radius_sq"]
-            if not _is_num(r2) or r2 <= 0:
-                chk.fail(f"{path}.radius_sq", "must be a positive number")
-                continue
-            parsed.append((tuple(float(c) for c in center), float(r2)))
-        return FeasibleConfig(kind="balls", balls=tuple(parsed))
-    if kind == "intervals":
-        if dim != 1:
-            chk.fail("feasible_set.kind", "intervals require a 1-dimensional objective")
-        ivs = data.get("intervals")
-        if not isinstance(ivs, list) or not ivs:
-            chk.fail("feasible_set.intervals", "must be a nonempty list of [lo, hi] pairs")
-            return None
-        parsed = []
-        for i, iv in enumerate(ivs):
-            if not _is_span(iv):
-                chk.fail(f"feasible_set.intervals[{i}]", "must be [lo, hi] with lo < hi")
-                continue
-            parsed.append((float(iv[0]), float(iv[1])))
-        return FeasibleConfig(kind="intervals", intervals=tuple(parsed))
-    # halfline
-    if dim != 1:
-        chk.fail("feasible_set.kind", "halfline requires a 1-dimensional objective")
-    bound = chk.get(data, "bound", "feasible_set", _num)
-    if bound is None:
-        if "bound" not in data:
-            chk.fail("feasible_set.bound", "missing required key")
-        return None
-    return FeasibleConfig(kind="halfline", bound=bound)
+def _parse_value(spec, value, key, chk: _Checker, default=None):
+    """Parse a given value by a field's spec: a section, a list of entries, or a check."""
+    if "section" in spec:
+        return _parse_section(spec["section"], value, key, chk)
+    if "each" in spec:
+        if not isinstance(value, list):
+            chk.fail(key, "must be a list")
+            return default
+        if not value:
+            chk.fail(key, "must not be empty")
+            return default
+        return tuple(_parse_value(spec["each"], v, f"{key}[{i}]", chk)
+                     for i, v in enumerate(value))
+    try:
+        return spec["check"](value, **spec["bounds"])
+    except ValueError as exc:
+        chk.fail(key, str(exc))
+        return default
+
+
+def _check_feasible(raw, fs: FeasibleConfig, dim, chk: _Checker):
+    """The feasible-set rules that depend on its kind or on the objective's dimension."""
+    own = FEASIBLE_KEYS[fs.kind]
+    # read off the raw mapping: a key that is given but failed its check is unset in fs
+    if raw.get(own) is None:
+        chk.fail(f"feasible_set.{own}", "missing required key")
+    for key in FEASIBLE_KEYS.values():
+        if key != own and not _is_unset(getattr(fs, key)):
+            chk.fail(f"feasible_set.{key}", f"is not a key of kind {fs.kind!r}")
+    if fs.kind != "balls" and dim not in (None, 1):
+        chk.fail("feasible_set.kind", f"{fs.kind!r} requires a 1-dimensional objective")
+    for i, ball in enumerate(fs.balls):
+        if ball.center is not None and dim is not None and len(ball.center) != dim:
+            chk.fail(f"feasible_set.balls[{i}].center", f"must be a list of {dim} numbers")
 
 
 def config_from_dict(data) -> ExperimentConfig:
@@ -347,12 +347,13 @@ def config_from_dict(data) -> ExperimentConfig:
         data = {}
     cfg = _parse_section(ExperimentConfig, data, "", chk)
 
-    # the cross-field checks, and the feasible set, whose keys depend on the dimension
-    dim = getattr(cfg.objective, "dim", None) or 1
-    if cfg.mode in ("macro", "micromacro") and dim != 1:
+    # the cross-field checks; a required key that failed its own check is None here
+    dim = getattr(cfg.objective, "dim", None)
+    if cfg.mode in ("macro", "micromacro") and dim not in (None, 1):
         chk.fail("objective.dim", f"mode {cfg.mode!r} runs on a 1D grid; dim must be 1")
-    if isinstance(data, dict) and data.get("feasible_set") is not None:
-        cfg = replace(cfg, feasible_set=_parse_feasible(data["feasible_set"], dim, chk))
+    fs = cfg.feasible_set
+    if fs is not None and fs.kind is not None:
+        _check_feasible(data["feasible_set"], fs, dim, chk)
     if cfg.macro.x_min >= cfg.macro.x_max:
         chk.fail("macro.x_min", "must be below macro.x_max")
     if cfg.macro.T == 0:
@@ -392,26 +393,18 @@ def load_bundled(name: str) -> ExperimentConfig:
     return load_config(path)
 
 
+def _plain(value):
+    """``asdict`` output as plain YAML data: tuples become lists, unset keys drop out."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items() if not _is_unset(v)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-scalar key-tree; load(config_to_dict(cfg)) reproduces cfg exactly."""
-    out = asdict(cfg)
-    del out["feasible_set"]  # written last, and by hand: its keys depend on its kind
-    out["micro"]["init_box"] = list(cfg.micro.init_box)
-    fs = cfg.feasible_set
-    if fs is not None:
-        if fs.kind == "balls":
-            out["feasible_set"] = {
-                "kind": "balls",
-                "balls": [{"center": list(c), "radius_sq": r2} for c, r2 in fs.balls],
-            }
-        elif fs.kind == "intervals":
-            out["feasible_set"] = {
-                "kind": "intervals",
-                "intervals": [list(iv) for iv in fs.intervals],
-            }
-        else:
-            out["feasible_set"] = {"kind": "halfline", "bound": fs.bound}
-    return out
+    return _plain(asdict(cfg))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

@@ -26,7 +26,6 @@ class CouplingState:
 
     zeta: float
     mu0: float
-    mu: float
     rho_m_prev: np.ndarray
     t_star: int
     zeta_min: float = 0.1
@@ -37,8 +36,8 @@ class CouplingState:
             raise ValueError("need 0 < zeta_min < zeta_max < 1")
         if not self.zeta_min <= self.zeta <= self.zeta_max:
             raise ValueError("zeta must lie in [zeta_min, zeta_max]")
-        if self.mu0 <= 0 or self.mu <= 0:
-            raise ValueError("microscopic masses must be positive")
+        if self.mu0 <= 0:
+            raise ValueError("the microscopic mass mu0 must be positive")
         if self.t_star < 0:
             raise ValueError("t_star must be nonnegative")
         object.__setattr__(self, "rho_m_prev", np.asarray(self.rho_m_prev, dtype=float))
@@ -56,7 +55,6 @@ def init_coupling(
     return CouplingState(
         zeta=zeta0,
         mu0=swarm.total_mass,
-        mu=swarm.total_mass,
         rho_m_prev=micro_cell_density(swarm, grid),
         t_star=t_star,
         zeta_min=zeta_min,
@@ -106,7 +104,7 @@ def compute_zeta(
 
     d = np.abs(macro.velocity() - vbar)
 
-    rho_m = micro_cell_density(swarm, grid)
+    rho_m = swarm.particle_mass * counts / grid.dx
     cell_total = rho_m + macro.rho
     w = np.divide(rho_m, cell_total, out=np.zeros_like(rho_m), where=cell_total > 0)
 
@@ -160,5 +158,5 @@ def transfer_mass(
     # a cell emptied by the transfer must not keep stale momentum
     rho_u = np.where(rho_macro <= EPS_RHO, 0.0, macro.rho_u)
     new_macro = replace(macro, rho=rho_macro, rho_u=rho_u)
-    new_coupling = replace(coupling, zeta=zeta, mu=mu_new, rho_m_prev=rho_m_new)
+    new_coupling = replace(coupling, zeta=zeta, rho_m_prev=rho_m_new)
     return new_coupling, new_swarm, new_macro

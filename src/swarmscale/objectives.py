@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BOUNDARY_TOL = 1e-12
-
 OBJECTIVE_NAMES = ("ackley", "rastrigin")
 
 

@@ -116,6 +116,15 @@ def test_run_seed_and_out_flags(tmp_path):
     assert cli.main(["run", "--config", str(p), "--seed", str(2**64)]) == 2
 
 
+def test_overrides_are_checked_as_config_keys(tmp_path, capsys):
+    p = write_config(tmp_path)
+    assert cli.main(["run", "--config", str(p), "--out", ""]) == 2
+    assert "output: must be a nonempty path string" in capsys.readouterr().err
+    assert cli.main(["ensemble", "--config", str(p), "--seed", "-1"]) == 2
+    assert "seed: must lie in [0, 18446744073709551615]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_macro_mode_columns(tmp_path):
     p = write_config(
         tmp_path,

@@ -274,6 +274,54 @@ def test_bad_objective_name_does_not_cascade_into_the_feasible_set():
     assert exc.value.errors == ["objective.name: must be one of ['ackley', 'rastrigin']"]
 
 
+BALL = {"center": [0.0, 0.0], "radius_sq": 1.0}
+
+
+@pytest.mark.parametrize("over, errors", [
+    ({"feasible_set": {"kind": "balls", "balls": [{"center": [0.0], "radius_sq": 1.0}]}},
+     ["feasible_set.balls[0].center: must be a list of 2 numbers"]),
+    ({"feasible_set": {"kind": "balls", "balls": []}},
+     ["feasible_set.balls: must not be empty"]),
+    ({"feasible_set": {"kind": "balls"}},
+     ["feasible_set.balls: missing required key"]),
+    ({"feasible_set": {"kind": "balls", "balls": [{**BALL, "colour": "red"}]}},
+     ["feasible_set.balls[0].colour: unknown key"]),
+    ({"feasible_set": {"kind": "balls", "balls": [{"center": [0.0, 0.0]}]}},
+     ["feasible_set.balls[0].radius_sq: missing required key"]),
+    ({"feasible_set": {"kind": "balls", "balls": [{**BALL, "radius_sq": 0.0}]}},
+     ["feasible_set.balls[0].radius_sq: must lie in (0, inf]"]),
+    ({"feasible_set": {"kind": "balls", "balls": [BALL], "bound": 1.0}},
+     ["feasible_set.bound: is not a key of kind 'balls'"]),
+    ({"feasible_set": {"kind": "intervals", "intervals": [[0.0, 1.0]]}},
+     ["feasible_set.kind: 'intervals' requires a 1-dimensional objective"]),
+    ({"feasible_set": {"bound": 1.0}},
+     ["feasible_set.kind: missing required key"]),
+])
+def test_feasible_set_rules(over, errors):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(**over))
+    assert exc.value.errors == errors
+
+
+def test_null_feasible_set_is_unconstrained():
+    cfg = config_from_dict(base_dict(feasible_set=None))
+    assert cfg == config_from_dict(base_dict())
+    assert cfg.feasible_set is None and cfg.build_feasible_set() is None
+    assert "feasible_set" not in config_to_dict(cfg)
+
+
+def test_config_to_dict_is_plain_data():
+    def plain(v):
+        if isinstance(v, dict):
+            return all(isinstance(k, str) and plain(x) for k, x in v.items())
+        if isinstance(v, list):
+            return all(plain(x) for x in v)
+        return type(v) in (str, int, float)
+
+    for name in BUNDLED:
+        assert plain(config_to_dict(load_config(bundled_config_path(name)))), name
+
+
 def test_penalty_section_is_read_from_yaml(tmp_path):
     p = tmp_path / "penalty.yaml"
     p.write_text(yaml.safe_dump(base_dict(penalty={

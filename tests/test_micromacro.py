@@ -123,13 +123,13 @@ def test_zeta_three_cell_fixture():
 def test_coupling_state_validation():
     ones = np.ones(3)
     with pytest.raises(ValueError, match="zeta_min"):
-        CouplingState(0.5, 1.0, 1.0, ones, 0, zeta_min=0.9, zeta_max=0.1)
+        CouplingState(0.5, 1.0, ones, 0, zeta_min=0.9, zeta_max=0.1)
     with pytest.raises(ValueError, match="zeta must lie"):
-        CouplingState(0.95, 1.0, 1.0, ones, 0)
+        CouplingState(0.95, 1.0, ones, 0)
     with pytest.raises(ValueError, match="positive"):
-        CouplingState(0.5, 0.0, 1.0, ones, 0)
+        CouplingState(0.5, 0.0, ones, 0)
     with pytest.raises(ValueError, match="t_star"):
-        CouplingState(0.5, 1.0, 1.0, ones, -1)
+        CouplingState(0.5, 1.0, ones, -1)
 
 
 def test_init_coupling_reads_swarm_mass():
@@ -137,7 +137,6 @@ def test_init_coupling_reads_swarm_mass():
     swarm = two_cell_swarm()
     coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=240)
     assert coupling.mu0 == pytest.approx(0.5)
-    assert coupling.mu == coupling.mu0
     assert coupling.zeta == 0.5
     assert coupling.t_star == 240
     np.testing.assert_array_equal(
@@ -164,7 +163,7 @@ def test_transfer_frozen_before_activation():
         assert macro_out is macro
         assert swarm_out.particle_mass == 0.05
         assert macro_out.rho.sum() * grid.dx == macro_mass
-        assert coupling.zeta == 0.5 and coupling.mu == coupling.mu0
+        assert coupling.zeta == 0.5
         # the snapshot tracks the current histogram while everything is frozen
         np.testing.assert_array_equal(
             coupling.rho_m_prev, micro_cell_density(swarm, grid)
@@ -182,7 +181,7 @@ def test_transfer_two_step_trace():
 
     coupling, swarm, macro = transfer_mass(coupling, swarm, macro, grid, step=0)
     assert coupling.zeta == pytest.approx(0.4, abs=1e-12)
-    assert coupling.mu == pytest.approx(0.2, abs=1e-12)
+    assert swarm.total_mass == pytest.approx(0.2, abs=1e-12)
     assert swarm.particle_mass == pytest.approx(0.02, abs=1e-14)
     np.testing.assert_allclose(
         micro_cell_density(swarm, grid), [0.12, 0.08, 0.0, 0.0, 0.0], atol=1e-12
@@ -237,7 +236,7 @@ def test_transfer_rebalance_failure_raises():
     swarm = SwarmState(pos, vel, particle_mass=0.01)
     macro = MacroState(np.full(5, 0.01), np.zeros(5), T=0.1)
     coupling = CouplingState(
-        zeta=0.5, mu0=10.0, mu=5.0, rho_m_prev=np.zeros(5), t_star=0
+        zeta=0.5, mu0=10.0, rho_m_prev=np.zeros(5), t_star=0
     )
     with pytest.raises(ValueError, match="cannot rebalance"):
         transfer_mass(coupling, swarm, macro, grid, 0)
@@ -249,7 +248,7 @@ def test_transfer_zero_total_mass_raises():
     swarm = SwarmState(pos, vel, particle_mass=0.0)
     macro = MacroState(np.zeros(5), np.zeros(5), T=0.1)
     coupling = CouplingState(
-        zeta=0.5, mu0=1.0, mu=1.0, rho_m_prev=np.zeros(5), t_star=0
+        zeta=0.5, mu0=1.0, rho_m_prev=np.zeros(5), t_star=0
     )
     with pytest.raises(ValueError, match="total mass"):
         transfer_mass(coupling, swarm, macro, grid, 0)
