@@ -26,22 +26,28 @@ swarm = init_swarm(cfg.n_particles, 2, rng, box=cfg.micro.init_box)
 print(f"{cfg.n_particles} particles, dt={params.dt}, alpha={params.alpha}")
 print(f"{'step':>5} {'consensus':>20} {'beta':>7} {'violation':>10}")
 
+# The objective and the distance to the feasible set are evaluated once per
+# step; the penalized values F_beta for any beta are built from the two.
+value, penalty = pf.parts(swarm.positions)
+x = consensus_point(swarm.positions, pf.combine(value, penalty), params.alpha)
+
 for step in range(cfg.n_steps):
-    swarm = step_euler_maruyama(swarm, params, pf, rng)
+    swarm = step_euler_maruyama(swarm, params, x, rng)
+    value, penalty = pf.parts(swarm.positions)
 
     # weighted distance of the swarm to the feasible set, then the
     # success/failure update: shrink the threshold or raise the penalty
-    v = violation_micro(swarm, pf, params.alpha)
+    v = violation_micro(pf.combine(value, penalty), penalty, params.alpha)
     ctrl = ctrl.update(v)
     pf = pf.with_beta(ctrl.beta)
 
+    # the consensus under the updated beta is the next step's drift target
+    x = consensus_point(swarm.positions, pf.combine(value, penalty), params.alpha)
     if step % 50 == 0 or step == cfg.n_steps - 1:
-        x = consensus_point(swarm, pf, params.alpha)
         print(
             f"{step:>5} ({x[0]:+8.4f}, {x[1]:+8.4f}) {ctrl.beta:>7.3f} {v:>10.5f}"
         )
 
-x = consensus_point(swarm, pf, params.alpha)
 fs = cfg.build_feasible_set()
 print(f"\nfinal consensus  ({x[0]:+.4f}, {x[1]:+.4f})")
 print(f"distance to feasible set: {float(fs.distance(x)):.5f}")

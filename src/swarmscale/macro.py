@@ -167,8 +167,11 @@ def max_wavespeed(state: MacroState) -> float:
     return speed
 
 
-def cfl_dt(state: MacroState, grid: Grid1D, cfl: float, accel: float = 0.0) -> float:
-    """Largest stable step scaled by cfl: cfl * dx / s, with s = max_j(|u_j| + |T|).
+def cfl_dt(s: float, grid: Grid1D, cfl: float, accel: float = 0.0) -> float:
+    """Largest stable step scaled by cfl: cfl * dx / s.
+
+    s is the largest characteristic speed max_j(|u_j| + |T|), which
+    max_wavespeed returns.
 
     With a source acceleration accel > 0 the step is also sized against the
     end-of-step wavespeed, (s + accel*dt)*dt <= cfl*dx.  Sizing against the
@@ -179,7 +182,6 @@ def cfl_dt(state: MacroState, grid: Grid1D, cfl: float, accel: float = 0.0) -> f
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
-    s = max_wavespeed(state)
     budget = cfl * grid.dx
     dt = budget / s
     if accel > 0.0:
@@ -205,18 +207,21 @@ def lax_friedrichs_step(
     params: MacroParams,
     consensus: float,
     boundary: str = "outflow",
+    max_speed: float | None = None,
 ) -> MacroState:
     """One explicit step; raises on a CFL violation instead of going unstable.
 
     Update per cell: neighbor average minus the centered flux difference,
     minus dt times the local source.  Density is floored at zero afterwards
-    and vacuum cells carry no momentum.
+    and vacuum cells carry no momentum.  max_speed is max_wavespeed(state),
+    computed here unless the caller already has it.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    max_speed = max_wavespeed(state)
+    if max_speed is None:
+        max_speed = max_wavespeed(state)
     if dt * max_speed > grid.dx * (1 + 1e-9):
         raise ValueError(
             f"CFL violation: dt={dt:g} exceeds dx/max_speed with "
@@ -254,8 +259,9 @@ def advance_macro(state, grid, params, pf, alpha, cfl, boundary, target_time):
     sub-step's consensus is the centers' mean under those weights times its
     own density, bit for bit what consensus_point_macro returns.  Each step
     is bounded by cfl_dt against the largest source acceleration over the
-    grid; the last one is cut to land on target_time.  Raises RuntimeError
-    after MAX_SUBSTEPS sub-steps.
+    grid; the last one is cut to land on target_time.  One wavespeed per
+    sub-step serves both cfl_dt and the step's CFL check.  Raises
+    RuntimeError after MAX_SUBSTEPS sub-steps.
     """
     accel_coeff = params.lam / params.m
     x = grid.centers
@@ -267,8 +273,10 @@ def advance_macro(state, grid, params, pf, alpha, cfl, boundary, target_time):
         consensus = float(weighted_mean(weights * state.rho, x))
         # the centers are sorted, so the farthest one from consensus is an end cell
         accel = accel_coeff * float(max(abs(x[0] - consensus), abs(x[-1] - consensus)))
-        dt = min(cfl_dt(state, grid, cfl, accel), remaining)
-        state = lax_friedrichs_step(state, grid, dt, params, consensus, boundary=boundary)
+        speed = max_wavespeed(state)
+        dt = min(cfl_dt(speed, grid, cfl, accel), remaining)
+        state = lax_friedrichs_step(state, grid, dt, params, consensus, boundary=boundary,
+                                    max_speed=speed)
     raise RuntimeError(
         f"grid solver stalled: {MAX_SUBSTEPS} sub-steps before t={target_time:g}"
     )

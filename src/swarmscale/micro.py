@@ -125,20 +125,20 @@ def gibbs_mean(values, alpha: float, quantity: np.ndarray, mass=1.0):
     return weighted_mean(gibbs_weights(values, alpha) * mass, quantity)
 
 
-def consensus_point(state: SwarmState, pf, alpha: float) -> np.ndarray:
-    """Weight-averaged swarm position with weights exp(-alpha * F_beta).
+def consensus_point(positions: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Weight-averaged position with weights exp(-alpha * values), one value per row.
 
-    Lies componentwise inside the swarm's bounding box.  Raises if the
-    objective is non-finite at any particle.
+    The values are F_beta at the positions.  The result lies componentwise
+    inside the positions' bounding box.  Raises if any value is non-finite.
     """
-    values = np.asarray(pf.evaluate(state.positions), dtype=float)
+    values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values)
     if bad.any():
         idx = int(np.argmax(bad))
         raise FloatingPointError(
             f"non-finite objective value {values[idx]} at particle {idx}"
         )
-    return gibbs_mean(values, alpha, state.positions)
+    return gibbs_mean(values, alpha, positions)
 
 
 def diffusion_diagonal(mode: str, displacement: np.ndarray) -> np.ndarray:
@@ -157,19 +157,17 @@ def diffusion_diagonal(mode: str, displacement: np.ndarray) -> np.ndarray:
 
 
 def step_euler_maruyama(
-    state: SwarmState, params: MicroParams, pf, rng: np.random.Generator
+    state: SwarmState, params: MicroParams, target: np.ndarray, rng: np.random.Generator
 ) -> SwarmState:
-    """One Euler-Maruyama step of the inertial swarm SDE.
+    """One Euler-Maruyama step of the inertial swarm SDE toward the drift target.
 
-    The consensus point is computed once from the pre-step state and shared
-    by all particles.  Draw order: one standard normal per particle
-    (isotropic) or per particle component (anisotropic), in a single
-    generator call.
+    The target is the consensus point of the pre-step state, shared by all
+    particles.  Draw order: one standard normal per particle (isotropic) or
+    per particle component (anisotropic), in a single generator call.
     """
     m, lam, sigma, dt = params.m, params.lam, params.sigma, params.dt
     c = m + params.gamma * dt
 
-    target = consensus_point(state, pf, params.alpha)
     r = target - state.positions  # (N, d)
 
     if params.diffusion == "isotropic":
@@ -193,10 +191,11 @@ def step_euler_maruyama(
     return replace(state, positions=positions, velocities=velocities, step=state.step + 1)
 
 
-def softmin_gap(state: SwarmState, pf, alpha: float) -> float:
+def softmin_gap(values: np.ndarray, alpha: float) -> float:
     """Gap between the smoothed minimum -(1/alpha) log mean exp(-alpha F) and min F.
 
-    Always lies in [0, log(N)/alpha]; shrinks as alpha grows.
+    The values are F_beta, one per particle.  Always lies in
+    [0, log(N)/alpha]; shrinks as alpha grows.
     """
-    w = gibbs_weights(pf.evaluate(state.positions), alpha)
+    w = gibbs_weights(values, alpha)
     return float(-(np.log(w.sum()) - np.log(w.shape[0])) / alpha)

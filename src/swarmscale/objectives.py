@@ -172,11 +172,27 @@ class PenalizedObjective:
             return np.zeros(x.shape[:-1])
         return self.feasible_set.distance(x)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        value = self.objective(x)
+    def parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The objective and the penalty at x, the two arrays F_beta is built from.
+
+        Neither depends on beta, so one evaluation serves every beta at
+        the same points.
+        """
+        return self.objective(x), self.penalty(x)
+
+    def combine(self, value: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+        """F_beta built from the parts, value + beta * penalty.
+
+        The value alone when unconstrained or beta = 0.  evaluate(x) is
+        combine(*parts(x)), so F_beta built from cached parts equals
+        evaluate bit for bit.
+        """
         if self.feasible_set is None or self.beta == 0.0:
             return value
-        return value + self.beta * self.feasible_set.distance(x)
+        return value + self.beta * penalty
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self.combine(*self.parts(x))
 
     def with_beta(self, beta: float) -> "PenalizedObjective":
         return PenalizedObjective(self.objective, self.feasible_set, beta)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .macro import Grid1D, MacroState
-from .micro import SwarmState, gibbs_mean
+from .micro import gibbs_mean
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,17 @@ class PenaltyController:
         return replace(self, beta=self.eta_beta * self.beta, kappa=kappa)
 
 
-def violation_micro(state: SwarmState, pf, alpha: float) -> float:
-    """Weight-averaged penalty over particles, weights exp(-alpha F_beta).
+def violation_micro(values: np.ndarray, penalty: np.ndarray, alpha: float) -> float:
+    """Weight-averaged penalty over particles, weights exp(-alpha * values).
 
-    A convex combination of per-particle penalties, so the result lies
-    between their min and max; 0 when every particle is feasible.
+    The values are F_beta and the penalty the distance to the feasible set,
+    one of each per particle.  A convex combination of the penalties, so the
+    result lies between their min and max; 0 when every particle is feasible.
     """
-    x = state.positions
-    return float(gibbs_mean(pf.evaluate(x), alpha, pf.penalty(x)))
+    return float(gibbs_mean(values, alpha, penalty))
 
 
 def violation_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> float:
     """Density-weighted average penalty over cell centers (midpoint rule)."""
-    x = grid.centers[:, None]
-    return float(gibbs_mean(pf.evaluate(x), alpha, pf.penalty(x), mass=state.rho))
+    value, penalty = pf.parts(grid.centers[:, None])
+    return float(gibbs_mean(pf.combine(value, penalty), alpha, penalty, mass=state.rho))

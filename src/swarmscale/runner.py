@@ -139,7 +139,12 @@ class _Scale:
 
 
 class _Particles(_Scale):
-    """The particle swarm: one Euler-Maruyama step per outer step."""
+    """The particle swarm: one Euler-Maruyama step per outer step.
+
+    The objective and the penalty are evaluated once after each move.  The
+    step's violation, consensus and gap all weight the particles by F_beta
+    built from those two arrays; only beta differs between them.
+    """
 
     def __init__(self, cfg, rng, mass, alone):
         super().__init__(cfg, "micro", alone)
@@ -147,20 +152,27 @@ class _Particles(_Scale):
         self.params = cfg.build_micro_params()
         self.swarm = init_swarm(cfg.n_particles, cfg.objective.dim, rng,
                                 box=cfg.micro.init_box, particle_mass=mass / cfg.n_particles)
+        self.parts = self.pf.parts(self.swarm.positions)
 
     def clock(self, n):
         return n * self.params.dt
 
     def advance(self, n):
-        self.swarm = step_euler_maruyama(self.swarm, self.params, self.pf, self.rng)
+        # the drift target is the consensus observed after the last step: the
+        # positions and beta have not changed since, only the particle mass
+        self.swarm = step_euler_maruyama(self.swarm, self.params, self.target, self.rng)
+        self.parts = self.pf.parts(self.swarm.positions)
 
     def measure_violation(self):
-        return violation_micro(self.swarm, self.pf, self.alpha)
+        value, penalty = self.parts
+        return violation_micro(self.pf.combine(value, penalty), penalty, self.alpha)
 
     def observe(self):
-        self.consensus = [float(c) for c in consensus_point(self.swarm, self.pf, self.alpha)]
+        values = self.pf.combine(*self.parts)
+        self.target = consensus_point(self.swarm.positions, values, self.alpha)
+        self.consensus = [float(c) for c in self.target]
         if self.alone:
-            self.gap = softmin_gap(self.swarm, self.pf, self.alpha)
+            self.gap = softmin_gap(values, self.alpha)
 
     def mass(self):
         return self.swarm.total_mass

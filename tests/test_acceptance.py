@@ -190,7 +190,7 @@ class TestPropertySuite:
             for _ in range(1000):
                 state = random_swarm(rng)
                 alpha = float(rng.choice([10.0, 30.0, 100.0]))
-                gap = softmin_gap(state, plain_pf(state.dim), alpha)
+                gap = softmin_gap(plain_pf(state.dim).evaluate(state.positions), alpha)
                 assert 0.0 <= gap <= math.log(state.n_particles) / alpha + 1e-12
 
     def test_consensus_shift_invariance_and_hull(self):
@@ -206,8 +206,8 @@ class TestPropertySuite:
             for _ in range(1000):
                 state = random_swarm(rng)
                 pf = plain_pf(state.dim)
-                x = consensus_point(state, pf, 30.0)
-                y = consensus_point(state, Shifted(pf), 30.0)
+                x = consensus_point(state.positions, pf.evaluate(state.positions), 30.0)
+                y = consensus_point(state.positions, Shifted(pf).evaluate(state.positions), 30.0)
                 np.testing.assert_allclose(x, y, atol=1e-10)
                 assert np.all(x >= state.positions.min(axis=0) - 1e-12)
                 assert np.all(x <= state.positions.max(axis=0) + 1e-12)
@@ -220,7 +220,7 @@ class TestPropertySuite:
         m0 = state.rho.sum() * grid.dx
         with timed("conservation"):
             for _ in range(1000):
-                dt = cfl_dt(state, grid, 0.8)
+                dt = cfl_dt(max_wavespeed(state), grid, 0.8)
                 state = lax_friedrichs_step(
                     state, grid, dt, params, 0.3, boundary="periodic"
                 )
@@ -325,7 +325,6 @@ class TestPropertySuite:
         with timed("oracles"):
             # consensus point vs unstabilized double loop
             positions = rng.uniform(-0.05, 0.05, size=(5, 2))
-            state = SwarmState(positions, np.zeros((5, 2)))
             pf = plain_pf(2)
             vals = pf.evaluate(positions)
             num, den = np.zeros(2), 0.0
@@ -334,7 +333,7 @@ class TestPropertySuite:
                 num += w * x
                 den += w
             np.testing.assert_allclose(
-                consensus_point(state, pf, 30.0), num / den, atol=1e-10
+                consensus_point(positions, vals, 30.0), num / den, atol=1e-10
             )
 
             # microscopic violation vs double loop
@@ -344,15 +343,13 @@ class TestPropertySuite:
                 ObjectiveFunction("rastrigin", 1), Halfspace1D(-0.5), beta=1.0
             )
             pos1 = rng.uniform(-0.55, -0.45, size=(5, 1))
-            st1 = SwarmState(pos1, np.zeros((5, 1)))
             num = den = 0.0
             for x in pos1:
                 w = math.exp(-30.0 * float(cpf.evaluate(x)))
                 num += w * float(cpf.penalty(x))
                 den += w
-            assert violation_micro(st1, cpf, 30.0) == pytest.approx(
-                num / den, abs=1e-10
-            )
+            got = violation_micro(cpf.evaluate(pos1), cpf.penalty(pos1), 30.0)
+            assert got == pytest.approx(num / den, abs=1e-10)
 
             # macroscopic violation vs cellwise summation
             grid = Grid1D(-1.0, 1.0, 11)

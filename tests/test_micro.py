@@ -32,10 +32,20 @@ def naive_consensus(positions, values, alpha):
     return num / den
 
 
+def consensus(state, pf, alpha):
+    """consensus_point of a swarm, with F_beta evaluated at its positions."""
+    return consensus_point(state.positions, pf.evaluate(state.positions), alpha)
+
+
+def step(state, params, pf, rng):
+    """One step toward the consensus point of the pre-step swarm."""
+    return step_euler_maruyama(state, params, consensus(state, pf, params.alpha), rng)
+
+
 def test_consensus_single_particle():
     state = SwarmState(np.array([[1.0, 2.0]]), np.zeros((1, 2)))
     pf = plain("ackley", 2)
-    np.testing.assert_allclose(consensus_point(state, pf, 30.0), [1.0, 2.0])
+    np.testing.assert_allclose(consensus(state, pf, 30.0), [1.0, 2.0])
 
 
 def test_consensus_equal_values_midpoint():
@@ -43,7 +53,7 @@ def test_consensus_equal_values_midpoint():
     state = SwarmState(np.array([[1.0, 2.0], [-1.0, 2.0]]), np.zeros((2, 2)))
     pf = plain("ackley", 2)
     np.testing.assert_allclose(
-        consensus_point(state, pf, 30.0), [0.0, 2.0], atol=1e-14
+        consensus(state, pf, 30.0), [0.0, 2.0], atol=1e-14
     )
 
 
@@ -54,7 +64,7 @@ def test_consensus_matches_naive_summation():
     pf = plain("rastrigin", 1)
     expected = naive_consensus(positions, pf.evaluate(positions), 30.0)
     np.testing.assert_allclose(
-        consensus_point(state, pf, 30.0), expected, rtol=1e-10
+        consensus(state, pf, 30.0), expected, rtol=1e-10
     )
 
 
@@ -67,7 +77,7 @@ def test_consensus_rejects_nonfinite_objective():
 
     state = SwarmState(np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(FloatingPointError, match="particle 1"):
-        consensus_point(state, Bad(), 30.0)
+        consensus(state, Bad(), 30.0)
 
 
 def test_consensus_shift_invariance_and_hull():
@@ -83,8 +93,8 @@ def test_consensus_shift_invariance_and_hull():
     for _ in range(200):
         n = int(rng.integers(2, 40))
         state = SwarmState(rng.uniform(-3, 3, size=(n, 2)), np.zeros((n, 2)))
-        x = consensus_point(state, pf, 30.0)
-        y = consensus_point(state, Shifted(pf, 1e3), 30.0)
+        x = consensus(state, pf, 30.0)
+        y = consensus(state, Shifted(pf, 1e3), 30.0)
         np.testing.assert_allclose(x, y, atol=1e-10)
         assert np.all(x >= state.positions.min(axis=0) - 1e-12)
         assert np.all(x <= state.positions.max(axis=0) + 1e-12)
@@ -99,7 +109,7 @@ def test_step_coincident_swarm_is_ballistic():
     pos = np.ones((3, 2)) * 0.3
     vel = np.array([[1.0, 0.0], [0.0, -2.0], [0.5, 0.5]])
     state = SwarmState(pos.copy(), vel.copy())
-    out = step_euler_maruyama(state, params, plain("ackley", 2), np.random.default_rng(0))
+    out = step(state, params, plain("ackley", 2), np.random.default_rng(0))
     np.testing.assert_array_equal(out.velocities, vel)
     np.testing.assert_array_equal(out.positions, pos + 0.1 * vel)
     assert out.step == 1
@@ -108,7 +118,7 @@ def test_step_coincident_swarm_is_ballistic():
 def test_step_single_particle_velocity_decay():
     params = MicroParams(m=0.5, lam=1.0, sigma=0.0, dt=0.1)
     state = SwarmState(np.array([[2.0]]), np.array([[3.0]]))
-    out = step_euler_maruyama(state, params, plain(), np.random.default_rng(0))
+    out = step(state, params, plain(), np.random.default_rng(0))
     c = 0.5 + 0.5 * 0.1
     assert out.velocities[0, 0] == pytest.approx(3.0 * 0.5 / c, rel=1e-14)
 
@@ -123,9 +133,7 @@ def test_step_matches_independent_transcription():
     pf = plain("rastrigin", 2)
 
     seed_state = np.random.default_rng(77)
-    out = step_euler_maruyama(
-        SwarmState(positions.copy(), velocities.copy()), params, pf, seed_state
-    )
+    out = step(SwarmState(positions.copy(), velocities.copy()), params, pf, seed_state)
 
     theta = np.random.default_rng(77).standard_normal((3, 2))
     target = naive_consensus(positions, pf.evaluate(positions), 30.0)
@@ -148,10 +156,10 @@ def test_step_isotropic_draw_shape():
     positions = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -0.5]])
     state = SwarmState(positions, np.zeros((3, 2)))
     pf = plain("ackley", 2)
-    out = step_euler_maruyama(state, params, pf, np.random.default_rng(5))
+    out = step(state, params, pf, np.random.default_rng(5))
 
     theta = np.random.default_rng(5).standard_normal(3)[:, None]
-    target = consensus_point(state, pf, params.alpha)
+    target = consensus(state, pf, params.alpha)
     r = target - positions
     scale = np.linalg.norm(r, axis=-1, keepdims=True)
     c = 0.5 + 0.5 * 0.1
@@ -167,7 +175,7 @@ def test_step_determinism():
         rng = np.random.default_rng(seed)
         state = init_swarm(32, 2, rng)
         for _ in range(50):
-            state = step_euler_maruyama(state, params, pf, rng)
+            state = step(state, params, pf, rng)
         return state
 
     a, b = run(99), run(99)
@@ -184,7 +192,7 @@ def test_noiseless_swarm_contracts_to_fixed_point():
     rng = np.random.default_rng(0)
     prev_v = -0.9
     for _ in range(100):
-        state = step_euler_maruyama(state, params, pf, rng)
+        state = step(state, params, pf, rng)
         assert state.velocities[0, 0] == pytest.approx(prev_v * ratio, rel=1e-13)
         prev_v = state.velocities[0, 0]
     assert abs(prev_v) < 1e-4
@@ -197,7 +205,7 @@ def test_step_blowup_raises():
     params = MicroParams(m=1.0, lam=1.0, sigma=0.0, dt=10.0)
     state = SwarmState(np.array([[0.0], [2.0]]), np.array([[1.7e308], [1.0]]))
     with pytest.raises(FloatingPointError, match="blew up"):
-        step_euler_maruyama(state, params, plain(), np.random.default_rng(0))
+        step(state, params, plain(), np.random.default_rng(0))
 
 
 def test_params_validation():
@@ -256,20 +264,19 @@ def test_diffusion_modes_agree_in_1d_distribution():
 
 
 def test_softmin_gap_single_particle():
-    state = SwarmState(np.array([[0.7]]), np.zeros((1, 1)))
-    assert softmin_gap(state, plain(), 30.0) == pytest.approx(0.0, abs=1e-15)
+    values = plain().evaluate(np.array([[0.7]]))
+    assert softmin_gap(values, 30.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_softmin_gap_equal_values():
-    state = SwarmState(np.array([[0.5], [-0.5]]), np.zeros((2, 1)))
-    assert softmin_gap(state, plain(), 30.0) == pytest.approx(0.0, abs=1e-12)
+    values = plain().evaluate(np.array([[0.5], [-0.5]]))
+    assert softmin_gap(values, 30.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_softmin_gap_bounded_and_decreasing_in_alpha():
     rng = np.random.default_rng(21)
-    state = SwarmState(rng.uniform(-2, 2, size=(100, 1)), np.zeros((100, 1)))
-    pf = plain()
-    gaps = [softmin_gap(state, pf, a) for a in (10.0, 30.0, 100.0)]
+    values = plain().evaluate(rng.uniform(-2, 2, size=(100, 1)))
+    gaps = [softmin_gap(values, a) for a in (10.0, 30.0, 100.0)]
     for g, a in zip(gaps, (10.0, 30.0, 100.0)):
         assert 0.0 <= g <= math.log(100.0) / a + 1e-12
     assert gaps[0] > gaps[1] > gaps[2]

@@ -225,6 +225,24 @@ def test_penalized_no_set_means_no_penalty():
     assert pf.evaluate(x) == pytest.approx(f(x), abs=0.0)
 
 
+@pytest.mark.parametrize("beta", [0.0, 2.5])
+@pytest.mark.parametrize("kind", ["balls", "intervals", "halfline", None])
+def test_parts_recombine_to_evaluate_bit_for_bit(kind, beta):
+    dim = 2 if kind == "balls" else 1
+    fs = {"balls": BallUnion(SIX_BALLS), "intervals": IntervalUnion(FOUR_INTERVALS),
+          "halfline": Halfspace1D(-0.5), None: None}[kind]
+    f = ObjectiveFunction("rastrigin", dim)
+    pf = PenalizedObjective(f, fs, beta=beta)
+    x = np.random.default_rng(17).uniform(-3, 3, size=(50, dim))
+    value, penalty = pf.parts(x)
+    assert np.array_equal(value, f(x))
+    assert np.array_equal(penalty, np.zeros(50) if fs is None else fs.distance(x))
+    # the formula F_beta had before the split, so cached parts reproduce it bit for bit
+    expected = f(x) if fs is None or beta == 0.0 else f(x) + beta * fs.distance(x)
+    assert np.array_equal(pf.combine(value, penalty), pf.evaluate(x))
+    assert np.array_equal(pf.evaluate(x), expected)
+
+
 def test_penalized_rejects_bad_arguments():
     f = ObjectiveFunction("ackley", 1)
     with pytest.raises(ValueError):

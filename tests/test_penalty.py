@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from swarmscale.macro import Grid1D, MacroState
-from swarmscale.micro import SwarmState
 from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 from swarmscale.penalty import (
     PenaltyController,
@@ -21,27 +20,31 @@ def halfline_pf(beta=1.0):
     )
 
 
+def micro_violation(positions, pf, alpha):
+    """violation_micro with F_beta and the penalty evaluated at the positions."""
+    return violation_micro(pf.evaluate(positions), pf.penalty(positions), alpha)
+
+
 def test_violation_micro_all_feasible():
-    state = SwarmState(np.array([[-1.0], [-2.5], [-0.5]]), np.zeros((3, 1)))
-    assert violation_micro(state, halfline_pf(), 30.0) == 0.0
+    positions = np.array([[-1.0], [-2.5], [-0.5]])
+    assert micro_violation(positions, halfline_pf(), 30.0) == 0.0
 
 
 def test_violation_micro_single_particle():
-    state = SwarmState(np.array([[0.2]]), np.zeros((1, 1)))  # distance 0.7
-    assert violation_micro(state, halfline_pf(), 30.0) == pytest.approx(0.7, abs=1e-12)
+    positions = np.array([[0.2]])  # distance 0.7
+    assert micro_violation(positions, halfline_pf(), 30.0) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_violation_micro_matches_naive_summation():
     rng = np.random.default_rng(13)
     positions = rng.uniform(-0.55, -0.45, size=(5, 1))  # straddles the bound
-    state = SwarmState(positions, np.zeros((5, 1)))
     pf = halfline_pf()
     num = den = 0.0
     for x in positions:
         w = math.exp(-30.0 * float(pf.evaluate(x)))
         num += w * float(pf.penalty(x))
         den += w
-    got = violation_micro(state, pf, 30.0)
+    got = micro_violation(positions, pf, 30.0)
     assert got == pytest.approx(num / den, rel=1e-10)
     # convex combination of the per-particle penalties
     pen = pf.penalty(positions)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swarmscale import runner
+from swarmscale import objectives, runner
 from swarmscale.config import config_from_dict
 from swarmscale.runner import RunError, run_ensemble, run_experiment
 
@@ -72,6 +72,31 @@ def test_a_vanishing_attraction_runs_to_completion(load_bundled):
     report = run_experiment(cfg)
     with open(report.csv_path) as fh:
         assert len(fh.readlines()) == 1 + 1 + cfg.n_steps  # header, initial row, steps
+
+
+@pytest.mark.parametrize("mode", ["micro", "micromacro"])
+def test_particles_evaluate_the_objective_and_distance_once_per_step(tmp_path, monkeypatch,
+                                                                     mode):
+    shapes = {"objective": [], "distance": []}
+
+    def counting(key, method):
+        def wrapped(self, x):
+            shapes[key].append(np.shape(x))
+            return method(self, x)
+        return wrapped
+
+    monkeypatch.setattr(objectives.ObjectiveFunction, "__call__",
+                        counting("objective", objectives.ObjectiveFunction.__call__))
+    monkeypatch.setattr(objectives.Halfspace1D, "distance",
+                        counting("distance", objectives.Halfspace1D.distance))
+    cfg = tiny(tmp_path, mode, feasible_set={"kind": "halfline", "bound": -0.5})
+    run_experiment(cfg)
+    # drop the grid's evaluations at its cell centers; the rest are the particles'
+    # and, last, the summary's objective_at_estimate
+    particles = [s for s in shapes["objective"] if s != (cfg.macro.n_cells, 1)]
+    assert particles == [(cfg.n_particles, 1)] * (cfg.n_steps + 1) + [(1,)]
+    distances = [s for s in shapes["distance"] if s != (cfg.macro.n_cells, 1)]
+    assert distances == [(cfg.n_particles, 1)] * (cfg.n_steps + 1)
 
 
 @pytest.mark.parametrize("mode, steps", [("micro", []), ("macro", [2, 4]),

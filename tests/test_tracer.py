@@ -1,18 +1,32 @@
-"""perfbench's tracer still finds every public name of the package that it wraps."""
+"""perfbench's tracer still finds every public name of the package that it wraps, and a
+short run of each benchmark workload calls every layer the benchmark requires."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-from swarmscale import macro, objectives  # the package import loads every module it patches
+import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+# the package import loads every module the tracer patches
+from swarmscale import config, macro, objectives, runner
+from swarmscale.config import config_from_dict, config_to_dict
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while building
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
+
+
+BENCH = load_perfbench("run")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -25,3 +39,18 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert macro.cfl_dt is original_cfl
     assert objectives.ObjectiveFunction.__call__ is original_call
+
+
+@pytest.mark.parametrize("name", sorted(BENCH.WORKLOADS))
+def test_a_short_traced_run_calls_every_required_layer(tmp_path, name):
+    workload = BENCH.WORKLOADS[name]
+    tracer = load_tracer().Tracer()
+    with tracer:
+        # called through the modules, as the benchmark does, so the wrappers see them
+        cfg = config.load_config(BENCH.CONFIGS / f"{workload.config}.yaml")
+        small = config_to_dict(cfg)
+        small.update(n_steps=6, n_particles=16, output=str(tmp_path))
+        small["macro"]["n_cells"] = 41
+        small["coupling"]["t_star"] = 3  # the transfer, and so compute_zeta, runs from step 3
+        runner.run_experiment(config_from_dict(small))
+    assert [key for key in workload.required if tracer.calls[key] == 0] == []
