@@ -103,6 +103,12 @@ class MacroState:
     def velocity(self) -> np.ndarray:
         return self.rho_u / np.maximum(self.rho, EPS_RHO)
 
+    def check_per_cell(self, **arrays):
+        """Raise ValueError unless each array holds exactly one entry per cell."""
+        for name, a in arrays.items():
+            if np.shape(a) != self.rho.shape:
+                raise ValueError(f"{name} must have shape {self.rho.shape}, got {np.shape(a)}")
+
 
 def init_macro(grid: Grid1D, total_mass: float = 1.0, T: float = 0.1) -> MacroState:
     """Uniform density carrying total_mass, zero momentum."""
@@ -131,20 +137,21 @@ def source(rho, rho_u, x, consensus: float, params: MacroParams):
     return (params.gamma / params.m) * rho_u + (params.lam / params.m) * (x - consensus) * rho
 
 
-def _cell_weights(grid: Grid1D, pf, alpha: float) -> np.ndarray:
-    """Gibbs weights exp(-alpha * F_beta) at the cell centers, before the density."""
+def _cell_weights(state: MacroState, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Gibbs weights exp(-alpha * F_beta) of the cells, before the density."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return gibbs_weights(pf.evaluate(grid.centers[:, None]), alpha)
+    state.check_per_cell(values=values)
+    return gibbs_weights(values, alpha)
 
 
-def consensus_point_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> float:
-    """Density-weighted soft argmin of the penalized objective over cell centers.
+def consensus_point_macro(state: MacroState, grid: Grid1D, values, alpha: float) -> float:
+    """Density-weighted soft argmin of F_beta, given one value per cell center.
 
     Midpoint quadrature; the common dx cancels.  Weights are shifted by the
-    minimum objective value before exponentiation so large alpha stays finite.
+    minimum value before exponentiation so large alpha stays finite.
     """
-    return float(weighted_mean(_cell_weights(grid, pf, alpha) * state.rho, grid.centers))
+    return float(weighted_mean(_cell_weights(state, values, alpha) * state.rho, grid.centers))
 
 
 def max_wavespeed(state: MacroState) -> float:
@@ -251,21 +258,21 @@ def lax_friedrichs_step(
     return MacroState(rho_new, mom_new, state.T, state.time + dt)
 
 
-def advance_macro(state, grid, params, pf, alpha, cfl, boundary, target_time):
+def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time):
     """CFL sub-steps until target_time, each with its own consensus point.
 
-    The Gibbs weights exp(-alpha * F_beta) of the cell centers are evaluated
-    once per call: pf, alpha and the grid change only between calls, so each
-    sub-step's consensus is the centers' mean under those weights times its
-    own density, bit for bit what consensus_point_macro returns.  Each step
-    is bounded by cfl_dt against the largest source acceleration over the
-    grid; the last one is cut to land on target_time.  One wavespeed per
-    sub-step serves both cfl_dt and the step's CFL check.  Raises
-    RuntimeError after MAX_SUBSTEPS sub-steps.
+    The values are F_beta at the cell centers, one per cell.  Their Gibbs
+    weights are built once per call, so each sub-step's consensus is the
+    centers' mean under those weights times its own density, bit for bit
+    what consensus_point_macro returns.  Each step is bounded by cfl_dt
+    against the largest source acceleration over the grid; the last one is
+    cut to land on target_time.  One wavespeed per sub-step serves both
+    cfl_dt and the step's CFL check.  Raises RuntimeError after
+    MAX_SUBSTEPS sub-steps.
     """
     accel_coeff = params.lam / params.m
     x = grid.centers
-    weights = _cell_weights(grid, pf, alpha)
+    weights = _cell_weights(state, values, alpha)
     for _ in range(MAX_SUBSTEPS):
         remaining = target_time - state.time
         if remaining <= 1e-12:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .macro import Grid1D, MacroState
+from .macro import MacroState
 from .micro import gibbs_mean
 
 
@@ -61,7 +61,7 @@ def violation_micro(values: np.ndarray, penalty: np.ndarray, alpha: float) -> fl
     return float(gibbs_mean(values, alpha, penalty))
 
 
-def violation_macro(state: MacroState, grid: Grid1D, pf, alpha: float) -> float:
-    """Density-weighted average penalty over cell centers (midpoint rule)."""
-    value, penalty = pf.parts(grid.centers[:, None])
-    return float(gibbs_mean(pf.combine(value, penalty), alpha, penalty, mass=state.rho))
+def violation_macro(state: MacroState, values, penalty, alpha: float) -> float:
+    """Density-weighted mean penalty over cell centers, weights exp(-alpha * values)."""
+    state.check_per_cell(values=values, penalty=penalty)
+    return float(gibbs_mean(values, alpha, penalty, mass=state.rho))

@@ -134,6 +134,10 @@ class _Scale:
         self.ctrl = self.ctrl.update(self.violation)
         self.pf = self.pf.with_beta(self.ctrl.beta)
 
+    def values(self):
+        """F_beta at this scale's points, built from its parts at the current beta."""
+        return self.pf.combine(*self.parts)
+
     def penalty_values(self):
         return [self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch]
 
@@ -141,9 +145,8 @@ class _Scale:
 class _Particles(_Scale):
     """The particle swarm: one Euler-Maruyama step per outer step.
 
-    The objective and the penalty are evaluated once after each move.  The
-    step's violation, consensus and gap all weight the particles by F_beta
-    built from those two arrays; only beta differs between them.
+    The objective and the penalty are evaluated once after each move; the
+    step's violation, consensus and gap weight the particles by F_beta.
     """
 
     def __init__(self, cfg, rng, mass, alone):
@@ -164,11 +167,10 @@ class _Particles(_Scale):
         self.parts = self.pf.parts(self.swarm.positions)
 
     def measure_violation(self):
-        value, penalty = self.parts
-        return violation_micro(self.pf.combine(value, penalty), penalty, self.alpha)
+        return violation_micro(self.values(), self.parts[1], self.alpha)
 
     def observe(self):
-        values = self.pf.combine(*self.parts)
+        values = self.values()
         self.target = consensus_point(self.swarm.positions, values, self.alpha)
         self.consensus = [float(c) for c in self.target]
         if self.alone:
@@ -197,6 +199,7 @@ class _Grid(_Scale):
         self.params = cfg.build_macro_params()
         self.cfl, self.boundary, self.dt = cfg.macro.cfl, cfg.macro.boundary, cfg.micro.dt
         self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
+        self.parts = self.pf.parts(self.grid.centers[:, None])  # the centers never move
 
     def clock(self, n):
         return self.state.time
@@ -204,14 +207,14 @@ class _Grid(_Scale):
     def advance(self, n):
         # the PDE sub-steps, but the penalty loop lives on the shared outer
         # grid n * dt so its cadence is physical time
-        self.state = advance_macro(self.state, self.grid, self.params, self.pf, self.alpha,
-                                   self.cfl, self.boundary, n * self.dt)
+        self.state = advance_macro(self.state, self.grid, self.params, self.values(),
+                                   self.alpha, self.cfl, self.boundary, n * self.dt)
 
     def measure_violation(self):
-        return violation_macro(self.state, self.grid, self.pf, self.alpha)
+        return violation_macro(self.state, self.values(), self.parts[1], self.alpha)
 
     def observe(self):
-        self.consensus = consensus_point_macro(self.state, self.grid, self.pf, self.alpha)
+        self.consensus = consensus_point_macro(self.state, self.grid, self.values(), self.alpha)
 
     def mass(self):
         return float(self.state.rho.sum() * self.grid.dx)

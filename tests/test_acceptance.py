@@ -361,9 +361,9 @@ class TestPropertySuite:
                 w = math.exp(-3.0 * float(cpf.evaluate(xv))) * r
                 num += w * float(cpf.penalty(xv))
                 den += w
-            assert violation_macro(mstate, grid, cpf, 3.0) == pytest.approx(
-                num / den, abs=1e-10
-            )
+            centers = grid.centers[:, None]
+            got = violation_macro(mstate, cpf.evaluate(centers), cpf.penalty(centers), 3.0)
+            assert got == pytest.approx(num / den, abs=1e-10)
 
             # cell density vs per-particle interval scan
             pos2 = rng.uniform(-1.2, 1.2, size=(10, 1))

@@ -25,6 +25,12 @@ def micro_violation(positions, pf, alpha):
     return violation_micro(pf.evaluate(positions), pf.penalty(positions), alpha)
 
 
+def macro_violation(state, grid, pf, alpha):
+    """violation_macro with F_beta and the penalty evaluated at the cell centers."""
+    centers = grid.centers[:, None]
+    return violation_macro(state, pf.evaluate(centers), pf.penalty(centers), alpha)
+
+
 def test_violation_micro_all_feasible():
     positions = np.array([[-1.0], [-2.5], [-0.5]])
     assert micro_violation(positions, halfline_pf(), 30.0) == 0.0
@@ -54,7 +60,7 @@ def test_violation_micro_matches_naive_summation():
 def test_violation_macro_feasible_support():
     grid = Grid1D(-3.0, -1.0, 11)  # entirely inside the half-line
     state = MacroState(np.ones(11), np.zeros(11), T=0.1)
-    assert violation_macro(state, grid, halfline_pf(), 30.0) == 0.0
+    assert macro_violation(state, grid, halfline_pf(), 30.0) == 0.0
 
 
 def test_violation_macro_single_cell_spike():
@@ -64,7 +70,7 @@ def test_violation_macro_single_cell_spike():
     rho[j] = 3.0
     state = MacroState(rho, np.zeros(11), T=0.1)
     expected = grid.centers[j] + 0.5
-    assert violation_macro(state, grid, halfline_pf(), 30.0) == pytest.approx(
+    assert macro_violation(state, grid, halfline_pf(), 30.0) == pytest.approx(
         expected, abs=1e-12
     )
 
@@ -81,7 +87,7 @@ def test_violation_macro_matches_naive_summation():
         w = math.exp(-alpha * float(pf.evaluate(xv))) * r
         num += w * float(pf.penalty(xv))
         den += w
-    assert violation_macro(state, grid, pf, alpha) == pytest.approx(
+    assert macro_violation(state, grid, pf, alpha) == pytest.approx(
         num / den, rel=1e-10
     )
 
@@ -90,7 +96,16 @@ def test_violation_macro_zero_mass_raises():
     grid = Grid1D(-1.0, 1.0, 11)
     state = MacroState(np.zeros(11), np.zeros(11), T=0.1)
     with pytest.raises(ZeroDivisionError):
-        violation_macro(state, grid, halfline_pf(), 30.0)
+        macro_violation(state, grid, halfline_pf(), 30.0)
+    # arrays of the wrong length would broadcast against the density, so they raise
+    unit = MacroState(np.ones(11), np.zeros(11), T=0.1)
+    pf, centers = halfline_pf(), grid.centers[:, None]
+    values, penalty = pf.evaluate(centers), pf.penalty(centers)
+    for wrong in (np.array([0.3]), np.zeros(10), np.zeros(12), np.zeros((11, 1))):
+        with pytest.raises(ValueError, match="values must have shape"):
+            violation_macro(unit, wrong, penalty, 30.0)
+        with pytest.raises(ValueError, match="penalty must have shape"):
+            violation_macro(unit, values, wrong, 30.0)
 
 
 # ------------------------------------------------------------ update rule

@@ -52,5 +52,12 @@ def test_a_short_traced_run_calls_every_required_layer(tmp_path, name):
         small.update(n_steps=6, n_particles=16, output=str(tmp_path))
         small["macro"]["n_cells"] = 41
         small["coupling"]["t_star"] = 3  # the transfer, and so compute_zeta, runs from step 3
-        runner.run_experiment(config_from_dict(small))
+        run_cfg = config_from_dict(small)
+        runner.run_experiment(run_cfg)
     assert [key for key in workload.required if tracer.calls[key] == 0] == []
+    # only the run evaluates: the particles at step 0 and after each move, the
+    # summary at its estimate, and a grid once per run at its fixed centers
+    grid = int(run_cfg.mode == "micromacro")
+    constrained = run_cfg.feasible_set is not None
+    assert tracer.calls["objectives.objective"] == run_cfg.n_steps + 2 + grid
+    assert tracer.calls["objectives.distance"] == constrained * (run_cfg.n_steps + 1 + grid)
