@@ -91,14 +91,10 @@ class MacroState:
         self.rho_u = np.asarray(self.rho_u, dtype=float)
         if self.rho.ndim != 1 or self.rho.shape != self.rho_u.shape:
             raise ValueError("rho and rho_u must be 1D arrays of equal length")
-        if np.any(self.rho < 0):
+        if (self.rho < 0).any():
             raise ValueError("density must be nonnegative")
         if self.T == 0:
             raise ValueError("closure spread T must be nonzero")
-
-    @property
-    def n_cells(self) -> int:
-        return self.rho.shape[0]
 
     def velocity(self) -> np.ndarray:
         return self.rho_u / np.maximum(self.rho, EPS_RHO)
@@ -161,7 +157,7 @@ def max_wavespeed(state: MacroState) -> float:
     every CFL comparison and stall the sub-step loop instead of failing.
     """
     speeds = np.abs(state.velocity())
-    speed = float(np.max(speeds)) + abs(state.T)
+    speed = float(speeds.max()) + abs(state.T)
     if not math.isfinite(speed):
         bad = np.flatnonzero(~np.isfinite(speeds))
         if not bad.size:

@@ -182,6 +182,102 @@ def test_ball_union_distance_matches_pointwise_min():
         assert balls.distance(x) == pytest.approx(expected, abs=1e-12)
 
 
+# ------------------------------------- coordinate loops vs axis reductions
+# The (..., d) formulas as reductions over a trailing axis of coordinates
+# (and of balls), kept as the reference the coordinate loops must reproduce.
+
+
+def ackley_axis(x):
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.mean(x**2, axis=-1)))
+        - np.exp(np.mean(np.cos(2.0 * np.pi * x), axis=-1))
+        + 20.0
+        + np.e
+    )
+
+
+def rastrigin_axis(x):
+    return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+
+
+def ball_sq_axis(balls, x):
+    return np.sum((x[..., None, :] - balls.centers) ** 2, axis=-1)
+
+
+def ball_distance_axis(balls, x):
+    per_ball = np.maximum(0.0, np.sqrt(ball_sq_axis(balls, x)) - np.sqrt(balls.radii_sq))
+    return np.min(per_ball, axis=-1)
+
+
+def ball_member_axis(balls, x):
+    return np.any(ball_sq_axis(balls, x) <= balls.radii_sq, axis=-1)
+
+
+def random_balls(rng, d, n_balls=6):
+    return BallUnion([(rng.uniform(-2, 2, d), r2) for r2 in rng.uniform(0.1, 1.0, n_balls)])
+
+
+def coordinate_kernels(balls):
+    """(name, coordinate loop, axis reference) for every rewritten kernel."""
+    return [
+        ("ackley", ackley, ackley_axis),
+        ("rastrigin", rastrigin, rastrigin_axis),
+        ("distance", balls.distance, lambda x: ball_distance_axis(balls, x)),
+        ("member", balls.member, lambda x: ball_member_axis(balls, x)),
+    ]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_coordinate_loops_equal_axis_reductions_bit_for_bit(d):
+    # numpy sums a contiguous trailing axis shorter than 8 left to right,
+    # the order of the coordinate loop, and min / max / any are exact
+    rng = np.random.default_rng(100 + d)
+    balls = random_balls(rng, d)
+    for shape in [(d,), (1, d), (480, d), (3, 5, d), (0, d)]:
+        x = rng.uniform(-3, 3, size=shape)
+        for name, kernel, reference in coordinate_kernels(balls):
+            got, want = kernel(x), reference(x)
+            assert np.shape(got) == shape[:-1], (name, shape)
+            assert np.array_equal(got, want), (name, shape)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_a_nan_coordinate_gives_nan_at_that_point_only(d):
+    rng = np.random.default_rng(200 + d)
+    balls = random_balls(rng, d)
+    x = rng.uniform(-3, 3, size=(7, d))
+    x[3, d - 1] = np.nan
+    finite = np.arange(7) != 3
+    for name, kernel, reference in coordinate_kernels(balls)[:3]:
+        got = kernel(x)
+        assert np.isnan(got[3]), name
+        assert np.array_equal(got[finite], reference(x[finite])), name
+    # a NaN point lies in no ball, as with the axis reduction
+    assert np.array_equal(balls.member(x), ball_member_axis(balls, x))
+    assert not balls.member(x)[3]
+
+
+@pytest.mark.parametrize("n_coords", [1, 3])
+def test_ball_union_rejects_points_of_another_dimension(n_coords):
+    balls = BallUnion(SIX_BALLS)
+    x = np.zeros((5, n_coords))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        balls.distance(x)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        balls.member(x)
+
+
+@pytest.mark.parametrize("d", [8, 16, 64])
+def test_coordinate_loops_match_pairwise_sums_closely(d):
+    # from d = 8 numpy sums in pairwise blocks, so only the last bits may differ
+    tol = 16 * d * np.finfo(float).eps
+    rng = np.random.default_rng(300 + d)
+    balls = random_balls(rng, d)
+    x = rng.uniform(-3, 3, size=(2000, d))
+    for name, kernel, reference in coordinate_kernels(balls)[:3]:
+        np.testing.assert_allclose(kernel(x), reference(x), rtol=tol, atol=tol, err_msg=name)
+
+
 # ----------------------------------------------------------- penalized form
 
 
