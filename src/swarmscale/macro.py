@@ -1,9 +1,17 @@
 """Finite-volume solver for the 1D two-moment system (rho, rho*u).
 
 Closure: Maxwellian with fixed spread T, giving pressure rho*T^2 and
-wavespeeds u +/- |T| (strictly hyperbolic when T != 0).  The scheme is
-Lax-Friedrichs with the friction/attraction source handled unsplit in the
-same explicit update.
+wavespeeds u +/- |T| (strictly hyperbolic when T != 0).  Two explicit
+schemes share one step function:
+
+- ``lxf``: Lax-Friedrichs with the friction/attraction source handled
+  unsplit in the same update;
+- ``hydrostatic``: the hydrostatic reconstruction of Audusse, Bouchut,
+  Bristeau, Klein and Perthame (SIAM J. Sci. Comput. 2004) with a local
+  Lax-Friedrichs (Rusanov) flux.  The attraction enters through the
+  potential phi = (lam/m)(x - c)^2/2 at the faces, so the discrete steady
+  state rho ~ exp(-phi/T^2), u = 0 is kept exactly; friction stays
+  pointwise.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ EPS_RHO = 1e-12
 HOLE_REL = 0.05
 
 BOUNDARIES = ("outflow", "periodic", "absorbing")
+SCHEMES = ("lxf", "hydrostatic")
 
 # at most this many CFL sub-steps per advance_macro call before declaring a stall
 MAX_SUBSTEPS = 100_000
@@ -203,6 +212,53 @@ def _pad(arr: np.ndarray, boundary: str) -> np.ndarray:
     return np.concatenate([arr[:1], arr, arr[-1:]])
 
 
+def _lxf_update(state, grid, dt, params, consensus, boundary):
+    """Neighbor average minus the centered flux difference, minus dt times the source."""
+    rho_p = _pad(state.rho, boundary)
+    mom_p = _pad(state.rho_u, boundary)
+    f_rho, f_mom = flux(rho_p, mom_p, state.T)
+
+    lam_dt = dt / (2.0 * grid.dx)
+    rho_new = 0.5 * (rho_p[2:] + rho_p[:-2]) - lam_dt * (f_rho[2:] - f_rho[:-2])
+    mom_new = 0.5 * (mom_p[2:] + mom_p[:-2]) - lam_dt * (f_mom[2:] - f_mom[:-2])
+    mom_new = mom_new - dt * source(state.rho, state.rho_u, grid.centers, consensus, params)
+    return rho_new, mom_new
+
+
+def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
+    """Rusanov fluxes of the hydrostatically reconstructed face states, plus friction.
+
+    Each face takes phi_f = max of its two cells' potentials and lowers each
+    side's density by exp(-(phi_f - phi)/T^2), keeping that cell's u.  The
+    pressure correction T^2 (rho_i - rho_face) seen from cell i replaces the
+    attraction source.  The potential's ghost cells wrap on a periodic grid
+    and copy the edge cell otherwise.
+    """
+    T2 = state.T * state.T
+    phi = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
+    phi_p = _pad(phi, "periodic" if boundary == "periodic" else "outflow")
+    rho_p = _pad(state.rho, boundary)
+    u_p = _pad(state.velocity(), boundary)
+
+    # faces j = 0..n sit between padded cells j and j+1; one side of each keeps its density
+    rise = (phi_p[1:] - phi_p[:-1]) / T2
+    drop = np.exp(-np.abs(rise))
+    rho_l = np.where(rise > 0.0, rho_p[:-1] * drop, rho_p[:-1])
+    rho_r = np.where(rise < 0.0, rho_p[1:] * drop, rho_p[1:])
+    u_l, u_r = u_p[:-1], u_p[1:]
+    q_l, q_r = rho_l * u_l, rho_r * u_r
+    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(state.T)
+    f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
+    f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
+
+    ratio = dt / grid.dx
+    rho_new = state.rho - ratio * (f_rho[1:] - f_rho[:-1])
+    # cell i meets its right face as that face's left state and its left face as the right one
+    mom_new = state.rho_u - ratio * (f_mom[1:] - f_mom[:-1] + T2 * (rho_r[:-1] - rho_l[1:]))
+    mom_new = mom_new - dt * (params.gamma / params.m) * state.rho_u
+    return rho_new, mom_new
+
+
 def lax_friedrichs_step(
     state: MacroState,
     grid: Grid1D,
@@ -211,16 +267,21 @@ def lax_friedrichs_step(
     consensus: float,
     boundary: str = "outflow",
     max_speed: float | None = None,
+    scheme: str = "lxf",
 ) -> MacroState:
-    """One explicit step; raises on a CFL violation instead of going unstable.
+    """One explicit step of the given scheme; raises on a CFL violation instead of going unstable.
 
-    Update per cell: neighbor average minus the centered flux difference,
-    minus dt times the local source.  Density is floored at zero afterwards
-    and vacuum cells carry no momentum.  max_speed is max_wavespeed(state),
-    computed here unless the caller already has it.
+    ``lxf`` updates each cell by the neighbor average minus the centered flux
+    difference, minus dt times the local source; ``hydrostatic`` by the local
+    Lax-Friedrichs fluxes of the hydrostatic reconstruction (see
+    _hydrostatic_update).  Density is floored at zero afterwards and vacuum
+    cells carry no momentum.  max_speed is max_wavespeed(state), computed
+    here unless the caller already has it.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if max_speed is None:
@@ -231,30 +292,25 @@ def lax_friedrichs_step(
             f"max wavespeed {max_speed:g}"
         )
 
-    rho_p = _pad(state.rho, boundary)
-    mom_p = _pad(state.rho_u, boundary)
-    f_rho, f_mom = flux(rho_p, mom_p, state.T)
-
-    lam_dt = dt / (2.0 * grid.dx)
-    rho_new = 0.5 * (rho_p[2:] + rho_p[:-2]) - lam_dt * (f_rho[2:] - f_rho[:-2])
-    mom_new = 0.5 * (mom_p[2:] + mom_p[:-2]) - lam_dt * (f_mom[2:] - f_mom[:-2])
-    mom_new = mom_new - dt * source(state.rho, state.rho_u, grid.centers, consensus, params)
-
+    update = _lxf_update if scheme == "lxf" else _hydrostatic_update
+    rho_new, mom_new = update(state, grid, dt, params, consensus, boundary)
     rho_new = np.maximum(rho_new, 0.0)
     mom_new = np.where(rho_new <= EPS_RHO, 0.0, mom_new)
-    # A cell orders of magnitude below both neighbors is a hole in the
-    # odd-even decoupled sub-grid, not physics: the scheme's own diffusion
-    # cannot produce such a drop from smooth data.  Holes otherwise carry
-    # parasitic momentum whose u = rho_u / rho collapses the CFL step.
-    # Fronts are one-sided (the outward neighbor is smaller), so genuine
-    # dynamics never trips this.
-    nbr = _pad(rho_new, "outflow")
-    hole = rho_new < HOLE_REL * np.minimum(nbr[:-2], nbr[2:])
-    mom_new = np.where(hole, 0.0, mom_new)
+    if scheme == "lxf":
+        # A cell orders of magnitude below both neighbors is a hole in the
+        # odd-even decoupled sub-grid, not physics: the scheme's own diffusion
+        # cannot produce such a drop from smooth data.  Holes otherwise carry
+        # parasitic momentum whose u = rho_u / rho collapses the CFL step.
+        # Fronts are one-sided (the outward neighbor is smaller), so genuine
+        # dynamics never trips this.
+        nbr = _pad(rho_new, "outflow")
+        hole = rho_new < HOLE_REL * np.minimum(nbr[:-2], nbr[2:])
+        mom_new = np.where(hole, 0.0, mom_new)
     return MacroState(rho_new, mom_new, state.T, state.time + dt)
 
 
-def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time):
+def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time,
+                  scheme="lxf"):
     """CFL sub-steps until target_time, each with its own consensus point.
 
     The values are F_beta at the cell centers, one per cell.  Their Gibbs
@@ -263,7 +319,8 @@ def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time
     what consensus_point_macro returns.  Each step is bounded by cfl_dt
     against the largest source acceleration over the grid; the last one is
     cut to land on target_time.  One wavespeed per sub-step serves both
-    cfl_dt and the step's CFL check.  Raises RuntimeError after
+    cfl_dt and the step's CFL check.  Each sub-step is one
+    lax_friedrichs_step of the given scheme.  Raises RuntimeError after
     MAX_SUBSTEPS sub-steps.
     """
     accel_coeff = params.lam / params.m
@@ -279,7 +336,7 @@ def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time
         speed = max_wavespeed(state)
         dt = min(cfl_dt(speed, grid, cfl, accel), remaining)
         state = lax_friedrichs_step(state, grid, dt, params, consensus, boundary=boundary,
-                                    max_speed=speed)
+                                    max_speed=speed, scheme=scheme)
     raise RuntimeError(
         f"grid solver stalled: {MAX_SUBSTEPS} sub-steps before t={target_time:g}"
     )

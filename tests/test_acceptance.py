@@ -120,6 +120,16 @@ def test_grid_solver_concentrates_at_feasible_minimizer(tmp_path):
     assert all(b >= a for a, b in zip(betas, betas[1:]))
 
 
+def test_grid_peak_holds_over_a_window_of_stop_steps(tmp_path):
+    # the result must not rest on one stop step: every step from 400 to 800
+    cfg = bundled("ackley1d_macro_constrained")
+    report = run_experiment(replace(cfg, n_steps=800, output=str(tmp_path / "macro")))
+    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    misses = [row["step"] for row in report.rows[400:]
+              if abs(row["argmax_center"] - (-1.0)) > 2 * dx]
+    assert misses == []
+
+
 # ------------------------------------------------------ coupled-scale runs
 
 
@@ -151,6 +161,18 @@ def test_mass_migrates_to_grid_scale(tmp_path):
 
 def test_constrained_coupled_run_peaks_near_minimizer(tmp_path):
     cfg = bundled("rastrigin1d_micromacro_constrained")
+    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    hits = 0
+    for report in seeded_runs(cfg, 5, tmp_path):
+        estimate = report.summary["argmin_estimate"][0]
+        hits += abs(estimate - (-1.0)) <= 2 * dx
+    assert hits >= 4
+
+
+# the bundled stop step 400 is the run of test_constrained_coupled_run_peaks_near_minimizer
+@pytest.mark.parametrize("n_steps", [300, 800])
+def test_constrained_coupled_peak_holds_at_each_stop_step(tmp_path, n_steps):
+    cfg = replace(bundled("rastrigin1d_micromacro_constrained"), n_steps=n_steps)
     dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
     hits = 0
     for report in seeded_runs(cfg, 5, tmp_path):

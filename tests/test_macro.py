@@ -226,6 +226,83 @@ def test_step_errors():
         lax_friedrichs_step(state, grid, 0.01, PARAMS, 0.0, boundary="reflecting")
 
 
+def hydrostatic_equilibrium(grid, consensus, T):
+    """The discrete steady state C exp(-phi_i / T^2), u = 0, of the hydrostatic scheme."""
+    phi = (PARAMS.lam / PARAMS.m) * 0.5 * (grid.centers - consensus) ** 2
+    return MacroState(2.0 * np.exp(-phi / T**2), np.zeros(grid.n_cells), T=T)
+
+
+# absorbing ghosts are vacuum, so there the profile must vanish at the edges
+@pytest.mark.parametrize("boundary, T", [
+    ("periodic", 1.0), ("outflow", 1.0), ("periodic", 0.3), ("outflow", 0.3), ("absorbing", 0.3),
+])
+def test_hydrostatic_equilibrium_is_a_fixed_point(boundary, T):
+    grid = Grid1D(-3.0, 3.0, 101)
+    state = hydrostatic_equilibrium(grid, 0.4, T)
+    dt = cfl_dt(max_wavespeed(state), grid, 0.8)
+    out = lax_friedrichs_step(state, grid, dt, PARAMS, 0.4, boundary=boundary,
+                              scheme="hydrostatic")
+    scale = state.rho.max()
+    np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-15 * scale)
+    np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-15 * scale)
+    # the same state is not steady under the transcribed LxF stencil
+    lxf = lax_friedrichs_step(state, grid, dt, PARAMS, 0.4, boundary=boundary)
+    assert np.abs(lxf.rho - state.rho).max() > 1e-6 * scale
+
+
+def test_hydrostatic_conserves_periodic_mass_with_a_moving_consensus():
+    grid = Grid1D(-2.0, 2.0, 50)
+    rng = np.random.default_rng(43)
+    state = MacroState(rng.uniform(0.5, 1.5, 50), rng.uniform(-0.3, 0.3, 50), T=0.2)
+    m0 = state.rho.sum() * grid.dx
+    for k in range(2000):
+        consensus = 1.5 * math.sin(k / 100.0)
+        accel = PARAMS.lam / PARAMS.m * float(np.max(np.abs(grid.centers - consensus)))
+        dt = cfl_dt(max_wavespeed(state), grid, 0.8, accel)
+        state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary="periodic",
+                                    scheme="hydrostatic")
+        assert abs(state.rho.sum() * grid.dx - m0) <= 1e-14 * m0
+    assert np.all(state.rho >= 0.0)
+
+
+def test_hydrostatic_step_matches_transcribed_faces():
+    # one face at a time, from the formulas of Audusse et al. (2004) with P(rho) = T^2 rho
+    grid = Grid1D(0.0, 5.0, 5)
+    rho = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
+    mom = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
+    T, dt, consensus = 0.5, 0.5, 2.3
+    out = lax_friedrichs_step(MacroState(rho, mom, T=T), grid, dt, PARAMS, consensus,
+                              boundary="periodic", scheme="hydrostatic")
+
+    phi = (1.0 / 0.5) * (grid.centers - consensus) ** 2 / 2
+    u = mom / rho
+    rho_ref, mom_ref = rho.copy(), mom - dt * (0.5 / 0.5) * mom
+    for i in range(5):
+        j = (i + 1) % 5  # the face between cells i and j
+        phi_f = max(phi[i], phi[j])
+        r_l = rho[i] * math.exp(-(phi_f - phi[i]) / T**2)
+        r_r = rho[j] * math.exp(-(phi_f - phi[j]) / T**2)
+        a = max(abs(u[i]), abs(u[j])) + T
+        f_rho = 0.5 * (r_l * u[i] + r_r * u[j]) - 0.5 * a * (r_r - r_l)
+        f_mom = (0.5 * (r_l * u[i] ** 2 + T**2 * r_l + r_r * u[j] ** 2 + T**2 * r_r)
+                 - 0.5 * a * (r_r * u[j] - r_l * u[i]))
+        rho_ref[i] -= dt / grid.dx * f_rho
+        rho_ref[j] += dt / grid.dx * f_rho
+        mom_ref[i] -= dt / grid.dx * (f_mom + T**2 * (rho[i] - r_l))
+        mom_ref[j] += dt / grid.dx * (f_mom + T**2 * (rho[j] - r_r))
+    np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.rho_u, mom_ref, rtol=0, atol=1e-14)
+
+
+def test_hydrostatic_step_errors():
+    grid = Grid1D(0.0, 1.0, 10)
+    state = MacroState(np.ones(10), np.zeros(10), T=1.0)
+    with pytest.raises(ValueError, match="CFL violation"):
+        lax_friedrichs_step(state, grid, 1.0, PARAMS, 0.0, scheme="hydrostatic")
+    with pytest.raises(ValueError, match="scheme must be one of"):
+        lax_friedrichs_step(state, grid, 0.01, PARAMS, 0.0, scheme="upwind")
+
+
 # ------------------------------------------------------------------ CFL & co
 
 
@@ -307,6 +384,24 @@ def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary):
         assert np.array_equal(got.rho_u, ref.rho_u)
         assert got.time == ref.time
         state = got
+
+
+def test_advance_macro_steps_with_the_given_scheme(monkeypatch):
+    grid = Grid1D(-2.0, 2.0, 40)
+    state = init_macro(grid, T=0.2)
+    values = at_centers(grid, ackley_pf())
+    schemes = []
+    step = macro.lax_friedrichs_step
+
+    def spy(*args, **kwargs):
+        schemes.append(kwargs["scheme"])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(macro, "lax_friedrichs_step", spy)
+    advance_macro(state, grid, PARAMS, values, 10.0, 0.8, "periodic", 0.2)
+    advance_macro(state, grid, PARAMS, values, 10.0, 0.8, "periodic", 0.2, "hydrostatic")
+    assert schemes[0] == "lxf" and schemes[-1] == "hydrostatic"
+    assert set(schemes) == {"lxf", "hydrostatic"}
 
 
 def test_advance_macro_reports_a_stall(monkeypatch):

@@ -130,9 +130,9 @@ def test_ensemble_pools_the_leading_scale_consensus(tmp_path, mode, dim, header)
 @pytest.mark.parametrize("name, digest", [
     ("ackley2d_unconstrained", "b86e85e3b1d14a9e"),
     ("ackley2d_constrained", "371afaa0dea46248"),
-    ("ackley1d_macro_constrained", "b0bb0ca90cead4d2"),
+    ("ackley1d_macro_constrained", "e80992b8e6cb9d58"),
     ("rastrigin1d_micromacro", "05dcdf75d90c843b"),
-    ("rastrigin1d_micromacro_constrained", "764bcadb1abd6163"),
+    ("rastrigin1d_micromacro_constrained", "33e96a6dfbf7a2a2"),
 ])
 def test_bundled_trace_is_pinned(load_bundled, name, digest):
     """Each bundled config at its own seed writes the pinned trace.csv (sha256 prefix).
