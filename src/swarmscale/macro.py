@@ -186,9 +186,11 @@ def cfl_dt(s: float, grid: Grid1D, cfl: float, accel: float = 0.0) -> float:
     max_wavespeed returns.
 
     With a source acceleration accel > 0 the step is also sized against the
-    end-of-step wavespeed, (s + accel*dt)*dt <= cfl*dx.  Sizing against the
-    pre-step speed alone lets the attraction term outrun the Courant bound
-    mid-step, which seeds a grid-scale parasitic mode.  The positive root is
+    end-of-step wavespeed, (s + accel*dt)*dt <= cfl*dx.  Only the ``lxf``
+    scheme passes one: there, sizing against the pre-step speed alone lets
+    the attraction source outrun the Courant bound mid-step, which seeds a
+    grid-scale parasitic mode.  The ``hydrostatic`` scheme carries the
+    attraction in its face states and is sized by s alone.  The positive root is
     taken in the form 2*budget / (s + sqrt(s^2 + 4*accel*budget)), which has
     no cancellation when accel*budget << s^2.
     """
@@ -235,16 +237,25 @@ def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
     and copy the edge cell otherwise.
     """
     T2 = state.T * state.T
-    phi = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
-    phi_p = _pad(phi, "periodic" if boundary == "periodic" else "outflow")
-    rho_p = _pad(state.rho, boundary)
-    u_p = _pad(state.velocity(), boundary)
+    # rows phi, rho, u, each with one ghost cell per side
+    pad = np.empty((3, state.rho.size + 2))
+    pad[0, 1:-1] = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
+    pad[1, 1:-1] = state.rho
+    pad[2, 1:-1] = state.velocity()
+    if boundary == "periodic":
+        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
+    else:
+        pad[:, 0], pad[:, -1] = pad[:, 1], pad[:, -2]
+        if boundary == "absorbing":
+            # vacuum ghosts for rho and u; phi's ghosts still copy the edge
+            pad[1:, 0] = pad[1:, -1] = 0.0
+    phi_p, rho_p, u_p = pad
 
-    # faces j = 0..n sit between padded cells j and j+1; one side of each keeps its density
+    # faces j = 0..n sit between padded cells j and j+1; the side with the higher
+    # potential keeps its density exactly, since exp(0) == 1
     rise = (phi_p[1:] - phi_p[:-1]) / T2
-    drop = np.exp(-np.abs(rise))
-    rho_l = np.where(rise > 0.0, rho_p[:-1] * drop, rho_p[:-1])
-    rho_r = np.where(rise < 0.0, rho_p[1:] * drop, rho_p[1:])
+    rho_l = rho_p[:-1] * np.exp(-np.maximum(rise, 0.0))
+    rho_r = rho_p[1:] * np.exp(np.minimum(rise, 0.0))
     u_l, u_r = u_p[:-1], u_p[1:]
     q_l, q_r = rho_l * u_l, rho_r * u_r
     speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(state.T)
@@ -294,8 +305,8 @@ def lax_friedrichs_step(
 
     update = _lxf_update if scheme == "lxf" else _hydrostatic_update
     rho_new, mom_new = update(state, grid, dt, params, consensus, boundary)
-    rho_new = np.maximum(rho_new, 0.0)
-    mom_new = np.where(rho_new <= EPS_RHO, 0.0, mom_new)
+    np.maximum(rho_new, 0.0, out=rho_new)
+    no_momentum = rho_new <= EPS_RHO
     if scheme == "lxf":
         # A cell orders of magnitude below both neighbors is a hole in the
         # odd-even decoupled sub-grid, not physics: the scheme's own diffusion
@@ -304,8 +315,8 @@ def lax_friedrichs_step(
         # Fronts are one-sided (the outward neighbor is smaller), so genuine
         # dynamics never trips this.
         nbr = _pad(rho_new, "outflow")
-        hole = rho_new < HOLE_REL * np.minimum(nbr[:-2], nbr[2:])
-        mom_new = np.where(hole, 0.0, mom_new)
+        no_momentum |= rho_new < HOLE_REL * np.minimum(nbr[:-2], nbr[2:])
+    mom_new[no_momentum] = 0.0
     return MacroState(rho_new, mom_new, state.T, state.time + dt)
 
 
@@ -316,12 +327,14 @@ def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time
     The values are F_beta at the cell centers, one per cell.  Their Gibbs
     weights are built once per call, so each sub-step's consensus is the
     centers' mean under those weights times its own density, bit for bit
-    what consensus_point_macro returns.  Each step is bounded by cfl_dt
-    against the largest source acceleration over the grid; the last one is
-    cut to land on target_time.  One wavespeed per sub-step serves both
-    cfl_dt and the step's CFL check.  Each sub-step is one
-    lax_friedrichs_step of the given scheme.  Raises RuntimeError after
-    MAX_SUBSTEPS sub-steps.
+    what consensus_point_macro returns.  Each step is sized by cfl_dt: under
+    ``lxf`` also against the largest source acceleration over the grid,
+    under ``hydrostatic`` by the wavespeed alone, since its face states
+    carry the attraction and keep the density nonnegative under
+    dt * max(|u| + |T|) <= dx.  The last step is cut to land on target_time.
+    One wavespeed per sub-step serves both cfl_dt and the step's CFL check.
+    Each sub-step is one lax_friedrichs_step of the given scheme.  Raises
+    RuntimeError after MAX_SUBSTEPS sub-steps.
     """
     accel_coeff = params.lam / params.m
     x = grid.centers
@@ -331,8 +344,10 @@ def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time
         if remaining <= 1e-12:
             return state
         consensus = float(weighted_mean(weights * state.rho, x))
-        # the centers are sorted, so the farthest one from consensus is an end cell
-        accel = accel_coeff * float(max(abs(x[0] - consensus), abs(x[-1] - consensus)))
+        accel = 0.0
+        if scheme == "lxf":
+            # the centers are sorted, so the farthest one from consensus is an end cell
+            accel = accel_coeff * float(max(abs(x[0] - consensus), abs(x[-1] - consensus)))
         speed = max_wavespeed(state)
         dt = min(cfl_dt(speed, grid, cfl, accel), remaining)
         state = lax_friedrichs_step(state, grid, dt, params, consensus, boundary=boundary,

@@ -69,7 +69,8 @@ def _cell_indices(swarm: SwarmState, grid: Grid1D) -> np.ndarray:
     x = swarm.positions[:, 0]
     idx = np.floor((x - grid.x_min) / grid.dx).astype(int)
     # strays beyond the domain count toward the nearest boundary cell
-    return np.clip(idx, 0, grid.n_cells - 1)
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, grid.n_cells - 1, out=idx)
 
 
 def micro_cell_density(swarm: SwarmState, grid: Grid1D) -> np.ndarray:

@@ -294,6 +294,85 @@ def test_hydrostatic_step_matches_transcribed_faces():
     np.testing.assert_allclose(out.rho_u, mom_ref, rtol=0, atol=1e-14)
 
 
+def reference_hydrostatic_update(state, grid, dt, params, consensus, boundary):
+    """The hydrostatic update as first written: three padded copies and exp/where pairs."""
+
+    def pad(arr, kind):
+        if kind == "periodic":
+            return np.concatenate([arr[-1:], arr, arr[:1]])
+        if kind == "absorbing":
+            z = np.zeros(1)
+            return np.concatenate([z, arr, z])
+        return np.concatenate([arr[:1], arr, arr[-1:]])
+
+    T2 = state.T * state.T
+    phi = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
+    phi_p = pad(phi, "periodic" if boundary == "periodic" else "outflow")
+    rho_p = pad(state.rho, boundary)
+    u_p = pad(state.velocity(), boundary)
+
+    rise = (phi_p[1:] - phi_p[:-1]) / T2
+    drop = np.exp(-np.abs(rise))
+    rho_l = np.where(rise > 0.0, rho_p[:-1] * drop, rho_p[:-1])
+    rho_r = np.where(rise < 0.0, rho_p[1:] * drop, rho_p[1:])
+    u_l, u_r = u_p[:-1], u_p[1:]
+    q_l, q_r = rho_l * u_l, rho_r * u_r
+    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(state.T)
+    f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
+    f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
+
+    ratio = dt / grid.dx
+    rho_new = state.rho - ratio * (f_rho[1:] - f_rho[:-1])
+    mom_new = state.rho_u - ratio * (f_mom[1:] - f_mom[:-1] + T2 * (rho_r[:-1] - rho_l[1:]))
+    mom_new = mom_new - dt * (params.gamma / params.m) * state.rho_u
+    return rho_new, mom_new
+
+
+@pytest.mark.parametrize("boundary", ["outflow", "periodic", "absorbing"])
+@pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
+def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
+    grid = Grid1D(-2.0, 2.0, 61)
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        rho = rng.uniform(0.0, 1.5, 61)
+        mom = rng.uniform(-0.5, 0.5, 61)
+        vacuum = rng.random(61) < 0.3
+        rho[vacuum] = 0.0
+        mom[vacuum] = 0.0
+        rho[rng.random(61) < 0.1] = 1e-14  # near-empty cells that still carry momentum
+        state = MacroState(rho, mom, T=T)
+        consensus = rng.uniform(-2.5, 2.5)
+        dt = cfl_dt(max_wavespeed(state), grid, 1.0)
+        rho_ref, mom_ref = reference_hydrostatic_update(state, grid, dt, PARAMS, consensus,
+                                                        boundary)
+        out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary=boundary,
+                                  scheme="hydrostatic")
+        rho_ref = np.maximum(rho_ref, 0.0)
+        assert np.array_equal(out.rho, rho_ref)
+        assert np.array_equal(out.rho_u, np.where(rho_ref <= EPS_RHO, 0.0, mom_ref))
+
+
+def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
+    # cfl = 1 and no acceleration bound, vacuum cells, a consensus swept to the grid edges
+    grid = Grid1D(-2.0, 2.0, 50)
+    rng = np.random.default_rng(47)
+    rho = rng.uniform(0.5, 1.5, 50)
+    mom = rng.uniform(-0.3, 0.3, 50)
+    vacuum = rng.random(50) < 0.3
+    rho[vacuum] = 0.0
+    mom[vacuum] = 0.0
+    state = MacroState(rho, mom, T=0.2)
+    m0 = state.rho.sum() * grid.dx
+    for k in range(2000):
+        consensus = 2.0 * math.sin(k / 50.0)
+        dt = cfl_dt(max_wavespeed(state), grid, 1.0)
+        unfloored, _ = macro._hydrostatic_update(state, grid, dt, PARAMS, consensus, "periodic")
+        assert unfloored.min() >= 0.0
+        state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary="periodic",
+                                    scheme="hydrostatic")
+        assert abs(state.rho.sum() * grid.dx - m0) <= 1e-14 * m0
+
+
 def test_hydrostatic_step_errors():
     grid = Grid1D(0.0, 1.0, 10)
     state = MacroState(np.ones(10), np.zeros(10), T=1.0)
@@ -356,13 +435,18 @@ def test_advance_macro_lands_on_the_target_and_conserves_mass():
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
 
 
-def reference_advance(state, grid, params, pf, alpha, cfl, boundary, target_time):
-    """The sub-step loop spelled out with the public pieces, evaluating everything each step."""
+def reference_advance(state, grid, params, pf, alpha, cfl, boundary, target_time, scheme):
+    """The sub-step loop spelled out with the public pieces, evaluating everything each step.
+
+    Only lxf sizes its steps against the source acceleration; hydrostatic by the wavespeed.
+    """
     while target_time - state.time > 1e-12:
         c = consensus_point_macro(state, grid, at_centers(grid, pf), alpha)
-        accel = params.lam / params.m * float(np.max(np.abs(grid.centers - c)))
+        accel = 0.0
+        if scheme == "lxf":
+            accel = params.lam / params.m * float(np.max(np.abs(grid.centers - c)))
         dt = min(cfl_dt(max_wavespeed(state), grid, cfl, accel), target_time - state.time)
-        state = lax_friedrichs_step(state, grid, dt, params, c, boundary=boundary)
+        state = lax_friedrichs_step(state, grid, dt, params, c, boundary=boundary, scheme=scheme)
     return state
 
 
@@ -370,16 +454,20 @@ def halfline_pf(beta):
     return PenalizedObjective(ObjectiveFunction("rastrigin", 1), Halfspace1D(0.5), beta)
 
 
-@pytest.mark.parametrize("boundary", ["outflow", "periodic", "absorbing"])
-def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary):
+# the lxf cases keep the bare boundary as their id
+@pytest.mark.parametrize("boundary, scheme", [
+    pytest.param(b, s, id=b if s == "lxf" else f"{b}-{s}")
+    for b in ("outflow", "periodic", "absorbing") for s in ("lxf", "hydrostatic")
+])
+def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, scheme):
     grid = Grid1D(-3.0, 3.0, 81)
     rng = np.random.default_rng(41)
     state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81), T=0.3)
     pf = halfline_pf(2.5)
     for target in (0.05, 0.4):
         got = advance_macro(state, grid, PARAMS, at_centers(grid, pf), 30.0, 0.8, boundary,
-                            target)
-        ref = reference_advance(state, grid, PARAMS, pf, 30.0, 0.8, boundary, target)
+                            target, scheme)
+        ref = reference_advance(state, grid, PARAMS, pf, 30.0, 0.8, boundary, target, scheme)
         assert np.array_equal(got.rho, ref.rho)
         assert np.array_equal(got.rho_u, ref.rho_u)
         assert got.time == ref.time
