@@ -21,13 +21,15 @@ from swarmscale.macro import (
     advance_macro,
     consensus_point_macro,
 )
+from swarmscale.micro import gibbs_weights
 from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
 
 grid = Grid1D(-4.0, 4.0, 200)
 params = MacroParams(m=0.5, lam=1.0)
 pf = PenalizedObjective(ObjectiveFunction("ackley", 1), None, beta=0.0)
-# the cells never move and beta is fixed, so F_beta there is evaluated once
-values = pf.evaluate(grid.centers[:, None])
+# the cells never move and beta is fixed, so F_beta there and its Gibbs
+# weights are built once
+weights = gibbs_weights(pf.evaluate(grid.centers[:, None]), alpha=30.0)
 
 # Unit-mass bump centered well away from the minimizer at 0.
 rho = np.exp(-0.5 * ((grid.centers - 1.5) / 0.4) ** 2)
@@ -41,10 +43,10 @@ mass0 = state.rho.sum() * grid.dx
 # down like a damped oscillator.
 print(f"{'time':>7} {'density peak':>13} {'consensus':>10} {'mass drift':>12}")
 for k in range(13):
-    state = advance_macro(state, grid, params, values, alpha=30.0, cfl=0.45,
-                          boundary="periodic", target_time=0.5 * k)
+    state = advance_macro(state, grid, params, weights, cfl=0.45, boundary="periodic",
+                          target_time=0.5 * k)
     peak = grid.centers[int(np.argmax(state.rho))]
-    consensus = consensus_point_macro(state, grid, values, alpha=30.0)
+    consensus = consensus_point_macro(state, grid, weights)
     drift = state.rho.sum() * grid.dx - mass0
     print(f"{state.time:>7.3f} {peak:>13.3f} {consensus:>10.4f} {drift:>12.2e}")
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .micro import gibbs_weights, weighted_mean
+from .micro import weighted_mean
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
 # concentrates toward a spike and vacuum cells do appear.
@@ -142,21 +142,15 @@ def source(rho, rho_u, x, consensus: float, params: MacroParams):
     return (params.gamma / params.m) * rho_u + (params.lam / params.m) * (x - consensus) * rho
 
 
-def _cell_weights(state: MacroState, values: np.ndarray, alpha: float) -> np.ndarray:
-    """Gibbs weights exp(-alpha * F_beta) of the cells, before the density."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    state.check_per_cell(values=values)
-    return gibbs_weights(values, alpha)
+def consensus_point_macro(state: MacroState, grid: Grid1D, weights) -> float:
+    """Density-weighted soft argmin of F_beta, given the cells' Gibbs weights.
 
-
-def consensus_point_macro(state: MacroState, grid: Grid1D, values, alpha: float) -> float:
-    """Density-weighted soft argmin of F_beta, given one value per cell center.
-
-    Midpoint quadrature; the common dx cancels.  Weights are shifted by the
-    minimum value before exponentiation so large alpha stays finite.
+    The weights are gibbs_weights(F_beta, alpha) at the cell centers, one
+    per cell; the grid builds them once per beta, since its centers never
+    move.  Midpoint quadrature: the common dx cancels.
     """
-    return float(weighted_mean(_cell_weights(state, values, alpha) * state.rho, grid.centers))
+    state.check_per_cell(weights=weights)
+    return float(weighted_mean(weights * state.rho, grid.centers))
 
 
 def max_wavespeed(state: MacroState) -> float:
@@ -203,28 +197,46 @@ def cfl_dt(s: float, grid: Grid1D, cfl: float, accel: float = 0.0) -> float:
     return dt
 
 
-def _pad(arr: np.ndarray, boundary: str) -> np.ndarray:
+def _fill_ghosts(padded: np.ndarray, boundary: str) -> np.ndarray:
+    """Set the first and last entry of each padded row from its cells, in place."""
     if boundary == "periodic":
-        return np.concatenate([arr[-1:], arr, arr[:1]])
-    if boundary == "absorbing":
+        padded[..., 0], padded[..., -1] = padded[..., -2], padded[..., 1]
+    elif boundary == "absorbing":
         # vacuum ghosts: mass that reaches an edge leaves and never returns
-        z = np.zeros(1, dtype=arr.dtype)
-        return np.concatenate([z, arr, z])
-    # outflow: zero-gradient ghost cells
-    return np.concatenate([arr[:1], arr, arr[-1:]])
+        padded[..., 0] = padded[..., -1] = 0.0
+    else:
+        # outflow: zero-gradient ghost cells
+        padded[..., 0], padded[..., -1] = padded[..., 1], padded[..., -2]
+    return padded
+
+
+def _pad(arr: np.ndarray, boundary: str) -> np.ndarray:
+    """arr with one ghost cell per side."""
+    padded = np.empty(arr.size + 2)
+    padded[1:-1] = arr
+    return _fill_ghosts(padded, boundary)
 
 
 def _lxf_update(state, grid, dt, params, consensus, boundary):
-    """Neighbor average minus the centered flux difference, minus dt times the source."""
-    rho_p = _pad(state.rho, boundary)
-    mom_p = _pad(state.rho_u, boundary)
-    f_rho, f_mom = flux(rho_p, mom_p, state.T)
+    """Neighbor average minus the centered flux difference, minus dt times the source.
+
+    Both fields sit padded in one buffer, [g rho g | g rho_u g], and their
+    fluxes in another, [g rho_u g | g F g], so the average and the
+    difference run once over both; the two entries that straddle the seam
+    are dropped.
+    """
+    n = state.rho.size
+    q = np.empty((2, n + 2))
+    q[0, 1:-1], q[1, 1:-1] = state.rho, state.rho_u
+    _fill_ghosts(q, boundary)
+    f = np.empty((2, n + 2))
+    f[0], f[1] = flux(q[0], q[1], state.T)
+    q, f = q.ravel(), f.ravel()
 
     lam_dt = dt / (2.0 * grid.dx)
-    rho_new = 0.5 * (rho_p[2:] + rho_p[:-2]) - lam_dt * (f_rho[2:] - f_rho[:-2])
-    mom_new = 0.5 * (mom_p[2:] + mom_p[:-2]) - lam_dt * (f_mom[2:] - f_mom[:-2])
-    mom_new = mom_new - dt * source(state.rho, state.rho_u, grid.centers, consensus, params)
-    return rho_new, mom_new
+    new = 0.5 * (q[2:] + q[:-2]) - lam_dt * (f[2:] - f[:-2])
+    mom_new = new[n + 2:] - dt * source(state.rho, state.rho_u, grid.centers, consensus, params)
+    return new[:n], mom_new
 
 
 def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
@@ -242,13 +254,10 @@ def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
     pad[0, 1:-1] = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
     pad[1, 1:-1] = state.rho
     pad[2, 1:-1] = state.velocity()
-    if boundary == "periodic":
-        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
-    else:
-        pad[:, 0], pad[:, -1] = pad[:, 1], pad[:, -2]
-        if boundary == "absorbing":
-            # vacuum ghosts for rho and u; phi's ghosts still copy the edge
-            pad[1:, 0] = pad[1:, -1] = 0.0
+    _fill_ghosts(pad, "periodic" if boundary == "periodic" else "outflow")
+    if boundary == "absorbing":
+        # vacuum ghosts for rho and u; phi's ghosts still copy the edge
+        pad[1:, 0] = pad[1:, -1] = 0.0
     phi_p, rho_p, u_p = pad
 
     # faces j = 0..n sit between padded cells j and j+1; the side with the higher
@@ -320,14 +329,13 @@ def lax_friedrichs_step(
     return MacroState(rho_new, mom_new, state.T, state.time + dt)
 
 
-def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time,
-                  scheme="lxf"):
+def advance_macro(state, grid, params, weights, cfl, boundary, target_time, scheme="lxf"):
     """CFL sub-steps until target_time, each with its own consensus point.
 
-    The values are F_beta at the cell centers, one per cell.  Their Gibbs
-    weights are built once per call, so each sub-step's consensus is the
-    centers' mean under those weights times its own density, bit for bit
-    what consensus_point_macro returns.  Each step is sized by cfl_dt: under
+    The weights are the cells' Gibbs weights gibbs_weights(F_beta, alpha),
+    one per cell, so each sub-step's consensus is the centers' mean under
+    those weights times its own density, bit for bit what
+    consensus_point_macro returns.  Each step is sized by cfl_dt: under
     ``lxf`` also against the largest source acceleration over the grid,
     under ``hydrostatic`` by the wavespeed alone, since its face states
     carry the attraction and keep the density nonnegative under
@@ -338,7 +346,7 @@ def advance_macro(state, grid, params, values, alpha, cfl, boundary, target_time
     """
     accel_coeff = params.lam / params.m
     x = grid.centers
-    weights = _cell_weights(state, values, alpha)
+    state.check_per_cell(weights=weights)
     for _ in range(MAX_SUBSTEPS):
         remaining = target_time - state.time
         if remaining <= 1e-12:

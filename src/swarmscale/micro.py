@@ -8,7 +8,7 @@ explicit numpy Generator so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +99,11 @@ def gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
 
     The subtraction rescales all weights by the same positive factor, so
     every weighted average built from them is unchanged while alpha up to
-    1e4 stays clear of overflow.
+    1e4 stays clear of overflow.  Raises ValueError unless alpha > 0: a
+    negative alpha would weight the worst points most.
     """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     values = np.asarray(values, dtype=float)
     return np.exp(-alpha * (values - values.min()))
 
@@ -188,7 +191,7 @@ def step_euler_maruyama(
             f"swarm blew up at step {state.step + 1}: non-finite positions or "
             "velocities (check m, lambda, sigma, dt)"
         )
-    return replace(state, positions=positions, velocities=velocities, step=state.step + 1)
+    return SwarmState(positions, velocities, state.particle_mass, state.step + 1)
 
 
 def softmin_gap(values: np.ndarray, alpha: float) -> float:

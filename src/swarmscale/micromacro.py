@@ -73,19 +73,24 @@ def _cell_indices(swarm: SwarmState, grid: Grid1D) -> np.ndarray:
     return np.minimum(idx, grid.n_cells - 1, out=idx)
 
 
+def _bin(swarm: SwarmState, grid: Grid1D):
+    """Each particle's cell index and the particle count of every cell."""
+    idx = _cell_indices(swarm, grid)
+    return idx, np.bincount(idx, minlength=grid.n_cells)
+
+
 def micro_cell_density(swarm: SwarmState, grid: Grid1D) -> np.ndarray:
     """Histogram of particle mass per cell, normalized by dx.
 
     Every particle lands in exactly one cell, so the field integrates to
     particle_mass * N exactly.
     """
-    idx = _cell_indices(swarm, grid)
-    counts = np.bincount(idx, minlength=grid.n_cells)
+    _, counts = _bin(swarm, grid)
     return swarm.particle_mass * counts / grid.dx
 
 
 def compute_zeta(
-    swarm: SwarmState, macro: MacroState, grid: Grid1D, coupling: CouplingState
+    swarm: SwarmState, macro: MacroState, grid: Grid1D, coupling: CouplingState, *, binned=None
 ) -> float:
     """Normalized, density-weighted velocity discrepancy between the scales.
 
@@ -94,14 +99,15 @@ def compute_zeta(
     weight anyway); weight w_j is the microscopic share of the cell density.
     The raw value sum(w d) / (sum(w) * max d) is clamped to
     [zeta_min, zeta_max]; the max ranges over occupied cells only.
+    binned is the swarm's (cell indices, counts) on this grid when the
+    caller has already binned it.
     """
-    idx = _cell_indices(swarm, grid)
-    counts = np.bincount(idx, minlength=grid.n_cells)
+    idx, counts = _bin(swarm, grid) if binned is None else binned
     occupied = counts > 0
 
-    vbar = np.zeros(grid.n_cells)
+    # an empty cell's velocity sum is exactly 0.0, so its vbar is 0
     vsum = np.bincount(idx, weights=swarm.velocities[:, 0], minlength=grid.n_cells)
-    vbar[occupied] = vsum[occupied] / counts[occupied]
+    vbar = vsum / np.maximum(counts, 1)
 
     d = np.abs(macro.velocity() - vbar)
 
@@ -110,7 +116,7 @@ def compute_zeta(
     w = np.divide(rho_m, cell_total, out=np.zeros_like(rho_m), where=cell_total > 0)
 
     w_sum = w.sum()
-    d_max = d[occupied].max() if occupied.any() else 0.0
+    d_max = np.max(d, where=occupied, initial=0.0)  # d >= 0: the initial 0.0 never wins
     if d_max == 0.0 or w_sum <= 0.0:
         return coupling.zeta_min
     zeta_raw = float(w @ d / (w_sum * d_max))
@@ -132,7 +138,11 @@ def transfer_mass(
     accumulated since initialization.  Afterwards the particle weight is set
     so the microscopic mass equals zeta * mu0, the macroscopic density
     absorbs the difference, and one multiplicative rescale pins the combined
-    mass to its pre-transfer value.
+    mass to its pre-transfer value.  The particles are binned once: zeta and
+    the new particle density share the histogram.
+
+    The macroscopic momentum is kept where the density is lowered, so a
+    cell's velocity rho_u / rho grows by the inverse ratio.
     """
     if step < coupling.t_star:
         frozen = replace(coupling, rho_m_prev=micro_cell_density(swarm, grid))
@@ -143,10 +153,13 @@ def transfer_mass(
     if total_before <= 0:
         raise ValueError("total mass must be positive")
 
-    zeta = compute_zeta(swarm, macro, grid, coupling)
+    binned = _bin(swarm, grid)
+    zeta = compute_zeta(swarm, macro, grid, coupling, binned=binned)
     mu_new = zeta * coupling.mu0
-    new_swarm = replace(swarm, particle_mass=mu_new / swarm.n_particles)
-    rho_m_new = micro_cell_density(new_swarm, grid)
+    new_swarm = SwarmState(swarm.positions, swarm.velocities, mu_new / swarm.n_particles,
+                           swarm.step)
+    # micro_cell_density of new_swarm, from the same counts
+    rho_m_new = new_swarm.particle_mass * binned[1] / dx
     delta = rho_m_new - coupling.rho_m_prev
 
     rho_macro = np.maximum(macro.rho - delta, 0.0)
@@ -158,6 +171,6 @@ def transfer_mass(
 
     # a cell emptied by the transfer must not keep stale momentum
     rho_u = np.where(rho_macro <= EPS_RHO, 0.0, macro.rho_u)
-    new_macro = replace(macro, rho=rho_macro, rho_u=rho_u)
+    new_macro = MacroState(rho_macro, rho_u, macro.T, macro.time)
     new_coupling = replace(coupling, zeta=zeta, rho_m_prev=rho_m_new)
     return new_coupling, new_swarm, new_macro

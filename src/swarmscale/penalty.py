@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .macro import MacroState
-from .micro import gibbs_mean
+from .micro import gibbs_mean, weighted_mean
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,12 @@ def violation_micro(values: np.ndarray, penalty: np.ndarray, alpha: float) -> fl
     return float(gibbs_mean(values, alpha, penalty))
 
 
-def violation_macro(state: MacroState, values, penalty, alpha: float) -> float:
-    """Density-weighted mean penalty over cell centers, weights exp(-alpha * values)."""
-    state.check_per_cell(values=values, penalty=penalty)
-    return float(gibbs_mean(values, alpha, penalty, mass=state.rho))
+def violation_macro(state: MacroState, weights, penalty) -> float:
+    """Density-weighted mean penalty over cell centers, given the cells' Gibbs weights.
+
+    The weights are gibbs_weights(F_beta, alpha) and the penalty the distance
+    to the feasible set, one of each per cell center; the grid builds its
+    weights once per beta.
+    """
+    state.check_per_cell(weights=weights, penalty=penalty)
+    return float(weighted_mean(weights * state.rho, penalty))

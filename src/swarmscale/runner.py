@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .macro import MacroState, advance_macro, consensus_point_macro, init_macro
-from .micro import consensus_point, init_swarm, softmin_gap, step_euler_maruyama
+from .micro import consensus_point, gibbs_weights, init_swarm, softmin_gap, step_euler_maruyama
 from .micromacro import init_coupling, micro_cell_density, transfer_mass
 from .penalty import violation_macro, violation_micro
 
@@ -191,7 +191,12 @@ class _Particles(_Scale):
 
 
 class _Grid(_Scale):
-    """The density on the 1D grid, advanced by its own solver to the shared time."""
+    """The density on the 1D grid, advanced by its own solver to the shared time.
+
+    The cell centers never move, so the cells' Gibbs weights change only
+    with beta: they are built once per run and again after each penalty
+    update that raises beta.
+    """
 
     def __init__(self, cfg, mass, alone):
         super().__init__(cfg, "macro", alone)
@@ -201,6 +206,7 @@ class _Grid(_Scale):
         self.scheme = cfg.macro.scheme
         self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
         self.parts = self.pf.parts(self.grid.centers[:, None])  # the centers never move
+        self.weights = gibbs_weights(self.values(), self.alpha)
 
     def clock(self, n):
         return self.state.time
@@ -208,15 +214,20 @@ class _Grid(_Scale):
     def advance(self, n):
         # the PDE sub-steps, but the penalty loop lives on the shared outer
         # grid n * dt so its cadence is physical time
-        self.state = advance_macro(self.state, self.grid, self.params, self.values(),
-                                   self.alpha, self.cfl, self.boundary, n * self.dt,
-                                   self.scheme)
+        self.state = advance_macro(self.state, self.grid, self.params, self.weights,
+                                   self.cfl, self.boundary, n * self.dt, self.scheme)
+
+    def penalize(self):
+        beta = self.ctrl.beta
+        super().penalize()
+        if self.ctrl.beta != beta:
+            self.weights = gibbs_weights(self.values(), self.alpha)
 
     def measure_violation(self):
-        return violation_macro(self.state, self.values(), self.parts[1], self.alpha)
+        return violation_macro(self.state, self.weights, self.parts[1])
 
     def observe(self):
-        self.consensus = consensus_point_macro(self.state, self.grid, self.values(), self.alpha)
+        self.consensus = consensus_point_macro(self.state, self.grid, self.weights)
 
     def mass(self):
         return float(self.state.rho.sum() * self.grid.dx)

@@ -24,7 +24,7 @@ from swarmscale.macro import (
     max_wavespeed,
     source,
 )
-from swarmscale.micro import SwarmState, consensus_point, softmin_gap
+from swarmscale.micro import SwarmState, consensus_point, gibbs_weights, softmin_gap
 from swarmscale.micromacro import init_coupling, micro_cell_density, transfer_mass
 from swarmscale.objectives import (
     ObjectiveFunction,
@@ -384,7 +384,8 @@ class TestPropertySuite:
                 num += w * float(cpf.penalty(xv))
                 den += w
             centers = grid.centers[:, None]
-            got = violation_macro(mstate, cpf.evaluate(centers), cpf.penalty(centers), 3.0)
+            got = violation_macro(mstate, gibbs_weights(cpf.evaluate(centers), 3.0),
+                                  cpf.penalty(centers))
             assert got == pytest.approx(num / den, abs=1e-10)
 
             # cell density vs per-particle interval scan

@@ -20,6 +20,7 @@ from swarmscale.macro import (
     max_wavespeed,
     source,
 )
+from swarmscale.micro import gibbs_weights
 from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 
 PARAMS = MacroParams(m=0.5, lam=1.0)
@@ -30,8 +31,13 @@ def ackley_pf(dim=1):
 
 
 def at_centers(grid, pf):
-    """F_beta at the cell centers, the values the grid functions take."""
+    """F_beta at the cell centers."""
     return pf.evaluate(grid.centers[:, None])
+
+
+def weights_at(grid, pf, alpha):
+    """The cells' Gibbs weights, which the grid functions take."""
+    return gibbs_weights(at_centers(grid, pf), alpha)
 
 
 def test_grid_geometry():
@@ -86,7 +92,7 @@ def test_consensus_macro_single_cell():
     rho = np.zeros(11)
     rho[3] = 2.0
     state = MacroState(rho, np.zeros(11), T=0.1)
-    got = consensus_point_macro(state, grid, at_centers(grid, ackley_pf()), 30.0)
+    got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 30.0))
     assert got == pytest.approx(grid.centers[3], abs=1e-14)
 
 
@@ -94,7 +100,7 @@ def test_consensus_macro_symmetry():
     # even objective, uniform density, symmetric grid: the midpoint wins
     grid = Grid1D(-2.0, 2.0, 41)
     state = MacroState(np.ones(41), np.zeros(41), T=0.1)
-    got = consensus_point_macro(state, grid, at_centers(grid, ackley_pf()), 30.0)
+    got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 30.0))
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -110,7 +116,7 @@ def test_consensus_macro_matches_naive_summation():
         w = math.exp(-alpha * float(pf.evaluate(np.array([x])))) * r
         num += w * x
         den += w
-    got = consensus_point_macro(state, grid, at_centers(grid, pf), alpha)
+    got = consensus_point_macro(state, grid, weights_at(grid, pf, alpha))
     assert got == pytest.approx(num / den, rel=1e-10)
     assert grid.x_min <= got <= grid.x_max
 
@@ -119,26 +125,23 @@ def test_consensus_macro_zero_mass_raises():
     grid = Grid1D(-1.0, 1.0, 11)
     state = MacroState(np.zeros(11), np.zeros(11), T=0.1)
     values = at_centers(grid, ackley_pf())
+    weights = gibbs_weights(values, 30.0)
     with pytest.raises(ZeroDivisionError):
-        consensus_point_macro(state, grid, values, 30.0)
-    with pytest.raises(ValueError):
-        consensus_point_macro(
-            MacroState(np.ones(11), np.zeros(11), T=0.1), grid, values, -1.0
-        )
-    # the sub-step loop reuses one set of weights and keeps both errors
+        consensus_point_macro(state, grid, weights)
+    # the grid's weights are built by the one Gibbs weighting, which checks alpha
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        gibbs_weights(values, -1.0)
+    # the sub-step loop reuses one set of weights and keeps the zero-mass error
     with pytest.raises(ZeroDivisionError,
                        match="^Gibbs-weighted mean undefined: zero weighted mass$"):
-        advance_macro(state, grid, PARAMS, values, 30.0, 0.8, "outflow", 0.1)
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        advance_macro(MacroState(np.ones(11), np.zeros(11), T=0.1), grid, PARAMS,
-                      values, -1.0, 0.8, "outflow", 0.1)
-    # values of the wrong length would broadcast against the density, so they raise
+        advance_macro(state, grid, PARAMS, weights, 0.8, "outflow", 0.1)
+    # weights of the wrong length would broadcast against the density, so they raise
     unit = MacroState(np.ones(11), np.zeros(11), T=0.1)
-    for wrong in (values[:1], values[:-1], np.append(values, 0.0), values[:, None]):
-        with pytest.raises(ValueError, match="values must have shape"):
-            consensus_point_macro(unit, grid, wrong, 30.0)
-        with pytest.raises(ValueError, match="values must have shape"):
-            advance_macro(unit, grid, PARAMS, wrong, 30.0, 0.8, "outflow", 0.1)
+    for wrong in (weights[:1], weights[:-1], np.append(weights, 0.0), weights[:, None]):
+        with pytest.raises(ValueError, match="weights must have shape"):
+            consensus_point_macro(unit, grid, wrong)
+        with pytest.raises(ValueError, match="weights must have shape"):
+            advance_macro(unit, grid, PARAMS, wrong, 0.8, "outflow", 0.1)
 
 
 # ------------------------------------------------------------------- stepping
@@ -352,6 +355,65 @@ def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
         assert np.array_equal(out.rho_u, np.where(rho_ref <= EPS_RHO, 0.0, mom_ref))
 
 
+def reference_pad(arr, boundary):
+    """_pad as first written: three pieces concatenated."""
+    if boundary == "periodic":
+        return np.concatenate([arr[-1:], arr, arr[:1]])
+    if boundary == "absorbing":
+        z = np.zeros(1, dtype=arr.dtype)
+        return np.concatenate([z, arr, z])
+    return np.concatenate([arr[:1], arr, arr[-1:]])
+
+
+def reference_lxf_update(state, grid, dt, params, consensus, boundary):
+    """The LxF update as first written: each field padded, averaged and differenced alone."""
+    rho_p = reference_pad(state.rho, boundary)
+    mom_p = reference_pad(state.rho_u, boundary)
+    f_rho, f_mom = flux(rho_p, mom_p, state.T)
+
+    lam_dt = dt / (2.0 * grid.dx)
+    rho_new = 0.5 * (rho_p[2:] + rho_p[:-2]) - lam_dt * (f_rho[2:] - f_rho[:-2])
+    mom_new = 0.5 * (mom_p[2:] + mom_p[:-2]) - lam_dt * (f_mom[2:] - f_mom[:-2])
+    mom_new = mom_new - dt * source(state.rho, state.rho_u, grid.centers, consensus, params)
+    return rho_new, mom_new
+
+
+@pytest.mark.parametrize("boundary", ["outflow", "periodic", "absorbing"])
+@pytest.mark.parametrize("T", [0.1, 1.0])
+def test_lxf_step_matches_the_reference_body_bit_for_bit(boundary, T):
+    grid = Grid1D(-2.0, 2.0, 61)
+    rng = np.random.default_rng(67)
+    holes = 0
+    for _ in range(20):
+        rho = rng.uniform(0.0, 1.5, 61)
+        mom = rng.uniform(-0.5, 0.5, 61)
+        vacuum = rng.random(61) < 0.3
+        rho[vacuum] = 0.0
+        mom[vacuum] = 0.0
+        rho[rng.random(61) < 0.1] = 1e-14  # near-empty cells that still carry momentum
+        # holes: isolated thin cells between full neighbors
+        hole = np.flatnonzero(rng.random(61) < 0.1)
+        rho[np.clip(hole - 1, 0, 60)] = rho[np.clip(hole + 1, 0, 60)] = 1.0
+        rho[hole] = 1e-6
+        state = MacroState(rho, mom, T=T)
+        consensus = rng.uniform(-2.5, 2.5)
+        dt = cfl_dt(max_wavespeed(state), grid, rng.uniform(0.3, 1.0))
+        assert np.array_equal(macro._pad(rho, boundary), reference_pad(rho, boundary))
+        rho_ref, mom_ref = reference_lxf_update(state, grid, dt, PARAMS, consensus, boundary)
+        rho_new, mom_new = macro._lxf_update(state, grid, dt, PARAMS, consensus, boundary)
+        assert np.array_equal(rho_new, rho_ref) and np.array_equal(mom_new, mom_ref)
+
+        # the step's floor, vacuum and hole rules applied to the reference body
+        out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary=boundary)
+        rho_ref = np.maximum(rho_ref, 0.0)
+        nbr = reference_pad(rho_ref, "outflow")
+        is_hole = rho_ref < macro.HOLE_REL * np.minimum(nbr[:-2], nbr[2:])
+        holes += int(np.sum(is_hole & (rho_ref > EPS_RHO)))
+        assert np.array_equal(out.rho, rho_ref)
+        assert np.array_equal(out.rho_u, np.where((rho_ref <= EPS_RHO) | is_hole, 0.0, mom_ref))
+    assert holes > 0  # the hole rule, not only the vacuum one, was exercised
+
+
 def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
     # cfl = 1 and no acceleration bound, vacuum cells, a consensus swept to the grid edges
     grid = Grid1D(-2.0, 2.0, 50)
@@ -429,7 +491,7 @@ def test_advance_macro_lands_on_the_target_and_conserves_mass():
     state = MacroState(rng.uniform(0.5, 1.5, 40), np.zeros(40), T=0.2)
     m0 = state.rho.sum() * grid.dx
     for target in (0.05, 0.3, 0.31):
-        state = advance_macro(state, grid, PARAMS, at_centers(grid, ackley_pf()), 10.0, 0.8,
+        state = advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), 0.8,
                               "periodic", target)
         assert abs(state.time - target) <= 1e-12
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
@@ -441,7 +503,7 @@ def reference_advance(state, grid, params, pf, alpha, cfl, boundary, target_time
     Only lxf sizes its steps against the source acceleration; hydrostatic by the wavespeed.
     """
     while target_time - state.time > 1e-12:
-        c = consensus_point_macro(state, grid, at_centers(grid, pf), alpha)
+        c = consensus_point_macro(state, grid, weights_at(grid, pf, alpha))
         accel = 0.0
         if scheme == "lxf":
             accel = params.lam / params.m * float(np.max(np.abs(grid.centers - c)))
@@ -465,7 +527,7 @@ def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, scheme):
     state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81), T=0.3)
     pf = halfline_pf(2.5)
     for target in (0.05, 0.4):
-        got = advance_macro(state, grid, PARAMS, at_centers(grid, pf), 30.0, 0.8, boundary,
+        got = advance_macro(state, grid, PARAMS, weights_at(grid, pf, 30.0), 0.8, boundary,
                             target, scheme)
         ref = reference_advance(state, grid, PARAMS, pf, 30.0, 0.8, boundary, target, scheme)
         assert np.array_equal(got.rho, ref.rho)
@@ -477,7 +539,7 @@ def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, scheme):
 def test_advance_macro_steps_with_the_given_scheme(monkeypatch):
     grid = Grid1D(-2.0, 2.0, 40)
     state = init_macro(grid, T=0.2)
-    values = at_centers(grid, ackley_pf())
+    weights = weights_at(grid, ackley_pf(), 10.0)
     schemes = []
     step = macro.lax_friedrichs_step
 
@@ -486,8 +548,8 @@ def test_advance_macro_steps_with_the_given_scheme(monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(macro, "lax_friedrichs_step", spy)
-    advance_macro(state, grid, PARAMS, values, 10.0, 0.8, "periodic", 0.2)
-    advance_macro(state, grid, PARAMS, values, 10.0, 0.8, "periodic", 0.2, "hydrostatic")
+    advance_macro(state, grid, PARAMS, weights, 0.8, "periodic", 0.2)
+    advance_macro(state, grid, PARAMS, weights, 0.8, "periodic", 0.2, "hydrostatic")
     assert schemes[0] == "lxf" and schemes[-1] == "hydrostatic"
     assert set(schemes) == {"lxf", "hydrostatic"}
 
@@ -497,7 +559,7 @@ def test_advance_macro_reports_a_stall(monkeypatch):
     state = init_macro(grid, T=0.2)
     monkeypatch.setattr(macro, "MAX_SUBSTEPS", 3)
     with pytest.raises(RuntimeError, match="grid solver stalled: 3 sub-steps"):
-        advance_macro(state, grid, PARAMS, at_centers(grid, ackley_pf()), 10.0, 0.8,
+        advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), 0.8,
                       "periodic", 100.0)
 
 

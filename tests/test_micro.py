@@ -10,6 +10,7 @@ from swarmscale.micro import (
     SwarmState,
     consensus_point,
     diffusion_diagonal,
+    gibbs_weights,
     init_swarm,
     softmin_gap,
     step_euler_maruyama,
@@ -78,6 +79,15 @@ def test_consensus_rejects_nonfinite_objective():
     state = SwarmState(np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(FloatingPointError, match="particle 1"):
         consensus(state, Bad(), 30.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan")])
+def test_every_gibbs_weighting_rejects_a_nonpositive_alpha(alpha):
+    # at alpha = -1 the weights would favor the worst particle, giving 1.97 here
+    x, v = np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 5.0])
+    for weigh in (gibbs_weights, softmin_gap, lambda v, a: consensus_point(x, v, a)):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            weigh(v, alpha)
 
 
 def test_consensus_shift_invariance_and_hull():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swarmscale.macro import Grid1D, MacroState
+from swarmscale.micro import gibbs_weights
 from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 from swarmscale.penalty import (
     PenaltyController,
@@ -26,9 +27,9 @@ def micro_violation(positions, pf, alpha):
 
 
 def macro_violation(state, grid, pf, alpha):
-    """violation_macro with F_beta and the penalty evaluated at the cell centers."""
+    """violation_macro with the Gibbs weights and the penalty evaluated at the cell centers."""
     centers = grid.centers[:, None]
-    return violation_macro(state, pf.evaluate(centers), pf.penalty(centers), alpha)
+    return violation_macro(state, gibbs_weights(pf.evaluate(centers), alpha), pf.penalty(centers))
 
 
 def test_violation_micro_all_feasible():
@@ -100,12 +101,12 @@ def test_violation_macro_zero_mass_raises():
     # arrays of the wrong length would broadcast against the density, so they raise
     unit = MacroState(np.ones(11), np.zeros(11), T=0.1)
     pf, centers = halfline_pf(), grid.centers[:, None]
-    values, penalty = pf.evaluate(centers), pf.penalty(centers)
+    weights, penalty = gibbs_weights(pf.evaluate(centers), 30.0), pf.penalty(centers)
     for wrong in (np.array([0.3]), np.zeros(10), np.zeros(12), np.zeros((11, 1))):
-        with pytest.raises(ValueError, match="values must have shape"):
-            violation_macro(unit, wrong, penalty, 30.0)
+        with pytest.raises(ValueError, match="weights must have shape"):
+            violation_macro(unit, wrong, penalty)
         with pytest.raises(ValueError, match="penalty must have shape"):
-            violation_macro(unit, values, wrong, 30.0)
+            violation_macro(unit, weights, wrong)
 
 
 # ------------------------------------------------------------ update rule

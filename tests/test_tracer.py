@@ -61,3 +61,13 @@ def test_a_short_traced_run_calls_every_required_layer(tmp_path, name):
     constrained = run_cfg.feasible_set is not None
     assert tracer.calls["objectives.objective"] == run_cfg.n_steps + 2 + grid
     assert tracer.calls["objectives.distance"] == constrained * (run_cfg.n_steps + 1 + grid)
+    # one wavespeed, one step size and one step per grid sub-step, and one zeta per
+    # transfer from t_star on: perfbench's substeps_per_step and active_share read these
+    if run_cfg.mode != "micro":
+        substeps = tracer.calls["macro.lax_friedrichs_step"]
+        assert substeps > 0
+        assert tracer.calls["macro.cfl_dt"] == tracer.calls["macro.max_wavespeed"] == substeps
+    if run_cfg.mode == "micromacro":
+        assert tracer.calls["micromacro.transfer_mass"] == run_cfg.n_steps
+        active = run_cfg.n_steps - run_cfg.coupling.t_star + 1
+        assert tracer.calls["micromacro.compute_zeta"] == active
