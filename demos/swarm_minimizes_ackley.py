@@ -10,7 +10,7 @@ swarm's weighted violation stalls above the current threshold.
 import numpy as np
 
 from swarmscale.config import load_bundled
-from swarmscale.micro import consensus_point, init_swarm, step_euler_maruyama
+from swarmscale.micro import consensus_point, gibbs_weights, init_swarm, step_euler_maruyama
 from swarmscale.penalty import violation_micro
 
 # The bundled problem: Ackley in 2D, feasible set = union of six balls,
@@ -27,22 +27,27 @@ print(f"{cfg.n_particles} particles, dt={params.dt}, alpha={params.alpha}")
 print(f"{'step':>5} {'consensus':>20} {'beta':>7} {'violation':>10}")
 
 # The objective and the distance to the feasible set are evaluated once per
-# step; the penalized values F_beta for any beta are built from the two.
+# step; the penalized values F_beta for any beta are built from the two, and
+# their Gibbs weights exp(-alpha F_beta) weigh every swarm average.
 value, penalty = pf.parts(swarm.positions)
-x = consensus_point(swarm.positions, pf.combine(value, penalty), params.alpha)
+weights = gibbs_weights(pf.combine(value, penalty), params.alpha)
+x = consensus_point(swarm.positions, weights)
 
 for step in range(cfg.n_steps):
     swarm = step_euler_maruyama(swarm, params, x, rng)
     value, penalty = pf.parts(swarm.positions)
+    weights = gibbs_weights(pf.combine(value, penalty), params.alpha)
 
     # weighted distance of the swarm to the feasible set, then the
     # success/failure update: shrink the threshold or raise the penalty
-    v = violation_micro(pf.combine(value, penalty), penalty, params.alpha)
+    v = violation_micro(weights, penalty)
     ctrl = ctrl.update(v)
-    pf = pf.with_beta(ctrl.beta)
+    if ctrl.beta != pf.beta:
+        pf = pf.with_beta(ctrl.beta)
+        weights = gibbs_weights(pf.combine(value, penalty), params.alpha)
 
     # the consensus under the updated beta is the next step's drift target
-    x = consensus_point(swarm.positions, pf.combine(value, penalty), params.alpha)
+    x = consensus_point(swarm.positions, weights)
     if step % 50 == 0 or step == cfg.n_steps - 1:
         print(
             f"{step:>5} ({x[0]:+8.4f}, {x[1]:+8.4f}) {ctrl.beta:>7.3f} {v:>10.5f}"

@@ -31,7 +31,6 @@ from .micro import (
     SwarmState,
     consensus_point,
     diffusion_diagonal,
-    gibbs_mean,
     gibbs_weights,
     init_swarm,
     softmin_gap,
@@ -87,7 +86,6 @@ __all__ = [
     "SwarmState",
     "consensus_point",
     "diffusion_diagonal",
-    "gibbs_mean",
     "gibbs_weights",
     "init_swarm",
     "softmin_gap",

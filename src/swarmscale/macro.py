@@ -17,7 +17,7 @@ schemes share one step function:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,12 +88,16 @@ class MacroParams:
 
 @dataclass
 class MacroState:
-    """Cell values of density and momentum plus the closure spread T."""
+    """Cell values of density and momentum plus the closure spread T.
+
+    A state's arrays are not written in place once built, so its velocity is formed once.
+    """
 
     rho: np.ndarray
     rho_u: np.ndarray
     T: float
     time: float = 0.0
+    _velocity: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -106,7 +110,11 @@ class MacroState:
             raise ValueError("closure spread T must be nonzero")
 
     def velocity(self) -> np.ndarray:
-        return self.rho_u / np.maximum(self.rho, EPS_RHO)
+        """u = rho_u / rho with the density floored, formed on the first call; read-only."""
+        if self._velocity is None:
+            self._velocity = self.rho_u / np.maximum(self.rho, EPS_RHO)
+            self._velocity.flags.writeable = False
+        return self._velocity
 
     def check_per_cell(self, **arrays):
         """Raise ValueError unless each array holds exactly one entry per cell."""

@@ -97,14 +97,19 @@ def init_swarm(
 def gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
     """exp(-alpha * values), stabilized by subtracting the minimum value.
 
-    The subtraction rescales all weights by the same positive factor, so
-    every weighted average built from them is unchanged while alpha up to
-    1e4 stays clear of overflow.  Raises ValueError unless alpha > 0: a
-    negative alpha would weight the worst points most.
+    The one place where F_beta values become weights.  The subtraction
+    rescales all weights by the same positive factor, so every weighted
+    average built from them is unchanged while alpha up to 1e4 stays clear
+    of overflow.  Raises ValueError unless alpha > 0, since a negative alpha
+    would weight the worst points most, and FloatingPointError naming the
+    index of the first non-finite value.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        idx = int(np.argmax(~np.isfinite(values)))
+        raise FloatingPointError(f"non-finite value {values[idx]} at index {idx}")
     return np.exp(-alpha * (values - values.min()))
 
 
@@ -119,29 +124,14 @@ def weighted_mean(weights: np.ndarray, quantity: np.ndarray):
     return weights @ quantity / total
 
 
-def gibbs_mean(values, alpha: float, quantity: np.ndarray, mass=1.0):
-    """Average of quantity under the weights mass * exp(-alpha * values).
+def consensus_point(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weight-averaged position, given the particles' Gibbs weights.
 
-    The mass is 1 for particles and the cell density on the grid.  Raises
-    ZeroDivisionError when the weighted mass vanishes.
+    The weights are gibbs_weights(F_beta, alpha) at the positions, one per
+    row; a run builds them once per move and per beta.  The result lies
+    componentwise inside the positions' bounding box.
     """
-    return weighted_mean(gibbs_weights(values, alpha) * mass, quantity)
-
-
-def consensus_point(positions: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
-    """Weight-averaged position with weights exp(-alpha * values), one value per row.
-
-    The values are F_beta at the positions.  The result lies componentwise
-    inside the positions' bounding box.  Raises if any value is non-finite.
-    """
-    values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise FloatingPointError(
-            f"non-finite objective value {values[idx]} at particle {idx}"
-        )
-    return gibbs_mean(values, alpha, positions)
+    return weighted_mean(weights, positions)
 
 
 def diffusion_diagonal(mode: str, displacement: np.ndarray) -> np.ndarray:
@@ -194,11 +184,10 @@ def step_euler_maruyama(
     return SwarmState(positions, velocities, state.particle_mass, state.step + 1)
 
 
-def softmin_gap(values: np.ndarray, alpha: float) -> float:
+def softmin_gap(weights: np.ndarray, alpha: float) -> float:
     """Gap between the smoothed minimum -(1/alpha) log mean exp(-alpha F) and min F.
 
-    The values are F_beta, one per particle.  Always lies in
-    [0, log(N)/alpha]; shrinks as alpha grows.
+    The weights are gibbs_weights(F_beta, alpha) with the same alpha, one per
+    particle.  Always lies in [0, log(N)/alpha]; shrinks as alpha grows.
     """
-    w = gibbs_weights(values, alpha)
-    return float(-(np.log(w.sum()) - np.log(w.shape[0])) / alpha)
+    return float(-(np.log(weights.sum()) - np.log(weights.shape[0])) / alpha)

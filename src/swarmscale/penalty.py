@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .macro import MacroState
-from .micro import gibbs_mean, weighted_mean
+from .micro import weighted_mean
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,15 @@ class PenaltyController:
         return replace(self, beta=self.eta_beta * self.beta, kappa=kappa)
 
 
-def violation_micro(values: np.ndarray, penalty: np.ndarray, alpha: float) -> float:
-    """Weight-averaged penalty over particles, weights exp(-alpha * values).
+def violation_micro(weights: np.ndarray, penalty: np.ndarray) -> float:
+    """Weight-averaged penalty over particles, given the particles' Gibbs weights.
 
-    The values are F_beta and the penalty the distance to the feasible set,
-    one of each per particle.  A convex combination of the penalties, so the
-    result lies between their min and max; 0 when every particle is feasible.
+    The weights are gibbs_weights(F_beta, alpha) and the penalty the distance
+    to the feasible set, one of each per particle.  A convex combination of
+    the penalties, so the result lies between their min and max; 0 when every
+    particle is feasible.
     """
-    return float(gibbs_mean(values, alpha, penalty))
+    return float(weighted_mean(weights, penalty))
 
 
 def violation_macro(state: MacroState, weights, penalty) -> float:

@@ -125,18 +125,26 @@ class _Scale:
         self.ctrl = cfg.build_controller(name)
         self.violation, self.branch = 0.0, "none"
 
+    def evaluate(self, points):
+        """The objective and the distance at this scale's points, and their weights."""
+        self.parts = self.pf.parts(points)
+        self.weigh()
+
+    def weigh(self):
+        """Gibbs weights of F_beta at the current beta; each average of the scale reads them."""
+        self.weights = gibbs_weights(self.pf.combine(*self.parts), self.alpha)
+
     def penalize(self):
         """One (beta, kappa) update from the current violation; unconstrained runs skip it."""
         if self.pf.feasible_set is None:
             return
         self.violation = self.measure_violation()
         self.branch = "success" if self.ctrl.accepts(self.violation) else "failure"
+        beta = self.ctrl.beta
         self.ctrl = self.ctrl.update(self.violation)
-        self.pf = self.pf.with_beta(self.ctrl.beta)
-
-    def values(self):
-        """F_beta at this scale's points, built from its parts at the current beta."""
-        return self.pf.combine(*self.parts)
+        if self.ctrl.beta != beta:
+            self.pf = self.pf.with_beta(self.ctrl.beta)
+            self.weigh()
 
     def penalty_values(self):
         return [self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch]
@@ -145,8 +153,9 @@ class _Scale:
 class _Particles(_Scale):
     """The particle swarm: one Euler-Maruyama step per outer step.
 
-    The objective and the penalty are evaluated once after each move; the
-    step's violation, consensus and gap weight the particles by F_beta.
+    The objective and the penalty are evaluated, and the particles' Gibbs
+    weights built, once after each move; the step's violation, consensus
+    and gap all read those weights.
     """
 
     def __init__(self, cfg, rng, mass, alone):
@@ -155,7 +164,7 @@ class _Particles(_Scale):
         self.params = cfg.build_micro_params()
         self.swarm = init_swarm(cfg.n_particles, cfg.objective.dim, rng,
                                 box=cfg.micro.init_box, particle_mass=mass / cfg.n_particles)
-        self.parts = self.pf.parts(self.swarm.positions)
+        self.evaluate(self.swarm.positions)
 
     def clock(self, n):
         return n * self.params.dt
@@ -164,17 +173,16 @@ class _Particles(_Scale):
         # the drift target is the consensus observed after the last step: the
         # positions and beta have not changed since, only the particle mass
         self.swarm = step_euler_maruyama(self.swarm, self.params, self.target, self.rng)
-        self.parts = self.pf.parts(self.swarm.positions)
+        self.evaluate(self.swarm.positions)
 
     def measure_violation(self):
-        return violation_micro(self.values(), self.parts[1], self.alpha)
+        return violation_micro(self.weights, self.parts[1])
 
     def observe(self):
-        values = self.values()
-        self.target = consensus_point(self.swarm.positions, values, self.alpha)
+        self.target = consensus_point(self.swarm.positions, self.weights)
         self.consensus = [float(c) for c in self.target]
         if self.alone:
-            self.gap = softmin_gap(values, self.alpha)
+            self.gap = softmin_gap(self.weights, self.alpha)
 
     def mass(self):
         return self.swarm.total_mass
@@ -205,8 +213,7 @@ class _Grid(_Scale):
         self.cfl, self.boundary, self.dt = cfg.macro.cfl, cfg.macro.boundary, cfg.micro.dt
         self.scheme = cfg.macro.scheme
         self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
-        self.parts = self.pf.parts(self.grid.centers[:, None])  # the centers never move
-        self.weights = gibbs_weights(self.values(), self.alpha)
+        self.evaluate(self.grid.centers[:, None])  # the centers never move
 
     def clock(self, n):
         return self.state.time
@@ -216,12 +223,6 @@ class _Grid(_Scale):
         # grid n * dt so its cadence is physical time
         self.state = advance_macro(self.state, self.grid, self.params, self.weights,
                                    self.cfl, self.boundary, n * self.dt, self.scheme)
-
-    def penalize(self):
-        beta = self.ctrl.beta
-        super().penalize()
-        if self.ctrl.beta != beta:
-            self.weights = gibbs_weights(self.values(), self.alpha)
 
     def measure_violation(self):
         return violation_macro(self.state, self.weights, self.parts[1])

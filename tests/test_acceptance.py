@@ -212,7 +212,8 @@ class TestPropertySuite:
             for _ in range(1000):
                 state = random_swarm(rng)
                 alpha = float(rng.choice([10.0, 30.0, 100.0]))
-                gap = softmin_gap(plain_pf(state.dim).evaluate(state.positions), alpha)
+                values = plain_pf(state.dim).evaluate(state.positions)
+                gap = softmin_gap(gibbs_weights(values, alpha), alpha)
                 assert 0.0 <= gap <= math.log(state.n_particles) / alpha + 1e-12
 
     def test_consensus_shift_invariance_and_hull(self):
@@ -228,8 +229,10 @@ class TestPropertySuite:
             for _ in range(1000):
                 state = random_swarm(rng)
                 pf = plain_pf(state.dim)
-                x = consensus_point(state.positions, pf.evaluate(state.positions), 30.0)
-                y = consensus_point(state.positions, Shifted(pf).evaluate(state.positions), 30.0)
+                x = consensus_point(state.positions,
+                                    gibbs_weights(pf.evaluate(state.positions), 30.0))
+                y = consensus_point(state.positions,
+                                    gibbs_weights(Shifted(pf).evaluate(state.positions), 30.0))
                 np.testing.assert_allclose(x, y, atol=1e-10)
                 assert np.all(x >= state.positions.min(axis=0) - 1e-12)
                 assert np.all(x <= state.positions.max(axis=0) + 1e-12)
@@ -355,7 +358,7 @@ class TestPropertySuite:
                 num += w * x
                 den += w
             np.testing.assert_allclose(
-                consensus_point(positions, vals, 30.0), num / den, atol=1e-10
+                consensus_point(positions, gibbs_weights(vals, 30.0)), num / den, atol=1e-10
             )
 
             # microscopic violation vs double loop
@@ -370,7 +373,7 @@ class TestPropertySuite:
                 w = math.exp(-30.0 * float(cpf.evaluate(x)))
                 num += w * float(cpf.penalty(x))
                 den += w
-            got = violation_micro(cpf.evaluate(pos1), cpf.penalty(pos1), 30.0)
+            got = violation_micro(gibbs_weights(cpf.evaluate(pos1), 30.0), cpf.penalty(pos1))
             assert got == pytest.approx(num / den, abs=1e-10)
 
             # macroscopic violation vs cellwise summation

@@ -67,6 +67,8 @@ def test_state_validation():
     assert v[2] == pytest.approx(-1.0)
     # vacuum cell: the floored division keeps the value finite
     assert np.isfinite(v[1])
+    # formed once per state and shared, so no reader may write it
+    assert s.velocity() is v and not v.flags.writeable
 
 
 def test_flux_values():

@@ -15,7 +15,8 @@ from swarmscale.micro import (
     softmin_gap,
     step_euler_maruyama,
 )
-from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
+from swarmscale.objectives import BallUnion, ObjectiveFunction, PenalizedObjective
+from swarmscale.penalty import violation_micro
 
 
 def plain(name="rastrigin", dim=1, beta=0.0):
@@ -34,8 +35,8 @@ def naive_consensus(positions, values, alpha):
 
 
 def consensus(state, pf, alpha):
-    """consensus_point of a swarm, with F_beta evaluated at its positions."""
-    return consensus_point(state.positions, pf.evaluate(state.positions), alpha)
+    """consensus_point of a swarm, with the Gibbs weights of F_beta at its positions."""
+    return consensus_point(state.positions, gibbs_weights(pf.evaluate(state.positions), alpha))
 
 
 def step(state, params, pf, rng):
@@ -77,17 +78,56 @@ def test_consensus_rejects_nonfinite_objective():
             return out
 
     state = SwarmState(np.zeros((3, 1)), np.zeros((3, 1)))
-    with pytest.raises(FloatingPointError, match="particle 1"):
+    with pytest.raises(FloatingPointError, match="index 1"):
         consensus(state, Bad(), 30.0)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan")])
 def test_every_gibbs_weighting_rejects_a_nonpositive_alpha(alpha):
-    # at alpha = -1 the weights would favor the worst particle, giving 1.97 here
-    x, v = np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 5.0])
-    for weigh in (gibbs_weights, softmin_gap, lambda v, a: consensus_point(x, v, a)):
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            weigh(v, alpha)
+    # at alpha = -1 the weights would favor the worst particle
+    v = np.array([0.0, 1.0, 5.0])
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        gibbs_weights(v, alpha)
+
+
+def reference_gibbs_mean(values, alpha, quantity, mass=1.0):
+    """The value-taking weighted mean the particle averages were built on, body for body."""
+    values = np.asarray(values, dtype=float)
+    weights = np.exp(-alpha * (values - values.min())) * mass
+    return weights @ quantity / weights.sum()
+
+
+def reference_consensus_point(positions, values, alpha):
+    return reference_gibbs_mean(values, alpha, positions)
+
+
+def reference_softmin_gap(values, alpha):
+    values = np.asarray(values, dtype=float)
+    w = np.exp(-alpha * (values - values.min()))
+    return float(-(np.log(w.sum()) - np.log(w.shape[0])) / alpha)
+
+
+def reference_violation_micro(values, penalty, alpha):
+    return float(reference_gibbs_mean(values, alpha, penalty))
+
+
+def test_weights_once_match_the_value_taking_bodies_bit_for_bit():
+    # one weighting serves the consensus, the gap and the violation
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 60))
+        balls = [(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 1.0))) for _ in range(3)]
+        pf = PenalizedObjective(ObjectiveFunction(str(rng.choice(["ackley", "rastrigin"])), d),
+                                BallUnion(balls), beta=float(rng.uniform(0.0, 5.0)))
+        positions = rng.uniform(-3, 3, size=(n, d))
+        values, penalty = pf.evaluate(positions), pf.penalty(positions)
+        alpha = float(rng.choice([1.0, 30.0, 100.0, 1e4]))
+        weights = gibbs_weights(values, alpha)
+        assert np.array_equal(consensus_point(positions, weights),
+                              reference_consensus_point(positions, values, alpha))
+        assert softmin_gap(weights, alpha) == reference_softmin_gap(values, alpha)
+        assert violation_micro(weights, penalty) == reference_violation_micro(values, penalty,
+                                                                               alpha)
 
 
 def test_consensus_shift_invariance_and_hull():
@@ -275,18 +315,18 @@ def test_diffusion_modes_agree_in_1d_distribution():
 
 def test_softmin_gap_single_particle():
     values = plain().evaluate(np.array([[0.7]]))
-    assert softmin_gap(values, 30.0) == pytest.approx(0.0, abs=1e-15)
+    assert softmin_gap(gibbs_weights(values, 30.0), 30.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_softmin_gap_equal_values():
     values = plain().evaluate(np.array([[0.5], [-0.5]]))
-    assert softmin_gap(values, 30.0) == pytest.approx(0.0, abs=1e-12)
+    assert softmin_gap(gibbs_weights(values, 30.0), 30.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_softmin_gap_bounded_and_decreasing_in_alpha():
     rng = np.random.default_rng(21)
     values = plain().evaluate(rng.uniform(-2, 2, size=(100, 1)))
-    gaps = [softmin_gap(values, a) for a in (10.0, 30.0, 100.0)]
+    gaps = [softmin_gap(gibbs_weights(values, a), a) for a in (10.0, 30.0, 100.0)]
     for g, a in zip(gaps, (10.0, 30.0, 100.0)):
         assert 0.0 <= g <= math.log(100.0) / a + 1e-12
     assert gaps[0] > gaps[1] > gaps[2]

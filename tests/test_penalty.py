@@ -22,8 +22,8 @@ def halfline_pf(beta=1.0):
 
 
 def micro_violation(positions, pf, alpha):
-    """violation_micro with F_beta and the penalty evaluated at the positions."""
-    return violation_micro(pf.evaluate(positions), pf.penalty(positions), alpha)
+    """violation_micro with the Gibbs weights and the penalty evaluated at the positions."""
+    return violation_micro(gibbs_weights(pf.evaluate(positions), alpha), pf.penalty(positions))
 
 
 def macro_violation(state, grid, pf, alpha):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swarmscale import objectives, runner
+from swarmscale import micro, objectives, runner
 from swarmscale.config import config_from_dict
 from swarmscale.runner import RunError, run_ensemble, run_experiment
 
@@ -51,6 +51,25 @@ def test_non_finite_grid_state_fails_the_first_step(tmp_path, monkeypatch):
     with pytest.raises(RunError, match="cell 5") as exc:
         run_experiment(tiny(tmp_path, "macro"))
     assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_cell_value_fails_step_0_naming_the_cell(tmp_path, monkeypatch, bad):
+    # the cells' weights are built with the grid, so a bad F_beta at a center stops the
+    # run there, before the grid moves; an infinite one would otherwise get weight 0
+    call = objectives.ObjectiveFunction.__call__
+
+    def poisoned(self, x):
+        out = np.array(call(self, x))
+        out[7] = bad
+        return out
+
+    monkeypatch.setattr(objectives.ObjectiveFunction, "__call__", poisoned)
+    with pytest.raises(RunError) as exc:
+        run_experiment(tiny(tmp_path, "macro"))
+    assert exc.value.step == 0
+    assert isinstance(exc.value.__cause__, FloatingPointError)
+    assert str(exc.value.__cause__) == f"non-finite value {bad} at index 7"
 
 
 def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
@@ -99,6 +118,34 @@ def test_particles_evaluate_the_objective_and_distance_once_per_step(tmp_path, m
     assert particles == [(cfg.n_particles, 1)] * (cfg.n_steps + 1) + [(1,)]
     distances = [s for s in shapes["distance"] if s != (cfg.macro.n_cells, 1)]
     assert distances == [(cfg.n_particles, 1)] * (cfg.n_steps + 1)
+
+
+@pytest.mark.parametrize("mode", ["micro", "micromacro"])
+@pytest.mark.parametrize("constrained", [False, True])
+def test_each_scale_builds_its_gibbs_weights_once_per_move_and_per_beta(tmp_path, monkeypatch,
+                                                                         mode, constrained):
+    sizes = []
+    gibbs_weights = micro.gibbs_weights
+
+    def counting(values, alpha):
+        sizes.append(np.size(values))
+        return gibbs_weights(values, alpha)
+
+    for module in (micro, runner):
+        monkeypatch.setattr(module, "gibbs_weights", counting)
+    over = {"feasible_set": {"kind": "halfline", "bound": -0.5}} if constrained else {}
+    cfg = tiny(tmp_path, mode, n_steps=12, **over)
+    rows = run_experiment(cfg).rows
+    # the particles at step 0 and after each move, the cell centers once per run, and
+    # each scale again after every failure branch, the update that raises its beta
+    suffix = "" if mode == "micro" else "_micro"
+    failures = sum(r["branch" + suffix] == "failure" for r in rows)
+    assert (failures > 0) == constrained
+    assert sizes.count(cfg.n_particles) == 1 + cfg.n_steps + failures
+    if mode == "micromacro":
+        grid_failures = sum(r["branch_macro"] == "failure" for r in rows)
+        assert sizes.count(cfg.macro.n_cells) == 1 + grid_failures
+    assert len(sizes) == sizes.count(cfg.n_particles) + sizes.count(cfg.macro.n_cells)
 
 
 @pytest.mark.parametrize("mode, steps", [("micro", []), ("macro", [2, 4]),

@@ -61,6 +61,12 @@ def test_a_short_traced_run_calls_every_required_layer(tmp_path, name):
     constrained = run_cfg.feasible_set is not None
     assert tracer.calls["objectives.objective"] == run_cfg.n_steps + 2 + grid
     assert tracer.calls["objectives.distance"] == constrained * (run_cfg.n_steps + 1 + grid)
+    # one particle consensus per row, one violation per penalty update and one gap per
+    # row of a lone swarm, whatever the functions take: perfbench compares these per layer
+    assert tracer.calls["micro.consensus_point"] == run_cfg.n_steps + 1
+    assert tracer.calls["penalty.violation_micro"] == constrained * run_cfg.n_steps
+    alone = run_cfg.mode == "micro"
+    assert tracer.calls["micro.softmin_gap"] == alone * (run_cfg.n_steps + 1)
     # one wavespeed, one step size and one step per grid sub-step, and one zeta per
     # transfer from t_star on: perfbench's substeps_per_step and active_share read these
     if run_cfg.mode != "micro":
