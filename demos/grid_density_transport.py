@@ -3,13 +3,15 @@ Density transport on the grid scale
 ===================================
 
 The same dynamics as the swarm, but for a density field: two moments
-(mass and momentum) advanced by a Lax-Friedrichs scheme, with a source
-term relaxing momentum toward the consensus point of the density itself.
-The mass bump drifts toward the minimizer without ever sampling a particle.
+(mass and momentum) advanced by a local Lax-Friedrichs scheme on the
+hydrostatic reconstruction of Audusse et al. (2004).  The pull toward the
+consensus point of the density itself enters through a potential at the
+cell faces, and friction damps the momentum.  The mass bump drifts toward
+the minimizer without ever sampling a particle.
 
 advance_macro carries the density to each report time in CFL sub-steps,
-each sized against the wavespeed the attraction reaches by its end, so the
-pull toward the consensus point cannot outrun the Courant bound.
+each sized by the largest wavespeed |u| + |T| alone: the face states
+carry the attraction, so it needs no bound of its own.
 """
 
 import numpy as np
@@ -39,8 +41,9 @@ mass0 = state.rho.sum() * grid.dx
 
 # The Gibbs weighting locks onto the deepest basin the density touches, so
 # the consensus sits near 0 from the start even though the bulk of the mass
-# is at 1.5.  The source term then pulls the bump over, and the peak rings
-# down like a damped oscillator.
+# is at 1.5.  The attraction then pulls the bump over, and the peak settles
+# next to the consensus in the profile rho ~ exp(-phi/T^2) that the scheme
+# keeps at rest.
 print(f"{'time':>7} {'density peak':>13} {'consensus':>10} {'mass drift':>12}")
 for k in range(13):
     state = advance_macro(state, grid, params, weights, cfl=0.45, boundary="periodic",

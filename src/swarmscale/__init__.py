@@ -21,10 +21,8 @@ from .macro import (
     advance_macro,
     cfl_dt,
     consensus_point_macro,
-    flux,
     init_macro,
     lax_friedrichs_step,
-    source,
 )
 from .micro import (
     MicroParams,
@@ -78,10 +76,8 @@ __all__ = [
     "advance_macro",
     "cfl_dt",
     "consensus_point_macro",
-    "flux",
     "init_macro",
     "lax_friedrichs_step",
-    "source",
     "MicroParams",
     "SwarmState",
     "consensus_point",

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .macro import BOUNDARIES, SCHEMES, Grid1D, MacroParams
+from .macro import BOUNDARIES, Grid1D, MacroParams
 from .micro import DIFFUSION_MODES, MicroParams
 from .objectives import (
     OBJECTIVE_NAMES,
@@ -162,7 +162,6 @@ class MacroConfig:
     T: float = _field(_num, 0.1)
     cfl: float = _field(_num, 0.8, lo=0, hi=1, lo_open=True)
     boundary: str = _field(_choice, "outflow", options=BOUNDARIES)
-    scheme: str = _field(_choice, "lxf", options=SCHEMES)
     snapshot_every: int = _field(_integer, 0, lo=0)  # 0 disables full-field snapshots
 
 

@@ -1,17 +1,12 @@
 """Finite-volume solver for the 1D two-moment system (rho, rho*u).
 
 Closure: Maxwellian with fixed spread T, giving pressure rho*T^2 and
-wavespeeds u +/- |T| (strictly hyperbolic when T != 0).  Two explicit
-schemes share one step function:
-
-- ``lxf``: Lax-Friedrichs with the friction/attraction source handled
-  unsplit in the same update;
-- ``hydrostatic``: the hydrostatic reconstruction of Audusse, Bouchut,
-  Bristeau, Klein and Perthame (SIAM J. Sci. Comput. 2004) with a local
-  Lax-Friedrichs (Rusanov) flux.  The attraction enters through the
-  potential phi = (lam/m)(x - c)^2/2 at the faces, so the discrete steady
-  state rho ~ exp(-phi/T^2), u = 0 is kept exactly; friction stays
-  pointwise.
+wavespeeds u +/- |T| (strictly hyperbolic when T != 0).  One explicit
+scheme: the hydrostatic reconstruction of Audusse, Bouchut, Bristeau, Klein
+and Perthame (SIAM J. Sci. Comput. 2004) with a local Lax-Friedrichs
+(Rusanov) flux.  The attraction enters through the potential
+phi = (lam/m)(x - c)^2/2 at the faces, so the discrete steady state
+rho ~ exp(-phi/T^2), u = 0 is kept exactly; friction stays pointwise.
 """
 
 from __future__ import annotations
@@ -28,12 +23,7 @@ from .micro import weighted_mean
 # concentrates toward a spike and vacuum cells do appear.
 EPS_RHO = 1e-12
 
-# A cell this far below both neighbors counts as a decoupling hole and its
-# momentum is dropped; see lax_friedrichs_step.
-HOLE_REL = 0.05
-
 BOUNDARIES = ("outflow", "periodic", "absorbing")
-SCHEMES = ("lxf", "hydrostatic")
 
 # at most this many CFL sub-steps per advance_macro call before declaring a stall
 MAX_SUBSTEPS = 100_000
@@ -131,25 +121,6 @@ def init_macro(grid: Grid1D, total_mass: float = 1.0, T: float = 0.1) -> MacroSt
     return MacroState(rho=rho, rho_u=np.zeros(grid.n_cells), T=T)
 
 
-def flux(rho, rho_u, T: float):
-    """Physical flux (rho_u, rho u^2 + rho T^2), floored density in the division."""
-    rho = np.asarray(rho, dtype=float)
-    rho_u = np.asarray(rho_u, dtype=float)
-    return rho_u, rho_u**2 / np.maximum(rho, EPS_RHO) + rho * T**2
-
-
-def source(rho, rho_u, x, consensus: float, params: MacroParams):
-    """Momentum source: friction plus linear pull toward the consensus point.
-
-    The density equation has no source, so only the momentum component is
-    returned and the source moves no mass.
-    """
-    rho = np.asarray(rho, dtype=float)
-    rho_u = np.asarray(rho_u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return (params.gamma / params.m) * rho_u + (params.lam / params.m) * (x - consensus) * rho
-
-
 def consensus_point_macro(state: MacroState, grid: Grid1D, weights) -> float:
     """Density-weighted soft argmin of F_beta, given the cells' Gibbs weights.
 
@@ -181,70 +152,26 @@ def max_wavespeed(state: MacroState) -> float:
     return speed
 
 
-def cfl_dt(s: float, grid: Grid1D, cfl: float, accel: float = 0.0) -> float:
+def cfl_dt(s: float, grid: Grid1D, cfl: float) -> float:
     """Largest stable step scaled by cfl: cfl * dx / s.
 
     s is the largest characteristic speed max_j(|u_j| + |T|), which
-    max_wavespeed returns.
-
-    With a source acceleration accel > 0 the step is also sized against the
-    end-of-step wavespeed, (s + accel*dt)*dt <= cfl*dx.  Only the ``lxf``
-    scheme passes one: there, sizing against the pre-step speed alone lets
-    the attraction source outrun the Courant bound mid-step, which seeds a
-    grid-scale parasitic mode.  The ``hydrostatic`` scheme carries the
-    attraction in its face states and is sized by s alone.  The positive root is
-    taken in the form 2*budget / (s + sqrt(s^2 + 4*accel*budget)), which has
-    no cancellation when accel*budget << s^2.
+    max_wavespeed returns.  The face states carry the attraction, so the
+    wavespeed alone sizes the step.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
-    budget = cfl * grid.dx
-    dt = budget / s
-    if accel > 0.0:
-        dt = min(dt, 2.0 * budget / (s + math.sqrt(s * s + 4.0 * accel * budget)))
-    return dt
+    return cfl * grid.dx / s
 
 
 def _fill_ghosts(padded: np.ndarray, boundary: str) -> np.ndarray:
     """Set the first and last entry of each padded row from its cells, in place."""
     if boundary == "periodic":
         padded[..., 0], padded[..., -1] = padded[..., -2], padded[..., 1]
-    elif boundary == "absorbing":
-        # vacuum ghosts: mass that reaches an edge leaves and never returns
-        padded[..., 0] = padded[..., -1] = 0.0
     else:
         # outflow: zero-gradient ghost cells
         padded[..., 0], padded[..., -1] = padded[..., 1], padded[..., -2]
     return padded
-
-
-def _pad(arr: np.ndarray, boundary: str) -> np.ndarray:
-    """arr with one ghost cell per side."""
-    padded = np.empty(arr.size + 2)
-    padded[1:-1] = arr
-    return _fill_ghosts(padded, boundary)
-
-
-def _lxf_update(state, grid, dt, params, consensus, boundary):
-    """Neighbor average minus the centered flux difference, minus dt times the source.
-
-    Both fields sit padded in one buffer, [g rho g | g rho_u g], and their
-    fluxes in another, [g rho_u g | g F g], so the average and the
-    difference run once over both; the two entries that straddle the seam
-    are dropped.
-    """
-    n = state.rho.size
-    q = np.empty((2, n + 2))
-    q[0, 1:-1], q[1, 1:-1] = state.rho, state.rho_u
-    _fill_ghosts(q, boundary)
-    f = np.empty((2, n + 2))
-    f[0], f[1] = flux(q[0], q[1], state.T)
-    q, f = q.ravel(), f.ravel()
-
-    lam_dt = dt / (2.0 * grid.dx)
-    new = 0.5 * (q[2:] + q[:-2]) - lam_dt * (f[2:] - f[:-2])
-    mom_new = new[n + 2:] - dt * source(state.rho, state.rho_u, grid.centers, consensus, params)
-    return new[:n], mom_new
 
 
 def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
@@ -264,7 +191,8 @@ def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
     pad[2, 1:-1] = state.velocity()
     _fill_ghosts(pad, "periodic" if boundary == "periodic" else "outflow")
     if boundary == "absorbing":
-        # vacuum ghosts for rho and u; phi's ghosts still copy the edge
+        # vacuum ghosts for rho and u, so mass that reaches an edge leaves and
+        # never returns; phi's ghosts still copy the edge
         pad[1:, 0] = pad[1:, -1] = 0.0
     phi_p, rho_p, u_p = pad
 
@@ -295,21 +223,17 @@ def lax_friedrichs_step(
     consensus: float,
     boundary: str = "outflow",
     max_speed: float | None = None,
-    scheme: str = "lxf",
 ) -> MacroState:
-    """One explicit step of the given scheme; raises on a CFL violation instead of going unstable.
+    """One explicit step; raises on a CFL violation instead of going unstable.
 
-    ``lxf`` updates each cell by the neighbor average minus the centered flux
-    difference, minus dt times the local source; ``hydrostatic`` by the local
-    Lax-Friedrichs fluxes of the hydrostatic reconstruction (see
-    _hydrostatic_update).  Density is floored at zero afterwards and vacuum
-    cells carry no momentum.  max_speed is max_wavespeed(state), computed
-    here unless the caller already has it.
+    Each cell is updated by the local Lax-Friedrichs fluxes of the
+    hydrostatic reconstruction (see _hydrostatic_update).  Density is
+    floored at zero afterwards and vacuum cells carry no momentum.
+    max_speed is max_wavespeed(state), computed here unless the caller
+    already has it.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if max_speed is None:
@@ -320,54 +244,35 @@ def lax_friedrichs_step(
             f"max wavespeed {max_speed:g}"
         )
 
-    update = _lxf_update if scheme == "lxf" else _hydrostatic_update
-    rho_new, mom_new = update(state, grid, dt, params, consensus, boundary)
+    rho_new, mom_new = _hydrostatic_update(state, grid, dt, params, consensus, boundary)
     np.maximum(rho_new, 0.0, out=rho_new)
-    no_momentum = rho_new <= EPS_RHO
-    if scheme == "lxf":
-        # A cell orders of magnitude below both neighbors is a hole in the
-        # odd-even decoupled sub-grid, not physics: the scheme's own diffusion
-        # cannot produce such a drop from smooth data.  Holes otherwise carry
-        # parasitic momentum whose u = rho_u / rho collapses the CFL step.
-        # Fronts are one-sided (the outward neighbor is smaller), so genuine
-        # dynamics never trips this.
-        nbr = _pad(rho_new, "outflow")
-        no_momentum |= rho_new < HOLE_REL * np.minimum(nbr[:-2], nbr[2:])
-    mom_new[no_momentum] = 0.0
+    mom_new[rho_new <= EPS_RHO] = 0.0
     return MacroState(rho_new, mom_new, state.T, state.time + dt)
 
 
-def advance_macro(state, grid, params, weights, cfl, boundary, target_time, scheme="lxf"):
+def advance_macro(state, grid, params, weights, cfl, boundary, target_time):
     """CFL sub-steps until target_time, each with its own consensus point.
 
     The weights are the cells' Gibbs weights gibbs_weights(F_beta, alpha),
     one per cell, so each sub-step's consensus is the centers' mean under
     those weights times its own density, bit for bit what
-    consensus_point_macro returns.  Each step is sized by cfl_dt: under
-    ``lxf`` also against the largest source acceleration over the grid,
-    under ``hydrostatic`` by the wavespeed alone, since its face states
-    carry the attraction and keep the density nonnegative under
-    dt * max(|u| + |T|) <= dx.  The last step is cut to land on target_time.
-    One wavespeed per sub-step serves both cfl_dt and the step's CFL check.
-    Each sub-step is one lax_friedrichs_step of the given scheme.  Raises
-    RuntimeError after MAX_SUBSTEPS sub-steps.
+    consensus_point_macro returns.  Each step is sized by cfl_dt from the
+    wavespeed alone, since the face states carry the attraction and keep
+    the density nonnegative under dt * max(|u| + |T|) <= dx.  The last step
+    is cut to land on target_time.  One wavespeed per sub-step serves both
+    cfl_dt and the step's CFL check.  Raises RuntimeError after
+    MAX_SUBSTEPS sub-steps.
     """
-    accel_coeff = params.lam / params.m
-    x = grid.centers
     state.check_per_cell(weights=weights)
     for _ in range(MAX_SUBSTEPS):
         remaining = target_time - state.time
         if remaining <= 1e-12:
             return state
-        consensus = float(weighted_mean(weights * state.rho, x))
-        accel = 0.0
-        if scheme == "lxf":
-            # the centers are sorted, so the farthest one from consensus is an end cell
-            accel = accel_coeff * float(max(abs(x[0] - consensus), abs(x[-1] - consensus)))
+        consensus = float(weighted_mean(weights * state.rho, grid.centers))
         speed = max_wavespeed(state)
-        dt = min(cfl_dt(speed, grid, cfl, accel), remaining)
+        dt = min(cfl_dt(speed, grid, cfl), remaining)
         state = lax_friedrichs_step(state, grid, dt, params, consensus, boundary=boundary,
-                                    max_speed=speed, scheme=scheme)
+                                    max_speed=speed)
     raise RuntimeError(
         f"grid solver stalled: {MAX_SUBSTEPS} sub-steps before t={target_time:g}"
     )

@@ -211,7 +211,6 @@ class _Grid(_Scale):
         self.grid = cfg.build_grid()
         self.params = cfg.build_macro_params()
         self.cfl, self.boundary, self.dt = cfg.macro.cfl, cfg.macro.boundary, cfg.micro.dt
-        self.scheme = cfg.macro.scheme
         self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
         self.evaluate(self.grid.centers[:, None])  # the centers never move
 
@@ -222,7 +221,7 @@ class _Grid(_Scale):
         # the PDE sub-steps, but the penalty loop lives on the shared outer
         # grid n * dt so its cadence is physical time
         self.state = advance_macro(self.state, self.grid, self.params, self.weights,
-                                   self.cfl, self.boundary, n * self.dt, self.scheme)
+                                   self.cfl, self.boundary, n * self.dt)
 
     def measure_violation(self):
         return violation_macro(self.state, self.weights, self.parts[1])

@@ -22,7 +22,6 @@ from swarmscale.macro import (
     cfl_dt,
     lax_friedrichs_step,
     max_wavespeed,
-    source,
 )
 from swarmscale.micro import SwarmState, consensus_point, gibbs_weights, softmin_gap
 from swarmscale.micromacro import init_coupling, micro_cell_density, transfer_mass
@@ -136,9 +135,11 @@ def test_grid_peak_holds_over_a_window_of_stop_steps(tmp_path):
 def test_mass_migrates_to_grid_scale(tmp_path):
     cfg = bundled("rastrigin1d_micromacro")
     t_star = cfg.coupling.t_star
+    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
 
-    zeta_ok = trend_ok = 0
+    zeta_ok = trend_ok = hits = 0
     for report in seeded_runs(cfg, 5, tmp_path):
+        hits += abs(report.summary["argmin_estimate"][0]) <= 2 * dx
         rows = report.rows
         assert all(0.1 <= row["zeta"] <= 0.9 for row in rows)
 
@@ -157,6 +158,23 @@ def test_mass_migrates_to_grid_scale(tmp_path):
 
     assert zeta_ok >= 4
     assert trend_ok >= 4
+    assert hits >= 4
+
+
+# the bundled stop step 800 is the run of test_mass_migrates_to_grid_scale.  The
+# particle share does not stay low: at 3,200 steps final zeta < 0.2 held on only
+# 2 of these 5 seeds, so there the argmin alone is claimed
+@pytest.mark.parametrize("n_steps, zeta_claimed", [(1600, True), (3200, False)])
+def test_free_coupled_run_holds_at_each_stop_step(tmp_path, n_steps, zeta_claimed):
+    cfg = replace(bundled("rastrigin1d_micromacro"), n_steps=n_steps)
+    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    hits = zeta_ok = 0
+    for report in seeded_runs(cfg, 5, tmp_path):
+        hits += abs(report.summary["argmin_estimate"][0]) <= 2 * dx
+        zeta_ok += report.summary["final_zeta"] < 0.2
+    assert hits >= 4
+    if zeta_claimed:
+        assert zeta_ok >= 4
 
 
 def test_constrained_coupled_run_peaks_near_minimizer(tmp_path):
@@ -252,14 +270,12 @@ class TestPropertySuite:
                 assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
                 assert np.all(state.rho >= 0.0)
 
-            # transport leaves a constant state fixed, so only the source moves it
-            constant = MacroState(np.full(50, 0.7), np.zeros(50), T=0.2)
-            out = lax_friedrichs_step(
-                constant, grid, 0.05, params, 0.0, boundary="periodic"
-            )
-            kick = -0.05 * source(constant.rho, constant.rho_u, grid.centers, 0.0, params)
-            np.testing.assert_allclose(out.rho, constant.rho, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(out.rho_u, kick, rtol=0, atol=1e-14)
+            # the discrete hydrostatic profile C exp(-phi / T^2), u = 0, is a fixed point
+            phi = (params.lam / params.m) * 0.5 * (grid.centers - 0.3) ** 2
+            rest = MacroState(0.7 * np.exp(-phi / 0.2**2), np.zeros(50), T=0.2)
+            out = lax_friedrichs_step(rest, grid, 0.05, params, 0.3, boundary="periodic")
+            np.testing.assert_allclose(out.rho, rest.rho, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-14)
 
     def test_characteristic_speeds_match_eigensolvers(self):
         rng = np.random.default_rng(1004)
@@ -413,7 +429,7 @@ class TestPropertySuite:
                 atol=1e-10,
             )
 
-            # one finite-volume step vs a transcription of the stencil
+            # one finite-volume step vs a face-by-face transcription
             g5 = Grid1D(0.0, 5.0, 5)
             params = MacroParams(m=0.5, lam=1.0)
             rho5 = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
@@ -422,13 +438,22 @@ class TestPropertySuite:
                 MacroState(rho5, mom5, T=0.2), g5, 0.5, params, 2.3,
                 boundary="periodic",
             )
-            rp, rm = np.roll(rho5, -1), np.roll(rho5, 1)
-            qp, qm = np.roll(mom5, -1), np.roll(mom5, 1)
-            lam_dt = 0.5 / (2.0 * g5.dx)
-            rho_ref = 0.5 * (rp + rm) - lam_dt * (qp - qm)
-            fq = lambda r, q: q * q / r + r * 0.04
-            mom_ref = 0.5 * (qp + qm) - lam_dt * (fq(rp, qp) - fq(rm, qm))
-            mom_ref -= 0.5 * (mom5 + 2.0 * (g5.centers - 2.3) * rho5)
+            phi = [(x - 2.3) ** 2 for x in g5.centers]
+            rho_ref, mom_ref = list(rho5), [0.5 * q for q in mom5]  # after friction
+            for i in range(5):
+                j = (i + 1) % 5
+                top = max(phi[i], phi[j])
+                r_i = rho5[i] * math.exp(-(top - phi[i]) / 0.04)
+                r_j = rho5[j] * math.exp(-(top - phi[j]) / 0.04)
+                u_i, u_j = mom5[i] / rho5[i], mom5[j] / rho5[j]
+                a = max(abs(u_i), abs(u_j)) + 0.2
+                f_rho = 0.5 * (r_i * u_i + r_j * u_j - a * (r_j - r_i))
+                f_mom = 0.5 * (r_i * u_i**2 + r_j * u_j**2 + 0.04 * (r_i + r_j)
+                               - a * (r_j * u_j - r_i * u_i))
+                rho_ref[i] -= 0.5 * f_rho
+                rho_ref[j] += 0.5 * f_rho
+                mom_ref[i] -= 0.5 * (f_mom + 0.04 * (rho5[i] - r_i))
+                mom_ref[j] += 0.5 * (f_mom + 0.04 * (rho5[j] - r_j))
             np.testing.assert_allclose(out.rho, rho_ref, atol=1e-10)
             np.testing.assert_allclose(out.rho_u, mom_ref, atol=1e-10)
 

@@ -104,6 +104,8 @@ def test_unknown_keys_rejected():
         # removed keys: the kappa back-off and the transfer each have one rule
         ({"penalty": {"failure_kappa_rule": "divide"}}, "penalty.failure_kappa_rule"),
         ({"coupling": {"transfer_rule": "conserve"}}, "coupling.transfer_rule"),
+        # the grid has one scheme, so a config that still picks one fails at the key
+        ({"macro": {"scheme": "lxf"}}, "macro.scheme"),
     ]:
         with pytest.raises(ConfigError) as exc:
             config_from_dict(base_dict(**over))
@@ -332,19 +334,3 @@ def test_penalty_section_is_read_from_yaml(tmp_path):
     assert cfg.penalty.macro.beta0 == 1.0  # an absent section takes its defaults
     ctrl = cfg.build_controller("micro")
     assert (ctrl.beta, ctrl.kappa, ctrl.kappa0) == (2.5, 7.0, 7.0)
-
-
-@pytest.mark.parametrize("scheme", ["lxf", "hydrostatic"])
-def test_macro_scheme_round_trips(scheme):
-    cfg = config_from_dict(base_dict(macro={"scheme": scheme}))
-    assert cfg.macro.scheme == scheme
-    d = config_to_dict(cfg)
-    assert d["macro"]["scheme"] == scheme
-    assert config_from_dict(d) == cfg
-    assert config_from_dict(base_dict()).macro.scheme == "lxf"
-
-
-def test_unknown_macro_scheme_is_rejected_at_its_key():
-    with pytest.raises(ConfigError) as exc:
-        config_from_dict(base_dict(macro={"scheme": "upwind"}))
-    assert exc.value.errors == ["macro.scheme: must be one of ['lxf', 'hydrostatic']"]

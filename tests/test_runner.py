@@ -84,12 +84,10 @@ def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
     assert [(r["ok"], r["failed_step"]) for r in report.runs] == [(False, 0), (False, 0)]
 
 
-@pytest.mark.parametrize("scheme", ["lxf", "hydrostatic"])
-def test_a_vanishing_attraction_runs_to_completion(load_bundled, scheme):
-    # accel*dx << s*s once lam is tiny: lxf's acceleration bound must not round to dt = 0
+def test_a_vanishing_attraction_runs_to_completion(load_bundled):
+    # a potential of ~1e-30 leaves every face state at its cell's density and dt > 0
     cfg = load_bundled("ackley1d_macro_constrained")
-    cfg = replace(cfg, micro=replace(cfg.micro, lam=1e-30),
-                  macro=replace(cfg.macro, scheme=scheme))
+    cfg = replace(cfg, micro=replace(cfg.micro, lam=1e-30))
     report = run_experiment(cfg)
     with open(report.csv_path) as fh:
         assert len(fh.readlines()) == 1 + 1 + cfg.n_steps  # header, initial row, steps
@@ -180,7 +178,7 @@ def test_ensemble_pools_the_leading_scale_consensus(tmp_path, mode, dim, header)
     ("ackley2d_unconstrained", "b86e85e3b1d14a9e"),
     ("ackley2d_constrained", "371afaa0dea46248"),
     ("ackley1d_macro_constrained", "e80992b8e6cb9d58"),
-    ("rastrigin1d_micromacro", "05dcdf75d90c843b"),
+    ("rastrigin1d_micromacro", "65318edc76e8f727"),
     ("rastrigin1d_micromacro_constrained", "b20b25a5a2f45424"),
 ])
 def test_bundled_trace_is_pinned(load_bundled, name, digest):
