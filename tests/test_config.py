@@ -112,6 +112,16 @@ def test_unknown_keys_rejected():
         assert exc.value.errors == [f"{key}: unknown key"]
 
 
+def test_unknown_macro_scheme_is_rejected_at_its_key(tmp_path):
+    # a config file that still picks a scheme, the kept one or another, fails loudly
+    for scheme in ("lxf", "hydrostatic", "upwind"):
+        p = tmp_path / f"{scheme}.yaml"
+        p.write_text(yaml.safe_dump(base_dict(macro={"scheme": scheme})))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert exc.value.errors == ["macro.scheme: unknown key"]
+
+
 def test_mode_and_objective_validation():
     with pytest.raises(ConfigError, match="mode"):
         config_from_dict(base_dict(mode="quantum"))

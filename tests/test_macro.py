@@ -129,6 +129,20 @@ def test_consensus_macro_zero_mass_raises():
 # ------------------------------------------------------------------- stepping
 
 
+def test_constant_state_is_fixed_point():
+    # with a vanishing attraction every face sees its cells' own states, so
+    # transport leaves a constant flow fixed and only friction moves its momentum
+    grid = Grid1D(0.0, 1.0, 20)
+    params = MacroParams(m=0.5, lam=1e-300)
+    state = MacroState(np.full(20, 0.7), np.full(20, 0.14), T=0.3)
+    kick = -0.05 * (params.gamma / params.m) * state.rho_u
+    for boundary in ("periodic", "outflow"):
+        out = lax_friedrichs_step(state, grid, 0.05, params, 0.0, boundary=boundary)
+        np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out.rho_u, state.rho_u + kick, rtol=0, atol=1e-14)
+    assert out.time == pytest.approx(0.05)
+
+
 def test_vacuum_stays_vacuum():
     grid = Grid1D(0.0, 1.0, 10)
     state = MacroState(np.zeros(10), np.zeros(10), T=0.1)
@@ -159,6 +173,19 @@ def test_step_errors():
         lax_friedrichs_step(state, grid, 1.0, PARAMS, 0.0)
     with pytest.raises(ValueError, match="boundary"):
         lax_friedrichs_step(state, grid, 0.01, PARAMS, 0.0, boundary="reflecting")
+
+
+def test_hydrostatic_step_errors():
+    # the CFL check counts the flow speed |u| as well as |T|
+    grid = Grid1D(0.0, 1.0, 10)
+    at_rest = MacroState(np.ones(10), np.zeros(10), T=1.0)
+    moving = MacroState(np.ones(10), np.ones(10), T=1.0)
+    lax_friedrichs_step(at_rest, grid, 0.07, PARAMS, 0.0)
+    with pytest.raises(ValueError, match="CFL violation"):
+        lax_friedrichs_step(moving, grid, 0.07, PARAMS, 0.0)
+    # a wavespeed handed in by the caller is the one checked
+    with pytest.raises(ValueError, match="CFL violation"):
+        lax_friedrichs_step(at_rest, grid, 0.07, PARAMS, 0.0, max_speed=2.0)
 
 
 def hydrostatic_equilibrium(grid, consensus, T):
@@ -354,11 +381,19 @@ def halfline_pf(beta):
     return PenalizedObjective(ObjectiveFunction("rastrigin", 1), Halfspace1D(0.5), beta)
 
 
-@pytest.mark.parametrize("boundary", ["outflow", "periodic", "absorbing"])
-def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary):
+# the bare boundary id starts from a random flow, the -hydrostatic one from the
+# scheme's rest profile about a point the weights' consensus moves away from
+@pytest.mark.parametrize("boundary, start", [
+    pytest.param(b, s, id=b if s == "random" else f"{b}-{s}")
+    for b in ("outflow", "periodic", "absorbing") for s in ("random", "hydrostatic")
+])
+def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, start):
     grid = Grid1D(-3.0, 3.0, 81)
-    rng = np.random.default_rng(41)
-    state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81), T=0.3)
+    if start == "random":
+        rng = np.random.default_rng(41)
+        state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81), T=0.3)
+    else:
+        state = hydrostatic_equilibrium(grid, -1.0, 0.3)
     pf = halfline_pf(2.5)
     for target in (0.05, 0.4):
         got = advance_macro(state, grid, PARAMS, weights_at(grid, pf, 30.0), 0.8, boundary,

@@ -84,9 +84,11 @@ def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
     assert [(r["ok"], r["failed_step"]) for r in report.runs] == [(False, 0), (False, 0)]
 
 
-def test_a_vanishing_attraction_runs_to_completion(load_bundled):
+# the id names the grid kernel the run steps with
+@pytest.mark.parametrize("name", [pytest.param("ackley1d_macro_constrained", id="hydrostatic")])
+def test_a_vanishing_attraction_runs_to_completion(load_bundled, name):
     # a potential of ~1e-30 leaves every face state at its cell's density and dt > 0
-    cfg = load_bundled("ackley1d_macro_constrained")
+    cfg = load_bundled(name)
     cfg = replace(cfg, micro=replace(cfg.micro, lam=1e-30))
     report = run_experiment(cfg)
     with open(report.csv_path) as fh:
