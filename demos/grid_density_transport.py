@@ -6,8 +6,9 @@ The same dynamics as the swarm, but for a density field: two moments
 (mass and momentum) advanced by a local Lax-Friedrichs scheme on the
 hydrostatic reconstruction of Audusse et al. (2004).  The pull toward the
 consensus point of the density itself enters through a potential at the
-cell faces, and friction damps the momentum.  The mass bump drifts toward
-the minimizer without ever sampling a particle.
+cell faces, and friction damps the momentum.  The grid takes the swarm's
+own MicroParams and reads its m, lam and friction gamma = 1 - m.  The mass
+bump drifts toward the minimizer without ever sampling a particle.
 
 advance_macro carries the density to each report time in CFL sub-steps,
 each sized by the largest wavespeed |u| + |T| alone: the face states
@@ -18,16 +19,15 @@ import numpy as np
 
 from swarmscale.macro import (
     Grid1D,
-    MacroParams,
     MacroState,
     advance_macro,
     consensus_point_macro,
 )
-from swarmscale.micro import gibbs_weights
+from swarmscale.micro import MicroParams, gibbs_weights
 from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
 
 grid = Grid1D(-4.0, 4.0, 200)
-params = MacroParams(m=0.5, lam=1.0)
+params = MicroParams(m=0.5, lam=1.0)
 pf = PenalizedObjective(ObjectiveFunction("ackley", 1), None, beta=0.0)
 # the cells never move and beta is fixed, so F_beta there and its Gibbs
 # weights are built once

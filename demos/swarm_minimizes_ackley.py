@@ -17,8 +17,10 @@ from swarmscale.penalty import violation_micro
 # none of which contains the unconstrained minimizer at the origin.
 cfg = load_bundled("ackley2d_constrained")
 params = cfg.build_micro_params()
-pf = cfg.build_penalized("micro")
-ctrl = cfg.build_controller("micro")
+# the config's one penalty section seeds this controller; a coupled run seeds
+# the grid's from the same section, and the two then move apart
+pf = cfg.build_penalized()
+ctrl = cfg.build_controller()
 
 rng = np.random.default_rng(cfg.seed)
 swarm = init_swarm(cfg.n_particles, 2, rng, box=cfg.micro.init_box)

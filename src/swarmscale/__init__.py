@@ -16,7 +16,6 @@ from .config import (
 )
 from .macro import (
     Grid1D,
-    MacroParams,
     MacroState,
     advance_macro,
     cfl_dt,
@@ -71,7 +70,6 @@ __all__ = [
     "load_config",
     "save_config",
     "Grid1D",
-    "MacroParams",
     "MacroState",
     "advance_macro",
     "cfl_dt",

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .macro import BOUNDARIES, Grid1D, MacroParams
+from .macro import BOUNDARIES, Grid1D
 from .micro import DIFFUSION_MODES, MicroParams
 from .objectives import (
     OBJECTIVE_NAMES,
@@ -167,18 +167,12 @@ class MacroConfig:
 
 @dataclass(frozen=True)
 class PenaltyConfig:
+    """The exact-penalty constants; each scale seeds its own controller from them."""
+
     beta0: float = _field(_num, 1.0, lo=0, lo_open=True)
     kappa0: float = _field(_num, 5.0, lo=0, lo_open=True)
     eta_kappa: float = _field(_num, 1.1, lo=1, lo_open=True)
     eta_beta: float = _field(_num, 1.1, lo=1, lo_open=True)
-
-
-@dataclass(frozen=True)
-class PenaltySection:
-    """One controller per scale."""
-
-    micro: PenaltyConfig = _section(PenaltyConfig)
-    macro: PenaltyConfig = _section(PenaltyConfig)
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ class ExperimentConfig:
     feasible_set: FeasibleConfig | None = field(default=None, metadata={"section": FeasibleConfig})
     micro: MicroConfig = _section(MicroConfig)
     macro: MacroConfig = _section(MacroConfig)
-    penalty: PenaltySection = _section(PenaltySection)
+    penalty: PenaltyConfig = _section(PenaltyConfig)
     coupling: CouplingConfig = _section(CouplingConfig)
 
     # -- builders for the runtime objects ---------------------------------
@@ -226,9 +220,9 @@ class ExperimentConfig:
             return IntervalUnion(list(fs.intervals))
         return Halfspace1D(fs.bound)
 
-    def build_penalized(self, scale: str = "micro") -> PenalizedObjective:
+    def build_penalized(self) -> PenalizedObjective:
         fs = self.build_feasible_set()
-        beta = getattr(self.penalty, scale).beta0 if fs is not None else 0.0
+        beta = self.penalty.beta0 if fs is not None else 0.0
         return PenalizedObjective(self.build_objective(), fs, beta)
 
     def build_micro_params(self) -> MicroParams:
@@ -238,11 +232,8 @@ class ExperimentConfig:
     def build_grid(self) -> Grid1D:
         return Grid1D(self.macro.x_min, self.macro.x_max, self.macro.n_cells)
 
-    def build_macro_params(self) -> MacroParams:
-        return MacroParams(m=self.micro.m, lam=self.micro.lam)
-
-    def build_controller(self, scale: str = "micro") -> PenaltyController:
-        c = getattr(self.penalty, scale)
+    def build_controller(self) -> PenaltyController:
+        c = self.penalty
         return PenaltyController(
             beta=c.beta0,
             kappa=c.kappa0,
@@ -342,9 +333,11 @@ def _check_feasible(raw, fs: FeasibleConfig, dim, chk: _Checker):
 
 def config_from_dict(data) -> ExperimentConfig:
     """Validate a parsed key-tree and build the config; raises ConfigError."""
-    chk = _Checker()
     if data is None:
         data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(["top level: must be a mapping"])
+    chk = _Checker()
     cfg = _parse_section(ExperimentConfig, data, "", chk)
 
     # the cross-field checks; a required key that failed its own check is None here
@@ -378,8 +371,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     except yaml.YAMLError as exc:
         raise ConfigError([f"parse error: {exc}"]) from exc
-    if data is not None and not isinstance(data, dict):
-        raise ConfigError(["top level: must be a mapping"])
     return config_from_dict(data)
 
 

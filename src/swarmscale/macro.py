@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .micro import weighted_mean
+from .micro import MicroParams, weighted_mean
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
 # concentrates toward a spike and vacuum cells do appear.
@@ -53,27 +53,6 @@ class Grid1D:
         x = self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
         x.flags.writeable = False
         return x
-
-
-@dataclass(frozen=True)
-class MacroParams:
-    """Source-term coefficients: inertia m and attraction lam.
-
-    As in MicroParams, the friction is derived as ``gamma = 1 - m``.
-    """
-
-    m: float = 0.5
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.m <= 1.0:
-            raise ValueError("inertia weight m must lie in (0, 1]")
-        if self.lam <= 0:
-            raise ValueError("attraction strength lam must be positive")
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 - self.m
 
 
 @dataclass
@@ -164,16 +143,6 @@ def cfl_dt(s: float, grid: Grid1D, cfl: float) -> float:
     return cfl * grid.dx / s
 
 
-def _fill_ghosts(padded: np.ndarray, boundary: str) -> np.ndarray:
-    """Set the first and last entry of each padded row from its cells, in place."""
-    if boundary == "periodic":
-        padded[..., 0], padded[..., -1] = padded[..., -2], padded[..., 1]
-    else:
-        # outflow: zero-gradient ghost cells
-        padded[..., 0], padded[..., -1] = padded[..., 1], padded[..., -2]
-    return padded
-
-
 def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
     """Rusanov fluxes of the hydrostatically reconstructed face states, plus friction.
 
@@ -189,7 +158,11 @@ def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
     pad[0, 1:-1] = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
     pad[1, 1:-1] = state.rho
     pad[2, 1:-1] = state.velocity()
-    _fill_ghosts(pad, "periodic" if boundary == "periodic" else "outflow")
+    if boundary == "periodic":
+        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
+    else:
+        # zero-gradient ghost cells
+        pad[:, 0], pad[:, -1] = pad[:, 1], pad[:, -2]
     if boundary == "absorbing":
         # vacuum ghosts for rho and u, so mass that reaches an edge leaves and
         # never returns; phi's ghosts still copy the edge
@@ -219,7 +192,7 @@ def lax_friedrichs_step(
     state: MacroState,
     grid: Grid1D,
     dt: float,
-    params: MacroParams,
+    params: MicroParams,
     consensus: float,
     boundary: str = "outflow",
     max_speed: float | None = None,
@@ -229,8 +202,9 @@ def lax_friedrichs_step(
     Each cell is updated by the local Lax-Friedrichs fluxes of the
     hydrostatic reconstruction (see _hydrostatic_update).  Density is
     floored at zero afterwards and vacuum cells carry no momentum.
-    max_speed is max_wavespeed(state), computed here unless the caller
-    already has it.
+    params are the particles' MicroParams: the grid solves the moments of
+    the same SDE, so it reads the same m, lam and gamma = 1 - m.  max_speed
+    is max_wavespeed(state), computed here unless the caller already has it.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")

@@ -1,7 +1,8 @@
 """Adaptive exact-penalty control: violation measures and the (beta, kappa) update.
 
-One controller instance per scale; the micro and macro solvers keep
-independent (beta, kappa) states.  beta never decreases.
+One controller state per scale: the micro and macro solvers each start
+from the config's one penalty section and then update their own
+(beta, kappa) independently.  beta never decreases.
 """
 
 from __future__ import annotations

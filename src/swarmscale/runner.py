@@ -120,9 +120,11 @@ class _Scale:
     def __init__(self, cfg, name, alone):
         self.name = name
         self.alone = alone
-        self.alpha = cfg.micro.alpha
-        self.pf = cfg.build_penalized(name)
-        self.ctrl = cfg.build_controller(name)
+        # one coefficient set for both scales: the grid solves the moments of the particles' SDE
+        self.params = cfg.build_micro_params()
+        # both scales start from the one penalty section; each then moves its own controller
+        self.pf = cfg.build_penalized()
+        self.ctrl = cfg.build_controller()
         self.violation, self.branch = 0.0, "none"
 
     def evaluate(self, points):
@@ -132,7 +134,7 @@ class _Scale:
 
     def weigh(self):
         """Gibbs weights of F_beta at the current beta; each average of the scale reads them."""
-        self.weights = gibbs_weights(self.pf.combine(*self.parts), self.alpha)
+        self.weights = gibbs_weights(self.pf.combine(*self.parts), self.params.alpha)
 
     def penalize(self):
         """One (beta, kappa) update from the current violation; unconstrained runs skip it."""
@@ -161,7 +163,6 @@ class _Particles(_Scale):
     def __init__(self, cfg, rng, mass, alone):
         super().__init__(cfg, "micro", alone)
         self.rng = rng
-        self.params = cfg.build_micro_params()
         self.swarm = init_swarm(cfg.n_particles, cfg.objective.dim, rng,
                                 box=cfg.micro.init_box, particle_mass=mass / cfg.n_particles)
         self.evaluate(self.swarm.positions)
@@ -182,7 +183,7 @@ class _Particles(_Scale):
         self.target = consensus_point(self.swarm.positions, self.weights)
         self.consensus = [float(c) for c in self.target]
         if self.alone:
-            self.gap = softmin_gap(self.weights, self.alpha)
+            self.gap = softmin_gap(self.weights, self.params.alpha)
 
     def mass(self):
         return self.swarm.total_mass
@@ -194,7 +195,7 @@ class _Particles(_Scale):
         if not self.alone:
             return self.consensus + self.penalty_values()
         if __debug__:
-            assert self.gap <= np.log(self.swarm.n_particles) / self.alpha + 1e-9
+            assert self.gap <= np.log(self.swarm.n_particles) / self.params.alpha + 1e-9
         return self.consensus + [self.gap] + self.penalty_values()
 
 
@@ -209,8 +210,7 @@ class _Grid(_Scale):
     def __init__(self, cfg, mass, alone):
         super().__init__(cfg, "macro", alone)
         self.grid = cfg.build_grid()
-        self.params = cfg.build_macro_params()
-        self.cfl, self.boundary, self.dt = cfg.macro.cfl, cfg.macro.boundary, cfg.micro.dt
+        self.cfl, self.boundary = cfg.macro.cfl, cfg.macro.boundary
         self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
         self.evaluate(self.grid.centers[:, None])  # the centers never move
 
@@ -221,7 +221,7 @@ class _Grid(_Scale):
         # the PDE sub-steps, but the penalty loop lives on the shared outer
         # grid n * dt so its cadence is physical time
         self.state = advance_macro(self.state, self.grid, self.params, self.weights,
-                                   self.cfl, self.boundary, n * self.dt)
+                                   self.cfl, self.boundary, n * self.params.dt)
 
     def measure_violation(self):
         return violation_macro(self.state, self.weights, self.parts[1])

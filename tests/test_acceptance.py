@@ -17,13 +17,12 @@ import pytest
 from swarmscale.config import load_config
 from swarmscale.macro import (
     Grid1D,
-    MacroParams,
     MacroState,
     cfl_dt,
     lax_friedrichs_step,
     max_wavespeed,
 )
-from swarmscale.micro import SwarmState, consensus_point, gibbs_weights, softmin_gap
+from swarmscale.micro import MicroParams, SwarmState, consensus_point, gibbs_weights, softmin_gap
 from swarmscale.micromacro import init_coupling, micro_cell_density, transfer_mass
 from swarmscale.objectives import (
     ObjectiveFunction,
@@ -257,7 +256,7 @@ class TestPropertySuite:
 
     def test_finite_volume_mass_conservation(self):
         grid = Grid1D(-2.0, 2.0, 50)
-        params = MacroParams(m=0.5, lam=1.0)
+        params = MicroParams(m=0.5, lam=1.0)
         rng = np.random.default_rng(1003)
         state = MacroState(rng.uniform(0.5, 1.5, size=50), np.zeros(50), T=0.2)
         m0 = state.rho.sum() * grid.dx
@@ -431,7 +430,7 @@ class TestPropertySuite:
 
             # one finite-volume step vs a face-by-face transcription
             g5 = Grid1D(0.0, 5.0, 5)
-            params = MacroParams(m=0.5, lam=1.0)
+            params = MicroParams(m=0.5, lam=1.0)
             rho5 = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
             mom5 = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
             out = lax_friedrichs_step(

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from swarmscale import cli
-from swarmscale.runner import MACRO_COLUMNS, MICROMACRO_COLUMNS, RunError, micro_columns
+from swarmscale.runner import RunError
 
 
 def write_config(tmp_path, name="tiny.yaml", **over):
@@ -62,7 +62,8 @@ def test_run_writes_artifacts(tmp_path, capsys):
 
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
-    assert header == micro_columns(2)
+    assert header == ["step", "time", "consensus_0", "consensus_1", "softmin_gap",
+                      "beta", "kappa", "violation", "branch"]
     rows = read_rows(csv_path)
     assert len(rows) == 6  # initial row plus one per step
 
@@ -138,7 +139,8 @@ def test_run_macro_mode_columns(tmp_path):
     assert cli.main(["run", "--config", str(p)]) == 0
     with open(tmp_path / "out" / "trace.csv") as fh:
         header = fh.readline().strip().split(",")
-    assert header == MACRO_COLUMNS
+    assert header == ["step", "time", "consensus", "beta", "kappa", "violation", "branch",
+                      "total_mass", "argmax_center"]
     rows = read_rows(tmp_path / "out" / "trace.csv")
     for row in rows:
         assert float(row["total_mass"]) == pytest.approx(1.0, abs=1e-10)
@@ -159,7 +161,12 @@ def test_run_micromacro_mode_columns_and_masses(tmp_path):
     assert cli.main(["run", "--config", str(p)]) == 0
     with open(tmp_path / "out" / "trace.csv") as fh:
         header = fh.readline().strip().split(",")
-    assert header == MICROMACRO_COLUMNS
+    assert header == [
+        "step", "time",
+        "consensus_micro", "beta_micro", "kappa_micro", "violation_micro", "branch_micro",
+        "consensus_macro", "beta_macro", "kappa_macro", "violation_macro", "branch_macro",
+        "zeta", "mass_micro", "mass_macro", "mass_total",
+    ]
     rows = read_rows(tmp_path / "out" / "trace.csv")
     for row in rows:
         assert float(row["mass_total"]) == pytest.approx(1.0, rel=1e-10)

@@ -57,10 +57,10 @@ def test_bundled_constrained_swarm_parameters():
     assert cfg.micro.sigma == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
     assert cfg.micro.alpha == 30.0
     assert cfg.micro.diffusion == "anisotropic"
-    assert cfg.penalty.micro.beta0 == 1.0
-    assert cfg.penalty.micro.kappa0 == 5.0
-    assert cfg.penalty.micro.eta_kappa == 1.1
-    assert cfg.penalty.micro.eta_beta == 1.1
+    assert cfg.penalty.beta0 == 1.0
+    assert cfg.penalty.kappa0 == 5.0
+    assert cfg.penalty.eta_kappa == 1.1
+    assert cfg.penalty.eta_beta == 1.1
     assert cfg.n_steps == 400
     assert cfg.feasible_set.kind == "balls"
     assert len(cfg.feasible_set.balls) == 6
@@ -88,8 +88,14 @@ def test_missing_file_and_bad_yaml(tmp_path):
 def test_non_mapping_top_level(tmp_path):
     p = tmp_path / "list.yaml"
     p.write_text("- 1\n- 2\n")
-    with pytest.raises(ConfigError, match="top level"):
+    with pytest.raises(ConfigError) as exc:
         load_config(p)
+    assert exc.value.errors == ["top level: must be a mapping"]
+    # the public parser names a non-mapping once, not as its missing keys
+    for data in ([1, 2], "x"):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(data)
+        assert exc.value.errors == ["top level: must be a mapping"]
 
 
 def test_zero_inertia_rejected():
@@ -106,6 +112,8 @@ def test_unknown_keys_rejected():
         ({"coupling": {"transfer_rule": "conserve"}}, "coupling.transfer_rule"),
         # the grid has one scheme, so a config that still picks one fails at the key
         ({"macro": {"scheme": "lxf"}}, "macro.scheme"),
+        # one penalty section seeds both scales, so a per-scale one fails at its key
+        ({"penalty": {"micro": {"beta0": 1.0}}}, "penalty.micro"),
     ]:
         with pytest.raises(ConfigError) as exc:
             config_from_dict(base_dict(**over))
@@ -200,8 +208,8 @@ def test_builders_wire_the_parameters():
 
     assert fs.distance(np.array([0.0])) == pytest.approx(0.5)
 
-    pf = cfg.build_penalized("micro")
-    assert pf.beta == cfg.penalty.micro.beta0
+    pf = cfg.build_penalized()
+    assert pf.beta == cfg.penalty.beta0
 
     params = cfg.build_micro_params()
     assert params.dt == cfg.micro.dt and params.alpha == cfg.micro.alpha
@@ -209,13 +217,11 @@ def test_builders_wire_the_parameters():
     grid = cfg.build_grid()
     assert grid.n_cells == 401
 
-    mp = cfg.build_macro_params()
-    assert mp.gamma == pytest.approx(1.0 - cfg.micro.m)
-    assert mp.m == cfg.micro.m and mp.lam == cfg.micro.lam
+    assert params.gamma == pytest.approx(1.0 - cfg.micro.m)
+    assert params.m == cfg.micro.m and params.lam == cfg.micro.lam
 
-    for scale in ("micro", "macro"):
-        ctrl = cfg.build_controller(scale)
-        assert ctrl.beta == 1.0 and ctrl.kappa == 5.0
+    ctrl = cfg.build_controller()
+    assert ctrl.beta == 1.0 and ctrl.kappa == 5.0
 
 
 def test_config_error_accumulates():
@@ -236,7 +242,7 @@ ONE_D = {"name": "ackley", "dim": 1}
     ({"micro": {"dt": math.inf}}, "micro.dt"),
     ({"macro": {"T": -math.inf}}, "macro.T"),
     ({"micro": {"init_box": [-math.inf, 3.0]}}, "micro.init_box"),
-    ({"penalty": {"micro": {"beta0": math.nan}}}, "penalty.micro.beta0"),
+    ({"penalty": {"beta0": math.nan}}, "penalty.beta0"),
     ({"feasible_set": {"kind": "balls", "balls": [{"center": [0.0, math.nan], "radius_sq": 1.0}]}},
      "feasible_set.balls[0].center"),
     ({"feasible_set": {"kind": "balls", "balls": [{"center": [0.0, 0.0], "radius_sq": math.inf}]}},
@@ -336,11 +342,9 @@ def test_config_to_dict_is_plain_data():
 
 def test_penalty_section_is_read_from_yaml(tmp_path):
     p = tmp_path / "penalty.yaml"
-    p.write_text(yaml.safe_dump(base_dict(penalty={
-        "micro": {"beta0": 2.5, "kappa0": 7.0},
-    })))
+    p.write_text(yaml.safe_dump(base_dict(penalty={"beta0": 2.5, "kappa0": 7.0})))
     cfg = load_config(p)
-    assert cfg.penalty.micro.beta0 == 2.5 and cfg.penalty.micro.kappa0 == 7.0
-    assert cfg.penalty.macro.beta0 == 1.0  # an absent section takes its defaults
-    ctrl = cfg.build_controller("micro")
+    assert cfg.penalty.beta0 == 2.5 and cfg.penalty.kappa0 == 7.0
+    assert cfg.penalty.eta_beta == 1.1  # an absent key takes its default
+    ctrl = cfg.build_controller()
     assert (ctrl.beta, ctrl.kappa, ctrl.kappa0) == (2.5, 7.0, 7.0)

@@ -9,7 +9,6 @@ from swarmscale import macro
 from swarmscale.macro import (
     EPS_RHO,
     Grid1D,
-    MacroParams,
     MacroState,
     advance_macro,
     cfl_dt,
@@ -18,10 +17,10 @@ from swarmscale.macro import (
     lax_friedrichs_step,
     max_wavespeed,
 )
-from swarmscale.micro import gibbs_weights
+from swarmscale.micro import MicroParams, gibbs_weights
 from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 
-PARAMS = MacroParams(m=0.5, lam=1.0)
+PARAMS = MicroParams(m=0.5, lam=1.0)
 
 
 def ackley_pf(dim=1):
@@ -133,7 +132,7 @@ def test_constant_state_is_fixed_point():
     # with a vanishing attraction every face sees its cells' own states, so
     # transport leaves a constant flow fixed and only friction moves its momentum
     grid = Grid1D(0.0, 1.0, 20)
-    params = MacroParams(m=0.5, lam=1e-300)
+    params = MicroParams(m=0.5, lam=1e-300)
     state = MacroState(np.full(20, 0.7), np.full(20, 0.14), T=0.3)
     kick = -0.05 * (params.gamma / params.m) * state.rho_u
     for boundary in ("periodic", "outflow"):

@@ -18,7 +18,7 @@ def test_readme_config_example_validates():
     (text,) = code_blocks("yaml")
     cfg = config_from_dict(yaml.safe_load(text))
     assert cfg.mode == "micromacro"
-    assert cfg.penalty.micro.beta0 == 1.0 and cfg.feasible_set.bound == -0.5
+    assert cfg.penalty.beta0 == 1.0 and cfg.feasible_set.bound == -0.5
 
 
 def test_readme_python_example_runs(capsys):

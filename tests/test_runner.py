@@ -95,6 +95,15 @@ def test_a_vanishing_attraction_runs_to_completion(load_bundled, name):
         assert len(fh.readlines()) == 1 + 1 + cfg.n_steps  # header, initial row, steps
 
 
+def test_one_penalty_section_seeds_two_independent_controllers(load_bundled):
+    # both scales start from the same constants, then each updates from its own violation
+    cfg = load_bundled("rastrigin1d_micromacro_constrained", n_steps=20)
+    rows = run_experiment(cfg).rows
+    assert rows[0]["beta_micro"] == rows[0]["beta_macro"] == cfg.penalty.beta0
+    assert rows[0]["kappa_micro"] == rows[0]["kappa_macro"] == cfg.penalty.kappa0
+    assert any(row["beta_micro"] != row["beta_macro"] for row in rows[1:])
+
+
 @pytest.mark.parametrize("mode", ["micro", "micromacro"])
 def test_particles_evaluate_the_objective_and_distance_once_per_step(tmp_path, monkeypatch,
                                                                      mode):
