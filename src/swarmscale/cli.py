@@ -88,6 +88,9 @@ def main(argv=None) -> int:
     except RunError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,38 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .macro import MacroState, advance_macro, consensus_point_macro, init_macro
+from .macro import advance_macro, consensus_point_macro, init_macro
 from .micro import consensus_point, gibbs_weights, init_swarm, softmin_gap, step_euler_maruyama
 from .micromacro import init_coupling, micro_cell_density, transfer_mass
 from .penalty import violation_macro, violation_micro
-
-
-def micro_columns(dim: int):
-    return (
-        ["step", "time"]
-        + [f"consensus_{k}" for k in range(dim)]
-        + ["softmin_gap", "beta", "kappa", "violation", "branch"]
-    )
-
-
-MACRO_COLUMNS = [
-    "step", "time", "consensus", "beta", "kappa", "violation", "branch",
-    "total_mass", "argmax_center",
-]
-
-MICROMACRO_COLUMNS = [
-    "step", "time",
-    "consensus_micro", "beta_micro", "kappa_micro", "violation_micro", "branch_micro",
-    "consensus_macro", "beta_macro", "kappa_macro", "violation_macro", "branch_macro",
-    "zeta", "mass_micro", "mass_macro", "mass_total",
-]
-
-
-def _trace_columns(cfg: ExperimentConfig) -> list:
-    """The trace.csv header of a run; its strings are also the keys of every row."""
-    if cfg.mode == "micro":
-        return micro_columns(cfg.objective.dim)
-    return MACRO_COLUMNS if cfg.mode == "macro" else MICROMACRO_COLUMNS
 
 
 class RunError(RuntimeError):
@@ -66,9 +38,6 @@ class RunError(RuntimeError):
 
 @dataclass
 class RunReport:
-    mode: str
-    seed: int
-    out_dir: str
     csv_path: str
     json_path: str
     summary: dict
@@ -83,6 +52,8 @@ def _digest(*arrays) -> str:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # checked first: most values are floats, numpy float64 among them
+        return repr(float(value))
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -96,30 +67,32 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, columns, rows):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _write_snapshot(out_dir, step, grid, macro: MacroState):
-    columns = ["x", "rho", "rho_u"]
-    rows = (dict(zip(columns, v)) for v in zip(grid.centers, macro.rho, macro.rho_u))
-    _write_csv(os.path.join(out_dir, f"fields_{step:06d}.csv"), columns, rows)
+def _write_snapshot(out_dir, step, grid, macro):
+    _write_csv(os.path.join(out_dir, f"fields_{step:06d}.csv"), ["x", "rho", "rho_u"],
+               zip(grid.centers, macro.rho, macro.rho_u))
 
 
 class _Scale:
     """One representation of the swarm, with its own penalized objective and controller.
 
-    A scale that runs alone reports extra trace columns (the particle gap, or
-    the grid mass and peak); in a coupled run the transfer reports the masses.
+    Each scale names its own trace columns when it is built: a scale that runs
+    alone uses bare names and reports extra columns (the particle gap, or the
+    grid mass and peak); a coupled scale suffixes its name, and the transfer
+    reports the masses.
     """
 
     def __init__(self, cfg, name, alone):
         self.name = name
         self.alone = alone
+        self.suffix = "" if alone else "_" + name
+        self.penalty_columns = [c + self.suffix for c in ("beta", "kappa", "violation", "branch")]
         # one coefficient set for both scales: the grid solves the moments of the particles' SDE
         self.params = cfg.build_micro_params()
         # both scales start from the one penalty section; each then moves its own controller
@@ -148,8 +121,9 @@ class _Scale:
             self.pf = self.pf.with_beta(self.ctrl.beta)
             self.weigh()
 
-    def penalty_values(self):
-        return [self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch]
+    def penalty_items(self):
+        values = (self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch)
+        return list(zip(self.penalty_columns, values))
 
 
 class _Particles(_Scale):
@@ -165,6 +139,9 @@ class _Particles(_Scale):
         self.rng = rng
         self.swarm = init_swarm(cfg.n_particles, cfg.objective.dim, rng,
                                 box=cfg.micro.init_box, particle_mass=mass / cfg.n_particles)
+        # the lone swarm names each coordinate; a coupled run is 1D
+        self.consensus_columns = ([f"consensus_{k}" for k in range(cfg.objective.dim)]
+                                  if alone else ["consensus" + self.suffix])
         self.evaluate(self.swarm.positions)
 
     def clock(self, n):
@@ -191,12 +168,13 @@ class _Particles(_Scale):
     def arrays(self):
         return self.swarm.positions, self.swarm.velocities
 
-    def row_values(self):
-        if not self.alone:
-            return self.consensus + self.penalty_values()
-        if __debug__:
-            assert self.gap <= np.log(self.swarm.n_particles) / self.params.alpha + 1e-9
-        return self.consensus + [self.gap] + self.penalty_values()
+    def row_items(self):
+        items = list(zip(self.consensus_columns, self.consensus))
+        if self.alone:
+            if __debug__:
+                assert self.gap <= np.log(self.swarm.n_particles) / self.params.alpha + 1e-9
+            items.append(("softmin_gap", self.gap))
+        return items + self.penalty_items()
 
 
 class _Grid(_Scale):
@@ -212,6 +190,7 @@ class _Grid(_Scale):
         self.grid = cfg.build_grid()
         self.cfl, self.boundary = cfg.macro.cfl, cfg.macro.boundary
         self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
+        self.consensus_column = "consensus" + self.suffix
         self.evaluate(self.grid.centers[:, None])  # the centers never move
 
     def clock(self, n):
@@ -239,11 +218,11 @@ class _Grid(_Scale):
     def arrays(self):
         return self.state.rho, self.state.rho_u
 
-    def row_values(self):
-        values = [self.consensus] + self.penalty_values()
+    def row_items(self):
+        items = [(self.consensus_column, self.consensus)] + self.penalty_items()
         if self.alone:
-            values += [self.mass(), self.peak(self.state.rho)]
-        return values
+            items += [("total_mass", self.mass()), ("argmax_center", self.peak(self.state.rho))]
+        return items
 
 
 class _Transfer:
@@ -259,9 +238,10 @@ class _Transfer:
         p, g = self.particles, self.grid
         self.state, p.swarm, g.state = transfer_mass(self.state, p.swarm, g.state, g.grid, n)
 
-    def row_values(self):
+    def row_items(self):
         mass_micro, mass_macro = self.particles.mass(), self.grid.mass()
-        return [self.state.zeta, mass_micro, mass_macro, mass_micro + mass_macro]
+        return [("zeta", self.state.zeta), ("mass_micro", mass_micro),
+                ("mass_macro", mass_macro), ("mass_total", mass_micro + mass_macro)]
 
 
 def _build_scales(cfg):
@@ -278,58 +258,58 @@ def _build_scales(cfg):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Execute one configured run and write trace.csv, summary.json and timings.json."""
+    """Execute one configured run and write trace.csv, summary.json and timings.json.
+
+    Each trace row is written as soon as it is made, under a header taken from
+    the keys of row 0, so a run that fails keeps its completed rows on disk.
+    """
     os.makedirs(cfg.output, exist_ok=True)
     started = time.perf_counter()
-    columns = _trace_columns(cfg)
     snap = cfg.macro.snapshot_every if cfg.mode != "micro" else 0  # the grid steps last
     scales, transfer, rows = [], None, []
 
     def row(n):
         # the row time is the leading scale's clock: n * dt for the swarm,
         # the accumulated sub-step time for a lone grid
-        values = [n, scales[0].clock(n)]
+        values = {"step": n, "time": scales[0].clock(n)}
         for s in scales:
-            values += s.row_values()
+            values.update(s.row_items())
         if transfer is not None:
-            values += transfer.row_values()
-        return dict(zip(columns, values, strict=True))
-
-    # step 0 builds the scales, so a config the solvers reject fails there
-    for n in range(cfg.n_steps + 1):
-        try:
-            if n == 0:
-                scales, transfer = _build_scales(cfg)
-            else:
-                for s in scales:
-                    s.advance(n)
-                    s.penalize()
-                if transfer is not None:
-                    transfer(n)
-            for s in scales:
-                s.observe()
-        except Exception as exc:
-            raise RunError(str(exc), n, _digest(*(a for s in scales for a in s.arrays()))) from exc
-        rows.append(row(n))
-        if snap and n and n % snap == 0:
-            _write_snapshot(cfg.output, n, scales[-1].grid, scales[-1].state)
+            values.update(transfer.row_items())
+        return values
 
     csv_path = os.path.join(cfg.output, "trace.csv")
-    _write_csv(csv_path, columns, rows)
+    with open(csv_path, "w", newline="") as fh:
+        trace = csv.writer(fh, lineterminator="\n")
+        # step 0 builds the scales, so a config the solvers reject fails there
+        for n in range(cfg.n_steps + 1):
+            try:
+                if n == 0:
+                    scales, transfer = _build_scales(cfg)
+                else:
+                    for s in scales:
+                        s.advance(n)
+                        s.penalize()
+                    if transfer is not None:
+                        transfer(n)
+                for s in scales:
+                    s.observe()
+            except Exception as exc:
+                arrays = (a for s in scales for a in s.arrays())
+                raise RunError(str(exc), n, _digest(*arrays)) from exc
+            rows.append(row(n))
+            if n == 0:
+                trace.writerow(rows[0])  # the header: row 0's keys
+            trace.writerow([_fmt(v) for v in rows[-1].values()])
+            if snap and n and n % snap == 0:
+                _write_snapshot(cfg.output, n, scales[-1].grid, scales[-1].state)
+
     summary = _summary(cfg, scales, transfer, rows[-1]["time"])
     json_path = os.path.join(cfg.output, "summary.json")
     _write_json(json_path, summary)
     _write_json(os.path.join(cfg.output, "timings.json"),
                 {"wall_time_s": time.perf_counter() - started})
-    return RunReport(
-        mode=cfg.mode,
-        seed=cfg.seed,
-        out_dir=cfg.output,
-        csv_path=csv_path,
-        json_path=json_path,
-        summary=summary,
-        rows=rows,
-    )
+    return RunReport(csv_path=csv_path, json_path=json_path, summary=summary, rows=rows)
 
 
 def _summary(cfg, scales, transfer, final_time):
@@ -370,8 +350,6 @@ def _summary(cfg, scales, transfer, final_time):
 @dataclass
 class EnsembleReport:
     n_runs: int
-    base_seed: int
-    out_dir: str
     pooled_csv: str
     json_path: str
     runs: list
@@ -381,16 +359,11 @@ def run_ensemble(cfg: ExperimentConfig, n_runs: int) -> EnsembleReport:
     """Independent runs with seeds cfg.seed + k; failures are recorded, not fatal."""
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    base_seed = cfg.seed
     os.makedirs(cfg.output, exist_ok=True)
 
-    # the leading scale's consensus point, one column per coordinate
-    cons_cols = [c for c in _trace_columns(cfg) if c.startswith("consensus")][: cfg.objective.dim]
-    pooled_cols = ["run", "seed", "step", "time"] + cons_cols
-
-    records, pooled_rows = [], []
+    cons_cols, records, pooled_rows = [], [], []
     for k in range(n_runs):
-        seed = base_seed + k
+        seed = cfg.seed + k
         sub = replace(cfg, seed=seed, output=os.path.join(cfg.output, f"run_{k:03d}"))
         try:
             report = run_experiment(sub)
@@ -398,17 +371,17 @@ def run_ensemble(cfg: ExperimentConfig, n_runs: int) -> EnsembleReport:
             records.append({"run": k, "seed": seed, "ok": False,
                             "error": str(exc), "failed_step": exc.step})
             continue
-        for row in report.rows:
-            pooled_rows.append({"run": k, "seed": seed, **{c: row[c] for c in pooled_cols[2:]}})
+        # the leading scale's consensus point, one column per coordinate
+        cons_cols = [c for c in report.rows[0] if c.startswith("consensus")][: cfg.objective.dim]
+        pooled_rows += ([k, seed, row["step"], row["time"]] + [row[c] for c in cons_cols]
+                        for row in report.rows)
         records.append({"run": k, "seed": seed, "ok": True,
                         "summary": report.summary})
 
     pooled_csv = os.path.join(cfg.output, "ensemble_consensus.csv")
-    _write_csv(pooled_csv, pooled_cols, pooled_rows)
-    payload = {"n_runs": n_runs, "base_seed": base_seed, "runs": records}
+    _write_csv(pooled_csv, ["run", "seed", "step", "time"] + cons_cols, pooled_rows)
+    payload = {"n_runs": n_runs, "base_seed": cfg.seed, "runs": records}
     json_path = os.path.join(cfg.output, "ensemble.json")
     _write_json(json_path, payload)
-    return EnsembleReport(
-        n_runs=n_runs, base_seed=base_seed, out_dir=cfg.output,
-        pooled_csv=pooled_csv, json_path=json_path, runs=records,
-    )
+    return EnsembleReport(n_runs=n_runs, pooled_csv=pooled_csv, json_path=json_path,
+                          runs=records)

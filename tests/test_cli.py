@@ -2,7 +2,6 @@
 
 import csv
 import json
-import os
 
 import pytest
 import yaml
@@ -192,6 +191,17 @@ def test_run_reports_a_config_the_solver_cannot_build(tmp_path, capsys):
     assert cli.main(["run", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert "solver failure" in err and "(step 0," in err
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_an_output_path_that_is_a_file_fails_cleanly(tmp_path, capsys, command):
+    p = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main([command, "--config", str(p), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and str(taken) in err
+    assert taken.read_text() == ""
 
 
 def test_ensemble_runs_and_pools(tmp_path, capsys):

@@ -37,6 +37,11 @@ def test_swarm_blowup_fails_the_run_at_its_step(tmp_path, mode):
     assert exc.value.step == 2
     assert re.fullmatch(r"[0-9a-f]{16}", exc.value.digest)
     assert isinstance(exc.value.__cause__, FloatingPointError)
+    # the header and the rows of the steps that completed stay on disk
+    with open(f"{cfg.output}/trace.csv") as fh:
+        trace = list(csv.reader(fh))
+    assert trace[0][:2] == ["step", "time"]
+    assert [r[0] for r in trace[1:]] == ["0", "1"]
 
 
 def test_non_finite_grid_state_fails_the_first_step(tmp_path, monkeypatch):
@@ -82,6 +87,9 @@ def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
     assert "array is too big" in str(exc.value.__cause__)
     report = run_ensemble(cfg, 2)
     assert [(r["ok"], r["failed_step"]) for r in report.runs] == [(False, 0), (False, 0)]
+    # no run made a row, so the pooled header has no consensus columns
+    with open(report.pooled_csv) as fh:
+        assert fh.read() == "run,seed,step,time\n"
 
 
 # the id names the grid kernel the run steps with
