@@ -16,14 +16,14 @@ from swarmscale.penalty import violation_micro
 # The bundled problem: Ackley in 2D, feasible set = union of six balls,
 # none of which contains the unconstrained minimizer at the origin.
 cfg = load_bundled("ackley2d_constrained")
-params = cfg.build_micro_params()
+params = cfg.micro
 # the config's one penalty section seeds this controller; a coupled run seeds
 # the grid's from the same section, and the two then move apart
 pf = cfg.build_penalized()
 ctrl = cfg.build_controller()
 
 rng = np.random.default_rng(cfg.seed)
-swarm = init_swarm(cfg.n_particles, 2, rng, box=cfg.micro.init_box)
+swarm = init_swarm(cfg.n_particles, 2, rng, box=params.init_box)
 
 print(f"{cfg.n_particles} particles, dt={params.dt}, alpha={params.alpha}")
 print(f"{'step':>5} {'consensus':>20} {'beta':>7} {'violation':>10}")

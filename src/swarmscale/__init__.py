@@ -50,7 +50,7 @@ from .objectives import (
     ackley,
     rastrigin,
 )
-from .penalty import PenaltyController, violation_macro, violation_micro
+from .penalty import PenaltyConfig, PenaltyController, violation_macro, violation_micro
 from .runner import (
     EnsembleReport,
     RunError,
@@ -97,6 +97,7 @@ __all__ = [
     "PenalizedObjective",
     "ackley",
     "rastrigin",
+    "PenaltyConfig",
     "PenaltyController",
     "violation_macro",
     "violation_micro",

@@ -12,37 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .keys import check_keys, choice, key, number, span
+
 DIFFUSION_MODES = ("isotropic", "anisotropic")
 
 
 @dataclass(frozen=True)
 class MicroParams:
-    """Coefficients of the particle update.
+    """Coefficients of the particle update and of its moments: the ``micro`` section.
 
     The friction coefficient is derived as ``gamma = 1 - m`` and never
     stored separately.
     """
 
-    m: float = 0.5
-    lam: float = 1.0
-    sigma: float = 1.0 / np.sqrt(3.0)
-    dt: float = 0.1
-    alpha: float = 30.0
-    diffusion: str = "anisotropic"
+    m: float = key(number, 0.5, lo=0, hi=1, lo_open=True)
+    lam: float = key(number, 1.0, lo=0, lo_open=True)
+    sigma: float = key(number, 1.0 / 3.0**0.5, lo=0)
+    dt: float = key(number, 0.1, lo=0, lo_open=True)
+    alpha: float = key(number, 30.0, lo=0, lo_open=True)
+    diffusion: str = key(choice, "anisotropic", options=DIFFUSION_MODES)
+    init_box: tuple = key(span, (-3.0, 3.0))  # the initial particles are uniform on init_box^d
 
     def __post_init__(self):
-        if not 0.0 < self.m <= 1.0:
-            raise ValueError("inertia weight m must lie in (0, 1]")
-        if self.lam <= 0:
-            raise ValueError("drift coefficient must be positive")
-        if self.sigma < 0:
-            raise ValueError("noise coefficient must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
-        if self.alpha <= 0:
-            raise ValueError("weight exponent alpha must be positive")
-        if self.diffusion not in DIFFUSION_MODES:
-            raise ValueError(f"diffusion must be one of {DIFFUSION_MODES}")
+        check_keys(self)
 
     @property
     def gamma(self) -> float:

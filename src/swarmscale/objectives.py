@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .keys import check_keys, choice, integer, key
+
 OBJECTIVE_NAMES = ("ackley", "rastrigin")
 
 
@@ -46,16 +48,13 @@ def rastrigin(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObjectiveFunction:
-    """A named benchmark objective in a fixed dimension."""
+    """A named benchmark objective in a fixed dimension: the config's ``objective`` section."""
 
-    name: str
-    dim: int
+    name: str = key(choice, options=OBJECTIVE_NAMES)
+    dim: int = key(integer, lo=1)
 
     def __post_init__(self):
-        if self.name not in OBJECTIVE_NAMES:
-            raise ValueError(f"unknown objective {self.name!r}; expected one of {OBJECTIVE_NAMES}")
-        if self.dim < 1:
-            raise ValueError("objective dimension must be a positive integer")
+        check_keys(self)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -11,30 +11,40 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .keys import check_keys, key, number
 from .macro import MacroState
 from .micro import weighted_mean
 
 
 @dataclass(frozen=True)
+class PenaltyConfig:
+    """The config's ``penalty`` section: each scale's controller starts at (beta0, kappa0)."""
+
+    beta0: float = key(number, 1.0, lo=0, lo_open=True)
+    kappa0: float = key(number, 5.0, lo=0, lo_open=True)
+    eta_kappa: float = key(number, 1.1, lo=1, lo_open=True)
+    eta_beta: float = key(number, 1.1, lo=1, lo_open=True)
+
+    def __post_init__(self):
+        check_keys(self)
+
+
+@dataclass(frozen=True)
 class PenaltyController:
-    """Current (beta, kappa) plus the growth constants of the update rule.
+    """Current (beta, kappa), updated by ``rule``.
 
     On success (violation within tolerance) kappa grows, tightening the
     tolerance 1/sqrt(kappa), and beta holds.  On failure beta grows and
     kappa backs off to min{kappa/eta_kappa, kappa0}.
     """
 
-    beta: float = 1.0
-    kappa: float = 5.0
-    kappa0: float = 5.0
-    eta_kappa: float = 1.1
-    eta_beta: float = 1.1
+    beta: float = PenaltyConfig.beta0
+    kappa: float = PenaltyConfig.kappa0
+    rule: PenaltyConfig = PenaltyConfig()
 
     def __post_init__(self):
-        if self.beta <= 0 or self.kappa <= 0 or self.kappa0 <= 0:
-            raise ValueError("beta, kappa and kappa0 must be positive")
-        if self.eta_kappa <= 1 or self.eta_beta <= 1:
-            raise ValueError("growth factors eta_kappa and eta_beta must exceed 1")
+        if self.beta <= 0 or self.kappa <= 0:
+            raise ValueError("beta and kappa must be positive")
 
     @property
     def threshold(self) -> float:
@@ -46,10 +56,11 @@ class PenaltyController:
 
     def update(self, violation: float) -> "PenaltyController":
         """Pure one-step update of (beta, kappa) given a violation measure."""
+        rule = self.rule
         if self.accepts(violation):
-            return replace(self, kappa=self.eta_kappa * self.kappa)
-        kappa = min(self.kappa / self.eta_kappa, self.kappa0)
-        return replace(self, beta=self.eta_beta * self.beta, kappa=kappa)
+            return replace(self, kappa=rule.eta_kappa * self.kappa)
+        kappa = min(self.kappa / rule.eta_kappa, rule.kappa0)
+        return replace(self, beta=rule.eta_beta * self.beta, kappa=kappa)
 
 
 def violation_micro(weights: np.ndarray, penalty: np.ndarray) -> float:

@@ -94,7 +94,7 @@ class _Scale:
         self.suffix = "" if alone else "_" + name
         self.penalty_columns = [c + self.suffix for c in ("beta", "kappa", "violation", "branch")]
         # one coefficient set for both scales: the grid solves the moments of the particles' SDE
-        self.params = cfg.build_micro_params()
+        self.params = cfg.micro
         # both scales start from the one penalty section; each then moves its own controller
         self.pf = cfg.build_penalized()
         self.ctrl = cfg.build_controller()
@@ -342,7 +342,7 @@ def _summary(cfg, scales, transfer, final_time):
         "final_zeta": transfer.state.zeta if transfer is not None else None,
         "final_masses": masses,
         "argmin_estimate": estimate,
-        "objective_at_estimate": float(cfg.build_objective()(np.asarray(estimate))),
+        "objective_at_estimate": float(cfg.objective(np.asarray(estimate))),
         "final_time": final_time,
     }
 

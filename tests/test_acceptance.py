@@ -29,7 +29,12 @@ from swarmscale.objectives import (
     PenalizedObjective,
     ackley,
 )
-from swarmscale.penalty import PenaltyController, violation_macro, violation_micro
+from swarmscale.penalty import (
+    PenaltyConfig,
+    PenaltyController,
+    violation_macro,
+    violation_micro,
+)
 from swarmscale.runner import run_experiment
 
 SIX_BALLS = [
@@ -306,11 +311,14 @@ class TestPropertySuite:
         rng = np.random.default_rng(1005)
         with timed("penalty"):
             for _ in range(1000):
+                kappa0 = float(rng.uniform(1.0, 10.0))  # the first of the four draws
                 ctrl = PenaltyController(
-                    kappa0=float(rng.uniform(1.0, 10.0)),
                     kappa=float(rng.uniform(1.0, 10.0)),
-                    eta_kappa=float(rng.uniform(1.01, 2.0)),
-                    eta_beta=float(rng.uniform(1.01, 2.0)),
+                    rule=PenaltyConfig(
+                        kappa0=kappa0,
+                        eta_kappa=float(rng.uniform(1.01, 2.0)),
+                        eta_beta=float(rng.uniform(1.01, 2.0)),
+                    ),
                 )
                 prev = ctrl.beta
                 for v in rng.uniform(0.0, 2.0, size=30):

@@ -1,6 +1,7 @@
 """Config loading, validation messages, round-trips and the builders."""
 
 import math
+from dataclasses import fields
 
 import pytest
 import yaml
@@ -9,11 +10,15 @@ from importlib import resources
 
 from swarmscale.config import (
     ConfigError,
+    ExperimentConfig,
     config_from_dict,
     config_to_dict,
     load_config,
     save_config,
 )
+from swarmscale.micro import MicroParams
+from swarmscale.objectives import ObjectiveFunction
+from swarmscale.penalty import PenaltyConfig
 
 
 def bundled_config_path(name):
@@ -200,7 +205,8 @@ def test_round_trip_every_bundled_config(tmp_path):
 
 def test_builders_wire_the_parameters():
     cfg = load_config(bundled_config_path("rastrigin1d_micromacro_constrained"))
-    f = cfg.build_objective()
+    f = cfg.objective  # the section is the objective itself
+    assert isinstance(f, ObjectiveFunction)
     assert f.name == "rastrigin" and f.dim == 1
 
     fs = cfg.build_feasible_set()
@@ -209,19 +215,18 @@ def test_builders_wire_the_parameters():
     assert fs.distance(np.array([0.0])) == pytest.approx(0.5)
 
     pf = cfg.build_penalized()
-    assert pf.beta == cfg.penalty.beta0
+    assert pf.beta == cfg.penalty.beta0 and pf.objective is f
 
-    params = cfg.build_micro_params()
-    assert params.dt == cfg.micro.dt and params.alpha == cfg.micro.alpha
+    params = cfg.micro  # the section is the particles' (and the grid's) parameter object
+    assert isinstance(params, MicroParams)
 
     grid = cfg.build_grid()
     assert grid.n_cells == 401
 
-    assert params.gamma == pytest.approx(1.0 - cfg.micro.m)
-    assert params.m == cfg.micro.m and params.lam == cfg.micro.lam
+    assert params.gamma == pytest.approx(1.0 - params.m)
 
     ctrl = cfg.build_controller()
-    assert ctrl.beta == 1.0 and ctrl.kappa == 5.0
+    assert ctrl.beta == 1.0 and ctrl.kappa == 5.0 and ctrl.rule is cfg.penalty
 
 
 def test_config_error_accumulates():
@@ -347,4 +352,49 @@ def test_penalty_section_is_read_from_yaml(tmp_path):
     assert cfg.penalty.beta0 == 2.5 and cfg.penalty.kappa0 == 7.0
     assert cfg.penalty.eta_beta == 1.1  # an absent key takes its default
     ctrl = cfg.build_controller()
-    assert (ctrl.beta, ctrl.kappa, ctrl.kappa0) == (2.5, 7.0, 7.0)
+    assert (ctrl.beta, ctrl.kappa, ctrl.rule.kappa0) == (2.5, 7.0, 7.0)
+
+
+@pytest.mark.parametrize("over, errors", [
+    ({"objective": 5}, ["objective: must be a mapping"]),
+    ({"feasible_set": 3}, ["feasible_set: must be a mapping"]),
+    ({"feasible_set": {"kind": "balls", "balls": [5]}},
+     ["feasible_set.balls[0]: must be a mapping"]),
+])
+def test_a_section_that_is_not_a_mapping_is_one_error(over, errors):
+    # not also a "missing required key" for each key the section would hold
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(**over))
+    assert exc.value.errors == errors
+
+
+def test_parameter_objects_built_in_code_reject_what_the_config_rejects():
+    for bad_key, cls, kwargs in [
+        ("dt", MicroParams, {"dt": math.inf}),
+        ("lam", MicroParams, {"lam": math.inf}),
+        ("sigma", MicroParams, {"sigma": math.nan}),
+        ("dim", ObjectiveFunction, {"name": "ackley", "dim": True}),
+        ("dim", ObjectiveFunction, {"name": "ackley", "dim": 2.0}),
+        ("eta_beta", PenaltyConfig, {"eta_beta": math.inf}),
+        # a required key is checked even when it is None
+        ("name", ObjectiveFunction, {"name": None, "dim": 2}),
+    ]:
+        with pytest.raises(ValueError, match=f"^{bad_key}: "):
+            cls(**kwargs)
+    assert config_from_dict(base_dict()).micro == MicroParams()
+
+
+def test_every_config_key_declares_its_check():
+    """A key added to the config tree without a value check and bounds fails here."""
+
+    def leaves(cls, prefix):
+        for f in fields(cls):
+            spec = f.metadata.get("each", f.metadata)
+            if "section" in spec:
+                yield from leaves(spec["section"], f"{prefix}{f.name}.")
+            else:
+                yield f"{prefix}{f.name}", spec
+
+    keys = dict(leaves(ExperimentConfig, ""))
+    assert "micro.dt" in keys and "feasible_set.balls.center" in keys
+    assert [k for k, spec in keys.items() if "check" not in spec] == []

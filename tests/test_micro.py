@@ -259,17 +259,17 @@ def test_step_blowup_raises():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="m must lie"):
+    with pytest.raises(ValueError, match=r"^m: must lie in \(0, 1\]"):
         MicroParams(m=0.0)
-    with pytest.raises(ValueError, match="m must lie"):
+    with pytest.raises(ValueError, match=r"^m: must lie in \(0, 1\]"):
         MicroParams(m=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lam: "):
         MicroParams(lam=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dt: "):
         MicroParams(dt=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alpha: "):
         MicroParams(alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^diffusion: "):
         MicroParams(diffusion="sideways")
     assert MicroParams(m=0.3).gamma == pytest.approx(0.7)
 

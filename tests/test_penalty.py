@@ -9,6 +9,7 @@ from swarmscale.macro import Grid1D, MacroState
 from swarmscale.micro import gibbs_weights
 from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 from swarmscale.penalty import (
+    PenaltyConfig,
     PenaltyController,
     violation_macro,
     violation_micro,
@@ -174,8 +175,8 @@ def test_update_is_pure():
 def test_controller_validation():
     with pytest.raises(ValueError):
         PenaltyController(beta=0.0)
-    with pytest.raises(ValueError):
-        PenaltyController(eta_kappa=1.0)
+    with pytest.raises(ValueError, match="^eta_kappa: "):
+        PenaltyController(rule=PenaltyConfig(eta_kappa=1.0))
 
 
 def test_accepts_uses_current_tolerance():

@@ -193,22 +193,28 @@ def test_ensemble_pools_the_leading_scale_consensus(tmp_path, mode, dim, header)
         assert len(fh.readlines()) == 2 * 3  # two runs, initial row plus two steps
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("ackley2d_unconstrained", "b86e85e3b1d14a9e"),
-    ("ackley2d_constrained", "371afaa0dea46248"),
-    ("ackley1d_macro_constrained", "e80992b8e6cb9d58"),
-    ("rastrigin1d_micromacro", "65318edc76e8f727"),
-    ("rastrigin1d_micromacro_constrained", "b20b25a5a2f45424"),
-])
-def test_bundled_trace_is_pinned(load_bundled, name, digest):
-    """Each bundled config at its own seed writes the pinned trace.csv (sha256 prefix).
+PINNED = [
+    # name, trace.csv digest, summary.json digest
+    ("ackley2d_unconstrained", "b86e85e3b1d14a9e", "9630fc27dfa633ec"),
+    ("ackley2d_constrained", "371afaa0dea46248", "f096088083c80597"),
+    ("ackley1d_macro_constrained", "e80992b8e6cb9d58", "c1550ce028f17478"),
+    ("rastrigin1d_micromacro", "65318edc76e8f727", "d3a69b081549b0ea"),
+    ("rastrigin1d_micromacro_constrained", "b20b25a5a2f45424", "0638348306ee9620"),
+]
 
-    The digests were produced with numpy 2.4.6.  A change that keeps the
-    numerics keeps them; a scheme change that moves one updates it here and
-    states the reason with the change.
+
+@pytest.mark.parametrize("name, digest, summary_digest", PINNED,
+                         ids=[f"{name}-{digest}" for name, digest, _ in PINNED])
+def test_bundled_trace_is_pinned(load_bundled, name, digest, summary_digest):
+    """Each bundled config at its own seed writes the pinned trace.csv and summary.json.
+
+    Each digest is a sha256 prefix, produced with numpy 2.4.6.  A change
+    that keeps the numerics keeps them; a scheme change that moves one
+    updates it here and states the reason with the change.
     """
     cfg = load_bundled(name)
     assert cfg.seed == 20240815
     run_experiment(cfg)
-    with open(f"{cfg.output}/trace.csv", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest
+    for filename, expected in [("trace.csv", digest), ("summary.json", summary_digest)]:
+        with open(f"{cfg.output}/{filename}", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest()[:16] == expected, filename
