@@ -26,7 +26,7 @@ from swarmscale.macro import (
 from swarmscale.micro import MicroParams, gibbs_weights
 from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
 
-grid = Grid1D(-4.0, 4.0, 200)
+grid = Grid1D(-4.0, 4.0, 200, cfl=0.45, boundary="periodic")
 params = MicroParams(m=0.5, lam=1.0)
 pf = PenalizedObjective(ObjectiveFunction("ackley", 1), None, beta=0.0)
 # the cells never move and beta is fixed, so F_beta there and its Gibbs
@@ -46,8 +46,7 @@ mass0 = state.rho.sum() * grid.dx
 # keeps at rest.
 print(f"{'time':>7} {'density peak':>13} {'consensus':>10} {'mass drift':>12}")
 for k in range(13):
-    state = advance_macro(state, grid, params, weights, cfl=0.45, boundary="periodic",
-                          target_time=0.5 * k)
+    state = advance_macro(state, grid, params, weights, target_time=0.5 * k)
     peak = grid.centers[int(np.argmax(state.rho))]
     consensus = consensus_point_macro(state, grid, weights)
     drift = state.rho.sum() * grid.dx - mass0

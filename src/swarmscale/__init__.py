@@ -34,6 +34,7 @@ from .micro import (
     step_euler_maruyama,
 )
 from .micromacro import (
+    CouplingConfig,
     CouplingState,
     compute_zeta,
     init_coupling,
@@ -84,6 +85,7 @@ __all__ = [
     "init_swarm",
     "softmin_gap",
     "step_euler_maruyama",
+    "CouplingConfig",
     "CouplingState",
     "compute_zeta",
     "init_coupling",

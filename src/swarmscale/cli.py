@@ -85,6 +85,9 @@ def main(argv=None) -> int:
             print(f"run {f['run']} (seed {f['seed']}) failed: {f['error']}",
                   file=sys.stderr)
         return 1 if failures else 0
+    except ConfigError as exc:  # an ensemble whose last seed is out of range
+        print(exc, file=sys.stderr)
+        return 2
     except RunError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

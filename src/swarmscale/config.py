@@ -18,8 +18,9 @@ import yaml
 from .keys import (
     choice, integer, is_unset, key, key_list, number, numbers, path_string, section, span,
 )
-from .macro import BOUNDARIES, Grid1D
+from .macro import Grid1D
 from .micro import MicroParams
+from .micromacro import CouplingConfig
 from .objectives import (
     BallUnion, Halfspace1D, IntervalUnion, ObjectiveFunction, PenalizedObjective,
 )
@@ -56,33 +57,15 @@ class FeasibleConfig:
 
 
 @dataclass(frozen=True)
-class MacroConfig:
-    x_min: float = key(number, -3.0)
-    x_max: float = key(number, 3.0)
-    n_cells: int = key(integer, 401, lo=3)
-    T: float = key(number, 0.1)
-    cfl: float = key(number, 0.8, lo=0, hi=1, lo_open=True)
-    boundary: str = key(choice, "outflow", options=BOUNDARIES)
-    snapshot_every: int = key(integer, 0, lo=0)  # 0 disables full-field snapshots
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    zeta0: float = key(number, 0.5, lo=0, hi=1, lo_open=True, hi_open=True)
-    zeta_min: float = key(number, 0.1, lo=0, hi=1, lo_open=True, hi_open=True)
-    zeta_max: float = key(number, 0.9, lo=0, hi=1, lo_open=True, hi_open=True)
-    t_star: int = key(integer, 240, lo=0)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment.  The field tree is the YAML tree.
 
     Every field is a key of the file and every nested dataclass a section of
     it; each key declares its default and bounds once, in its field, and
     ``config_to_dict`` writes the same tree back.  The ``micro``,
-    ``objective`` and ``penalty`` sections are the solvers' own parameter
-    objects.  An absent or null ``feasible_set`` means the run is unconstrained.
+    ``objective``, ``macro``, ``penalty`` and ``coupling`` sections are the
+    solvers' own objects, and each checks its keys when it is built.  An
+    absent or null ``feasible_set`` means the run is unconstrained.
     """
 
     mode: str = key(choice, options=MODES)
@@ -93,7 +76,7 @@ class ExperimentConfig:
     output: str = key(path_string)
     feasible_set: FeasibleConfig | None = field(default=None, metadata={"section": FeasibleConfig})
     micro: MicroParams = section(MicroParams)
-    macro: MacroConfig = section(MacroConfig)
+    macro: Grid1D = section(Grid1D)
     penalty: PenaltyConfig = section(PenaltyConfig)
     coupling: CouplingConfig = section(CouplingConfig)
 
@@ -113,9 +96,6 @@ class ExperimentConfig:
         fs = self.build_feasible_set()
         beta = self.penalty.beta0 if fs is not None else 0.0
         return PenalizedObjective(self.objective, fs, beta)
-
-    def build_grid(self) -> Grid1D:
-        return Grid1D(self.macro.x_min, self.macro.x_max, self.macro.n_cells)
 
     def build_controller(self) -> PenaltyController:
         return PenaltyController(self.penalty.beta0, self.penalty.kappa0, self.penalty)
@@ -142,9 +122,8 @@ def _parse_keys(cls, data, path, chk: _Checker):
     """Parse each key of a section by its field; None if ``data`` is not a mapping.
 
     An absent key takes its default, and so does a null one whose default is
-    unset.  A required key that is missing or fails is None, and the walk
-    builds no section that holds one; an optional key that fails keeps its
-    default.
+    unset.  A key that is missing or fails takes its default (None for a
+    required key) after its error, and the walk builds no section from them.
     """
     if not isinstance(data, dict):
         chk.fail(path, "must be a mapping")
@@ -173,11 +152,17 @@ def _parse_keys(cls, data, path, chk: _Checker):
 def _parse_value(spec, value, key_path, chk: _Checker, default=None):
     """Parse a given value by a field's spec: a section, a list of entries, or a check."""
     if "section" in spec:
-        cls = spec["section"]
-        values = _parse_keys(cls, value, key_path, chk)
-        if values is None or any(values[f.name] is None for f in fields(cls) if _required(f)):
+        n_errors = len(chk.errors)
+        values = _parse_keys(spec["section"], value, key_path, chk)
+        # a section with a failed key is not built, so no rule between its keys
+        # runs on a stand-in default
+        if len(chk.errors) > n_errors:
             return default
-        return cls(**values)
+        try:
+            return spec["section"](**values)
+        except ValueError as exc:  # a rule between keys, reported at its key
+            chk.errors.append(f"{key_path}.{exc}")
+            return default
     if "each" in spec:
         if not isinstance(value, list):
             chk.fail(key_path, "must be a list")
@@ -194,11 +179,10 @@ def _parse_value(spec, value, key_path, chk: _Checker, default=None):
         return default
 
 
-def _check_feasible(raw, fs: FeasibleConfig, dim, chk: _Checker):
+def _check_feasible(fs: FeasibleConfig, dim, chk: _Checker):
     """The feasible-set rules that depend on its kind or on the objective's dimension."""
     own = FEASIBLE_KEYS[fs.kind]
-    # read off the raw mapping: a key that is given but failed its check is unset in fs
-    if raw.get(own) is None:
+    if is_unset(getattr(fs, own)):
         chk.fail(f"feasible_set.{own}", "missing required key")
     for name in FEASIBLE_KEYS.values():
         if name != own and not is_unset(getattr(fs, name)):
@@ -206,13 +190,16 @@ def _check_feasible(raw, fs: FeasibleConfig, dim, chk: _Checker):
     if fs.kind != "balls" and dim not in (None, 1):
         chk.fail("feasible_set.kind", f"{fs.kind!r} requires a 1-dimensional objective")
     for i, ball in enumerate(fs.balls):
-        # a ball whose own keys failed is None
-        if ball is not None and dim is not None and len(ball.center) != dim:
+        if dim is not None and len(ball.center) != dim:
             chk.fail(f"feasible_set.balls[{i}].center", f"must be a list of {dim} numbers")
 
 
 def config_from_dict(data) -> ExperimentConfig:
-    """Validate a parsed key-tree and build the config; raises ConfigError."""
+    """Validate a parsed key-tree and build the config; raises ConfigError.
+
+    Each section checks its own keys and the rules between them; the checks
+    here are the ones that span sections.
+    """
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -220,24 +207,14 @@ def config_from_dict(data) -> ExperimentConfig:
     chk = _Checker()
     values = _parse_keys(ExperimentConfig, data, "", chk)
 
-    # the cross-field checks; a required key or section that failed is None here
+    # a required key or section that failed is None here
     mode = values["mode"]
     dim = getattr(values["objective"], "dim", None)
     if mode in ("macro", "micromacro") and dim not in (None, 1):
         chk.fail("objective.dim", f"mode {mode!r} runs on a 1D grid; dim must be 1")
     fs = values["feasible_set"]
     if fs is not None:
-        _check_feasible(data["feasible_set"], fs, dim, chk)
-    macro = values["macro"]
-    if macro.x_min >= macro.x_max:
-        chk.fail("macro.x_min", "must be below macro.x_max")
-    if macro.T == 0:
-        chk.fail("macro.T", "must be nonzero (T = 0 loses strict hyperbolicity)")
-    coupling = values["coupling"]
-    if not coupling.zeta_min < coupling.zeta_max:
-        chk.fail("coupling.zeta_min", "must be below coupling.zeta_max")
-    elif not coupling.zeta_min <= coupling.zeta0 <= coupling.zeta_max:
-        chk.fail("coupling.zeta0", "must lie in [zeta_min, zeta_max]")
+        _check_feasible(fs, dim, chk)
 
     if chk.errors:
         raise ConfigError(chk.errors)

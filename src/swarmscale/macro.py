@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .keys import check_keys, choice, integer, key, number
 from .micro import MicroParams, weighted_mean
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
@@ -31,17 +32,26 @@ MAX_SUBSTEPS = 100_000
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered grid on [x_min, x_max] with n_cells cells."""
+    """Uniform cell-centered grid on [x_min, x_max] with n_cells cells: the ``macro`` section.
 
-    x_min: float
-    x_max: float
-    n_cells: int
+    It also carries the solver's settings: the closure spread T that seeds
+    init_macro, the CFL factor, the boundary rule and the snapshot cadence.
+    """
+
+    x_min: float = key(number, -3.0)
+    x_max: float = key(number, 3.0)
+    n_cells: int = key(integer, 401, lo=3)
+    T: float = key(number, 0.1)
+    cfl: float = key(number, 0.8, lo=0, hi=1, lo_open=True)
+    boundary: str = key(choice, "outflow", options=BOUNDARIES)
+    snapshot_every: int = key(integer, 0, lo=0)  # 0 disables full-field snapshots
 
     def __post_init__(self):
-        if self.x_max <= self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.n_cells < 3:
-            raise ValueError("grid needs at least 3 cells")
+        check_keys(self)
+        if self.x_min >= self.x_max:
+            raise ValueError("x_min: must be below x_max")
+        if self.T == 0:
+            raise ValueError("T: must be nonzero (T = 0 loses strict hyperbolicity)")
 
     @property
     def dx(self) -> float:
@@ -92,12 +102,12 @@ class MacroState:
                 raise ValueError(f"{name} must have shape {self.rho.shape}, got {np.shape(a)}")
 
 
-def init_macro(grid: Grid1D, total_mass: float = 1.0, T: float = 0.1) -> MacroState:
-    """Uniform density carrying total_mass, zero momentum."""
+def init_macro(grid: Grid1D, total_mass: float = 1.0) -> MacroState:
+    """Uniform density carrying total_mass, zero momentum, closure spread grid.T."""
     if total_mass <= 0:
         raise ValueError("total_mass must be positive")
     rho = np.full(grid.n_cells, total_mass / (grid.n_cells * grid.dx))
-    return MacroState(rho=rho, rho_u=np.zeros(grid.n_cells), T=T)
+    return MacroState(rho=rho, rho_u=np.zeros(grid.n_cells), T=grid.T)
 
 
 def consensus_point_macro(state: MacroState, grid: Grid1D, weights) -> float:
@@ -131,19 +141,17 @@ def max_wavespeed(state: MacroState) -> float:
     return speed
 
 
-def cfl_dt(s: float, grid: Grid1D, cfl: float) -> float:
-    """Largest stable step scaled by cfl: cfl * dx / s.
+def cfl_dt(s: float, grid: Grid1D) -> float:
+    """Largest stable step scaled by the grid's cfl: cfl * dx / s.
 
     s is the largest characteristic speed max_j(|u_j| + |T|), which
     max_wavespeed returns.  The face states carry the attraction, so the
     wavespeed alone sizes the step.
     """
-    if not 0 < cfl <= 1:
-        raise ValueError("cfl must lie in (0, 1]")
-    return cfl * grid.dx / s
+    return grid.cfl * grid.dx / s
 
 
-def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
+def _hydrostatic_update(state, grid, dt, params, consensus):
     """Rusanov fluxes of the hydrostatically reconstructed face states, plus friction.
 
     Each face takes phi_f = max of its two cells' potentials and lowers each
@@ -158,12 +166,12 @@ def _hydrostatic_update(state, grid, dt, params, consensus, boundary):
     pad[0, 1:-1] = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
     pad[1, 1:-1] = state.rho
     pad[2, 1:-1] = state.velocity()
-    if boundary == "periodic":
+    if grid.boundary == "periodic":
         pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
     else:
         # zero-gradient ghost cells
         pad[:, 0], pad[:, -1] = pad[:, 1], pad[:, -2]
-    if boundary == "absorbing":
+    if grid.boundary == "absorbing":
         # vacuum ghosts for rho and u, so mass that reaches an edge leaves and
         # never returns; phi's ghosts still copy the edge
         pad[1:, 0] = pad[1:, -1] = 0.0
@@ -194,20 +202,18 @@ def lax_friedrichs_step(
     dt: float,
     params: MicroParams,
     consensus: float,
-    boundary: str = "outflow",
     max_speed: float | None = None,
 ) -> MacroState:
     """One explicit step; raises on a CFL violation instead of going unstable.
 
     Each cell is updated by the local Lax-Friedrichs fluxes of the
-    hydrostatic reconstruction (see _hydrostatic_update).  Density is
-    floored at zero afterwards and vacuum cells carry no momentum.
+    hydrostatic reconstruction (see _hydrostatic_update), with the grid's
+    boundary rule.  Density is floored at zero afterwards and vacuum cells
+    carry no momentum.
     params are the particles' MicroParams: the grid solves the moments of
     the same SDE, so it reads the same m, lam and gamma = 1 - m.  max_speed
     is max_wavespeed(state), computed here unless the caller already has it.
     """
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {BOUNDARIES}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if max_speed is None:
@@ -218,13 +224,13 @@ def lax_friedrichs_step(
             f"max wavespeed {max_speed:g}"
         )
 
-    rho_new, mom_new = _hydrostatic_update(state, grid, dt, params, consensus, boundary)
+    rho_new, mom_new = _hydrostatic_update(state, grid, dt, params, consensus)
     np.maximum(rho_new, 0.0, out=rho_new)
     mom_new[rho_new <= EPS_RHO] = 0.0
     return MacroState(rho_new, mom_new, state.T, state.time + dt)
 
 
-def advance_macro(state, grid, params, weights, cfl, boundary, target_time):
+def advance_macro(state, grid, params, weights, target_time):
     """CFL sub-steps until target_time, each with its own consensus point.
 
     The weights are the cells' Gibbs weights gibbs_weights(F_beta, alpha),
@@ -244,9 +250,8 @@ def advance_macro(state, grid, params, weights, cfl, boundary, target_time):
             return state
         consensus = float(weighted_mean(weights * state.rho, grid.centers))
         speed = max_wavespeed(state)
-        dt = min(cfl_dt(speed, grid, cfl), remaining)
-        state = lax_friedrichs_step(state, grid, dt, params, consensus, boundary=boundary,
-                                    max_speed=speed)
+        dt = min(cfl_dt(speed, grid), remaining)
+        state = lax_friedrichs_step(state, grid, dt, params, consensus, max_speed=speed)
     raise RuntimeError(
         f"grid solver stalled: {MAX_SUBSTEPS} sub-steps before t={target_time:g}"
     )

@@ -77,10 +77,10 @@ def init_swarm(
     n_particles: int,
     dim: int,
     rng: np.random.Generator,
-    box: tuple[float, float] = (-3.0, 3.0),
+    box: tuple[float, float],
     particle_mass: float = 1.0,
 ) -> SwarmState:
-    """Uniform positions on box^dim, zero velocities."""
+    """Uniform positions on box^dim (a run passes MicroParams.init_box), zero velocities."""
     lo, hi = box
     positions = rng.uniform(lo, hi, size=(n_particles, dim))
     return SwarmState(positions, np.zeros((n_particles, dim)), particle_mass)

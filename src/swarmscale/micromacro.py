@@ -12,13 +12,35 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .keys import check_keys, integer, key, number
 from .macro import EPS_RHO, Grid1D, MacroState
 from .micro import SwarmState
 
 
 @dataclass(frozen=True)
+class CouplingConfig:
+    """The mass-transfer rule, the config's ``coupling`` section.
+
+    zeta starts at zeta0, stays in [zeta_min, zeta_max], and mass first
+    moves at step t_star.
+    """
+
+    zeta0: float = key(number, 0.5, lo=0, hi=1, lo_open=True, hi_open=True)
+    zeta_min: float = key(number, 0.1, lo=0, hi=1, lo_open=True, hi_open=True)
+    zeta_max: float = key(number, 0.9, lo=0, hi=1, lo_open=True, hi_open=True)
+    t_star: int = key(integer, 240, lo=0)
+
+    def __post_init__(self):
+        check_keys(self)
+        if not self.zeta_min < self.zeta_max:
+            raise ValueError("zeta_min: must be below zeta_max")
+        if not self.zeta_min <= self.zeta0 <= self.zeta_max:
+            raise ValueError("zeta0: must lie in [zeta_min, zeta_max]")
+
+
+@dataclass(frozen=True)
 class CouplingState:
-    """Current zeta, its bounds, the mass bookkeeping and the activation step.
+    """Current zeta and the mass bookkeeping, moved by ``rule``.
 
     mu0 is the microscopic mass at initialization; after every activated
     transfer the current microscopic mass equals zeta * mu0.
@@ -27,39 +49,21 @@ class CouplingState:
     zeta: float
     mu0: float
     rho_m_prev: np.ndarray
-    t_star: int
-    zeta_min: float = 0.1
-    zeta_max: float = 0.9
+    rule: CouplingConfig = CouplingConfig()
 
     def __post_init__(self):
-        if not 0 < self.zeta_min < self.zeta_max < 1:
-            raise ValueError("need 0 < zeta_min < zeta_max < 1")
-        if not self.zeta_min <= self.zeta <= self.zeta_max:
+        if not self.rule.zeta_min <= self.zeta <= self.rule.zeta_max:
             raise ValueError("zeta must lie in [zeta_min, zeta_max]")
         if self.mu0 <= 0:
             raise ValueError("the microscopic mass mu0 must be positive")
-        if self.t_star < 0:
-            raise ValueError("t_star must be nonnegative")
         object.__setattr__(self, "rho_m_prev", np.asarray(self.rho_m_prev, dtype=float))
 
 
 def init_coupling(
-    swarm: SwarmState,
-    grid: Grid1D,
-    zeta0: float = 0.5,
-    t_star: int = 240,
-    zeta_min: float = 0.1,
-    zeta_max: float = 0.9,
+    swarm: SwarmState, grid: Grid1D, rule: CouplingConfig = CouplingConfig()
 ) -> CouplingState:
-    """Coupling state at step 0; mu0 is read off the swarm's current mass."""
-    return CouplingState(
-        zeta=zeta0,
-        mu0=swarm.total_mass,
-        rho_m_prev=micro_cell_density(swarm, grid),
-        t_star=t_star,
-        zeta_min=zeta_min,
-        zeta_max=zeta_max,
-    )
+    """Coupling state at step 0, zeta at rule.zeta0; mu0 is read off the swarm's current mass."""
+    return CouplingState(rule.zeta0, swarm.total_mass, micro_cell_density(swarm, grid), rule)
 
 
 def _cell_indices(swarm: SwarmState, grid: Grid1D) -> np.ndarray:
@@ -97,7 +101,7 @@ def compute_zeta(
     Per cell: d_j = |u_j - vbar_j| with u_j the macroscopic velocity and
     vbar_j the mean particle velocity (0 in empty cells, which carry zero
     weight anyway); weight w_j is the microscopic share of the cell density.
-    The raw value sum(w d) / (sum(w) * max d) is clamped to
+    The raw value sum(w d) / (sum(w) * max d) is clamped to the rule's
     [zeta_min, zeta_max]; the max ranges over occupied cells only.
     binned is the swarm's (cell indices, counts) on this grid when the
     caller has already binned it.
@@ -117,10 +121,11 @@ def compute_zeta(
 
     w_sum = w.sum()
     d_max = np.max(d, where=occupied, initial=0.0)  # d >= 0: the initial 0.0 never wins
+    rule = coupling.rule
     if d_max == 0.0 or w_sum <= 0.0:
-        return coupling.zeta_min
+        return rule.zeta_min
     zeta_raw = float(w @ d / (w_sum * d_max))
-    return min(max(zeta_raw, coupling.zeta_min), coupling.zeta_max)
+    return min(max(zeta_raw, rule.zeta_min), rule.zeta_max)
 
 
 def transfer_mass(
@@ -144,7 +149,7 @@ def transfer_mass(
     The macroscopic momentum is kept where the density is lowered, so a
     cell's velocity rho_u / rho grows by the inverse ratio.
     """
-    if step < coupling.t_star:
+    if step < coupling.rule.t_star:
         frozen = replace(coupling, rho_m_prev=micro_cell_density(swarm, grid))
         return frozen, swarm, macro
 

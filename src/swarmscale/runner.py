@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
+from .keys import check_keys
 from .macro import advance_macro, consensus_point_macro, init_macro
 from .micro import consensus_point, gibbs_weights, init_swarm, softmin_gap, step_euler_maruyama
 from .micromacro import init_coupling, micro_cell_density, transfer_mass
@@ -187,9 +188,8 @@ class _Grid(_Scale):
 
     def __init__(self, cfg, mass, alone):
         super().__init__(cfg, "macro", alone)
-        self.grid = cfg.build_grid()
-        self.cfl, self.boundary = cfg.macro.cfl, cfg.macro.boundary
-        self.state = init_macro(self.grid, total_mass=mass, T=cfg.macro.T)
+        self.grid = cfg.macro  # the section is the grid, with its solver's settings
+        self.state = init_macro(self.grid, total_mass=mass)
         self.consensus_column = "consensus" + self.suffix
         self.evaluate(self.grid.centers[:, None])  # the centers never move
 
@@ -200,7 +200,7 @@ class _Grid(_Scale):
         # the PDE sub-steps, but the penalty loop lives on the shared outer
         # grid n * dt so its cadence is physical time
         self.state = advance_macro(self.state, self.grid, self.params, self.weights,
-                                   self.cfl, self.boundary, n * self.params.dt)
+                                   n * self.params.dt)
 
     def measure_violation(self):
         return violation_macro(self.state, self.weights, self.parts[1])
@@ -229,10 +229,8 @@ class _Transfer:
     """Post-step hook of a coupled run: re-splits the mass between the two scales."""
 
     def __init__(self, cfg, particles, grid):
-        c = cfg.coupling
         self.particles, self.grid = particles, grid
-        self.state = init_coupling(particles.swarm, grid.grid, zeta0=c.zeta0, t_star=c.t_star,
-                                   zeta_min=c.zeta_min, zeta_max=c.zeta_max)
+        self.state = init_coupling(particles.swarm, grid.grid, cfg.coupling)
 
     def __call__(self, n):
         p, g = self.particles, self.grid
@@ -356,9 +354,18 @@ class EnsembleReport:
 
 
 def run_ensemble(cfg: ExperimentConfig, n_runs: int) -> EnsembleReport:
-    """Independent runs with seeds cfg.seed + k; failures are recorded, not fatal."""
+    """Independent runs with seeds cfg.seed + k; failures are recorded, not fatal.
+
+    Raises ConfigError before the first run when the last seed fails the
+    ``seed`` key's check, since replace() does not run it.
+    """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    last = cfg.seed + n_runs - 1
+    try:
+        check_keys(replace(cfg, seed=last))
+    except ValueError as exc:
+        raise ConfigError([f"run {n_runs - 1} (seed {last}): {exc}"]) from None
     os.makedirs(cfg.output, exist_ok=True)
 
     cons_cols, records, pooled_rows = [], [], []

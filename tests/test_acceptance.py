@@ -23,7 +23,12 @@ from swarmscale.macro import (
     max_wavespeed,
 )
 from swarmscale.micro import MicroParams, SwarmState, consensus_point, gibbs_weights, softmin_gap
-from swarmscale.micromacro import init_coupling, micro_cell_density, transfer_mass
+from swarmscale.micromacro import (
+    CouplingConfig,
+    init_coupling,
+    micro_cell_density,
+    transfer_mass,
+)
 from swarmscale.objectives import (
     ObjectiveFunction,
     PenalizedObjective,
@@ -260,24 +265,22 @@ class TestPropertySuite:
                 assert np.all(x <= state.positions.max(axis=0) + 1e-12)
 
     def test_finite_volume_mass_conservation(self):
-        grid = Grid1D(-2.0, 2.0, 50)
+        grid = Grid1D(-2.0, 2.0, 50, boundary="periodic")
         params = MicroParams(m=0.5, lam=1.0)
         rng = np.random.default_rng(1003)
         state = MacroState(rng.uniform(0.5, 1.5, size=50), np.zeros(50), T=0.2)
         m0 = state.rho.sum() * grid.dx
         with timed("conservation"):
             for _ in range(1000):
-                dt = cfl_dt(max_wavespeed(state), grid, 0.8)
-                state = lax_friedrichs_step(
-                    state, grid, dt, params, 0.3, boundary="periodic"
-                )
+                dt = cfl_dt(max_wavespeed(state), grid)
+                state = lax_friedrichs_step(state, grid, dt, params, 0.3)
                 assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
                 assert np.all(state.rho >= 0.0)
 
             # the discrete hydrostatic profile C exp(-phi / T^2), u = 0, is a fixed point
             phi = (params.lam / params.m) * 0.5 * (grid.centers - 0.3) ** 2
             rest = MacroState(0.7 * np.exp(-phi / 0.2**2), np.zeros(50), T=0.2)
-            out = lax_friedrichs_step(rest, grid, 0.05, params, 0.3, boundary="periodic")
+            out = lax_friedrichs_step(rest, grid, 0.05, params, 0.3)
             np.testing.assert_allclose(out.rho, rest.rho, rtol=0, atol=1e-14)
             np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-14)
 
@@ -346,14 +349,14 @@ class TestPropertySuite:
                 particle_mass=0.5 / 60,
             )
             macro = MacroState(np.full(25, 0.5 / 6.0), np.zeros(25), T=0.1)
-            frozen = init_coupling(swarm, grid, zeta0=0.5, t_star=5)
+            frozen = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=5))
             macro_mass = macro.rho.sum() * grid.dx
             for step in range(5):
                 frozen, s_out, m_out = transfer_mass(frozen, swarm, macro, grid, step)
                 assert s_out.particle_mass == swarm.particle_mass
                 assert m_out.rho.sum() * grid.dx == macro_mass
 
-            coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
+            coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
             total = swarm.total_mass + macro.rho.sum() * grid.dx
             for step in range(20):
                 swarm = SwarmState(
@@ -437,14 +440,11 @@ class TestPropertySuite:
             )
 
             # one finite-volume step vs a face-by-face transcription
-            g5 = Grid1D(0.0, 5.0, 5)
+            g5 = Grid1D(0.0, 5.0, 5, boundary="periodic")
             params = MicroParams(m=0.5, lam=1.0)
             rho5 = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
             mom5 = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
-            out = lax_friedrichs_step(
-                MacroState(rho5, mom5, T=0.2), g5, 0.5, params, 2.3,
-                boundary="periodic",
-            )
+            out = lax_friedrichs_step(MacroState(rho5, mom5, T=0.2), g5, 0.5, params, 2.3)
             phi = [(x - 2.3) ** 2 for x in g5.centers]
             rho_ref, mom_ref = list(rho5), [0.5 * q for q in mom5]  # after friction
             for i in range(5):

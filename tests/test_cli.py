@@ -232,6 +232,13 @@ def test_ensemble_rejects_zero_runs(tmp_path, capsys):
     assert cli.main(["ensemble", "--config", str(p), "--runs", "0"]) == 2
 
 
+def test_ensemble_rejects_a_last_seed_out_of_range(tmp_path, capsys):
+    p = write_config(tmp_path, seed=2**64 - 1)
+    assert cli.main(["ensemble", "--config", str(p), "--runs", "2"]) == 2
+    assert f"run 1 (seed {2**64}): seed: must lie in [0, {2**64 - 1}]" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("run_*"))
+
+
 def test_validate_config_rejects_non_finite_numbers(tmp_path, capsys):
     # a NaN inertia used to pass validation, and then `run` died with a traceback
     p = tmp_path / "nan.yaml"

@@ -1,7 +1,7 @@
 """Config loading, validation messages, round-trips and the builders."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -9,14 +9,19 @@ import yaml
 from importlib import resources
 
 from swarmscale.config import (
+    BallConfig,
     ConfigError,
     ExperimentConfig,
+    FeasibleConfig,
     config_from_dict,
     config_to_dict,
     load_config,
     save_config,
 )
+from swarmscale.keys import integer, number
+from swarmscale.macro import Grid1D
 from swarmscale.micro import MicroParams
+from swarmscale.micromacro import CouplingConfig
 from swarmscale.objectives import ObjectiveFunction
 from swarmscale.penalty import PenaltyConfig
 
@@ -220,7 +225,8 @@ def test_builders_wire_the_parameters():
     params = cfg.micro  # the section is the particles' (and the grid's) parameter object
     assert isinstance(params, MicroParams)
 
-    grid = cfg.build_grid()
+    grid = cfg.macro  # the section is the grid, with its solver's settings
+    assert isinstance(grid, Grid1D)
     assert grid.n_cells == 401
 
     assert params.gamma == pytest.approx(1.0 - params.m)
@@ -378,10 +384,66 @@ def test_parameter_objects_built_in_code_reject_what_the_config_rejects():
         ("eta_beta", PenaltyConfig, {"eta_beta": math.inf}),
         # a required key is checked even when it is None
         ("name", ObjectiveFunction, {"name": None, "dim": 2}),
+        ("x_min", Grid1D, {"x_min": math.nan, "x_max": 1.0, "n_cells": 10}),
+        ("x_max", Grid1D, {"x_min": 0.0, "x_max": math.inf, "n_cells": 10}),
+        ("n_cells", Grid1D, {"x_min": 0.0, "x_max": 1.0, "n_cells": 10.5}),
+        ("T", Grid1D, {"T": math.nan}),  # the spread that init_macro reads
+        ("cfl", Grid1D, {"cfl": 0}),
+        ("boundary", Grid1D, {"boundary": "reflecting"}),
+        ("zeta0", CouplingConfig, {"zeta0": 1.0}),
+        ("t_star", CouplingConfig, {"t_star": -1}),
+        # the rule that init_coupling reads
+        ("t_star", CouplingConfig, {"t_star": 1.5}),
+        ("t_star", CouplingConfig, {"t_star": True}),
     ]:
         with pytest.raises(ValueError, match=f"^{bad_key}: "):
             cls(**kwargs)
-    assert config_from_dict(base_dict()).micro == MicroParams()
+    cfg = config_from_dict(base_dict())
+    assert cfg.micro == MicroParams()
+    assert cfg.macro == Grid1D() and cfg.coupling == CouplingConfig()
+
+
+@pytest.mark.parametrize("over, errors", [
+    ({"macro": {"x_min": 1.0, "x_max": 1.0}}, ["macro.x_min: must be below x_max"]),
+    ({"macro": {"T": 0}}, ["macro.T: must be nonzero (T = 0 loses strict hyperbolicity)"]),
+    ({"coupling": {"zeta_min": 0.5, "zeta_max": 0.5}},
+     ["coupling.zeta_min: must be below zeta_max"]),
+    ({"coupling": {"zeta0": 0.95}}, ["coupling.zeta0: must lie in [zeta_min, zeta_max]"]),
+    # a section with a failed key is not built, so its rule between keys
+    # does not also run on the default that stands in for x_min
+    ({"macro": {"x_min": "a", "x_max": -5}}, ["macro.x_min: must be a number"]),
+], ids=["x_min-above-x_max", "T-zero", "zeta_min-above-zeta_max", "zeta0-out-of-bounds",
+        "failed-key-suppresses-the-rule"])
+def test_a_rule_between_keys_is_reported_at_its_key(over, errors):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(**over))
+    assert exc.value.errors == errors
+
+
+# the sections the walk still builds without a check_keys of their own
+UNCHECKED_SECTIONS = {FeasibleConfig, BallConfig}
+
+
+def test_every_section_checks_its_keys_when_built():
+    """A section added to the config tree without check_keys in __post_init__ fails here."""
+
+    def sections(cls):
+        for f in fields(cls):
+            spec = f.metadata.get("each", f.metadata)
+            if "section" in spec:
+                yield spec["section"]
+                yield from sections(spec["section"])
+
+    found = set(sections(ExperimentConfig))
+    assert UNCHECKED_SECTIONS <= found
+    # a built instance of each top-level section; ObjectiveFunction has no defaults
+    cfg = config_from_dict(base_dict())
+    built = {type(getattr(cfg, f.name)): getattr(cfg, f.name)
+             for f in fields(cfg) if "section" in f.metadata}
+    for cls in found - UNCHECKED_SECTIONS:
+        name = next(f.name for f in fields(cls) if f.metadata.get("check") in (number, integer))
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            replace(built.get(cls) or cls(), **{name: math.nan})
 
 
 def test_every_config_key_declares_its_check():

@@ -115,14 +115,14 @@ def test_consensus_macro_zero_mass_raises():
     # the sub-step loop reuses one set of weights and keeps the zero-mass error
     with pytest.raises(ZeroDivisionError,
                        match="^Gibbs-weighted mean undefined: zero weighted mass$"):
-        advance_macro(state, grid, PARAMS, weights, 0.8, "outflow", 0.1)
+        advance_macro(state, grid, PARAMS, weights, 0.1)
     # weights of the wrong length would broadcast against the density, so they raise
     unit = MacroState(np.ones(11), np.zeros(11), T=0.1)
     for wrong in (weights[:1], weights[:-1], np.append(weights, 0.0), weights[:, None]):
         with pytest.raises(ValueError, match="weights must have shape"):
             consensus_point_macro(unit, grid, wrong)
         with pytest.raises(ValueError, match="weights must have shape"):
-            advance_macro(unit, grid, PARAMS, wrong, 0.8, "outflow", 0.1)
+            advance_macro(unit, grid, PARAMS, wrong, 0.1)
 
 
 # ------------------------------------------------------------------- stepping
@@ -131,34 +131,34 @@ def test_consensus_macro_zero_mass_raises():
 def test_constant_state_is_fixed_point():
     # with a vanishing attraction every face sees its cells' own states, so
     # transport leaves a constant flow fixed and only friction moves its momentum
-    grid = Grid1D(0.0, 1.0, 20)
     params = MicroParams(m=0.5, lam=1e-300)
     state = MacroState(np.full(20, 0.7), np.full(20, 0.14), T=0.3)
     kick = -0.05 * (params.gamma / params.m) * state.rho_u
     for boundary in ("periodic", "outflow"):
-        out = lax_friedrichs_step(state, grid, 0.05, params, 0.0, boundary=boundary)
+        grid = Grid1D(0.0, 1.0, 20, boundary=boundary)
+        out = lax_friedrichs_step(state, grid, 0.05, params, 0.0)
         np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-14)
         np.testing.assert_allclose(out.rho_u, state.rho_u + kick, rtol=0, atol=1e-14)
     assert out.time == pytest.approx(0.05)
 
 
 def test_vacuum_stays_vacuum():
-    grid = Grid1D(0.0, 1.0, 10)
+    grid = Grid1D(0.0, 1.0, 10, boundary="periodic")
     state = MacroState(np.zeros(10), np.zeros(10), T=0.1)
-    out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.5, boundary="periodic")
+    out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.5)
     np.testing.assert_array_equal(out.rho, np.zeros(10))
     np.testing.assert_array_equal(out.rho_u, np.zeros(10))
 
 
 def test_mass_conserved_with_source_on_periodic():
-    grid = Grid1D(-2.0, 2.0, 50)
+    grid = Grid1D(-2.0, 2.0, 50, boundary="periodic")
     rng = np.random.default_rng(23)
     rho = rng.uniform(0.5, 1.5, size=50)
     state = MacroState(rho, np.zeros(50), T=0.2)
     m0 = state.rho.sum() * grid.dx
     for _ in range(100):
-        dt = cfl_dt(max_wavespeed(state), grid, 0.8)
-        state = lax_friedrichs_step(state, grid, dt, PARAMS, 0.3, boundary="periodic")
+        dt = cfl_dt(max_wavespeed(state), grid)
+        state = lax_friedrichs_step(state, grid, dt, PARAMS, 0.3)
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
         assert np.all(state.rho >= 0.0)
 
@@ -170,8 +170,9 @@ def test_step_errors():
         lax_friedrichs_step(state, grid, 0.0, PARAMS, 0.0)
     with pytest.raises(ValueError, match="CFL violation"):
         lax_friedrichs_step(state, grid, 1.0, PARAMS, 0.0)
-    with pytest.raises(ValueError, match="boundary"):
-        lax_friedrichs_step(state, grid, 0.01, PARAMS, 0.0, boundary="reflecting")
+    # the grid carries the boundary rule, so an unknown one fails when it is built
+    with pytest.raises(ValueError, match="^boundary: "):
+        Grid1D(0.0, 1.0, 10, boundary="reflecting")
 
 
 def test_hydrostatic_step_errors():
@@ -198,10 +199,10 @@ def hydrostatic_equilibrium(grid, consensus, T):
     ("periodic", 1.0), ("outflow", 1.0), ("periodic", 0.3), ("outflow", 0.3), ("absorbing", 0.3),
 ])
 def test_hydrostatic_equilibrium_is_a_fixed_point(boundary, T):
-    grid = Grid1D(-3.0, 3.0, 101)
+    grid = Grid1D(-3.0, 3.0, 101, boundary=boundary)
     state = hydrostatic_equilibrium(grid, 0.4, T)
-    dt = cfl_dt(max_wavespeed(state), grid, 0.8)
-    out = lax_friedrichs_step(state, grid, dt, PARAMS, 0.4, boundary=boundary)
+    dt = cfl_dt(max_wavespeed(state), grid)
+    out = lax_friedrichs_step(state, grid, dt, PARAMS, 0.4)
     scale = state.rho.max()
     np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-15 * scale)
     np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-15 * scale)
@@ -209,26 +210,25 @@ def test_hydrostatic_equilibrium_is_a_fixed_point(boundary, T):
 
 
 def test_hydrostatic_conserves_periodic_mass_with_a_moving_consensus():
-    grid = Grid1D(-2.0, 2.0, 50)
+    grid = Grid1D(-2.0, 2.0, 50, boundary="periodic")
     rng = np.random.default_rng(43)
     state = MacroState(rng.uniform(0.5, 1.5, 50), rng.uniform(-0.3, 0.3, 50), T=0.2)
     m0 = state.rho.sum() * grid.dx
     for k in range(2000):
         consensus = 1.5 * math.sin(k / 100.0)
-        dt = cfl_dt(max_wavespeed(state), grid, 0.8)
-        state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary="periodic")
+        dt = cfl_dt(max_wavespeed(state), grid)
+        state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-14 * m0
     assert np.all(state.rho >= 0.0)
 
 
 def test_hydrostatic_step_matches_transcribed_faces():
     # one face at a time, from the formulas of Audusse et al. (2004) with P(rho) = T^2 rho
-    grid = Grid1D(0.0, 5.0, 5)
+    grid = Grid1D(0.0, 5.0, 5, boundary="periodic")
     rho = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
     mom = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
     T, dt, consensus = 0.5, 0.5, 2.3
-    out = lax_friedrichs_step(MacroState(rho, mom, T=T), grid, dt, PARAMS, consensus,
-                              boundary="periodic")
+    out = lax_friedrichs_step(MacroState(rho, mom, T=T), grid, dt, PARAMS, consensus)
 
     phi = (1.0 / 0.5) * (grid.centers - consensus) ** 2 / 2
     u = mom / rho
@@ -287,7 +287,7 @@ def reference_hydrostatic_update(state, grid, dt, params, consensus, boundary):
 @pytest.mark.parametrize("boundary", ["outflow", "periodic", "absorbing"])
 @pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
 def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
-    grid = Grid1D(-2.0, 2.0, 61)
+    grid = Grid1D(-2.0, 2.0, 61, cfl=1.0, boundary=boundary)
     rng = np.random.default_rng(53)
     for _ in range(20):
         rho = rng.uniform(0.0, 1.5, 61)
@@ -298,10 +298,10 @@ def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
         rho[rng.random(61) < 0.1] = 1e-14  # near-empty cells that still carry momentum
         state = MacroState(rho, mom, T=T)
         consensus = rng.uniform(-2.5, 2.5)
-        dt = cfl_dt(max_wavespeed(state), grid, 1.0)
+        dt = cfl_dt(max_wavespeed(state), grid)
         rho_ref, mom_ref = reference_hydrostatic_update(state, grid, dt, PARAMS, consensus,
                                                         boundary)
-        out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary=boundary)
+        out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
         rho_ref = np.maximum(rho_ref, 0.0)
         assert np.array_equal(out.rho, rho_ref)
         assert np.array_equal(out.rho_u, np.where(rho_ref <= EPS_RHO, 0.0, mom_ref))
@@ -309,7 +309,7 @@ def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
 
 def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
     # cfl = 1, vacuum cells, a consensus swept to the grid edges
-    grid = Grid1D(-2.0, 2.0, 50)
+    grid = Grid1D(-2.0, 2.0, 50, cfl=1.0, boundary="periodic")
     rng = np.random.default_rng(47)
     rho = rng.uniform(0.5, 1.5, 50)
     mom = rng.uniform(-0.3, 0.3, 50)
@@ -320,10 +320,10 @@ def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
     m0 = state.rho.sum() * grid.dx
     for k in range(2000):
         consensus = 2.0 * math.sin(k / 50.0)
-        dt = cfl_dt(max_wavespeed(state), grid, 1.0)
-        unfloored, _ = macro._hydrostatic_update(state, grid, dt, PARAMS, consensus, "periodic")
+        dt = cfl_dt(max_wavespeed(state), grid)
+        unfloored, _ = macro._hydrostatic_update(state, grid, dt, PARAMS, consensus)
         assert unfloored.min() >= 0.0
-        state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus, boundary="periodic")
+        state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-14 * m0
 
 
@@ -334,9 +334,9 @@ def test_cfl_dt_still_fluid():
     grid = Grid1D(0.0, 1.0, 100)
     state = MacroState(np.ones(100), np.zeros(100), T=0.1)
     s = max_wavespeed(state)
-    assert cfl_dt(s, grid, 0.8) == pytest.approx(0.08, rel=1e-14)
+    assert cfl_dt(s, grid) == pytest.approx(0.08, rel=1e-14)
     wide = Grid1D(0.0, 2.0, 100)
-    assert cfl_dt(s, wide, 0.8) == pytest.approx(0.16, rel=1e-14)
+    assert cfl_dt(s, wide) == pytest.approx(0.16, rel=1e-14)
 
 
 def test_cfl_dt_mixed_velocities():
@@ -347,32 +347,32 @@ def test_cfl_dt_mixed_velocities():
     state = MacroState(rho, mom, T=0.4)
     expected = 0.8 * grid.dx / (np.max(np.abs(mom / rho)) + 0.4)
     s = max_wavespeed(state)
-    assert cfl_dt(s, grid, 0.8) == pytest.approx(expected, rel=1e-12)
+    assert cfl_dt(s, grid) == pytest.approx(expected, rel=1e-12)
     assert s == pytest.approx(np.max(np.abs(mom / rho)) + 0.4)
-    with pytest.raises(ValueError):
-        cfl_dt(s, grid, 0.0)
-    with pytest.raises(ValueError):
-        cfl_dt(s, grid, 1.2)
+    # the grid carries cfl, so a factor outside (0, 1] fails when it is built
+    with pytest.raises(ValueError, match="^cfl: "):
+        Grid1D(0.0, 1.0, 10, cfl=0.0)
+    with pytest.raises(ValueError, match="^cfl: "):
+        Grid1D(0.0, 1.0, 10, cfl=1.2)
 
 
 def test_advance_macro_lands_on_the_target_and_conserves_mass():
-    grid = Grid1D(-2.0, 2.0, 40)
+    grid = Grid1D(-2.0, 2.0, 40, boundary="periodic")
     rng = np.random.default_rng(37)
     state = MacroState(rng.uniform(0.5, 1.5, 40), np.zeros(40), T=0.2)
     m0 = state.rho.sum() * grid.dx
     for target in (0.05, 0.3, 0.31):
-        state = advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), 0.8,
-                              "periodic", target)
+        state = advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), target)
         assert abs(state.time - target) <= 1e-12
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
 
 
-def reference_advance(state, grid, params, pf, alpha, cfl, boundary, target_time):
+def reference_advance(state, grid, params, pf, alpha, target_time):
     """The sub-step loop spelled out with the public pieces, evaluating everything each step."""
     while target_time - state.time > 1e-12:
         c = consensus_point_macro(state, grid, weights_at(grid, pf, alpha))
-        dt = min(cfl_dt(max_wavespeed(state), grid, cfl), target_time - state.time)
-        state = lax_friedrichs_step(state, grid, dt, params, c, boundary=boundary)
+        dt = min(cfl_dt(max_wavespeed(state), grid), target_time - state.time)
+        state = lax_friedrichs_step(state, grid, dt, params, c)
     return state
 
 
@@ -387,7 +387,7 @@ def halfline_pf(beta):
     for b in ("outflow", "periodic", "absorbing") for s in ("random", "hydrostatic")
 ])
 def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, start):
-    grid = Grid1D(-3.0, 3.0, 81)
+    grid = Grid1D(-3.0, 3.0, 81, boundary=boundary)
     if start == "random":
         rng = np.random.default_rng(41)
         state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81), T=0.3)
@@ -395,9 +395,8 @@ def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, start):
         state = hydrostatic_equilibrium(grid, -1.0, 0.3)
     pf = halfline_pf(2.5)
     for target in (0.05, 0.4):
-        got = advance_macro(state, grid, PARAMS, weights_at(grid, pf, 30.0), 0.8, boundary,
-                            target)
-        ref = reference_advance(state, grid, PARAMS, pf, 30.0, 0.8, boundary, target)
+        got = advance_macro(state, grid, PARAMS, weights_at(grid, pf, 30.0), target)
+        ref = reference_advance(state, grid, PARAMS, pf, 30.0, target)
         assert np.array_equal(got.rho, ref.rho)
         assert np.array_equal(got.rho_u, ref.rho_u)
         assert got.time == ref.time
@@ -405,12 +404,11 @@ def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, start):
 
 
 def test_advance_macro_reports_a_stall(monkeypatch):
-    grid = Grid1D(-2.0, 2.0, 40)
-    state = init_macro(grid, T=0.2)
+    grid = Grid1D(-2.0, 2.0, 40, T=0.2, boundary="periodic")
+    state = init_macro(grid)
     monkeypatch.setattr(macro, "MAX_SUBSTEPS", 3)
     with pytest.raises(RuntimeError, match="grid solver stalled: 3 sub-steps"):
-        advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), 0.8,
-                      "periodic", 100.0)
+        advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), 100.0)
 
 
 def test_non_finite_state_raises_naming_the_cell():
@@ -441,7 +439,7 @@ def test_eigenvalues_match_quasilinear_matrix():
 
 def test_init_macro_uniform_unit_mass():
     grid = Grid1D(-3.0, 3.0, 401)
-    state = init_macro(grid, total_mass=0.5, T=0.1)
+    state = init_macro(grid, total_mass=0.5)  # the grid's T: 0.1
     assert state.rho.sum() * grid.dx == pytest.approx(0.5, rel=1e-12)
     assert np.all(state.rho == state.rho[0])
     assert np.all(state.rho_u == 0.0)
@@ -450,10 +448,10 @@ def test_init_macro_uniform_unit_mass():
 
 
 def test_absorbing_boundary_drains_edges():
-    grid = Grid1D(0.0, 1.0, 10)
+    grid = Grid1D(0.0, 1.0, 10, boundary="absorbing")
     # at rest in its own potential, so only the vacuum ghosts can move it
     state = hydrostatic_equilibrium(grid, 0.5, 0.5)
-    out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.5, boundary="absorbing")
+    out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.5)
     # vacuum ghosts pull the edge cells down; the interior is untouched
     assert out.rho[0] < state.rho[0] and out.rho[-1] < state.rho[-1]
     np.testing.assert_allclose(out.rho[1:-1], state.rho[1:-1], rtol=0, atol=1e-14)

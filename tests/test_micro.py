@@ -223,7 +223,7 @@ def test_step_determinism():
 
     def run(seed):
         rng = np.random.default_rng(seed)
-        state = init_swarm(32, 2, rng)
+        state = init_swarm(32, 2, rng, params.init_box)
         for _ in range(50):
             state = step(state, params, pf, rng)
         return state

@@ -9,6 +9,7 @@ from swarmscale import micromacro as mm
 from swarmscale.macro import EPS_RHO, Grid1D, MacroState
 from swarmscale.micro import SwarmState
 from swarmscale.micromacro import (
+    CouplingConfig,
     CouplingState,
     compute_zeta,
     init_coupling,
@@ -93,7 +94,7 @@ def test_zeta_matched_velocities_hits_floor():
     grid = Grid1D(0.0, 5.0, 5)
     swarm = two_cell_swarm()  # all particle velocities zero
     macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]), np.zeros(5), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
+    coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     assert compute_zeta(swarm, macro, grid, coupling) == 0.1
 
 
@@ -102,7 +103,7 @@ def test_zeta_single_occupied_cell_hits_ceiling():
     pos, vel = cluster(0.5, 8, velocity=1.0)
     swarm = SwarmState(pos, vel, particle_mass=0.05)
     macro = MacroState(np.array([0.1, 0.4, 0.3, 0.1, 0.1]), np.zeros(5), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
+    coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     assert compute_zeta(swarm, macro, grid, coupling) == 0.9
 
 
@@ -115,7 +116,7 @@ def test_zeta_three_cell_fixture():
                        particle_mass=0.1)
     macro = MacroState(np.array([0.3, 0.2, 0.5]),
                        np.array([0.15, 0.1, -0.25]), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
+    coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     # by hand: w = (0.4, 0.6, 0.5), d = (0.4, 0.0, 0.6)
     expected = (0.4 * 0.4 + 0.6 * 0.0 + 0.5 * 0.6) / ((0.4 + 0.6 + 0.5) * 0.6)
     assert compute_zeta(swarm, macro, grid, coupling) == pytest.approx(
@@ -126,22 +127,22 @@ def test_zeta_three_cell_fixture():
 def test_coupling_state_validation():
     ones = np.ones(3)
     with pytest.raises(ValueError, match="zeta_min"):
-        CouplingState(0.5, 1.0, ones, 0, zeta_min=0.9, zeta_max=0.1)
+        CouplingState(0.5, 1.0, ones, CouplingConfig(zeta_min=0.9, zeta_max=0.1))
     with pytest.raises(ValueError, match="zeta must lie"):
-        CouplingState(0.95, 1.0, ones, 0)
+        CouplingState(0.95, 1.0, ones)
     with pytest.raises(ValueError, match="positive"):
-        CouplingState(0.5, 0.0, ones, 0)
+        CouplingState(0.5, 0.0, ones)
     with pytest.raises(ValueError, match="t_star"):
-        CouplingState(0.5, 1.0, ones, -1)
+        CouplingState(0.5, 1.0, ones, CouplingConfig(t_star=-1))
 
 
 def test_init_coupling_reads_swarm_mass():
     grid = Grid1D(0.0, 5.0, 5)
     swarm = two_cell_swarm()
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=240)
+    coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=240))
     assert coupling.mu0 == pytest.approx(0.5)
     assert coupling.zeta == 0.5
-    assert coupling.t_star == 240
+    assert coupling.rule.t_star == 240
     np.testing.assert_array_equal(
         coupling.rho_m_prev, micro_cell_density(swarm, grid)
     )
@@ -155,7 +156,7 @@ def test_transfer_frozen_before_activation():
     swarm = two_cell_swarm()
     macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]),
                        np.array([0.0, 0.3, 0.0, 0.0, 0.0]), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=240)
+    coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=240))
     macro_mass = macro.rho.sum() * grid.dx
 
     for step in (0, 1, 239):
@@ -180,7 +181,7 @@ def test_transfer_two_step_trace():
     swarm = two_cell_swarm()
     macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]),
                        np.array([0.0, 0.3, 0.0, 0.0, 0.0]), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
+    coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
 
     coupling, swarm, macro = transfer_mass(coupling, swarm, macro, grid, step=0)
     assert coupling.zeta == pytest.approx(0.4, abs=1e-12)
@@ -214,7 +215,7 @@ def test_transfer_mu_tracking_and_conservation_along_a_run():
     vel = rng.uniform(-1, 1, size=(60, 1))
     swarm = SwarmState(pos, vel, particle_mass=0.5 / 60)
     macro = MacroState(np.full(25, 0.5 / 6.0), np.zeros(25), T=0.1)
-    coupling = init_coupling(swarm, grid, zeta0=0.5, t_star=0)
+    coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     total = swarm.total_mass + macro.rho.sum() * grid.dx
 
     for step in range(10):
@@ -239,7 +240,7 @@ def test_transfer_rebalance_failure_raises():
     swarm = SwarmState(pos, vel, particle_mass=0.01)
     macro = MacroState(np.full(5, 0.01), np.zeros(5), T=0.1)
     coupling = CouplingState(
-        zeta=0.5, mu0=10.0, rho_m_prev=np.zeros(5), t_star=0
+        zeta=0.5, mu0=10.0, rho_m_prev=np.zeros(5), rule=CouplingConfig(t_star=0)
     )
     with pytest.raises(ValueError, match="cannot rebalance"):
         transfer_mass(coupling, swarm, macro, grid, 0)
@@ -251,7 +252,7 @@ def test_transfer_zero_total_mass_raises():
     swarm = SwarmState(pos, vel, particle_mass=0.0)
     macro = MacroState(np.zeros(5), np.zeros(5), T=0.1)
     coupling = CouplingState(
-        zeta=0.5, mu0=1.0, rho_m_prev=np.zeros(5), t_star=0
+        zeta=0.5, mu0=1.0, rho_m_prev=np.zeros(5), rule=CouplingConfig(t_star=0)
     )
     with pytest.raises(ValueError, match="total mass"):
         transfer_mass(coupling, swarm, macro, grid, 0)
@@ -279,14 +280,14 @@ def reference_compute_zeta(swarm, macro, grid, coupling):
     w_sum = w.sum()
     d_max = d[occupied].max() if occupied.any() else 0.0
     if d_max == 0.0 or w_sum <= 0.0:
-        return coupling.zeta_min
+        return coupling.rule.zeta_min
     zeta_raw = float(w @ d / (w_sum * d_max))
-    return min(max(zeta_raw, coupling.zeta_min), coupling.zeta_max)
+    return min(max(zeta_raw, coupling.rule.zeta_min), coupling.rule.zeta_max)
 
 
 def reference_transfer_mass(coupling, swarm, macro, grid, step):
     """transfer_mass as first written: the particles binned three times, states replaced."""
-    if step < coupling.t_star:
+    if step < coupling.rule.t_star:
         frozen = replace(coupling, rho_m_prev=micro_cell_density(swarm, grid))
         return frozen, swarm, macro
 
@@ -327,8 +328,7 @@ def assert_transfers_equal(got, ref):
     (c, s, m), (rc, rs, rm) = got, ref
     assert c.zeta == rc.zeta
     assert np.array_equal(c.rho_m_prev, rc.rho_m_prev)
-    assert (c.mu0, c.t_star, c.zeta_min, c.zeta_max) == (rc.mu0, rc.t_star, rc.zeta_min,
-                                                         rc.zeta_max)
+    assert (c.mu0, c.rule) == (rc.mu0, rc.rule)
     assert s.particle_mass == rs.particle_mass and s.step == rs.step
     assert np.array_equal(s.positions, rs.positions)
     assert np.array_equal(s.velocities, rs.velocities)
@@ -342,7 +342,7 @@ def test_zeta_matches_the_reference_body_bit_for_bit(spread):
     rng = np.random.default_rng(59)
     for _ in range(30):
         swarm, macro = coupled_states(rng, grid, int(rng.integers(1, 40)), spread)
-        coupling = init_coupling(swarm, grid, t_star=0)
+        coupling = init_coupling(swarm, grid, CouplingConfig(t_star=0))
         want = reference_compute_zeta(swarm, macro, grid, coupling)
         assert compute_zeta(swarm, macro, grid, coupling) == want
         binned = mm._bin(swarm, grid)
@@ -355,7 +355,7 @@ def test_zeta_of_particles_in_one_cell_matches_the_reference():
     swarm = SwarmState(pos, vel, particle_mass=0.05)
     for mom in (np.zeros(5), np.full(5, 0.4 * 0.2), np.array([0.0, 0.1, -0.3, 0.0, 0.2])):
         macro = MacroState(np.full(5, 0.2), mom, T=0.1)
-        coupling = init_coupling(swarm, grid, t_star=0)
+        coupling = init_coupling(swarm, grid, CouplingConfig(t_star=0))
         assert compute_zeta(swarm, macro, grid, coupling) == reference_compute_zeta(
             swarm, macro, grid, coupling)
 
@@ -369,7 +369,7 @@ def test_transfer_matches_the_reference_body_bit_for_bit(spread):
         swarm, macro = coupled_states(rng, grid, int(rng.integers(1, 40)), spread)
         # a snapshot from another swarm makes delta large, so thin cells empty
         other, _ = coupled_states(rng, grid, swarm.n_particles, spread)
-        start = replace(init_coupling(swarm, grid, t_star=5),
+        start = replace(init_coupling(swarm, grid, CouplingConfig(t_star=5)),
                         rho_m_prev=micro_cell_density(other, grid))
         for steps in ((5,), (4, 5, 6)):  # at t_star alone, then before, at and after it
             coupling, sw, mac = start, swarm, macro
@@ -377,7 +377,7 @@ def test_transfer_matches_the_reference_body_bit_for_bit(spread):
                 got = transfer_mass(coupling, sw, mac, grid, step)
                 assert_transfers_equal(got, reference_transfer_mass(coupling, sw, mac, grid,
                                                                     step))
-                if step < coupling.t_star:
+                if step < coupling.rule.t_star:
                     assert got[1] is sw and got[2] is mac
                 emptied += int(np.sum((got[2].rho <= EPS_RHO) & (mac.rho > EPS_RHO)))
                 coupling, sw, mac = got
@@ -395,7 +395,7 @@ def test_transfer_keeps_momentum_where_it_lowers_the_density():
                        np.array([0.05, 0.06, 0.0, -0.01, 0.01]), T=0.1)
     # mu0 above the swarm's mass: zeta * mu0 moves mass to the particles
     coupling = CouplingState(zeta=0.5, mu0=1.0, rho_m_prev=micro_cell_density(swarm, grid),
-                             t_star=0)
+                             rule=CouplingConfig(t_star=0))
     _, _, out = transfer_mass(coupling, swarm, macro, grid, 0)
     assert out.rho[0] < macro.rho[0] and out.rho[1] < macro.rho[1]
     assert np.array_equal(out.rho_u, macro.rho_u)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from swarmscale import micro, objectives, runner
-from swarmscale.config import config_from_dict
+from swarmscale.config import ConfigError, config_from_dict
 from swarmscale.runner import RunError, run_ensemble, run_experiment
 
 
@@ -191,6 +191,17 @@ def test_ensemble_pools_the_leading_scale_consensus(tmp_path, mode, dim, header)
     with open(report.pooled_csv) as fh:
         assert fh.readline().strip() == header
         assert len(fh.readlines()) == 2 * 3  # two runs, initial row plus two steps
+
+
+def test_an_ensemble_whose_last_seed_is_out_of_range_fails_before_its_first_run(tmp_path):
+    # run k takes seed cfg.seed + k, so the seed key's own bound applies to the last one
+    cfg = tiny(tmp_path, "micro", seed=2**64 - 1)
+    with pytest.raises(ConfigError) as exc:
+        run_ensemble(cfg, 2)
+    assert exc.value.errors == [f"run 1 (seed {2**64}): seed: must lie in [0, {2**64 - 1}]"]
+    assert not (tmp_path / "micro").exists()  # no run_* directory either
+    report = run_ensemble(replace(cfg, seed=2**64 - 2), 2)
+    assert [r["seed"] for r in report.runs] == [2**64 - 2, 2**64 - 1]
 
 
 PINNED = [
