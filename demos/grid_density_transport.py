@@ -8,7 +8,9 @@ hydrostatic reconstruction of Audusse et al. (2004).  The pull toward the
 consensus point of the density itself enters through a potential at the
 cell faces, and friction damps the momentum.  The grid takes the swarm's
 own MicroParams and reads its m, lam and friction gamma = 1 - m.  The mass
-bump drifts toward the minimizer without ever sampling a particle.
+bump drifts toward the minimizer without ever sampling a particle.  The
+state holds only the two moments: the closure spread T, like the CFL factor
+and the boundary rule, is the grid's.
 
 advance_macro carries the density to each report time in CFL sub-steps,
 each sized by the largest wavespeed |u| + |T| alone: the face states
@@ -26,7 +28,7 @@ from swarmscale.macro import (
 from swarmscale.micro import MicroParams, gibbs_weights
 from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
 
-grid = Grid1D(-4.0, 4.0, 200, cfl=0.45, boundary="periodic")
+grid = Grid1D(-4.0, 4.0, 200, T=0.1, cfl=0.45, boundary="periodic")
 params = MicroParams(m=0.5, lam=1.0)
 pf = PenalizedObjective(ObjectiveFunction("ackley", 1), None, beta=0.0)
 # the cells never move and beta is fixed, so F_beta there and its Gibbs
@@ -36,7 +38,7 @@ weights = gibbs_weights(pf.evaluate(grid.centers[:, None]), alpha=30.0)
 # Unit-mass bump centered well away from the minimizer at 0.
 rho = np.exp(-0.5 * ((grid.centers - 1.5) / 0.4) ** 2)
 rho /= rho.sum() * grid.dx
-state = MacroState(rho, np.zeros(grid.n_cells), T=0.1)
+state = MacroState(rho, np.zeros(grid.n_cells))
 mass0 = state.rho.sum() * grid.dx
 
 # The Gibbs weighting locks onto the deepest basin the density touches, so

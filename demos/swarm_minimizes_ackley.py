@@ -55,7 +55,7 @@ for step in range(cfg.n_steps):
             f"{step:>5} ({x[0]:+8.4f}, {x[1]:+8.4f}) {ctrl.beta:>7.3f} {v:>10.5f}"
         )
 
-fs = cfg.build_feasible_set()
+fs = cfg.feasible_set  # the config's feasible_set section is the union of balls itself
 print(f"\nfinal consensus  ({x[0]:+.4f}, {x[1]:+.4f})")
 print(f"distance to feasible set: {float(fs.distance(x)):.5f}")
 print("expected neighbourhood: the ball around (1.0, -1.0), the feasible")

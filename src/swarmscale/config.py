@@ -12,24 +12,18 @@ from __future__ import annotations
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 
-import numpy as np
 import yaml
 
-from .keys import (
-    choice, integer, is_unset, key, key_list, number, numbers, path_string, section, span,
-)
+from .keys import choice, entries, integer, key, path_string, section
 from .macro import Grid1D
 from .micro import MicroParams
 from .micromacro import CouplingConfig
 from .objectives import (
-    BallUnion, Halfspace1D, IntervalUnion, ObjectiveFunction, PenalizedObjective,
+    FEASIBLE_SETS, BallUnion, FeasibleSet, ObjectiveFunction, PenalizedObjective,
 )
 from .penalty import PenaltyConfig, PenaltyController
 
 MODES = ("micro", "macro", "micromacro")
-# each kind of feasible set, and the one key that describes a set of that kind
-FEASIBLE_KEYS = {"balls": "balls", "intervals": "intervals", "halfline": "bound"}
-FEASIBLE_KINDS = tuple(FEASIBLE_KEYS)
 
 
 class ConfigError(ValueError):
@@ -41,31 +35,14 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class BallConfig:
-    center: tuple = key(numbers)
-    radius_sq: float = key(number, lo=0, lo_open=True)
-
-
-@dataclass(frozen=True)
-class FeasibleConfig:
-    """The feasible set K; ``kind`` names the one key that describes it."""
-
-    kind: str = key(choice, options=FEASIBLE_KINDS)
-    balls: tuple = key_list(BallConfig)
-    intervals: tuple = key_list(span)               # ((lo, hi), ...)
-    bound: float | None = key(number, None)         # halfline: {x <= bound}
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment.  The field tree is the YAML tree.
 
     Every field is a key of the file and every nested dataclass a section of
-    it; each key declares its default and bounds once, in its field, and
-    ``config_to_dict`` writes the same tree back.  The ``micro``,
-    ``objective``, ``macro``, ``penalty`` and ``coupling`` sections are the
-    solvers' own objects, and each checks its keys when it is built.  An
-    absent or null ``feasible_set`` means the run is unconstrained.
+    it, a solver's own object that checks its keys when it is built; each key
+    declares its default and bounds once, in its field, and ``config_to_dict``
+    writes the same tree back.  ``feasible_set.kind`` picks that section's
+    class from ``FEASIBLE_SETS``; absent or null, the run is unconstrained.
     """
 
     mode: str = key(choice, options=MODES)
@@ -74,7 +51,7 @@ class ExperimentConfig:
     n_particles: int = key(integer, lo=1)
     seed: int = key(integer, lo=0, hi=2**64 - 1)
     output: str = key(path_string)
-    feasible_set: FeasibleConfig | None = field(default=None, metadata={"section": FeasibleConfig})
+    feasible_set: FeasibleSet | None = field(default=None, metadata={"kinds": FEASIBLE_SETS})
     micro: MicroParams = section(MicroParams)
     macro: Grid1D = section(Grid1D)
     penalty: PenaltyConfig = section(PenaltyConfig)
@@ -82,18 +59,11 @@ class ExperimentConfig:
 
     # -- builders for the runtime objects ---------------------------------
 
-    def build_feasible_set(self):
-        fs = self.feasible_set
-        if fs is None:
-            return None
-        if fs.kind == "balls":
-            return BallUnion([(np.asarray(b.center), b.radius_sq) for b in fs.balls])
-        if fs.kind == "intervals":
-            return IntervalUnion(list(fs.intervals))
-        return Halfspace1D(fs.bound)
+    def build_feasible_set(self) -> FeasibleSet | None:  # the section is the set
+        return self.feasible_set
 
     def build_penalized(self) -> PenalizedObjective:
-        fs = self.build_feasible_set()
+        fs = self.feasible_set
         beta = self.penalty.beta0 if fs is not None else 0.0
         return PenalizedObjective(self.objective, fs, beta)
 
@@ -104,25 +74,18 @@ class ExperimentConfig:
 # -- validation ------------------------------------------------------------
 
 
-class _Checker:
+class _Checker(list):
     """Accumulates key-path-prefixed validation errors."""
 
-    def __init__(self):
-        self.errors = []
-
     def fail(self, path, msg):
-        self.errors.append(f"{path}: {msg}")
-
-
-def _required(f) -> bool:
-    return f.default is MISSING and f.default_factory is MISSING
+        self.append(f"{path}: {msg}")
 
 
 def _parse_keys(cls, data, path, chk: _Checker):
     """Parse each key of a section by its field; None if ``data`` is not a mapping.
 
     An absent key takes its default, and so does a null one whose default is
-    unset.  A key that is missing or fails takes its default (None for a
+    None.  A key that is missing or fails takes its default (None for a
     required key) after its error, and the walk builds no section from them.
     """
     if not isinstance(data, dict):
@@ -135,12 +98,10 @@ def _parse_keys(cls, data, path, chk: _Checker):
     values = {}
     for f in fields(cls):
         key_path = f"{path}.{f.name}" if path else f.name
-        required = _required(f)
-        if f.default_factory is not MISSING:
-            default = f.default_factory()
-        else:
-            default = None if required else f.default
-        if f.name not in data or (data[f.name] is None and is_unset(f.default)):
+        required = f.default is MISSING and f.default_factory is MISSING
+        default = f.default_factory() if f.default_factory is not MISSING else (
+            None if required else f.default)
+        if f.name not in data or (data[f.name] is None and f.default is None):
             if required:
                 chk.fail(key_path, "missing required key")
             values[f.name] = default
@@ -151,24 +112,22 @@ def _parse_keys(cls, data, path, chk: _Checker):
 
 def _parse_value(spec, value, key_path, chk: _Checker, default=None):
     """Parse a given value by a field's spec: a section, a list of entries, or a check."""
+    if "kinds" in spec:
+        return _parse_kind(spec["kinds"], value, key_path, chk, default)
     if "section" in spec:
-        n_errors = len(chk.errors)
+        n_errors = len(chk)
         values = _parse_keys(spec["section"], value, key_path, chk)
         # a section with a failed key is not built, so no rule between its keys
         # runs on a stand-in default
-        if len(chk.errors) > n_errors:
+        if len(chk) > n_errors:
             return default
         try:
             return spec["section"](**values)
         except ValueError as exc:  # a rule between keys, reported at its key
-            chk.errors.append(f"{key_path}.{exc}")
+            chk.append(f"{key_path}.{exc}")
             return default
     if "each" in spec:
-        if not isinstance(value, list):
-            chk.fail(key_path, "must be a list")
-            return default
-        if not value:
-            chk.fail(key_path, "must not be empty")
+        if _parse_value(key(entries).metadata, value, key_path, chk) is None:
             return default
         return tuple(_parse_value(spec["each"], v, f"{key_path}[{i}]", chk)
                      for i, v in enumerate(value))
@@ -179,19 +138,24 @@ def _parse_value(spec, value, key_path, chk: _Checker, default=None):
         return default
 
 
-def _check_feasible(fs: FeasibleConfig, dim, chk: _Checker):
-    """The feasible-set rules that depend on its kind or on the objective's dimension."""
-    own = FEASIBLE_KEYS[fs.kind]
-    if is_unset(getattr(fs, own)):
-        chk.fail(f"feasible_set.{own}", "missing required key")
-    for name in FEASIBLE_KEYS.values():
-        if name != own and not is_unset(getattr(fs, name)):
-            chk.fail(f"feasible_set.{name}", f"is not a key of kind {fs.kind!r}")
-    if fs.kind != "balls" and dim not in (None, 1):
-        chk.fail("feasible_set.kind", f"{fs.kind!r} requires a 1-dimensional objective")
-    for i, ball in enumerate(fs.balls):
-        if dim is not None and len(ball.center) != dim:
-            chk.fail(f"feasible_set.balls[{i}].center", f"must be a list of {dim} numbers")
+def _parse_kind(kinds, value, key_path, chk: _Checker, default):
+    """Parse a section whose ``kind`` key picks its class; a key of another kind is an error."""
+    if not isinstance(value, dict):
+        chk.fail(key_path, "must be a mapping")
+        return default
+    if "kind" not in value:
+        chk.fail(f"{key_path}.kind", "missing required key")
+        return default
+    kind = _parse_value(key(choice, options=tuple(kinds)).metadata, value["kind"],
+                        f"{key_path}.kind", chk)
+    if kind is None:
+        return default
+    others = {f.name for cls in kinds.values() if cls is not kinds[kind] for f in fields(cls)}
+    for name in value:
+        if name in others:
+            chk.fail(f"{key_path}.{name}", f"is not a key of kind {kind!r}")
+    rest = {k: v for k, v in value.items() if k != "kind" and k not in others}
+    return _parse_value({"section": kinds[kind]}, rest, key_path, chk, default)
 
 
 def config_from_dict(data) -> ExperimentConfig:
@@ -213,11 +177,16 @@ def config_from_dict(data) -> ExperimentConfig:
     if mode in ("macro", "micromacro") and dim not in (None, 1):
         chk.fail("objective.dim", f"mode {mode!r} runs on a 1D grid; dim must be 1")
     fs = values["feasible_set"]
-    if fs is not None:
-        _check_feasible(fs, dim, chk)
+    if fs is not None and dim is not None:
+        if isinstance(fs, BallUnion):
+            for i, ball in enumerate(fs.balls):
+                if len(ball.center) != dim:
+                    chk.fail(f"feasible_set.balls[{i}].center", f"must be a list of {dim} numbers")
+        elif dim != 1:
+            chk.fail("feasible_set.kind", f"{fs.kind!r} requires a 1-dimensional objective")
 
-    if chk.errors:
-        raise ConfigError(chk.errors)
+    if chk:
+        raise ConfigError(chk)
     return ExperimentConfig(**values)
 
 
@@ -244,9 +213,9 @@ def load_bundled(name: str) -> ExperimentConfig:
 
 
 def _plain(value):
-    """``asdict`` output as plain YAML data: tuples become lists, unset keys drop out."""
+    """``asdict`` output as plain YAML data: tuples become lists, null keys drop out."""
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items() if not is_unset(v)}
+        return {k: _plain(v) for k, v in value.items() if v is not None}
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value
@@ -254,7 +223,10 @@ def _plain(value):
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-scalar key-tree; load(config_to_dict(cfg)) reproduces cfg exactly."""
-    return _plain(asdict(cfg))
+    tree = _plain(asdict(cfg))
+    if cfg.feasible_set is not None:
+        tree["feasible_set"] = {"kind": cfg.feasible_set.kind, **tree["feasible_set"]}
+    return tree
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

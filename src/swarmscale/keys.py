@@ -50,6 +50,7 @@ def choice(v, options=()):
 
 
 def numbers(v) -> tuple:
+    v = v.tolist() if hasattr(v, "tolist") else v  # a numpy array, as code may pass
     if not isinstance(v, (list, tuple)) or not all(_is_num(x) for x in v):
         raise ValueError("must be a list of numbers")
     return tuple(float(x) for x in v)
@@ -60,6 +61,14 @@ def span(v) -> tuple:
             or v[0] >= v[1]):
         raise ValueError("must be [lo, hi] with lo < hi")
     return (float(v[0]), float(v[1]))
+
+
+def entries(v) -> tuple:
+    if not isinstance(v, (list, tuple)):
+        raise ValueError("must be a list")
+    if not v:
+        raise ValueError("must not be empty")
+    return tuple(v)
 
 
 def path_string(v) -> str:
@@ -82,32 +91,34 @@ def section(cls, required=False):
 
 
 def key_list(entry):
-    """A list key whose entries are each a value of ``entry``, a check or a section.
-
-    Absent, it is the empty tuple; given, it must not be empty.
-    """
+    """A required, nonempty list key; each entry is a value of ``entry``, a check or a section."""
     spec = {"section": entry} if is_dataclass(entry) else {"check": entry, "bounds": {}}
-    return field(default=(), metadata={"each": spec})
+    return field(metadata={"each": spec})
 
 
-def is_unset(value) -> bool:
-    """An optional key's unset default: None, or an empty tuple of entries."""
-    return value is None or (isinstance(value, tuple) and not value)
+def _checked(path, spec, value):
+    """``value`` parsed by a key's spec; a ValueError names the key path that failed.
+
+    A list key checks each entry; a section entry is built from its fields in order.
+    """
+    try:
+        if "section" in spec:
+            cls = spec["section"]
+            return value if isinstance(value, cls) else cls(*value)
+        if "each" not in spec:
+            return spec["check"](value, **spec["bounds"])
+        value = entries(value)
+    except ValueError as exc:  # a section's error already starts at its own key
+        raise ValueError(f"{path}{'.' if 'section' in spec else ': '}{exc}") from None
+    return tuple(_checked(f"{path}[{i}]", spec["each"], v) for i, v in enumerate(value))
 
 
 def check_keys(obj) -> None:
     """Parse each key of a section in place by its field's check.
 
     Raises ValueError naming the first key that fails, e.g. ``dt: must be a
-    number``.  A required key is always checked; an optional one is skipped
-    while it holds its unset default.
+    number`` or ``balls[0].center: must be a list of numbers``.
     """
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if "check" not in f.metadata or (is_unset(value) and is_unset(f.default)):
-            continue
-        try:
-            value = f.metadata["check"](value, **f.metadata["bounds"])
-        except ValueError as exc:
-            raise ValueError(f"{f.name}: {exc}") from None
-        object.__setattr__(obj, f.name, value)
+        if "check" in f.metadata or "each" in f.metadata:
+            object.__setattr__(obj, f.name, _checked(f.name, f.metadata, getattr(obj, f.name)))

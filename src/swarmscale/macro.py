@@ -29,13 +29,15 @@ BOUNDARIES = ("outflow", "periodic", "absorbing")
 # at most this many CFL sub-steps per advance_macro call before declaring a stall
 MAX_SUBSTEPS = 100_000
 
+T_MIN = 1.5717277847026288e-162  # the smallest |T| whose square does not underflow to 0
+
 
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform cell-centered grid on [x_min, x_max] with n_cells cells: the ``macro`` section.
 
-    It also carries the solver's settings: the closure spread T that seeds
-    init_macro, the CFL factor, the boundary rule and the snapshot cadence.
+    It also carries the solver's settings, which the grid functions read:
+    the closure spread T, the CFL factor, the boundary rule and the snapshot cadence.
     """
 
     x_min: float = key(number, -3.0)
@@ -50,8 +52,9 @@ class Grid1D:
         check_keys(self)
         if self.x_min >= self.x_max:
             raise ValueError("x_min: must be below x_max")
-        if self.T == 0:
-            raise ValueError("T: must be nonzero (T = 0 loses strict hyperbolicity)")
+        if self.T * self.T == 0:  # the step divides by T*T
+            raise ValueError("T: must be nonzero (T = 0 loses strict hyperbolicity)" if self.T == 0
+                             else f"T: |T| must be at least {T_MIN}, or T*T underflows to 0")
 
     @property
     def dx(self) -> float:
@@ -67,15 +70,14 @@ class Grid1D:
 
 @dataclass
 class MacroState:
-    """Cell values of density and momentum plus the closure spread T.
+    """Cell values of density and momentum at a time; the closure spread T is the grid's.
 
     A state's arrays are not written in place once built, so its velocity is formed once.
     """
 
     rho: np.ndarray
     rho_u: np.ndarray
-    T: float
-    time: float = 0.0
+    time: float = field(default=0.0, kw_only=True)
     _velocity: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,8 +87,6 @@ class MacroState:
             raise ValueError("rho and rho_u must be 1D arrays of equal length")
         if (self.rho < 0).any():
             raise ValueError("density must be nonnegative")
-        if self.T == 0:
-            raise ValueError("closure spread T must be nonzero")
 
     def velocity(self) -> np.ndarray:
         """u = rho_u / rho with the density floored, formed on the first call; read-only."""
@@ -103,11 +103,11 @@ class MacroState:
 
 
 def init_macro(grid: Grid1D, total_mass: float = 1.0) -> MacroState:
-    """Uniform density carrying total_mass, zero momentum, closure spread grid.T."""
+    """Uniform density carrying total_mass, zero momentum."""
     if total_mass <= 0:
         raise ValueError("total_mass must be positive")
     rho = np.full(grid.n_cells, total_mass / (grid.n_cells * grid.dx))
-    return MacroState(rho=rho, rho_u=np.zeros(grid.n_cells), T=grid.T)
+    return MacroState(rho, np.zeros(grid.n_cells))
 
 
 def consensus_point_macro(state: MacroState, grid: Grid1D, weights) -> float:
@@ -121,19 +121,17 @@ def consensus_point_macro(state: MacroState, grid: Grid1D, weights) -> float:
     return float(weighted_mean(weights * state.rho, grid.centers))
 
 
-def max_wavespeed(state: MacroState) -> float:
-    """Largest characteristic speed |u_j| + |T| over the grid.
+def max_wavespeed(state: MacroState, grid: Grid1D) -> float:
+    """Largest characteristic speed |u_j| + |T| over the grid, with the grid's T.
 
     Raises FloatingPointError on a non-finite state: a NaN speed would pass
     every CFL comparison and stall the sub-step loop instead of failing.
     """
     speeds = np.abs(state.velocity())
-    speed = float(speeds.max()) + abs(state.T)
+    speed = float(speeds.max()) + abs(grid.T)
     if not math.isfinite(speed):
-        bad = np.flatnonzero(~np.isfinite(speeds))
-        if not bad.size:
-            raise FloatingPointError(f"non-finite closure spread T={state.T}")
-        j = bad[0]
+        # rounding is monotone, so some cell's own |u| + |T| is not finite either
+        j = np.flatnonzero(~np.isfinite(speeds + abs(grid.T)))[0]
         raise FloatingPointError(
             f"non-finite grid state at cell {j}: rho={float(state.rho[j])}, "
             f"rho_u={float(state.rho_u[j])}"
@@ -160,7 +158,7 @@ def _hydrostatic_update(state, grid, dt, params, consensus):
     attraction source.  The potential's ghost cells wrap on a periodic grid
     and copy the edge cell otherwise.
     """
-    T2 = state.T * state.T
+    T2 = grid.T * grid.T
     # rows phi, rho, u, each with one ghost cell per side
     pad = np.empty((3, state.rho.size + 2))
     pad[0, 1:-1] = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
@@ -184,7 +182,7 @@ def _hydrostatic_update(state, grid, dt, params, consensus):
     rho_r = rho_p[1:] * np.exp(np.minimum(rise, 0.0))
     u_l, u_r = u_p[:-1], u_p[1:]
     q_l, q_r = rho_l * u_l, rho_r * u_r
-    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(state.T)
+    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(grid.T)
     f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
     f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
 
@@ -212,12 +210,12 @@ def lax_friedrichs_step(
     carry no momentum.
     params are the particles' MicroParams: the grid solves the moments of
     the same SDE, so it reads the same m, lam and gamma = 1 - m.  max_speed
-    is max_wavespeed(state), computed here unless the caller already has it.
+    is max_wavespeed(state, grid), computed here unless the caller already has it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if max_speed is None:
-        max_speed = max_wavespeed(state)
+        max_speed = max_wavespeed(state, grid)
     if dt * max_speed > grid.dx * (1 + 1e-9):
         raise ValueError(
             f"CFL violation: dt={dt:g} exceeds dx/max_speed with "
@@ -227,7 +225,7 @@ def lax_friedrichs_step(
     rho_new, mom_new = _hydrostatic_update(state, grid, dt, params, consensus)
     np.maximum(rho_new, 0.0, out=rho_new)
     mom_new[rho_new <= EPS_RHO] = 0.0
-    return MacroState(rho_new, mom_new, state.T, state.time + dt)
+    return MacroState(rho_new, mom_new, time=state.time + dt)
 
 
 def advance_macro(state, grid, params, weights, target_time):
@@ -249,7 +247,7 @@ def advance_macro(state, grid, params, weights, target_time):
         if remaining <= 1e-12:
             return state
         consensus = float(weighted_mean(weights * state.rho, grid.centers))
-        speed = max_wavespeed(state)
+        speed = max_wavespeed(state, grid)
         dt = min(cfl_dt(speed, grid), remaining)
         state = lax_friedrichs_step(state, grid, dt, params, consensus, max_speed=speed)
     raise RuntimeError(

@@ -176,6 +176,6 @@ def transfer_mass(
 
     # a cell emptied by the transfer must not keep stale momentum
     rho_u = np.where(rho_macro <= EPS_RHO, 0.0, macro.rho_u)
-    new_macro = MacroState(rho_macro, rho_u, macro.T, macro.time)
+    new_macro = MacroState(rho_macro, rho_u, time=macro.time)
     new_coupling = replace(coupling, zeta=zeta, rho_m_prev=rho_m_new)
     return new_coupling, new_swarm, new_macro

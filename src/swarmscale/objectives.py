@@ -8,7 +8,8 @@ coordinates or balls.  Summing the coordinates in order is bit-identical to
 numpy's reduction over the last axis for ``d <= 7``; from ``d = 8`` numpy
 sums in pairwise blocks and the two may differ in the last bits.  Feasible
 sets expose a closed-form distance (the penalty ``r``) and a geometric
-membership test; the two agree to within 1e-12 at set boundaries.
+membership test; the two agree to within 1e-12 at set boundaries.  Each
+is the config's ``feasible_set`` section of its kind, and checks its key.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keys import check_keys, choice, integer, key
+from .keys import check_keys, choice, integer, key, key_list, number, numbers, span
 
 OBJECTIVE_NAMES = ("ackley", "rastrigin")
 
@@ -71,6 +72,10 @@ class ObjectiveFunction:
 class FeasibleSet:
     """Base class for closed feasible regions with closed-form distance."""
 
+    @property
+    def kind(self) -> str:  # the config's feasible_set.kind: its class's key in FEASIBLE_SETS
+        return next(k for k, cls in FEASIBLE_SETS.items() if isinstance(self, cls))
+
     def distance(self, x: np.ndarray) -> np.ndarray:
         """Euclidean distance from ``x`` to the set; 0 inside."""
         raise NotImplementedError
@@ -81,21 +86,28 @@ class FeasibleSet:
 
 
 @dataclass(frozen=True)
+class Ball:
+    """A closed Euclidean ball, given as (center, radius^2): an entry of ``balls``."""
+
+    center: tuple = key(numbers)
+    radius_sq: float = key(number, lo=0, lo_open=True)
+
+    def __post_init__(self):
+        check_keys(self)
+
+
+@dataclass(frozen=True)
 class BallUnion(FeasibleSet):
-    """Union of closed Euclidean balls, each given as (center, radius^2)."""
+    """Union of closed Euclidean balls, each a ``Ball`` or its (center, radius^2) pair."""
 
-    centers: np.ndarray  # (n_balls, d)
-    radii_sq: np.ndarray  # (n_balls,)
+    balls: tuple = key_list(Ball)
 
-    def __init__(self, balls):
-        centers = np.atleast_2d(np.asarray([c for c, _ in balls], dtype=float))
-        radii_sq = np.asarray([r2 for _, r2 in balls], dtype=float)
-        if centers.shape[0] == 0:
-            raise ValueError("ball union must contain at least one ball")
-        if np.any(radii_sq <= 0):
-            raise ValueError("all squared radii must be positive")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radii_sq", radii_sq)
+    def __post_init__(self):
+        check_keys(self)
+        if len({len(b.center) for b in self.balls}) > 1:
+            raise ValueError("balls: every center must have the same length")
+        object.__setattr__(self, "centers", np.array([b.center for b in self.balls]))  # (n, d)
+        object.__setattr__(self, "radii_sq", np.array([b.radius_sq for b in self.balls]))
 
     def _sq_to_centers(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """Squared distances (n_balls, ...) from each center to each point.
@@ -137,15 +149,11 @@ def _scalarize(x: np.ndarray) -> np.ndarray:
 class IntervalUnion(FeasibleSet):
     """Union of closed 1D intervals [lo, hi]."""
 
-    bounds: np.ndarray  # (n_intervals, 2)
+    intervals: tuple = key_list(span)
 
-    def __init__(self, intervals):
-        bounds = np.atleast_2d(np.asarray(intervals, dtype=float))
-        if bounds.shape[0] == 0:
-            raise ValueError("interval union must contain at least one interval")
-        if np.any(bounds[:, 0] >= bounds[:, 1]):
-            raise ValueError("every interval needs lo < hi")
-        object.__setattr__(self, "bounds", bounds)
+    def __post_init__(self):
+        check_keys(self)
+        object.__setattr__(self, "bounds", np.array(self.intervals))  # (n_intervals, 2)
 
     def distance(self, x: np.ndarray) -> np.ndarray:
         x = _scalarize(x)
@@ -163,13 +171,20 @@ class IntervalUnion(FeasibleSet):
 class Halfspace1D(FeasibleSet):
     """Closed half-line {x <= bound} on the real axis."""
 
-    bound: float
+    bound: float = key(number)
+
+    def __post_init__(self):
+        check_keys(self)
 
     def distance(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, _scalarize(x) - self.bound)
 
     def member(self, x: np.ndarray) -> np.ndarray:
         return _scalarize(x) <= self.bound
+
+
+# each kind of feasible set: the config's ``feasible_set.kind`` picks its class
+FEASIBLE_SETS = {"balls": BallUnion, "intervals": IntervalUnion, "halfline": Halfspace1D}
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def feasible_minimizer_by_scan():
 def test_constrained_swarm_lands_on_feasible_minimizer(tmp_path):
     target, _ = feasible_minimizer_by_scan()
     cfg = bundled("ackley2d_constrained")
-    fs = cfg.build_feasible_set()
+    fs = cfg.feasible_set
 
     consensus_ok = beta_ok = 0
     for report in seeded_runs(cfg, 20, tmp_path):
@@ -265,21 +265,21 @@ class TestPropertySuite:
                 assert np.all(x <= state.positions.max(axis=0) + 1e-12)
 
     def test_finite_volume_mass_conservation(self):
-        grid = Grid1D(-2.0, 2.0, 50, boundary="periodic")
+        grid = Grid1D(-2.0, 2.0, 50, T=0.2, boundary="periodic")
         params = MicroParams(m=0.5, lam=1.0)
         rng = np.random.default_rng(1003)
-        state = MacroState(rng.uniform(0.5, 1.5, size=50), np.zeros(50), T=0.2)
+        state = MacroState(rng.uniform(0.5, 1.5, size=50), np.zeros(50))
         m0 = state.rho.sum() * grid.dx
         with timed("conservation"):
             for _ in range(1000):
-                dt = cfl_dt(max_wavespeed(state), grid)
+                dt = cfl_dt(max_wavespeed(state, grid), grid)
                 state = lax_friedrichs_step(state, grid, dt, params, 0.3)
                 assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
                 assert np.all(state.rho >= 0.0)
 
             # the discrete hydrostatic profile C exp(-phi / T^2), u = 0, is a fixed point
             phi = (params.lam / params.m) * 0.5 * (grid.centers - 0.3) ** 2
-            rest = MacroState(0.7 * np.exp(-phi / 0.2**2), np.zeros(50), T=0.2)
+            rest = MacroState(0.7 * np.exp(-phi / grid.T**2), np.zeros(50))
             out = lax_friedrichs_step(rest, grid, 0.05, params, 0.3)
             np.testing.assert_allclose(out.rho, rest.rho, rtol=0, atol=1e-14)
             np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-14)
@@ -293,7 +293,8 @@ class TestPropertySuite:
                 T = float(rng.uniform(0.2, 1.5)) * float(rng.choice([-1.0, 1.0]))
                 a = np.array([[0.0, 1.0], [T * T - u * u, 2.0 * u]])
                 ref = np.max(np.abs(np.linalg.eigvals(a)))
-                got = max_wavespeed(MacroState(np.array([rho]), np.array([rho * u]), T))
+                got = max_wavespeed(MacroState(np.array([rho]), np.array([rho * u])),
+                                    Grid1D(T=T))
                 assert abs(got - ref) <= 1e-10
 
             # next moment up: speeds u and u +/- sqrt(3) T for the 3x3 system
@@ -348,7 +349,7 @@ class TestPropertySuite:
                 rng.uniform(-1, 1, size=(60, 1)),
                 particle_mass=0.5 / 60,
             )
-            macro = MacroState(np.full(25, 0.5 / 6.0), np.zeros(25), T=0.1)
+            macro = MacroState(np.full(25, 0.5 / 6.0), np.zeros(25))
             frozen = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=5))
             macro_mass = macro.rho.sum() * grid.dx
             for step in range(5):
@@ -405,7 +406,7 @@ class TestPropertySuite:
             # macroscopic violation vs cellwise summation
             grid = Grid1D(-1.0, 1.0, 11)
             rho = rng.uniform(0.1, 1.0, size=11)
-            mstate = MacroState(rho, np.zeros(11), T=0.1)
+            mstate = MacroState(rho, np.zeros(11))
             num = den = 0.0
             for x, r in zip(grid.centers, rho):
                 xv = np.array([x])
@@ -440,11 +441,11 @@ class TestPropertySuite:
             )
 
             # one finite-volume step vs a face-by-face transcription
-            g5 = Grid1D(0.0, 5.0, 5, boundary="periodic")
+            g5 = Grid1D(0.0, 5.0, 5, T=0.2, boundary="periodic")
             params = MicroParams(m=0.5, lam=1.0)
             rho5 = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
             mom5 = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
-            out = lax_friedrichs_step(MacroState(rho5, mom5, T=0.2), g5, 0.5, params, 2.3)
+            out = lax_friedrichs_step(MacroState(rho5, mom5), g5, 0.5, params, 2.3)
             phi = [(x - 2.3) ** 2 for x in g5.centers]
             rho_ref, mom_ref = list(rho5), [0.5 * q for q in mom5]  # after friction
             for i in range(5):

@@ -9,20 +9,19 @@ import yaml
 from importlib import resources
 
 from swarmscale.config import (
-    BallConfig,
     ConfigError,
     ExperimentConfig,
-    FeasibleConfig,
     config_from_dict,
     config_to_dict,
     load_config,
     save_config,
 )
-from swarmscale.keys import integer, number
-from swarmscale.macro import Grid1D
+from swarmscale.macro import T_MIN, Grid1D
 from swarmscale.micro import MicroParams
 from swarmscale.micromacro import CouplingConfig
-from swarmscale.objectives import ObjectiveFunction
+from swarmscale.objectives import (
+    Ball, BallUnion, Halfspace1D, IntervalUnion, ObjectiveFunction,
+)
 from swarmscale.penalty import PenaltyConfig
 
 
@@ -214,10 +213,11 @@ def test_builders_wire_the_parameters():
     assert isinstance(f, ObjectiveFunction)
     assert f.name == "rastrigin" and f.dim == 1
 
-    fs = cfg.build_feasible_set()
+    fs = cfg.feasible_set  # the section is the feasible set itself
     import numpy as np
 
     assert fs.distance(np.array([0.0])) == pytest.approx(0.5)
+    assert cfg.build_feasible_set() is fs  # kept for perfbench's gates
 
     pf = cfg.build_penalized()
     assert pf.beta == cfg.penalty.beta0 and pf.objective is f
@@ -335,7 +335,7 @@ def test_feasible_set_rules(over, errors):
 def test_null_feasible_set_is_unconstrained():
     cfg = config_from_dict(base_dict(feasible_set=None))
     assert cfg == config_from_dict(base_dict())
-    assert cfg.feasible_set is None and cfg.build_feasible_set() is None
+    assert cfg.feasible_set is None and cfg.build_penalized().feasible_set is None
     assert "feasible_set" not in config_to_dict(cfg)
 
 
@@ -387,7 +387,8 @@ def test_parameter_objects_built_in_code_reject_what_the_config_rejects():
         ("x_min", Grid1D, {"x_min": math.nan, "x_max": 1.0, "n_cells": 10}),
         ("x_max", Grid1D, {"x_min": 0.0, "x_max": math.inf, "n_cells": 10}),
         ("n_cells", Grid1D, {"x_min": 0.0, "x_max": 1.0, "n_cells": 10.5}),
-        ("T", Grid1D, {"T": math.nan}),  # the spread that init_macro reads
+        ("T", Grid1D, {"T": math.nan}),  # the spread that the grid functions read
+        ("T", Grid1D, {"T": 1e-300}),  # the step divides by T*T, which underflows to 0
         ("cfl", Grid1D, {"cfl": 0}),
         ("boundary", Grid1D, {"boundary": "reflecting"}),
         ("zeta0", CouplingConfig, {"zeta0": 1.0}),
@@ -403,25 +404,57 @@ def test_parameter_objects_built_in_code_reject_what_the_config_rejects():
     assert cfg.macro == Grid1D() and cfg.coupling == CouplingConfig()
 
 
+def test_tiny_T_is_rejected_exactly_where_its_square_underflows():
+    assert Grid1D(T=T_MIN).T * T_MIN > 0 and Grid1D(T=-T_MIN).T == -T_MIN
+    below = math.nextafter(T_MIN, 0.0)
+    assert below * below == 0
+    with pytest.raises(ValueError) as exc:
+        Grid1D(T=below)
+    assert str(exc.value) == f"T: |T| must be at least {T_MIN}, or T*T underflows to 0"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Halfspace1D(math.nan), "bound: must be a number"),
+    (lambda: Halfspace1D("x"), "bound: must be a number"),
+    (lambda: IntervalUnion([(0, math.inf)]), "intervals[0]: must be [lo, hi] with lo < hi"),
+    (lambda: IntervalUnion([]), "intervals: must not be empty"),
+    (lambda: BallUnion([((0, math.nan), 1)]), "balls[0].center: must be a list of numbers"),
+    (lambda: BallUnion([((0, 0), math.inf)]), "balls[0].radius_sq: must be a number"),
+], ids=["bound-nan", "bound-str", "interval-inf", "no-intervals", "center-nan", "radius-inf"])
+def test_feasible_sets_built_in_code_reject_what_the_config_rejects(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("over, errors", [
     ({"macro": {"x_min": 1.0, "x_max": 1.0}}, ["macro.x_min: must be below x_max"]),
     ({"macro": {"T": 0}}, ["macro.T: must be nonzero (T = 0 loses strict hyperbolicity)"]),
+    ({"macro": {"T": 1e-162}}, [f"macro.T: |T| must be at least {T_MIN}, or T*T underflows to 0"]),
     ({"coupling": {"zeta_min": 0.5, "zeta_max": 0.5}},
      ["coupling.zeta_min: must be below zeta_max"]),
     ({"coupling": {"zeta0": 0.95}}, ["coupling.zeta0: must lie in [zeta_min, zeta_max]"]),
     # a section with a failed key is not built, so its rule between keys
     # does not also run on the default that stands in for x_min
     ({"macro": {"x_min": "a", "x_max": -5}}, ["macro.x_min: must be a number"]),
-], ids=["x_min-above-x_max", "T-zero", "zeta_min-above-zeta_max", "zeta0-out-of-bounds",
-        "failed-key-suppresses-the-rule"])
+], ids=["x_min-above-x_max", "T-zero", "T-squares-to-zero", "zeta_min-above-zeta_max",
+        "zeta0-out-of-bounds", "failed-key-suppresses-the-rule"])
 def test_a_rule_between_keys_is_reported_at_its_key(over, errors):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(base_dict(**over))
     assert exc.value.errors == errors
 
 
-# the sections the walk still builds without a check_keys of their own
-UNCHECKED_SECTIONS = {FeasibleConfig, BallConfig}
+def section_classes(spec):
+    """The section classes a field's spec holds: its own, its entries', or one per kind."""
+    spec = spec.get("each", spec)
+    return list(spec["kinds"].values()) if "kinds" in spec else [spec.get("section")]
+
+
+# an instance of each section that has required keys; the walk builds one from the YAML
+BUILT = {ObjectiveFunction: ObjectiveFunction("ackley", 2), Ball: Ball((0.0, 0.0), 1.0),
+         BallUnion: BallUnion([((0.0, 0.0), 1.0)]), IntervalUnion: IntervalUnion([(0.0, 1.0)]),
+         Halfspace1D: Halfspace1D(0.0)}
 
 
 def test_every_section_checks_its_keys_when_built():
@@ -429,21 +462,18 @@ def test_every_section_checks_its_keys_when_built():
 
     def sections(cls):
         for f in fields(cls):
-            spec = f.metadata.get("each", f.metadata)
-            if "section" in spec:
-                yield spec["section"]
-                yield from sections(spec["section"])
+            for sub in section_classes(f.metadata):
+                if sub is not None:
+                    yield sub
+                    yield from sections(sub)
 
     found = set(sections(ExperimentConfig))
-    assert UNCHECKED_SECTIONS <= found
-    # a built instance of each top-level section; ObjectiveFunction has no defaults
-    cfg = config_from_dict(base_dict())
-    built = {type(getattr(cfg, f.name)): getattr(cfg, f.name)
-             for f in fields(cfg) if "section" in f.metadata}
-    for cls in found - UNCHECKED_SECTIONS:
-        name = next(f.name for f in fields(cls) if f.metadata.get("check") in (number, integer))
+    assert {Ball, BallUnion, IntervalUnion, Halfspace1D, Grid1D} <= found
+    for cls in found:
+        # nan fails every value check, a list key's included
+        name = next(f.name for f in fields(cls) if f.metadata.keys() & {"check", "each"})
         with pytest.raises(ValueError, match=f"^{name}: "):
-            replace(built.get(cls) or cls(), **{name: math.nan})
+            replace(BUILT.get(cls) or cls(), **{name: math.nan})
 
 
 def test_every_config_key_declares_its_check():
@@ -451,12 +481,14 @@ def test_every_config_key_declares_its_check():
 
     def leaves(cls, prefix):
         for f in fields(cls):
-            spec = f.metadata.get("each", f.metadata)
-            if "section" in spec:
-                yield from leaves(spec["section"], f"{prefix}{f.name}.")
+            subs = section_classes(f.metadata)
+            if subs != [None]:
+                for sub in subs:
+                    yield from leaves(sub, f"{prefix}{f.name}.")
             else:
-                yield f"{prefix}{f.name}", spec
+                yield f"{prefix}{f.name}", f.metadata.get("each", f.metadata)
 
     keys = dict(leaves(ExperimentConfig, ""))
     assert "micro.dt" in keys and "feasible_set.balls.center" in keys
+    assert "feasible_set.intervals" in keys and "feasible_set.bound" in keys
     assert [k for k, spec in keys.items() if "check" not in spec] == []

@@ -55,10 +55,8 @@ def test_grid_geometry():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        MacroState(np.array([1.0, -0.1, 1.0]), np.zeros(3), T=0.1)
-    with pytest.raises(ValueError):
-        MacroState(np.ones(3), np.zeros(3), T=0.0)
-    s = MacroState(np.array([2.0, 0.0, 1.0]), np.array([1.0, 5.0, -1.0]), T=0.1)
+        MacroState(np.array([1.0, -0.1, 1.0]), np.zeros(3))
+    s = MacroState(np.array([2.0, 0.0, 1.0]), np.array([1.0, 5.0, -1.0]))
     v = s.velocity()
     assert v[0] == pytest.approx(0.5)
     assert v[2] == pytest.approx(-1.0)
@@ -72,7 +70,7 @@ def test_consensus_macro_single_cell():
     grid = Grid1D(-1.0, 1.0, 11)
     rho = np.zeros(11)
     rho[3] = 2.0
-    state = MacroState(rho, np.zeros(11), T=0.1)
+    state = MacroState(rho, np.zeros(11))
     got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 30.0))
     assert got == pytest.approx(grid.centers[3], abs=1e-14)
 
@@ -80,7 +78,7 @@ def test_consensus_macro_single_cell():
 def test_consensus_macro_symmetry():
     # even objective, uniform density, symmetric grid: the midpoint wins
     grid = Grid1D(-2.0, 2.0, 41)
-    state = MacroState(np.ones(41), np.zeros(41), T=0.1)
+    state = MacroState(np.ones(41), np.zeros(41))
     got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 30.0))
     assert got == pytest.approx(0.0, abs=1e-12)
 
@@ -89,7 +87,7 @@ def test_consensus_macro_matches_naive_summation():
     grid = Grid1D(-1.0, 1.0, 11)
     rng = np.random.default_rng(17)
     rho = rng.uniform(0.2, 1.0, size=11)
-    state = MacroState(rho, np.zeros(11), T=0.1)
+    state = MacroState(rho, np.zeros(11))
     pf = ackley_pf()
     alpha = 2.0
     num = den = 0.0
@@ -104,7 +102,7 @@ def test_consensus_macro_matches_naive_summation():
 
 def test_consensus_macro_zero_mass_raises():
     grid = Grid1D(-1.0, 1.0, 11)
-    state = MacroState(np.zeros(11), np.zeros(11), T=0.1)
+    state = MacroState(np.zeros(11), np.zeros(11))
     values = at_centers(grid, ackley_pf())
     weights = gibbs_weights(values, 30.0)
     with pytest.raises(ZeroDivisionError):
@@ -117,7 +115,7 @@ def test_consensus_macro_zero_mass_raises():
                        match="^Gibbs-weighted mean undefined: zero weighted mass$"):
         advance_macro(state, grid, PARAMS, weights, 0.1)
     # weights of the wrong length would broadcast against the density, so they raise
-    unit = MacroState(np.ones(11), np.zeros(11), T=0.1)
+    unit = MacroState(np.ones(11), np.zeros(11))
     for wrong in (weights[:1], weights[:-1], np.append(weights, 0.0), weights[:, None]):
         with pytest.raises(ValueError, match="weights must have shape"):
             consensus_point_macro(unit, grid, wrong)
@@ -132,10 +130,10 @@ def test_constant_state_is_fixed_point():
     # with a vanishing attraction every face sees its cells' own states, so
     # transport leaves a constant flow fixed and only friction moves its momentum
     params = MicroParams(m=0.5, lam=1e-300)
-    state = MacroState(np.full(20, 0.7), np.full(20, 0.14), T=0.3)
+    state = MacroState(np.full(20, 0.7), np.full(20, 0.14))
     kick = -0.05 * (params.gamma / params.m) * state.rho_u
     for boundary in ("periodic", "outflow"):
-        grid = Grid1D(0.0, 1.0, 20, boundary=boundary)
+        grid = Grid1D(0.0, 1.0, 20, T=0.3, boundary=boundary)
         out = lax_friedrichs_step(state, grid, 0.05, params, 0.0)
         np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-14)
         np.testing.assert_allclose(out.rho_u, state.rho_u + kick, rtol=0, atol=1e-14)
@@ -144,28 +142,28 @@ def test_constant_state_is_fixed_point():
 
 def test_vacuum_stays_vacuum():
     grid = Grid1D(0.0, 1.0, 10, boundary="periodic")
-    state = MacroState(np.zeros(10), np.zeros(10), T=0.1)
+    state = MacroState(np.zeros(10), np.zeros(10))
     out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.5)
     np.testing.assert_array_equal(out.rho, np.zeros(10))
     np.testing.assert_array_equal(out.rho_u, np.zeros(10))
 
 
 def test_mass_conserved_with_source_on_periodic():
-    grid = Grid1D(-2.0, 2.0, 50, boundary="periodic")
+    grid = Grid1D(-2.0, 2.0, 50, T=0.2, boundary="periodic")
     rng = np.random.default_rng(23)
     rho = rng.uniform(0.5, 1.5, size=50)
-    state = MacroState(rho, np.zeros(50), T=0.2)
+    state = MacroState(rho, np.zeros(50))
     m0 = state.rho.sum() * grid.dx
     for _ in range(100):
-        dt = cfl_dt(max_wavespeed(state), grid)
+        dt = cfl_dt(max_wavespeed(state, grid), grid)
         state = lax_friedrichs_step(state, grid, dt, PARAMS, 0.3)
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
         assert np.all(state.rho >= 0.0)
 
 
 def test_step_errors():
-    grid = Grid1D(0.0, 1.0, 10)
-    state = MacroState(np.ones(10), np.zeros(10), T=1.0)
+    grid = Grid1D(0.0, 1.0, 10, T=1.0)
+    state = MacroState(np.ones(10), np.zeros(10))
     with pytest.raises(ValueError, match="dt must be positive"):
         lax_friedrichs_step(state, grid, 0.0, PARAMS, 0.0)
     with pytest.raises(ValueError, match="CFL violation"):
@@ -177,9 +175,9 @@ def test_step_errors():
 
 def test_hydrostatic_step_errors():
     # the CFL check counts the flow speed |u| as well as |T|
-    grid = Grid1D(0.0, 1.0, 10)
-    at_rest = MacroState(np.ones(10), np.zeros(10), T=1.0)
-    moving = MacroState(np.ones(10), np.ones(10), T=1.0)
+    grid = Grid1D(0.0, 1.0, 10, T=1.0)
+    at_rest = MacroState(np.ones(10), np.zeros(10))
+    moving = MacroState(np.ones(10), np.ones(10))
     lax_friedrichs_step(at_rest, grid, 0.07, PARAMS, 0.0)
     with pytest.raises(ValueError, match="CFL violation"):
         lax_friedrichs_step(moving, grid, 0.07, PARAMS, 0.0)
@@ -188,10 +186,10 @@ def test_hydrostatic_step_errors():
         lax_friedrichs_step(at_rest, grid, 0.07, PARAMS, 0.0, max_speed=2.0)
 
 
-def hydrostatic_equilibrium(grid, consensus, T):
+def hydrostatic_equilibrium(grid, consensus):
     """The discrete steady state C exp(-phi_i / T^2), u = 0, of the hydrostatic scheme."""
     phi = (PARAMS.lam / PARAMS.m) * 0.5 * (grid.centers - consensus) ** 2
-    return MacroState(2.0 * np.exp(-phi / T**2), np.zeros(grid.n_cells), T=T)
+    return MacroState(2.0 * np.exp(-phi / grid.T**2), np.zeros(grid.n_cells))
 
 
 # absorbing ghosts are vacuum, so there the profile must vanish at the edges
@@ -199,9 +197,9 @@ def hydrostatic_equilibrium(grid, consensus, T):
     ("periodic", 1.0), ("outflow", 1.0), ("periodic", 0.3), ("outflow", 0.3), ("absorbing", 0.3),
 ])
 def test_hydrostatic_equilibrium_is_a_fixed_point(boundary, T):
-    grid = Grid1D(-3.0, 3.0, 101, boundary=boundary)
-    state = hydrostatic_equilibrium(grid, 0.4, T)
-    dt = cfl_dt(max_wavespeed(state), grid)
+    grid = Grid1D(-3.0, 3.0, 101, T=T, boundary=boundary)
+    state = hydrostatic_equilibrium(grid, 0.4)
+    dt = cfl_dt(max_wavespeed(state, grid), grid)
     out = lax_friedrichs_step(state, grid, dt, PARAMS, 0.4)
     scale = state.rho.max()
     np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-15 * scale)
@@ -210,13 +208,13 @@ def test_hydrostatic_equilibrium_is_a_fixed_point(boundary, T):
 
 
 def test_hydrostatic_conserves_periodic_mass_with_a_moving_consensus():
-    grid = Grid1D(-2.0, 2.0, 50, boundary="periodic")
+    grid = Grid1D(-2.0, 2.0, 50, T=0.2, boundary="periodic")
     rng = np.random.default_rng(43)
-    state = MacroState(rng.uniform(0.5, 1.5, 50), rng.uniform(-0.3, 0.3, 50), T=0.2)
+    state = MacroState(rng.uniform(0.5, 1.5, 50), rng.uniform(-0.3, 0.3, 50))
     m0 = state.rho.sum() * grid.dx
     for k in range(2000):
         consensus = 1.5 * math.sin(k / 100.0)
-        dt = cfl_dt(max_wavespeed(state), grid)
+        dt = cfl_dt(max_wavespeed(state, grid), grid)
         state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-14 * m0
     assert np.all(state.rho >= 0.0)
@@ -224,11 +222,11 @@ def test_hydrostatic_conserves_periodic_mass_with_a_moving_consensus():
 
 def test_hydrostatic_step_matches_transcribed_faces():
     # one face at a time, from the formulas of Audusse et al. (2004) with P(rho) = T^2 rho
-    grid = Grid1D(0.0, 5.0, 5, boundary="periodic")
+    T, dt, consensus = 0.5, 0.5, 2.3
+    grid = Grid1D(0.0, 5.0, 5, T=T, boundary="periodic")
     rho = np.array([1.0, 1.2, 0.9, 1.1, 1.0])
     mom = np.array([0.05, -0.02, 0.0, 0.03, -0.01])
-    T, dt, consensus = 0.5, 0.5, 2.3
-    out = lax_friedrichs_step(MacroState(rho, mom, T=T), grid, dt, PARAMS, consensus)
+    out = lax_friedrichs_step(MacroState(rho, mom), grid, dt, PARAMS, consensus)
 
     phi = (1.0 / 0.5) * (grid.centers - consensus) ** 2 / 2
     u = mom / rho
@@ -261,7 +259,7 @@ def reference_hydrostatic_update(state, grid, dt, params, consensus, boundary):
             return np.concatenate([z, arr, z])
         return np.concatenate([arr[:1], arr, arr[-1:]])
 
-    T2 = state.T * state.T
+    T2 = grid.T * grid.T
     phi = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
     phi_p = pad(phi, "periodic" if boundary == "periodic" else "outflow")
     rho_p = pad(state.rho, boundary)
@@ -273,7 +271,7 @@ def reference_hydrostatic_update(state, grid, dt, params, consensus, boundary):
     rho_r = np.where(rise < 0.0, rho_p[1:] * drop, rho_p[1:])
     u_l, u_r = u_p[:-1], u_p[1:]
     q_l, q_r = rho_l * u_l, rho_r * u_r
-    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(state.T)
+    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(grid.T)
     f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
     f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
 
@@ -287,7 +285,7 @@ def reference_hydrostatic_update(state, grid, dt, params, consensus, boundary):
 @pytest.mark.parametrize("boundary", ["outflow", "periodic", "absorbing"])
 @pytest.mark.parametrize("T", [0.1, 0.3, 1.0])
 def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
-    grid = Grid1D(-2.0, 2.0, 61, cfl=1.0, boundary=boundary)
+    grid = Grid1D(-2.0, 2.0, 61, T=T, cfl=1.0, boundary=boundary)
     rng = np.random.default_rng(53)
     for _ in range(20):
         rho = rng.uniform(0.0, 1.5, 61)
@@ -296,9 +294,9 @@ def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
         rho[vacuum] = 0.0
         mom[vacuum] = 0.0
         rho[rng.random(61) < 0.1] = 1e-14  # near-empty cells that still carry momentum
-        state = MacroState(rho, mom, T=T)
+        state = MacroState(rho, mom)
         consensus = rng.uniform(-2.5, 2.5)
-        dt = cfl_dt(max_wavespeed(state), grid)
+        dt = cfl_dt(max_wavespeed(state, grid), grid)
         rho_ref, mom_ref = reference_hydrostatic_update(state, grid, dt, PARAMS, consensus,
                                                         boundary)
         out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
@@ -309,18 +307,18 @@ def test_hydrostatic_step_matches_the_reference_body_bit_for_bit(boundary, T):
 
 def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
     # cfl = 1, vacuum cells, a consensus swept to the grid edges
-    grid = Grid1D(-2.0, 2.0, 50, cfl=1.0, boundary="periodic")
+    grid = Grid1D(-2.0, 2.0, 50, T=0.2, cfl=1.0, boundary="periodic")
     rng = np.random.default_rng(47)
     rho = rng.uniform(0.5, 1.5, 50)
     mom = rng.uniform(-0.3, 0.3, 50)
     vacuum = rng.random(50) < 0.3
     rho[vacuum] = 0.0
     mom[vacuum] = 0.0
-    state = MacroState(rho, mom, T=0.2)
+    state = MacroState(rho, mom)
     m0 = state.rho.sum() * grid.dx
     for k in range(2000):
         consensus = 2.0 * math.sin(k / 50.0)
-        dt = cfl_dt(max_wavespeed(state), grid)
+        dt = cfl_dt(max_wavespeed(state, grid), grid)
         unfloored, _ = macro._hydrostatic_update(state, grid, dt, PARAMS, consensus)
         assert unfloored.min() >= 0.0
         state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
@@ -332,21 +330,21 @@ def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
 
 def test_cfl_dt_still_fluid():
     grid = Grid1D(0.0, 1.0, 100)
-    state = MacroState(np.ones(100), np.zeros(100), T=0.1)
-    s = max_wavespeed(state)
+    state = MacroState(np.ones(100), np.zeros(100))
+    s = max_wavespeed(state, grid)
     assert cfl_dt(s, grid) == pytest.approx(0.08, rel=1e-14)
     wide = Grid1D(0.0, 2.0, 100)
     assert cfl_dt(s, wide) == pytest.approx(0.16, rel=1e-14)
 
 
 def test_cfl_dt_mixed_velocities():
-    grid = Grid1D(0.0, 1.0, 10)
+    grid = Grid1D(0.0, 1.0, 10, T=0.4)
     rng = np.random.default_rng(29)
     rho = rng.uniform(0.5, 1.5, size=10)
     mom = rng.uniform(-1.0, 1.0, size=10)
-    state = MacroState(rho, mom, T=0.4)
+    state = MacroState(rho, mom)
     expected = 0.8 * grid.dx / (np.max(np.abs(mom / rho)) + 0.4)
-    s = max_wavespeed(state)
+    s = max_wavespeed(state, grid)
     assert cfl_dt(s, grid) == pytest.approx(expected, rel=1e-12)
     assert s == pytest.approx(np.max(np.abs(mom / rho)) + 0.4)
     # the grid carries cfl, so a factor outside (0, 1] fails when it is built
@@ -357,9 +355,9 @@ def test_cfl_dt_mixed_velocities():
 
 
 def test_advance_macro_lands_on_the_target_and_conserves_mass():
-    grid = Grid1D(-2.0, 2.0, 40, boundary="periodic")
+    grid = Grid1D(-2.0, 2.0, 40, T=0.2, boundary="periodic")
     rng = np.random.default_rng(37)
-    state = MacroState(rng.uniform(0.5, 1.5, 40), np.zeros(40), T=0.2)
+    state = MacroState(rng.uniform(0.5, 1.5, 40), np.zeros(40))
     m0 = state.rho.sum() * grid.dx
     for target in (0.05, 0.3, 0.31):
         state = advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), target)
@@ -371,7 +369,7 @@ def reference_advance(state, grid, params, pf, alpha, target_time):
     """The sub-step loop spelled out with the public pieces, evaluating everything each step."""
     while target_time - state.time > 1e-12:
         c = consensus_point_macro(state, grid, weights_at(grid, pf, alpha))
-        dt = min(cfl_dt(max_wavespeed(state), grid), target_time - state.time)
+        dt = min(cfl_dt(max_wavespeed(state, grid), grid), target_time - state.time)
         state = lax_friedrichs_step(state, grid, dt, params, c)
     return state
 
@@ -387,12 +385,12 @@ def halfline_pf(beta):
     for b in ("outflow", "periodic", "absorbing") for s in ("random", "hydrostatic")
 ])
 def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, start):
-    grid = Grid1D(-3.0, 3.0, 81, boundary=boundary)
+    grid = Grid1D(-3.0, 3.0, 81, T=0.3, boundary=boundary)
     if start == "random":
         rng = np.random.default_rng(41)
-        state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81), T=0.3)
+        state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81))
     else:
-        state = hydrostatic_equilibrium(grid, -1.0, 0.3)
+        state = hydrostatic_equilibrium(grid, -1.0)
     pf = halfline_pf(2.5)
     for target in (0.05, 0.4):
         got = advance_macro(state, grid, PARAMS, weights_at(grid, pf, 30.0), target)
@@ -415,9 +413,9 @@ def test_non_finite_state_raises_naming_the_cell():
     grid = Grid1D(0.0, 1.0, 10)
     rho_u = np.zeros(10)
     rho_u[3] = np.nan
-    state = MacroState(np.ones(10), rho_u, T=0.1)
+    state = MacroState(np.ones(10), rho_u)
     with pytest.raises(FloatingPointError, match="cell 3"):
-        max_wavespeed(state)
+        max_wavespeed(state, grid)
     with pytest.raises(FloatingPointError, match="cell 3"):
         lax_friedrichs_step(state, grid, 0.01, PARAMS, 0.0)
 
@@ -433,7 +431,7 @@ def test_eigenvalues_match_quasilinear_matrix():
             continue
         a = np.array([[0.0, 1.0], [T * T - u * u, 2.0 * u]])
         ref = np.max(np.abs(np.linalg.eigvals(a)))
-        got = max_wavespeed(MacroState(np.array([rho]), np.array([rho * u]), T))
+        got = max_wavespeed(MacroState(np.array([rho]), np.array([rho * u])), Grid1D(T=T))
         assert got == pytest.approx(ref, rel=0, abs=1e-10)
 
 
@@ -448,9 +446,9 @@ def test_init_macro_uniform_unit_mass():
 
 
 def test_absorbing_boundary_drains_edges():
-    grid = Grid1D(0.0, 1.0, 10, boundary="absorbing")
+    grid = Grid1D(0.0, 1.0, 10, T=0.5, boundary="absorbing")
     # at rest in its own potential, so only the vacuum ghosts can move it
-    state = hydrostatic_equilibrium(grid, 0.5, 0.5)
+    state = hydrostatic_equilibrium(grid, 0.5)
     out = lax_friedrichs_step(state, grid, 0.05, PARAMS, 0.5)
     # vacuum ghosts pull the edge cells down; the interior is untouched
     assert out.rho[0] < state.rho[0] and out.rho[-1] < state.rho[-1]

@@ -93,7 +93,7 @@ def test_density_requires_1d():
 def test_zeta_matched_velocities_hits_floor():
     grid = Grid1D(0.0, 5.0, 5)
     swarm = two_cell_swarm()  # all particle velocities zero
-    macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]), np.zeros(5), T=0.1)
+    macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]), np.zeros(5))
     coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     assert compute_zeta(swarm, macro, grid, coupling) == 0.1
 
@@ -102,7 +102,7 @@ def test_zeta_single_occupied_cell_hits_ceiling():
     grid = Grid1D(0.0, 5.0, 5)
     pos, vel = cluster(0.5, 8, velocity=1.0)
     swarm = SwarmState(pos, vel, particle_mass=0.05)
-    macro = MacroState(np.array([0.1, 0.4, 0.3, 0.1, 0.1]), np.zeros(5), T=0.1)
+    macro = MacroState(np.array([0.1, 0.4, 0.3, 0.1, 0.1]), np.zeros(5))
     coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     assert compute_zeta(swarm, macro, grid, coupling) == 0.9
 
@@ -115,7 +115,7 @@ def test_zeta_three_cell_fixture():
     swarm = SwarmState(np.vstack([p0, p1, p2]), np.vstack([v0, v1, v2]),
                        particle_mass=0.1)
     macro = MacroState(np.array([0.3, 0.2, 0.5]),
-                       np.array([0.15, 0.1, -0.25]), T=0.1)
+                       np.array([0.15, 0.1, -0.25]))
     coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     # by hand: w = (0.4, 0.6, 0.5), d = (0.4, 0.0, 0.6)
     expected = (0.4 * 0.4 + 0.6 * 0.0 + 0.5 * 0.6) / ((0.4 + 0.6 + 0.5) * 0.6)
@@ -155,7 +155,7 @@ def test_transfer_frozen_before_activation():
     grid = Grid1D(0.0, 5.0, 5)
     swarm = two_cell_swarm()
     macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]),
-                       np.array([0.0, 0.3, 0.0, 0.0, 0.0]), T=0.1)
+                       np.array([0.0, 0.3, 0.0, 0.0, 0.0]))
     coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=240))
     macro_mass = macro.rho.sum() * grid.dx
 
@@ -180,7 +180,7 @@ def test_transfer_two_step_trace():
     grid = Grid1D(0.0, 5.0, 5)
     swarm = two_cell_swarm()
     macro = MacroState(np.array([0.2, 0.3, 0.0, 0.0, 0.0]),
-                       np.array([0.0, 0.3, 0.0, 0.0, 0.0]), T=0.1)
+                       np.array([0.0, 0.3, 0.0, 0.0, 0.0]))
     coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
 
     coupling, swarm, macro = transfer_mass(coupling, swarm, macro, grid, step=0)
@@ -214,7 +214,7 @@ def test_transfer_mu_tracking_and_conservation_along_a_run():
     pos = rng.uniform(-3, 3, size=(60, 1))
     vel = rng.uniform(-1, 1, size=(60, 1))
     swarm = SwarmState(pos, vel, particle_mass=0.5 / 60)
-    macro = MacroState(np.full(25, 0.5 / 6.0), np.zeros(25), T=0.1)
+    macro = MacroState(np.full(25, 0.5 / 6.0), np.zeros(25))
     coupling = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=0))
     total = swarm.total_mass + macro.rho.sum() * grid.dx
 
@@ -238,7 +238,7 @@ def test_transfer_rebalance_failure_raises():
     grid = Grid1D(0.0, 5.0, 5)
     pos, vel = cluster(0.5, 4, velocity=1.0)
     swarm = SwarmState(pos, vel, particle_mass=0.01)
-    macro = MacroState(np.full(5, 0.01), np.zeros(5), T=0.1)
+    macro = MacroState(np.full(5, 0.01), np.zeros(5))
     coupling = CouplingState(
         zeta=0.5, mu0=10.0, rho_m_prev=np.zeros(5), rule=CouplingConfig(t_star=0)
     )
@@ -250,7 +250,7 @@ def test_transfer_zero_total_mass_raises():
     grid = Grid1D(0.0, 5.0, 5)
     pos, vel = cluster(0.5, 4)
     swarm = SwarmState(pos, vel, particle_mass=0.0)
-    macro = MacroState(np.zeros(5), np.zeros(5), T=0.1)
+    macro = MacroState(np.zeros(5), np.zeros(5))
     coupling = CouplingState(
         zeta=0.5, mu0=1.0, rho_m_prev=np.zeros(5), rule=CouplingConfig(t_star=0)
     )
@@ -321,7 +321,7 @@ def coupled_states(rng, grid, n, spread):
     thin = rng.random(grid.n_cells) < 0.2
     rho[thin] = rng.uniform(1e-6, 1e-2, thin.sum())  # emptied by a large enough transfer
     mom = rng.normal(0.0, 0.1, grid.n_cells) * (rho > 0)
-    return swarm, MacroState(rho, mom, T=0.1, time=0.7)
+    return swarm, MacroState(rho, mom, time=0.7)
 
 
 def assert_transfers_equal(got, ref):
@@ -333,7 +333,7 @@ def assert_transfers_equal(got, ref):
     assert np.array_equal(s.positions, rs.positions)
     assert np.array_equal(s.velocities, rs.velocities)
     assert np.array_equal(m.rho, rm.rho) and np.array_equal(m.rho_u, rm.rho_u)
-    assert (m.T, m.time) == (rm.T, rm.time)
+    assert m.time == rm.time
 
 
 @pytest.mark.parametrize("spread", [0.01, 0.3, 3.0])  # one cell, a few cells, strays too
@@ -354,7 +354,7 @@ def test_zeta_of_particles_in_one_cell_matches_the_reference():
     pos, vel = cluster(2.3, 6, velocity=0.4)
     swarm = SwarmState(pos, vel, particle_mass=0.05)
     for mom in (np.zeros(5), np.full(5, 0.4 * 0.2), np.array([0.0, 0.1, -0.3, 0.0, 0.2])):
-        macro = MacroState(np.full(5, 0.2), mom, T=0.1)
+        macro = MacroState(np.full(5, 0.2), mom)
         coupling = init_coupling(swarm, grid, CouplingConfig(t_star=0))
         assert compute_zeta(swarm, macro, grid, coupling) == reference_compute_zeta(
             swarm, macro, grid, coupling)
@@ -392,7 +392,7 @@ def test_transfer_keeps_momentum_where_it_lowers_the_density():
     grid = Grid1D(0.0, 5.0, 5)
     swarm = two_cell_swarm()
     macro = MacroState(np.array([0.5, 0.6, 0.5, 0.5, 0.5]),
-                       np.array([0.05, 0.06, 0.0, -0.01, 0.01]), T=0.1)
+                       np.array([0.05, 0.06, 0.0, -0.01, 0.01]))
     # mu0 above the swarm's mass: zeta * mu0 moves mass to the particles
     coupling = CouplingState(zeta=0.5, mu0=1.0, rho_m_prev=micro_cell_density(swarm, grid),
                              rule=CouplingConfig(t_star=0))

@@ -61,7 +61,7 @@ def test_violation_micro_matches_naive_summation():
 
 def test_violation_macro_feasible_support():
     grid = Grid1D(-3.0, -1.0, 11)  # entirely inside the half-line
-    state = MacroState(np.ones(11), np.zeros(11), T=0.1)
+    state = MacroState(np.ones(11), np.zeros(11))
     assert macro_violation(state, grid, halfline_pf(), 30.0) == 0.0
 
 
@@ -70,7 +70,7 @@ def test_violation_macro_single_cell_spike():
     rho = np.zeros(11)
     j = 8  # center -1 + 2*(8+.5)/11 = 0.5454..., distance 1.0454...
     rho[j] = 3.0
-    state = MacroState(rho, np.zeros(11), T=0.1)
+    state = MacroState(rho, np.zeros(11))
     expected = grid.centers[j] + 0.5
     assert macro_violation(state, grid, halfline_pf(), 30.0) == pytest.approx(
         expected, abs=1e-12
@@ -80,7 +80,7 @@ def test_violation_macro_single_cell_spike():
 def test_violation_macro_matches_naive_summation():
     grid = Grid1D(-1.0, 1.0, 11)
     rho = np.linspace(0.1, 1.1, 11)
-    state = MacroState(rho, np.zeros(11), T=0.1)
+    state = MacroState(rho, np.zeros(11))
     pf = halfline_pf()
     alpha = 3.0  # small so the unstabilized sum stays well-conditioned
     num = den = 0.0
@@ -96,11 +96,11 @@ def test_violation_macro_matches_naive_summation():
 
 def test_violation_macro_zero_mass_raises():
     grid = Grid1D(-1.0, 1.0, 11)
-    state = MacroState(np.zeros(11), np.zeros(11), T=0.1)
+    state = MacroState(np.zeros(11), np.zeros(11))
     with pytest.raises(ZeroDivisionError):
         macro_violation(state, grid, halfline_pf(), 30.0)
     # arrays of the wrong length would broadcast against the density, so they raise
-    unit = MacroState(np.ones(11), np.zeros(11), T=0.1)
+    unit = MacroState(np.ones(11), np.zeros(11))
     pf, centers = halfline_pf(), grid.centers[:, None]
     weights, penalty = gibbs_weights(pf.evaluate(centers), 30.0), pf.penalty(centers)
     for wrong in (np.array([0.3]), np.zeros(10), np.zeros(12), np.zeros((11, 1))):

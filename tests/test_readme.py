@@ -3,8 +3,10 @@
 import re
 from pathlib import Path
 
+import pytest
 import yaml
 
+import swarmscale
 from swarmscale.config import config_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -25,3 +27,13 @@ def test_readme_python_example_runs(capsys):
     (code,) = code_blocks("python")
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_raises_claims_hold():
+    # each "`expr` raises `ValueError("msg")`" sentence, evaluated with the package's names
+    claims = re.findall(r'`([^`]+)`\s+raises\s+`ValueError\("([^`]*)"\)`', README.read_text())
+    assert len(claims) >= 3
+    for expr, message in claims:
+        with pytest.raises(ValueError) as exc:
+            eval(expr, {**vars(swarmscale)})
+        assert str(exc.value) == message, expr
