@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from .config import ConfigError, config_from_dict, config_to_dict, load_bundled, load_config
+from dataclasses import replace
+
+from .config import ConfigError, load_bundled, load_config
 from .runner import RunError, run_ensemble, run_experiment
 
 
@@ -58,7 +60,7 @@ def main(argv=None) -> int:
     overrides = {key: value for key, value in [("seed", args.seed), ("output", args.out)]
                  if value is not None}
     try:
-        cfg = config_from_dict({**config_to_dict(cfg), **overrides})
+        cfg = replace(cfg, **overrides)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -9,12 +9,12 @@ its key path (e.g. ``micro.m``).
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import yaml
 
-from .keys import choice, entries, integer, key, path_string, section
+from .keys import check_keys, choice, integer, key, path_string, read_keys, section
 from .macro import Grid1D
 from .micro import MicroParams
 from .micromacro import CouplingConfig
@@ -39,10 +39,12 @@ class ExperimentConfig:
     """One experiment.  The field tree is the YAML tree.
 
     Every field is a key of the file and every nested dataclass a section of
-    it, a solver's own object that checks its keys when it is built; each key
-    declares its default and bounds once, in its field, and ``config_to_dict``
-    writes the same tree back.  ``feasible_set.kind`` picks that section's
-    class from ``FEASIBLE_SETS``; absent or null, the run is unconstrained.
+    it, a solver's own object that checks its keys when it is built.  The
+    root is a section too: built in code or by ``dataclasses.replace``, it
+    runs the walk's checks.  Each key declares its default and bounds once,
+    in its field, and ``config_to_dict`` writes the same tree back.
+    ``feasible_set.kind`` picks that section's class from ``FEASIBLE_SETS``;
+    absent or null, the run is unconstrained.
     """
 
     mode: str = key(choice, options=MODES)
@@ -56,6 +58,23 @@ class ExperimentConfig:
     macro: Grid1D = section(Grid1D)
     penalty: PenaltyConfig = section(PenaltyConfig)
     coupling: CouplingConfig = section(CouplingConfig)
+
+    def __post_init__(self):
+        """Check each key, then the rules that span sections; raises ConfigError."""
+        try:
+            check_keys(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc).splitlines()) from None
+        dim, fs, errors = self.objective.dim, self.feasible_set, []
+        if self.mode in ("macro", "micromacro") and dim != 1:
+            errors.append(f"objective.dim: mode {self.mode!r} runs on a 1D grid; dim must be 1")
+        if isinstance(fs, BallUnion):
+            errors += [f"feasible_set.balls[{i}].center: must be a list of {dim} numbers"
+                       for i, ball in enumerate(fs.balls) if len(ball.center) != dim]
+        elif fs is not None and dim != 1:
+            errors.append(f"feasible_set.kind: {fs.kind!r} requires a 1-dimensional objective")
+        if errors:
+            raise ConfigError(errors)
 
     # -- builders for the runtime objects ---------------------------------
 
@@ -71,122 +90,20 @@ class ExperimentConfig:
         return PenaltyController(self.penalty.beta0, self.penalty.kappa0, self.penalty)
 
 
-# -- validation ------------------------------------------------------------
-
-
-class _Checker(list):
-    """Accumulates key-path-prefixed validation errors."""
-
-    def fail(self, path, msg):
-        self.append(f"{path}: {msg}")
-
-
-def _parse_keys(cls, data, path, chk: _Checker):
-    """Parse each key of a section by its field; None if ``data`` is not a mapping.
-
-    An absent key takes its default, and so does a null one whose default is
-    None.  A key that is missing or fails takes its default (None for a
-    required key) after its error, and the walk builds no section from them.
-    """
-    if not isinstance(data, dict):
-        chk.fail(path, "must be a mapping")
-        return None
-    names = {f.name for f in fields(cls)}
-    for name in data:
-        if name not in names:
-            chk.fail(f"{path}.{name}" if path else str(name), "unknown key")
-    values = {}
-    for f in fields(cls):
-        key_path = f"{path}.{f.name}" if path else f.name
-        required = f.default is MISSING and f.default_factory is MISSING
-        default = f.default_factory() if f.default_factory is not MISSING else (
-            None if required else f.default)
-        if f.name not in data or (data[f.name] is None and f.default is None):
-            if required:
-                chk.fail(key_path, "missing required key")
-            values[f.name] = default
-        else:
-            values[f.name] = _parse_value(f.metadata, data[f.name], key_path, chk, default)
-    return values
-
-
-def _parse_value(spec, value, key_path, chk: _Checker, default=None):
-    """Parse a given value by a field's spec: a section, a list of entries, or a check."""
-    if "kinds" in spec:
-        return _parse_kind(spec["kinds"], value, key_path, chk, default)
-    if "section" in spec:
-        n_errors = len(chk)
-        values = _parse_keys(spec["section"], value, key_path, chk)
-        # a section with a failed key is not built, so no rule between its keys
-        # runs on a stand-in default
-        if len(chk) > n_errors:
-            return default
-        try:
-            return spec["section"](**values)
-        except ValueError as exc:  # a rule between keys, reported at its key
-            chk.append(f"{key_path}.{exc}")
-            return default
-    if "each" in spec:
-        if _parse_value(key(entries).metadata, value, key_path, chk) is None:
-            return default
-        return tuple(_parse_value(spec["each"], v, f"{key_path}[{i}]", chk)
-                     for i, v in enumerate(value))
-    try:
-        return spec["check"](value, **spec["bounds"])
-    except ValueError as exc:
-        chk.fail(key_path, str(exc))
-        return default
-
-
-def _parse_kind(kinds, value, key_path, chk: _Checker, default):
-    """Parse a section whose ``kind`` key picks its class; a key of another kind is an error."""
-    if not isinstance(value, dict):
-        chk.fail(key_path, "must be a mapping")
-        return default
-    if "kind" not in value:
-        chk.fail(f"{key_path}.kind", "missing required key")
-        return default
-    kind = _parse_value(key(choice, options=tuple(kinds)).metadata, value["kind"],
-                        f"{key_path}.kind", chk)
-    if kind is None:
-        return default
-    others = {f.name for cls in kinds.values() if cls is not kinds[kind] for f in fields(cls)}
-    for name in value:
-        if name in others:
-            chk.fail(f"{key_path}.{name}", f"is not a key of kind {kind!r}")
-    rest = {k: v for k, v in value.items() if k != "kind" and k not in others}
-    return _parse_value({"section": kinds[kind]}, rest, key_path, chk, default)
-
-
 def config_from_dict(data) -> ExperimentConfig:
     """Validate a parsed key-tree and build the config; raises ConfigError.
 
-    Each section checks its own keys and the rules between them; the checks
-    here are the ones that span sections.
+    Every key is read before any rule that spans sections runs, so those
+    rules run only on a tree whose keys all parse.
     """
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(["top level: must be a mapping"])
-    chk = _Checker()
-    values = _parse_keys(ExperimentConfig, data, "", chk)
-
-    # a required key or section that failed is None here
-    mode = values["mode"]
-    dim = getattr(values["objective"], "dim", None)
-    if mode in ("macro", "micromacro") and dim not in (None, 1):
-        chk.fail("objective.dim", f"mode {mode!r} runs on a 1D grid; dim must be 1")
-    fs = values["feasible_set"]
-    if fs is not None and dim is not None:
-        if isinstance(fs, BallUnion):
-            for i, ball in enumerate(fs.balls):
-                if len(ball.center) != dim:
-                    chk.fail(f"feasible_set.balls[{i}].center", f"must be a list of {dim} numbers")
-        elif dim != 1:
-            chk.fail("feasible_set.kind", f"{fs.kind!r} requires a 1-dimensional objective")
-
-    if chk:
-        raise ConfigError(chk)
+    errors = []
+    values = read_keys(ExperimentConfig, data, "", errors)
+    if errors:
+        raise ConfigError(errors)
     return ExperimentConfig(**values)
 
 

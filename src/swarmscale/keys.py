@@ -1,8 +1,10 @@
 """Config keys: each key's check, bounds and default, declared once in its field.
 
 A config section is a frozen dataclass whose fields are its keys.  The
-solvers' sections are their parameter objects, and their ``__post_init__``
-calls ``check_keys``, so one built in code passes the checks of the walk.
+solvers' sections are their parameter objects, and the config's root is one
+too.  Each section's ``__post_init__`` calls ``check_keys``, and ``read`` is
+the one reader of a field's spec, for the walk over a YAML tree and for a
+section built in code (or by ``dataclasses.replace``) alike.
 """
 
 from __future__ import annotations
@@ -96,29 +98,91 @@ def key_list(entry):
     return field(metadata={"each": spec})
 
 
-def _checked(path, spec, value):
-    """``value`` parsed by a key's spec; a ValueError names the key path that failed.
+def read(spec, value, path, errors):
+    """``value`` parsed by the spec of the field at key path ``path``.
 
-    A list key checks each entry; a section entry is built from its fields in order.
+    The one reader of a spec that ``key``, ``key_list`` or ``section``
+    declares, or of a ``kinds`` one.  A check runs on the value, and a list
+    reads each entry.  A section is built from a mapping of its keys, or in
+    code taken as an instance or built from a tuple of its keys in order; a
+    ``kinds`` section picks its class by its ``kind`` key.  Each failure is
+    appended to ``errors`` as ``key.path: message``, and None stands in for
+    the value.
     """
+    if "kinds" in spec:
+        kinds = spec["kinds"]
+        if isinstance(value, tuple(kinds.values())):
+            return value
+        if not isinstance(value, dict):
+            errors.append(f"{path}: must be a mapping")
+            return None
+        if "kind" not in value:
+            errors.append(f"{path}.kind: missing required key")
+            return None
+        kind_spec = key(choice, options=tuple(kinds)).metadata
+        kind = read(kind_spec, value["kind"], f"{path}.kind", errors)
+        if kind is None:
+            return None
+        others = {f.name for cls in kinds.values() if cls is not kinds[kind] for f in fields(cls)}
+        errors += [f"{path}.{name}: is not a key of kind {kind!r}"
+                   for name in value if name in others]
+        spec = {"section": kinds[kind]}
+        value = {k: v for k, v in value.items() if k != "kind" and k not in others}
+    if "section" in spec:
+        cls, n_errors = spec["section"], len(errors)
+        if isinstance(value, cls):
+            return value
+        try:
+            if isinstance(value, tuple):
+                return cls(*value)
+            values = read_keys(cls, value, path, errors)
+            # a section with a failed key is not built, so no rule between its
+            # keys runs on what stands in for it
+            return None if len(errors) > n_errors else cls(**values)
+        except ValueError as exc:  # its keys or a rule between them, reported at its key
+            errors += [f"{path}.{line}" for line in str(exc).splitlines()]
+            return None
     try:
-        if "section" in spec:
-            cls = spec["section"]
-            return value if isinstance(value, cls) else cls(*value)
         if "each" not in spec:
             return spec["check"](value, **spec["bounds"])
         value = entries(value)
-    except ValueError as exc:  # a section's error already starts at its own key
-        raise ValueError(f"{path}{'.' if 'section' in spec else ': '}{exc}") from None
-    return tuple(_checked(f"{path}[{i}]", spec["each"], v) for i, v in enumerate(value))
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return None
+    return tuple(read(spec["each"], v, f"{path}[{i}]", errors) for i, v in enumerate(value))
+
+
+def read_keys(cls, data, path, errors):
+    """Each key of section ``cls`` read from the mapping ``data``; None if it is not one.
+
+    Unknown keys fail first, then each field in order.  A key that is absent,
+    or null with a None default, is left out, so the section takes its default.
+    """
+    if not isinstance(data, dict):
+        errors.append(f"{path}: must be a mapping")
+        return None
+    at = f"{path}." if path else ""
+    names = {f.name for f in fields(cls)}
+    errors += [f"{at}{name}: unknown key" for name in data if name not in names]
+    values = {}
+    for f in fields(cls):
+        if f.name not in data or (data[f.name] is None and f.default is None):
+            if f.default is MISSING and f.default_factory is MISSING:
+                errors.append(f"{at}{f.name}: missing required key")
+        else:
+            values[f.name] = read(f.metadata, data[f.name], f"{at}{f.name}", errors)
+    return values
 
 
 def check_keys(obj) -> None:
-    """Parse each key of a section in place by its field's check.
+    """Parse each key of a section in place by its field's spec.
 
-    Raises ValueError naming the first key that fails, e.g. ``dt: must be a
-    number`` or ``balls[0].center: must be a list of numbers``.
+    Raises ValueError naming each key that fails, one a line, e.g. ``dt: must
+    be a number`` or ``balls[0].center: must be a list of numbers``.
     """
-    for f in fields(obj):
-        if "check" in f.metadata or "each" in f.metadata:
-            object.__setattr__(obj, f.name, _checked(f.name, f.metadata, getattr(obj, f.name)))
+    errors = []
+    values = read_keys(type(obj), {f.name: getattr(obj, f.name) for f in fields(obj)}, "", errors)
+    if errors:
+        raise ValueError("\n".join(errors))
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)

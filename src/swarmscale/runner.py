@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .keys import check_keys
 from .macro import advance_macro, consensus_point_macro, init_macro
 from .micro import consensus_point, gibbs_weights, init_swarm, softmin_gap, step_euler_maruyama
 from .micromacro import init_coupling, micro_cell_density, transfer_mass
@@ -357,15 +356,15 @@ def run_ensemble(cfg: ExperimentConfig, n_runs: int) -> EnsembleReport:
     """Independent runs with seeds cfg.seed + k; failures are recorded, not fatal.
 
     Raises ConfigError before the first run when the last seed fails the
-    ``seed`` key's check, since replace() does not run it.
+    ``seed`` key's check.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     last = cfg.seed + n_runs - 1
     try:
-        check_keys(replace(cfg, seed=last))
-    except ValueError as exc:
-        raise ConfigError([f"run {n_runs - 1} (seed {last}): {exc}"]) from None
+        replace(cfg, seed=last)
+    except ConfigError as exc:
+        raise ConfigError([f"run {n_runs - 1} (seed {last}): {e}" for e in exc.errors]) from None
     os.makedirs(cfg.output, exist_ok=True)
 
     cons_cols, records, pooled_rows = [], [], []

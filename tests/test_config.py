@@ -1,10 +1,13 @@
 """Config loading, validation messages, round-trips and the builders."""
 
+import copy
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from importlib import resources
 
@@ -420,7 +423,10 @@ def test_tiny_T_is_rejected_exactly_where_its_square_underflows():
     (lambda: IntervalUnion([]), "intervals: must not be empty"),
     (lambda: BallUnion([((0, math.nan), 1)]), "balls[0].center: must be a list of numbers"),
     (lambda: BallUnion([((0, 0), math.inf)]), "balls[0].radius_sq: must be a number"),
-], ids=["bound-nan", "bound-str", "interval-inf", "no-intervals", "center-nan", "radius-inf"])
+    (lambda: Ball((0, math.nan), math.inf),
+     "center: must be a list of numbers\nradius_sq: must be a number"),
+], ids=["bound-nan", "bound-str", "interval-inf", "no-intervals", "center-nan", "radius-inf",
+        "each-bad-key"])
 def test_feasible_sets_built_in_code_reject_what_the_config_rejects(build, message):
     with pytest.raises(ValueError) as exc:
         build()
@@ -437,8 +443,11 @@ def test_feasible_sets_built_in_code_reject_what_the_config_rejects(build, messa
     # a section with a failed key is not built, so its rule between keys
     # does not also run on the default that stands in for x_min
     ({"macro": {"x_min": "a", "x_max": -5}}, ["macro.x_min: must be a number"]),
+    # the rules that span sections run only once every key has parsed
+    ({"mode": "macro", "n_steps": -1}, [f"n_steps: must lie in [1, {2**63 - 1}]"]),
 ], ids=["x_min-above-x_max", "T-zero", "T-squares-to-zero", "zeta_min-above-zeta_max",
-        "zeta0-out-of-bounds", "failed-key-suppresses-the-rule"])
+        "zeta0-out-of-bounds", "failed-key-suppresses-the-rule",
+        "failed-key-suppresses-the-rules-across-sections"])
 def test_a_rule_between_keys_is_reported_at_its_key(over, errors):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(base_dict(**over))
@@ -454,7 +463,9 @@ def section_classes(spec):
 # an instance of each section that has required keys; the walk builds one from the YAML
 BUILT = {ObjectiveFunction: ObjectiveFunction("ackley", 2), Ball: Ball((0.0, 0.0), 1.0),
          BallUnion: BallUnion([((0.0, 0.0), 1.0)]), IntervalUnion: IntervalUnion([(0.0, 1.0)]),
-         Halfspace1D: Halfspace1D(0.0)}
+         Halfspace1D: Halfspace1D(0.0),
+         ExperimentConfig: ExperimentConfig("micro", ObjectiveFunction("ackley", 2), 10, 8, 1,
+                                            "out")}
 
 
 def test_every_section_checks_its_keys_when_built():
@@ -467,12 +478,12 @@ def test_every_section_checks_its_keys_when_built():
                     yield sub
                     yield from sections(sub)
 
-    found = set(sections(ExperimentConfig))
+    found = {ExperimentConfig, *sections(ExperimentConfig)}
     assert {Ball, BallUnion, IntervalUnion, Halfspace1D, Grid1D} <= found
     for cls in found:
         # nan fails every value check, a list key's included
         name = next(f.name for f in fields(cls) if f.metadata.keys() & {"check", "each"})
-        with pytest.raises(ValueError, match=f"^{name}: "):
+        with pytest.raises(ValueError, match=f"^(invalid config:\n  - )?{name}: "):
             replace(BUILT.get(cls) or cls(), **{name: math.nan})
 
 
@@ -492,3 +503,75 @@ def test_every_config_key_declares_its_check():
     assert "micro.dt" in keys and "feasible_set.balls.center" in keys
     assert "feasible_set.intervals" in keys and "feasible_set.bound" in keys
     assert [k for k, spec in keys.items() if "check" not in spec] == []
+
+
+@pytest.mark.parametrize("over, errors", [
+    ({"n_steps": 0}, [f"n_steps: must lie in [1, {2**63 - 1}]"]),
+    ({"output": ""}, ["output: must be a nonempty path string"]),
+    ({"mode": "macro"}, ["objective.dim: mode 'macro' runs on a 1D grid; dim must be 1"]),
+])
+def test_replace_on_a_config_runs_the_walks_checks(over, errors):
+    cfg = config_from_dict(base_dict())  # a 2-D objective
+    with pytest.raises(ConfigError) as exc:
+        replace(cfg, **over)
+    assert exc.value.errors == errors
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(**over))
+    assert exc.value.errors == errors
+
+
+# a key path, or "top level", then the message
+KEY_PATH = re.compile(r"(top level|\w+(\[\d+\])*(\.\w+(\[\d+\])*)*): ")
+NAMES = ["extra", "kind", "bound", "balls", "intervals", "center", "radius_sq", "dim", "T"]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([2**63, 2**64, 10**400]),
+    st.floats(), st.text(max_size=2), st.lists(st.floats(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(NAMES), st.integers(0, 2), max_size=2),
+)
+
+
+def nodes(tree):
+    """Each (container, key) pair of a key-tree, lists' entries included."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for k, v in items:
+        yield tree, k
+        if isinstance(v, (dict, list)):
+            yield from nodes(v)
+
+
+TREES = [yaml.safe_load(bundled_config_path(name).read_text()) for name in BUNDLED]
+# values that the bundled trees hold, so a changed key may well still parse
+SEEN = [c[k] for t in TREES for c, k in nodes(t)]
+
+
+@st.composite
+def config_trees(draw):
+    """A bundled config's tree with up to three keys changed, or a top level of junk."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    tree = copy.deepcopy(draw(st.sampled_from(TREES)))
+    for _ in range(draw(st.integers(0, 3))):
+        owner, k = draw(st.sampled_from([*nodes(tree)]))
+        change = draw(st.sampled_from(["swap", "swap", "junk", "delete", "add"]))
+        if change == "swap":  # a value of its type from a bundled tree, which may still parse
+            same = [v for v in SEEN if type(v) is type(owner[k])] or SEEN
+            owner[k] = copy.deepcopy(draw(st.sampled_from(same)))
+        elif change == "junk":
+            owner[k] = draw(JUNK)
+        elif change == "delete" and isinstance(owner, dict):
+            del owner[k]
+        elif change == "add" and isinstance(owner, dict):
+            owner[draw(st.sampled_from(NAMES))] = draw(JUNK)
+    return tree
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(config_trees())
+def test_every_tree_is_rejected_at_key_paths_or_loads_and_round_trips(tree):
+    try:
+        cfg = config_from_dict(tree)
+    except ConfigError as exc:
+        assert exc.errors and all(KEY_PATH.match(e) for e in exc.errors), exc.errors
+        return
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert replace(cfg) == cfg
