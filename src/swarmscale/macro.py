@@ -131,12 +131,17 @@ def max_wavespeed(state: MacroState, grid: Grid1D) -> float:
     speed = float(speeds.max()) + abs(grid.T)
     if not math.isfinite(speed):
         # rounding is monotone, so some cell's own |u| + |T| is not finite either
-        j = np.flatnonzero(~np.isfinite(speeds + abs(grid.T)))[0]
-        raise FloatingPointError(
-            f"non-finite grid state at cell {j}: rho={float(state.rho[j])}, "
-            f"rho_u={float(state.rho_u[j])}"
-        )
+        _fail_at_first_cell(state, ~np.isfinite(speeds + abs(grid.T)))
     return speed
+
+
+def _fail_at_first_cell(state: MacroState, bad: np.ndarray):
+    """Raise FloatingPointError naming the first cell flagged in bad, with its values."""
+    j = np.flatnonzero(bad)[0]
+    raise FloatingPointError(
+        f"non-finite grid state at cell {j}: rho={float(state.rho[j])}, "
+        f"rho_u={float(state.rho_u[j])}"
+    )
 
 
 def cfl_dt(s: float, grid: Grid1D) -> float:
@@ -238,13 +243,18 @@ def advance_macro(state, grid, params, weights, target_time):
     wavespeed alone, since the face states carry the attraction and keep
     the density nonnegative under dt * max(|u| + |T|) <= dx.  The last step
     is cut to land on target_time.  One wavespeed per sub-step serves both
-    cfl_dt and the step's CFL check.  Raises RuntimeError after
-    MAX_SUBSTEPS sub-steps.
+    cfl_dt and the step's CFL check, and so checks each sub-step's input;
+    the state handed back is checked once, on return, and a non-finite one
+    raises FloatingPointError naming its first bad cell.  Raises
+    RuntimeError after MAX_SUBSTEPS sub-steps.
     """
     state.check_per_cell(weights=weights)
     for _ in range(MAX_SUBSTEPS):
         remaining = target_time - state.time
         if remaining <= 1e-12:
+            finite = np.isfinite(state.rho) & np.isfinite(state.rho_u)
+            if not finite.all():
+                _fail_at_first_cell(state, ~finite)
             return state
         consensus = float(weighted_mean(weights * state.rho, grid.centers))
         speed = max_wavespeed(state, grid)

@@ -71,10 +71,11 @@ def _cell_indices(swarm: SwarmState, grid: Grid1D) -> np.ndarray:
     if swarm.dim != 1:
         raise ValueError("scale coupling requires 1D positions")
     x = swarm.positions[:, 0]
-    idx = np.floor((x - grid.x_min) / grid.dx).astype(int)
-    # strays beyond the domain count toward the nearest boundary cell
-    np.maximum(idx, 0, out=idx)
-    return np.minimum(idx, grid.n_cells - 1, out=idx)
+    # strays beyond the domain count toward the nearest boundary cell; the clamp runs
+    # in float, so a stray beyond the int64 range never reaches the cast
+    cells = np.floor((x - grid.x_min) / grid.dx)
+    np.maximum(cells, 0, out=cells)
+    return np.minimum(cells, grid.n_cells - 1, out=cells).astype(int)
 
 
 def _bin(swarm: SwarmState, grid: Grid1D):

@@ -7,6 +7,13 @@ the grid solver takes its own sub-steps) and lets it update its own penalty
 controller; a coupled run then transfers mass between the scales, and each
 scale finally observes its consensus point.  Given (config, seed) every
 written file except timings.json is byte-identical across repeat runs.
+
+Until the first transfer, at step t_star, the grid draws no random number
+and reads no particle, and a lone grid never reads one, so those steps are
+the same for every seed.  The runs of one config share them: the first run
+computes each such step and keeps the grid's arrays, time and controller
+after it in a module-level slot, and the next runs load them (see
+_SharedSteps).  The outputs are the same bytes whichever run computed them.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .macro import advance_macro, consensus_point_macro, init_macro
+from .macro import MacroState, advance_macro, consensus_point_macro, init_macro
 from .micro import consensus_point, gibbs_weights, init_swarm, softmin_gap, step_euler_maruyama
 from .micromacro import init_coupling, micro_cell_density, transfer_mass
 from .penalty import violation_macro, violation_micro
@@ -121,6 +128,11 @@ class _Scale:
             self.pf = self.pf.with_beta(self.ctrl.beta)
             self.weigh()
 
+    def move(self, n):
+        """Advance to step n, then update the penalty controller."""
+        self.advance(n)
+        self.penalize()
+
     def penalty_items(self):
         values = (self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch)
         return list(zip(self.penalty_columns, values))
@@ -177,12 +189,44 @@ class _Particles(_Scale):
         return items + self.penalty_items()
 
 
+class _SharedSteps:
+    """The grid's seed-free steps of the last config run, loaded by its next runs.
+
+    The grid's steps up to the first transfer follow from the sections in
+    the key alone: not from the seed, the output, the particle count or the
+    run length.  Record n holds the grid's arrays and time, and its
+    controller, penalized objective, weights, violation and branch, after
+    step n's move and penalty update.  The arrays are kept read-only, not
+    as a live MacroState, so no velocity is cached across runs.  A run of
+    another key empties the slot; a step that fails records nothing.  Runs
+    fill the slot one after another, never from two threads at once.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.key, self.steps = None, []
+
+    def claim(self, cfg):
+        """The records of cfg's grid, emptied first if the last run had another key."""
+        key = (cfg.mode, cfg.objective, cfg.feasible_set, cfg.micro, cfg.macro, cfg.penalty,
+               cfg.coupling)
+        if key != self.key:
+            self.key, self.steps = key, []
+        return self.steps
+
+
+_shared = _SharedSteps()
+
+
 class _Grid(_Scale):
     """The density on the 1D grid, advanced by its own solver to the shared time.
 
     The cell centers never move, so the cells' Gibbs weights change only
     with beta: they are built once per run and again after each penalty
-    update that raises beta.
+    update that raises beta.  The steps before the first transfer are
+    loaded from the shared slot when an earlier run of the config made them.
     """
 
     def __init__(self, cfg, mass, alone):
@@ -191,6 +235,25 @@ class _Grid(_Scale):
         self.state = init_macro(self.grid, total_mass=mass)
         self.consensus_column = "consensus" + self.suffix
         self.evaluate(self.grid.centers[:, None])  # the centers never move
+        # a lone grid never reads a particle; a coupled one first does after transfer t_star
+        self.last_shared = cfg.n_steps if alone else cfg.coupling.t_star
+        self.shared = _shared.claim(cfg)
+        self.steps_shared = 0  # steps this run loaded rather than computed
+
+    def move(self, n):
+        if n > self.last_shared:
+            return super().move(n)
+        if n <= len(self.shared):
+            (rho, rho_u, t, self.ctrl, self.pf, self.weights, self.violation,
+             self.branch) = self.shared[n - 1]
+            self.state = MacroState(rho, rho_u, time=t)
+            self.steps_shared += 1
+            return
+        super().move(n)
+        for a in (*self.arrays(), self.weights):
+            a.flags.writeable = False  # every later run of the config reads them
+        self.shared.append((*self.arrays(), self.state.time, self.ctrl, self.pf, self.weights,
+                            self.violation, self.branch))
 
     def clock(self, n):
         return self.state.time
@@ -285,8 +348,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     scales, transfer = _build_scales(cfg)
                 else:
                     for s in scales:
-                        s.advance(n)
-                        s.penalize()
+                        s.move(n)
                     if transfer is not None:
                         transfer(n)
                 for s in scales:
@@ -305,7 +367,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     json_path = os.path.join(cfg.output, "summary.json")
     _write_json(json_path, summary)
     _write_json(os.path.join(cfg.output, "timings.json"),
-                {"wall_time_s": time.perf_counter() - started})
+                {"wall_time_s": time.perf_counter() - started,
+                 "grid_steps_shared": scales[-1].steps_shared if cfg.mode != "micro" else 0})
     return RunReport(csv_path=csv_path, json_path=json_path, summary=summary, rows=rows)
 
 

@@ -71,6 +71,16 @@ def test_density_matches_bin_scan():
     assert rho.sum() * grid.dx == pytest.approx(swarm.total_mass, rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_stray_beyond_the_int64_range_lands_in_the_last_cell():
+    # the clamp runs before the cast, so 2**64 is not cast to INT64_MIN and counted in cell 0
+    grid = Grid1D(0.0, 5.0, 5)
+    far = 1.8446744073709552e19
+    swarm = SwarmState([[far], [-far], [2.3]], np.zeros((3, 1)))
+    np.testing.assert_array_equal(mm._cell_indices(swarm, grid), [4, 0, 2])
+    np.testing.assert_array_equal(micro_cell_density(swarm, grid), [1.0, 0.0, 1.0, 0.0, 1.0])
+
+
 def test_density_integral_exact_on_unit_cells():
     grid = Grid1D(0.0, 11.0, 11)  # dx = 1: the normalization is exact
     rng = np.random.default_rng(3)

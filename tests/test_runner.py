@@ -1,15 +1,17 @@
-"""Runner contract: solver failures, field snapshots, the pooled ensemble header and
-the pinned traces of the bundled configs."""
+"""Runner contract: solver failures, field snapshots, the pooled ensemble header, the
+pinned traces of the bundled configs and the grid steps that runs of one config share."""
 
 import csv
 import hashlib
+import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmscale import micro, objectives, runner
+from swarmscale import macro, micro, objectives, runner
 from swarmscale.config import ConfigError, config_from_dict
 from swarmscale.runner import RunError, run_ensemble, run_experiment
 
@@ -56,6 +58,32 @@ def test_non_finite_grid_state_fails_the_first_step(tmp_path, monkeypatch):
     with pytest.raises(RunError, match="cell 5") as exc:
         run_experiment(tiny(tmp_path, "macro"))
     assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("n_steps", [3, 5])
+def test_a_non_finite_last_sub_step_fails_its_step(tmp_path, monkeypatch, n_steps):
+    # the state the sub-step loop hands back is checked, so a NaN written by the last
+    # sub-step of step 3 fails step 3, and a run that ends there does not end "ok"
+    cfg = tiny(tmp_path, "macro", n_steps=n_steps)
+    target = 3 * cfg.micro.dt
+    step = macro.lax_friedrichs_step
+
+    def poisoned(*args, **kwargs):
+        state = step(*args, **kwargs)
+        if abs(state.time - target) <= 1e-12:
+            state.rho_u[5] = np.nan
+        return state
+
+    monkeypatch.setattr(macro, "lax_friedrichs_step", poisoned)
+    digests = []
+    for _ in range(2):  # the failed step is not shared, so the rerun computes it again
+        with pytest.raises(RunError, match="cell 5: rho=.*, rho_u=nan") as exc:
+            run_experiment(cfg)
+        assert exc.value.step == 3
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+        digests.append(exc.value.digest)
+    assert digests[0] == digests[1]
+    assert len(runner._shared.steps) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -229,3 +257,82 @@ def test_bundled_trace_is_pinned(load_bundled, name, digest, summary_digest):
     for filename, expected in [("trace.csv", digest), ("summary.json", summary_digest)]:
         with open(f"{cfg.output}/{filename}", "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest()[:16] == expected, filename
+
+
+# ------------------------------------------------ grid steps shared across runs
+
+
+def written(cfg, cold=False):
+    """Run cfg, from an empty slot if cold; its files but timings.json, and the shared count."""
+    if cold:
+        runner._shared.clear()
+    run_experiment(cfg)
+    out = Path(cfg.output)
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
+    with open(out / "timings.json") as fh:
+        return files, json.load(fh)["grid_steps_shared"]
+
+
+def shared_steps(cfg):
+    """The grid steps that every run of cfg shares: none, all, or those through t_star."""
+    return {"micro": 0, "macro": cfg.n_steps}.get(cfg.mode, min(cfg.n_steps, cfg.coupling.t_star))
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in PINNED])
+def test_a_warm_run_writes_what_a_cold_run_writes(load_bundled, name):
+    cfg = load_bundled(name)
+    cold, warm = {}, {}
+    for k, other in [(0, 1), (1, 0)]:
+        cold[k] = written(replace(cfg, seed=cfg.seed + k, output=f"{cfg.output}/cold{k}"),
+                          cold=True)
+        # the slot holds seed +k's steps, and the other seed loads them
+        warm[other] = written(replace(cfg, seed=cfg.seed + other,
+                                      output=f"{cfg.output}/warm{other}"))
+    for k in (0, 1):
+        assert warm[k][0] == cold[k][0], f"seed +{k}"
+        assert (cold[k][1], warm[k][1]) == (0, shared_steps(cfg))
+
+
+def test_configs_run_in_turn_write_what_their_cold_runs_write(load_bundled):
+    # A, B, A: B's key differs in one penalty constant, so it empties A's steps
+    a = load_bundled("rastrigin1d_micromacro_constrained", n_steps=250)
+    a = replace(a, macro=replace(a.macro, snapshot_every=100))
+    b = replace(a, penalty=replace(a.penalty, eta_beta=1.2))
+    cold = {}
+    for cfg, tag in [(a, "a"), (b, "b")]:
+        cold[tag] = written(replace(cfg, output=f"{cfg.output}/cold_{tag}"), cold=True)[0]
+    assert cold["a"] != cold["b"]
+    assert sorted(cold["a"]) == ["fields_000100.csv", "fields_000200.csv", "summary.json",
+                                 "trace.csv"]
+    runner._shared.clear()
+    for k, (cfg, tag) in enumerate([(a, "a"), (b, "b"), (a, "a")]):
+        files, shared = written(replace(cfg, output=f"{cfg.output}/{k}"))
+        assert files == cold[tag], k
+        assert shared == 0, k
+
+
+def test_a_longer_run_extends_the_shared_steps(load_bundled):
+    cfg = load_bundled("rastrigin1d_micromacro_constrained", n_steps=300)
+    cold = written(replace(cfg, output=f"{cfg.output}/cold"), cold=True)[0]
+    runner._shared.clear()
+    short = replace(cfg, n_steps=100, output=f"{cfg.output}/short")
+    assert written(short)[1] == 0
+    assert len(runner._shared.steps) == 100
+    for k, shared in enumerate([100, cfg.coupling.t_star]):
+        files, got = written(replace(cfg, output=f"{cfg.output}/{k}"))
+        assert files == cold and got == shared
+        assert len(runner._shared.steps) == cfg.coupling.t_star
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_particle_blowup_in_the_shared_steps_fails_alike_warm_and_cold(tmp_path):
+    # the failing step digests the grid's arrays, loaded in the warm run
+    cfg = tiny(tmp_path, "micromacro", micro={"sigma": 1e300})
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RunError) as exc:
+            run_experiment(cfg)
+        errors.append((exc.value.step, exc.value.digest))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2
+    assert len(runner._shared.steps) == 1
