@@ -73,6 +73,9 @@ class MacroState:
     """Cell values of density and momentum at a time; the closure spread T is the grid's.
 
     A state's arrays are not written in place once built, so its velocity is formed once.
+    Public construction checks the arrays.  _unchecked skips the checks; only a
+    solver may call it, for a state it derives from one it already holds:
+    lax_friedrichs_step, transfer_mass, and the runner's load of a shared grid step.
     """
 
     rho: np.ndarray
@@ -87,6 +90,13 @@ class MacroState:
             raise ValueError("rho and rho_u must be 1D arrays of equal length")
         if (self.rho < 0).any():
             raise ValueError("density must be nonnegative")
+
+    @classmethod
+    def _unchecked(cls, rho, rho_u, time):
+        """A state of float64 arrays of one shape, rho >= 0, built without re-checking them."""
+        state = object.__new__(cls)
+        state.rho, state.rho_u, state.time, state._velocity = rho, rho_u, time, None
+        return state
 
     def velocity(self) -> np.ndarray:
         """u = rho_u / rho with the density floored, formed on the first call; read-only."""
@@ -230,7 +240,7 @@ def lax_friedrichs_step(
     rho_new, mom_new = _hydrostatic_update(state, grid, dt, params, consensus)
     np.maximum(rho_new, 0.0, out=rho_new)
     mom_new[rho_new <= EPS_RHO] = 0.0
-    return MacroState(rho_new, mom_new, time=state.time + dt)
+    return MacroState._unchecked(rho_new, mom_new, state.time + dt)
 
 
 def advance_macro(state, grid, params, weights, target_time):

@@ -8,6 +8,7 @@ explicit numpy Generator so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,12 @@ class MicroParams:
 
 @dataclass
 class SwarmState:
-    """Positions (N, d), velocities (N, d), uniform particle mass, step counter."""
+    """Positions (N, d), velocities (N, d), uniform particle mass, step counter.
+
+    Public construction checks the fields.  _unchecked skips the checks; only a
+    solver may call it, for a swarm it derives from one it already holds:
+    step_euler_maruyama and transfer_mass.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -59,6 +65,14 @@ class SwarmState:
             raise ValueError("swarm needs at least one particle")
         if self.particle_mass < 0:
             raise ValueError("particle mass must be nonnegative")
+
+    @classmethod
+    def _unchecked(cls, positions, velocities, particle_mass, step):
+        """A swarm of float64 (N, d) arrays, N >= 1, mass >= 0, built without re-checking them."""
+        swarm = object.__new__(cls)
+        swarm.positions, swarm.velocities = positions, velocities
+        swarm.particle_mass, swarm.step = particle_mass, step
+        return swarm
 
     @property
     def n_particles(self) -> int:
@@ -157,14 +171,15 @@ def step_euler_maruyama(
 
     if params.diffusion == "isotropic":
         theta = rng.standard_normal(state.n_particles)[:, None]
+        scale = diffusion_diagonal("isotropic", r)
     else:
         theta = rng.standard_normal(state.positions.shape)
-    scale = diffusion_diagonal(params.diffusion, r)
+        scale = r  # diag(r): the displacement itself, read but never written
 
     velocities = (
         (m / c) * state.velocities
         + (lam * dt / c) * r
-        + (sigma * np.sqrt(dt) / c) * scale * theta
+        + (sigma * math.sqrt(dt) / c) * scale * theta
     )
     positions = state.positions + dt * velocities
 
@@ -173,7 +188,7 @@ def step_euler_maruyama(
             f"swarm blew up at step {state.step + 1}: non-finite positions or "
             "velocities (check m, lambda, sigma, dt)"
         )
-    return SwarmState(positions, velocities, state.particle_mass, state.step + 1)
+    return SwarmState._unchecked(positions, velocities, state.particle_mass, state.step + 1)
 
 
 def softmin_gap(weights: np.ndarray, alpha: float) -> float:

@@ -117,11 +117,12 @@ def compute_zeta(
     d = np.abs(macro.velocity() - vbar)
 
     rho_m = swarm.particle_mass * counts / grid.dx
-    cell_total = rho_m + macro.rho
-    w = np.divide(rho_m, cell_total, out=np.zeros_like(rho_m), where=cell_total > 0)
+    # an empty cell has rho_m = 0, so its weight is 0; a positive total is never
+    # below the smallest subnormal, so the floor leaves every other divide as it is
+    w = rho_m / np.maximum(rho_m + macro.rho, 5e-324)
 
     w_sum = w.sum()
-    d_max = np.max(d, where=occupied, initial=0.0)  # d >= 0: the initial 0.0 never wins
+    d_max = d[occupied].max()  # a swarm holds a particle, so some cell is occupied
     rule = coupling.rule
     if d_max == 0.0 or w_sum <= 0.0:
         return rule.zeta_min
@@ -138,10 +139,12 @@ def transfer_mass(
 ):
     """Re-split the total mass between the scales according to a fresh zeta.
 
-    Frozen before step t_star: no mass moves and zeta keeps its value, but
-    the previous-step density snapshot is still refreshed so the first
-    activated transfer sees a one-step difference rather than the drift
-    accumulated since initialization.  Afterwards the particle weight is set
+    Frozen before step t_star: no mass moves, zeta keeps its value and the
+    three inputs come back as they are, except at step t_star - 1, which
+    takes the particle density snapshot that the first activated transfer
+    reads, so that transfer sees a one-step difference rather than the drift
+    accumulated since initialization (with t_star <= 1 it reads the snapshot
+    init_coupling took).  Afterwards the particle weight is set
     so the microscopic mass equals zeta * mu0, the macroscopic density
     absorbs the difference, and one multiplicative rescale pins the combined
     mass to its pre-transfer value.  The particles are binned once: zeta and
@@ -150,9 +153,11 @@ def transfer_mass(
     The macroscopic momentum is kept where the density is lowered, so a
     cell's velocity rho_u / rho grows by the inverse ratio.
     """
-    if step < coupling.rule.t_star:
-        frozen = replace(coupling, rho_m_prev=micro_cell_density(swarm, grid))
-        return frozen, swarm, macro
+    t_star = coupling.rule.t_star
+    if step < t_star - 1:
+        return coupling, swarm, macro
+    if step < t_star:
+        return replace(coupling, rho_m_prev=micro_cell_density(swarm, grid)), swarm, macro
 
     dx = grid.dx
     total_before = swarm.total_mass + macro.rho.sum() * dx
@@ -162,8 +167,8 @@ def transfer_mass(
     binned = _bin(swarm, grid)
     zeta = compute_zeta(swarm, macro, grid, coupling, binned=binned)
     mu_new = zeta * coupling.mu0
-    new_swarm = SwarmState(swarm.positions, swarm.velocities, mu_new / swarm.n_particles,
-                           swarm.step)
+    new_swarm = SwarmState._unchecked(swarm.positions, swarm.velocities,
+                                      mu_new / swarm.n_particles, swarm.step)
     # micro_cell_density of new_swarm, from the same counts
     rho_m_new = new_swarm.particle_mass * binned[1] / dx
     delta = rho_m_new - coupling.rho_m_prev
@@ -177,6 +182,6 @@ def transfer_mass(
 
     # a cell emptied by the transfer must not keep stale momentum
     rho_u = np.where(rho_macro <= EPS_RHO, 0.0, macro.rho_u)
-    new_macro = MacroState(rho_macro, rho_u, time=macro.time)
+    new_macro = MacroState._unchecked(rho_macro, rho_u, macro.time)
     new_coupling = replace(coupling, zeta=zeta, rho_m_prev=rho_m_new)
     return new_coupling, new_swarm, new_macro

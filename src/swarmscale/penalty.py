@@ -7,6 +7,7 @@ from the config's one penalty section and then update their own
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +50,7 @@ class PenaltyController:
     @property
     def threshold(self) -> float:
         """Feasibility tolerance 1/sqrt(kappa)."""
-        return 1.0 / np.sqrt(self.kappa)
+        return 1.0 / math.sqrt(self.kappa)
 
     def accepts(self, violation: float) -> bool:
         return violation <= self.threshold

@@ -246,7 +246,7 @@ class _Grid(_Scale):
         if n <= len(self.shared):
             (rho, rho_u, t, self.ctrl, self.pf, self.weights, self.violation,
              self.branch) = self.shared[n - 1]
-            self.state = MacroState(rho, rho_u, time=t)
+            self.state = MacroState._unchecked(rho, rho_u, t)  # checked when computed
             self.steps_shared += 1
             return
         super().move(n)

@@ -1,13 +1,17 @@
 """Config loading, validation messages, round-trips and the builders."""
 
 import copy
+import csv
+import json
 import math
+import os
 import re
+import tempfile
 from dataclasses import fields, replace
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from importlib import resources
 
@@ -26,6 +30,7 @@ from swarmscale.objectives import (
     Ball, BallUnion, Halfspace1D, IntervalUnion, ObjectiveFunction,
 )
 from swarmscale.penalty import PenaltyConfig
+from swarmscale.runner import RunError, run_experiment
 
 
 def bundled_config_path(name):
@@ -575,3 +580,53 @@ def test_every_tree_is_rejected_at_key_paths_or_loads_and_round_trips(tree):
         return
     assert config_from_dict(config_to_dict(cfg)) == cfg
     assert replace(cfg) == cfg
+
+
+BUNDLED_CONFIGS = [config_from_dict(tree) for tree in TREES]
+# a changed key may take another key's value, such as the seed; runs stay no larger
+# than the bundled ones
+MAX_PARTICLES = max(c.n_particles for c in BUNDLED_CONFIGS)
+MAX_CELLS = max(c.macro.n_cells for c in BUNDLED_CONFIGS)
+FINITE_JSON = {"parse_constant": lambda c: pytest.fail(f"summary.json holds {c}")}
+
+
+@st.composite
+def short_runs(draw):
+    """A config that loads from a tree of config_trees, set to run 1-8 steps."""
+    try:
+        cfg = config_from_dict(draw(config_trees()))
+    except ConfigError:
+        assume(False)
+    assume(cfg.n_particles <= MAX_PARTICLES and cfg.macro.n_cells <= MAX_CELLS)
+    return replace(cfg, n_steps=draw(st.integers(1, 8)))
+
+
+# the particles' objective overflows at step 1, so every pass runs the RunError branch
+FREE = BUNDLED_CONFIGS[BUNDLED.index("rastrigin1d_micromacro")]
+BLOW_UP = replace(FREE, n_steps=3, micro=replace(FREE.micro, sigma=1e300))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(short_runs())
+@example(BLOW_UP)
+def test_every_loaded_config_runs_to_finite_output_or_fails_at_a_step(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        cfg = replace(cfg, output=out)
+        try:
+            run_experiment(cfg)
+        except RunError as exc:
+            assert 0 <= exc.step <= cfg.n_steps and f"(step {exc.step}," in str(exc)
+            return
+        with open(os.path.join(out, "trace.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == cfg.n_steps + 1
+        for row in rows:
+            for column, cell in zip(header, row, strict=True):
+                if column.startswith("branch"):
+                    assert cell in ("none", "success", "failure")
+                else:
+                    assert math.isfinite(float(cell)), (column, cell)
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh, **FINITE_JSON)
+        assert summary["n_steps"] == cfg.n_steps

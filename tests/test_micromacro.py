@@ -178,10 +178,39 @@ def test_transfer_frozen_before_activation():
         assert swarm_out.particle_mass == 0.05
         assert macro_out.rho.sum() * grid.dx == macro_mass
         assert coupling.zeta == 0.5
-        # the snapshot tracks the current histogram while everything is frozen
+        # the swarm never moves, so the snapshot init_coupling took is the current histogram
         np.testing.assert_array_equal(
             coupling.rho_m_prev, micro_cell_density(swarm, grid)
         )
+
+
+def test_frozen_transfers_hand_back_their_inputs_until_the_last_one():
+    # only the transfer at t_star - 1 takes the snapshot that the first active one reads
+    grid = Grid1D(-3.0, 3.0, 25)
+    rng = np.random.default_rng(17)
+    swarm = SwarmState(rng.uniform(-3, 3, size=(60, 1)), rng.uniform(-1, 1, size=(60, 1)),
+                       particle_mass=0.5 / 60)
+    macro = MacroState(np.full(25, 0.5 / 6.0), np.zeros(25))
+    start = init_coupling(swarm, grid, CouplingConfig(zeta0=0.5, t_star=5))
+    got = ref = (start, swarm, macro)
+    for step in range(1, 7):
+        # the particles move between transfers, so every histogram differs
+        moved = SwarmState(swarm.positions + 0.3 * rng.standard_normal(swarm.positions.shape),
+                           rng.uniform(-1, 1, size=swarm.velocities.shape),
+                           particle_mass=got[1].particle_mass)
+        assert not np.array_equal(micro_cell_density(moved, grid),
+                                  micro_cell_density(swarm, grid))
+        swarm = moved
+        inputs = (got[0], swarm, got[2])
+        got = transfer_mass(*inputs, grid, step)
+        ref = reference_transfer_mass(ref[0], swarm, ref[2], grid, step)
+        if step < 4:
+            assert all(out is given for out, given in zip(got, inputs))
+        elif step == 4:
+            assert got[1] is swarm and got[2] is inputs[2]
+            np.testing.assert_array_equal(got[0].rho_m_prev, micro_cell_density(swarm, grid))
+    assert got[0].zeta != start.zeta  # the active transfers moved mass
+    assert_transfers_equal(got, ref)
 
 
 def test_transfer_two_step_trace():
@@ -375,8 +404,19 @@ def test_transfer_matches_the_reference_body_bit_for_bit(spread):
     grid = Grid1D(-2.0, 2.0, 41)
     rng = np.random.default_rng(61)
     emptied = 0
-    for _ in range(30):
-        swarm, macro = coupled_states(rng, grid, int(rng.integers(1, 40)), spread)
+    for case in range(31):
+        subnormal = case == 30
+        swarm, macro = coupled_states(rng, grid, 30 if subnormal else int(rng.integers(1, 40)),
+                                      spread)
+        if subnormal:
+            # subnormal cell totals, down to the smallest subnormal, which the weight's
+            # divide floors: particles of subnormal mass in cells with no grid density,
+            # so each occupied cell weighs 1, and two empty cells of subnormal density
+            swarm = replace(swarm, particle_mass=1e-322)
+            counts = mm._bin(swarm, grid)[1]
+            rho = np.where(counts > 0, 0.0, macro.rho)
+            rho[np.flatnonzero(counts == 0)[:2]] = [5e-324, 2.5e-310]
+            macro = MacroState(rho, macro.rho_u * (rho > 0), time=macro.time)
         # a snapshot from another swarm makes delta large, so thin cells empty
         other, _ = coupled_states(rng, grid, swarm.n_particles, spread)
         start = replace(init_coupling(swarm, grid, CouplingConfig(t_star=5)),
