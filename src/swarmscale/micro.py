@@ -145,13 +145,15 @@ def diffusion_diagonal(mode: str, displacement: np.ndarray) -> np.ndarray:
 
     isotropic   -> ||r||_2 in every component (the matrix ||r|| * I)
     anisotropic -> the displacement itself    (the matrix diag(r))
+
+    The anisotropic diagonal is the input array itself (as float), not a copy.
     """
     displacement = np.asarray(displacement, dtype=float)
     if mode == "isotropic":
         norms = np.linalg.norm(displacement, axis=-1, keepdims=True)
         return np.broadcast_to(norms, displacement.shape).copy()
     if mode == "anisotropic":
-        return displacement.copy()
+        return displacement
     raise ValueError(f"diffusion must be one of {DIFFUSION_MODES}")
 
 
@@ -171,10 +173,9 @@ def step_euler_maruyama(
 
     if params.diffusion == "isotropic":
         theta = rng.standard_normal(state.n_particles)[:, None]
-        scale = diffusion_diagonal("isotropic", r)
     else:
         theta = rng.standard_normal(state.positions.shape)
-        scale = r  # diag(r): the displacement itself, read but never written
+    scale = diffusion_diagonal(params.diffusion, r)
 
     velocities = (
         (m / c) * state.velocities

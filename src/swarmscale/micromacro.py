@@ -144,7 +144,10 @@ def transfer_mass(
     takes the particle density snapshot that the first activated transfer
     reads, so that transfer sees a one-step difference rather than the drift
     accumulated since initialization (with t_star <= 1 it reads the snapshot
-    init_coupling took).  Afterwards the particle weight is set
+    init_coupling took).  A caller must therefore call it at every step from
+    1 on, or at least at t_star - 1: one that skips that step makes the first
+    active transfer read init_coupling's snapshot, with no error.  Afterwards
+    the particle weight is set
     so the microscopic mass equals zeta * mu0, the macroscopic density
     absorbs the difference, and one multiplicative rescale pins the combined
     mass to its pre-transfer value.  The particles are binned once: zeta and

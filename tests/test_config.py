@@ -592,24 +592,35 @@ FINITE_JSON = {"parse_constant": lambda c: pytest.fail(f"summary.json holds {c}"
 
 @st.composite
 def short_runs(draw):
-    """A config that loads from a tree of config_trees, set to run 1-8 steps."""
+    """A config that loads from a tree of config_trees, set to run 1-8 steps.
+
+    The transfer starts within the run (t_star <= n_steps), so a coupled run
+    makes at least one active transfer.
+    """
     try:
         cfg = config_from_dict(draw(config_trees()))
     except ConfigError:
         assume(False)
     assume(cfg.n_particles <= MAX_PARTICLES and cfg.macro.n_cells <= MAX_CELLS)
-    return replace(cfg, n_steps=draw(st.integers(1, 8)))
+    n_steps = draw(st.integers(1, 8))
+    t_star = draw(st.integers(0, n_steps))
+    return replace(cfg, n_steps=n_steps, coupling=replace(cfg.coupling, t_star=t_star))
 
 
 # the particles' objective overflows at step 1, so every pass runs the RunError branch
 FREE = BUNDLED_CONFIGS[BUNDLED.index("rastrigin1d_micromacro")]
 BLOW_UP = replace(FREE, n_steps=3, micro=replace(FREE.micro, sigma=1e300))
+# both bundled coupled configs, their transfer active from step 2 of 6
+CONSTRAINED = BUNDLED_CONFIGS[BUNDLED.index("rastrigin1d_micromacro_constrained")]
+ACTIVE = [replace(c, n_steps=6, coupling=replace(c.coupling, t_star=2)) for c in (FREE, CONSTRAINED)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)
 @given(short_runs())
 @example(BLOW_UP)
+@example(ACTIVE[0])
+@example(ACTIVE[1])
 def test_every_loaded_config_runs_to_finite_output_or_fails_at_a_step(cfg):
     with tempfile.TemporaryDirectory() as out:
         cfg = replace(cfg, output=out)

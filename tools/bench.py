@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench.py BENCH_<n>.json [--seconds S] [--seed N]
+    python3 tools/bench.py BENCH_<n>.json
 
 Each workload that BENCHMARK.json lists is run by ``perfbench/run.py`` as a
 subprocess, once with ``--trace 0`` (the end-to-end metrics) and once with
@@ -10,8 +10,8 @@ subprocess, once with ``--trace 0`` (the end-to-end metrics) and once with
 runs share the cores.  The last line a run prints, its result, is copied
 verbatim.  The file also records the git HEAD the sources were read at and
 whether the working tree differed from it, the python and numpy versions
-and the number of usable cores.  ``--seconds`` defaults to the benchmark's
-``run_seconds`` and ``--seed`` to perfbench's own base seed.
+and the number of usable cores.  Every run lasts the benchmark's
+``run_seconds`` and uses perfbench's own base seed.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ def git(*args):
                           text=True).stdout.strip()
 
 
-def result_line(workload, trace, seconds, seed):
+def result_line(workload, trace, seconds):
     """The last stdout line of one perfbench run; exits with its stderr if the run fails."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seconds", str(seconds), "--trace", str(trace)]
-    if seed is not None:
-        command += ["--seed", str(seed)]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(command)} exited {done.returncode}:\n{done.stderr}")
@@ -49,9 +47,8 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="the file to write, BENCH_<n>.json")
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    seconds = bench["run_seconds"]
 
     payload = {
         "git_head": git("rev-parse", "HEAD"),
@@ -59,13 +56,12 @@ def main(argv=None):
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
-        "seconds": args.seconds,
-        "seed": args.seed,
+        "seconds": seconds,
         "runs": [],
     }
     for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
-            line = result_line(workload, trace, args.seconds, args.seed)
+            line = result_line(workload, trace, seconds)
             payload["runs"].append({"workload": workload, "trace": trace, "result": line})
             print(f"{workload} --trace {trace}: {line}", flush=True)
     with open(args.out, "w") as fh:
