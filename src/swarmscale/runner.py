@@ -13,12 +13,13 @@ and reads no particle, and a lone grid never reads one, so those steps are
 the same for every seed.  The runs of one config share them: the first run
 computes each such step and keeps the grid's arrays, time and controller
 after it in a module-level slot, and the next runs load them (see
-_SharedSteps).  The outputs are the same bytes whichever run computed them.
+_shared_steps).  The outputs are the same bytes whichever run computed them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -58,16 +59,6 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # checked first: most values are floats, numpy float64 among them
-        return repr(float(value))
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -78,20 +69,23 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def _write_snapshot(out_dir, step, grid, macro):
     _write_csv(os.path.join(out_dir, f"fields_{step:06d}.csv"), ["x", "rho", "rho_u"],
-               zip(grid.centers, macro.rho, macro.rho_u))
+               zip(grid.centers.tolist(), macro.rho.tolist(), macro.rho_u.tolist()))
 
 
 class _Scale:
     """One representation of the swarm, with its own penalized objective and controller.
 
-    Each scale names its own trace columns when it is built: a scale that runs
-    alone uses bare names and reports extra columns (the particle gap, or the
-    grid mass and peak); a coupled scale suffixes its name, and the transfer
+    Each part of a run (a scale, or a coupled run's transfer) declares its
+    trace ``columns`` when it is built, and its ``row()`` returns the values
+    in that order as Python ints, floats and strs, which csv writes as
+    ``str(v)``: a float's shortest round-trip repr.  A scale that runs alone
+    uses bare names and reports extra columns (the particle gap, or the grid
+    mass and peak); a coupled scale suffixes its name, and the transfer
     reports the masses.
     """
 
@@ -133,9 +127,8 @@ class _Scale:
         self.advance(n)
         self.penalize()
 
-    def penalty_items(self):
-        values = (self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch)
-        return list(zip(self.penalty_columns, values))
+    def penalty_row(self):
+        return [self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch]
 
 
 class _Particles(_Scale):
@@ -151,9 +144,9 @@ class _Particles(_Scale):
         self.rng = rng
         self.swarm = init_swarm(cfg.n_particles, cfg.objective.dim, rng,
                                 box=cfg.micro.init_box, particle_mass=mass / cfg.n_particles)
-        # the lone swarm names each coordinate; a coupled run is 1D
-        self.consensus_columns = ([f"consensus_{k}" for k in range(cfg.objective.dim)]
-                                  if alone else ["consensus" + self.suffix])
+        # the lone swarm names each coordinate and reports its gap; a coupled run is 1D
+        self.columns = ([f"consensus_{k}" for k in range(cfg.objective.dim)] + ["softmin_gap"]
+                        if alone else ["consensus" + self.suffix]) + self.penalty_columns
         self.evaluate(self.swarm.positions)
 
     def clock(self, n):
@@ -173,6 +166,8 @@ class _Particles(_Scale):
         self.consensus = [float(c) for c in self.target]
         if self.alone:
             self.gap = softmin_gap(self.weights, self.params.alpha)
+            if __debug__:
+                assert self.gap <= np.log(self.swarm.n_particles) / self.params.alpha + 1e-9
 
     def mass(self):
         return self.swarm.total_mass
@@ -180,44 +175,24 @@ class _Particles(_Scale):
     def arrays(self):
         return self.swarm.positions, self.swarm.velocities
 
-    def row_items(self):
-        items = list(zip(self.consensus_columns, self.consensus))
-        if self.alone:
-            if __debug__:
-                assert self.gap <= np.log(self.swarm.n_particles) / self.params.alpha + 1e-9
-            items.append(("softmin_gap", self.gap))
-        return items + self.penalty_items()
+    def row(self):
+        return self.consensus + ([self.gap] if self.alone else []) + self.penalty_row()
 
 
-class _SharedSteps:
-    """The grid's seed-free steps of the last config run, loaded by its next runs.
+@functools.lru_cache(maxsize=1)
+def _shared_steps(mode, objective, feasible_set, micro, macro, penalty, coupling):
+    """The records of the grid's seed-free steps of the last config run, loaded by its next runs.
 
-    The grid's steps up to the first transfer follow from the sections in
-    the key alone: not from the seed, the output, the particle count or the
-    run length.  Record n holds the grid's arrays and time, and its
-    controller, penalized objective, weights, violation and branch, after
-    step n's move and penalty update.  The arrays are kept read-only, not
-    as a live MacroState, so no velocity is cached across runs.  A run of
-    another key empties the slot; a step that fails records nothing.  Runs
-    fill the slot one after another, never from two threads at once.
+    The grid's steps up to the first transfer follow from these sections
+    alone: not from the seed, the output, the particle count or the run
+    length.  Record n holds the grid's arrays and time, and its controller,
+    penalized objective, weights, violation and branch, after step n's move
+    and penalty update.  The arrays are kept read-only, not as a live
+    MacroState, so no velocity is cached across runs.  A run of another key
+    evicts the list; a step that fails records nothing.  Runs fill the list
+    one after another, never from two threads at once.
     """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.key, self.steps = None, []
-
-    def claim(self, cfg):
-        """The records of cfg's grid, emptied first if the last run had another key."""
-        key = (cfg.mode, cfg.objective, cfg.feasible_set, cfg.micro, cfg.macro, cfg.penalty,
-               cfg.coupling)
-        if key != self.key:
-            self.key, self.steps = key, []
-        return self.steps
-
-
-_shared = _SharedSteps()
+    return []
 
 
 class _Grid(_Scale):
@@ -233,11 +208,14 @@ class _Grid(_Scale):
         super().__init__(cfg, "macro", alone)
         self.grid = cfg.macro  # the section is the grid, with its solver's settings
         self.state = init_macro(self.grid, total_mass=mass)
-        self.consensus_column = "consensus" + self.suffix
+        self.columns = ["consensus" + self.suffix] + self.penalty_columns
+        if alone:
+            self.columns += ["total_mass", "argmax_center"]
         self.evaluate(self.grid.centers[:, None])  # the centers never move
         # a lone grid never reads a particle; a coupled one first does after transfer t_star
         self.last_shared = cfg.n_steps if alone else cfg.coupling.t_star
-        self.shared = _shared.claim(cfg)
+        self.shared = _shared_steps(cfg.mode, cfg.objective, cfg.feasible_set, cfg.micro,
+                                    cfg.macro, cfg.penalty, cfg.coupling)
         self.steps_shared = 0  # steps this run loaded rather than computed
 
     def move(self, n):
@@ -280,15 +258,17 @@ class _Grid(_Scale):
     def arrays(self):
         return self.state.rho, self.state.rho_u
 
-    def row_items(self):
-        items = [(self.consensus_column, self.consensus)] + self.penalty_items()
+    def row(self):
+        row = [self.consensus] + self.penalty_row()
         if self.alone:
-            items += [("total_mass", self.mass()), ("argmax_center", self.peak(self.state.rho))]
-        return items
+            row += [self.mass(), self.peak(self.state.rho)]
+        return row
 
 
 class _Transfer:
     """Post-step hook of a coupled run: re-splits the mass between the two scales."""
+
+    columns = ["zeta", "mass_micro", "mass_macro", "mass_total"]
 
     def __init__(self, cfg, particles, grid):
         self.particles, self.grid = particles, grid
@@ -298,10 +278,9 @@ class _Transfer:
         p, g = self.particles, self.grid
         self.state, p.swarm, g.state = transfer_mass(self.state, p.swarm, g.state, g.grid, n)
 
-    def row_items(self):
+    def row(self):
         mass_micro, mass_macro = self.particles.mass(), self.grid.mass()
-        return [("zeta", self.state.zeta), ("mass_micro", mass_micro),
-                ("mass_macro", mass_macro), ("mass_total", mass_micro + mass_macro)]
+        return [self.state.zeta, mass_micro, mass_macro, mass_micro + mass_macro]
 
 
 def _build_scales(cfg):
@@ -320,23 +299,14 @@ def _build_scales(cfg):
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute one configured run and write trace.csv, summary.json and timings.json.
 
-    Each trace row is written as soon as it is made, under a header taken from
-    the keys of row 0, so a run that fails keeps its completed rows on disk.
+    Each trace row is written as soon as it is made, under a header built at
+    step 0 from the columns each part declares, so a run that fails keeps its
+    completed rows on disk.
     """
     os.makedirs(cfg.output, exist_ok=True)
     started = time.perf_counter()
     snap = cfg.macro.snapshot_every if cfg.mode != "micro" else 0  # the grid steps last
     scales, transfer, rows = [], None, []
-
-    def row(n):
-        # the row time is the leading scale's clock: n * dt for the swarm,
-        # the accumulated sub-step time for a lone grid
-        values = {"step": n, "time": scales[0].clock(n)}
-        for s in scales:
-            values.update(s.row_items())
-        if transfer is not None:
-            values.update(transfer.row_items())
-        return values
 
     csv_path = os.path.join(cfg.output, "trace.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -356,10 +326,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             except Exception as exc:
                 arrays = (a for s in scales for a in s.arrays())
                 raise RunError(str(exc), n, _digest(*arrays)) from exc
-            rows.append(row(n))
             if n == 0:
-                trace.writerow(rows[0])  # the header: row 0's keys
-            trace.writerow([_fmt(v) for v in rows[-1].values()])
+                parts = scales + ([transfer] if transfer is not None else [])
+                header = ["step", "time"] + [c for p in parts for c in p.columns]
+                trace.writerow(header)
+            # the row time is the leading scale's clock: n * dt for the swarm,
+            # the accumulated sub-step time for a lone grid
+            values = [n, scales[0].clock(n)] + [v for p in parts for v in p.row()]
+            rows.append(dict(zip(header, values, strict=True)))
+            trace.writerow(values)
             if snap and n and n % snap == 0:
                 _write_snapshot(cfg.output, n, scales[-1].grid, scales[-1].state)
 

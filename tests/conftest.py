@@ -16,7 +16,7 @@ def empty_shared_grid_steps():
     A test that patches the grid solver or counts its calls would otherwise see
     steps loaded from an earlier test's run of the same config.
     """
-    runner._shared.clear()
+    runner._shared_steps.cache_clear()
 
 
 def bundled_config_path(name):

@@ -42,16 +42,6 @@ from swarmscale.penalty import (
 )
 from swarmscale.runner import run_experiment
 
-SIX_BALLS = [
-    ((-0.5, 2.2), 0.4),
-    ((1.3, -0.8), 0.2),
-    ((1.0, -1.3), 0.1),
-    ((1.0, -1.0), 0.1),
-    ((2.1, -2.0), 0.65),
-    ((-1.0, -2.0), 0.3),
-]
-
-
 def bundled(name):
     return load_config(resources.files("swarmscale.configs") / f"{name}.yaml")
 
@@ -80,9 +70,10 @@ def test_unconstrained_swarm_finds_origin(tmp_path):
 
 
 def feasible_minimizer_by_scan():
-    # brute force at 1e-3 resolution over every ball of the admissible set
+    # brute force at 1e-3 resolution over every ball of the bundled admissible set
     best_val, best_pt = np.inf, None
-    for (cx, cy), r2 in SIX_BALLS:
+    for ball in bundled("ackley2d_constrained").feasible_set.balls:
+        (cx, cy), r2 = ball.center, ball.radius_sq
         r = math.sqrt(r2)
         xs = np.arange(cx - r, cx + r + 1e-3, 1e-3)
         ys = np.arange(cy - r, cy + r + 1e-3, 1e-3)
@@ -120,7 +111,7 @@ def test_constrained_swarm_lands_on_feasible_minimizer(tmp_path):
 def test_grid_solver_concentrates_at_feasible_minimizer(tmp_path):
     cfg = bundled("ackley1d_macro_constrained")
     report = run_experiment(replace(cfg, output=str(tmp_path / "macro")))
-    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    dx = cfg.macro.dx
     estimate = report.summary["argmin_estimate"][0]
     assert abs(estimate - (-1.0)) <= 2 * dx
 
@@ -132,7 +123,7 @@ def test_grid_peak_holds_over_a_window_of_stop_steps(tmp_path):
     # the result must not rest on one stop step: every step from 400 to 800
     cfg = bundled("ackley1d_macro_constrained")
     report = run_experiment(replace(cfg, n_steps=800, output=str(tmp_path / "macro")))
-    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    dx = cfg.macro.dx
     misses = [row["step"] for row in report.rows[400:]
               if abs(row["argmax_center"] - (-1.0)) > 2 * dx]
     assert misses == []
@@ -144,7 +135,7 @@ def test_grid_peak_holds_over_a_window_of_stop_steps(tmp_path):
 def test_mass_migrates_to_grid_scale(tmp_path):
     cfg = bundled("rastrigin1d_micromacro")
     t_star = cfg.coupling.t_star
-    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    dx = cfg.macro.dx
 
     zeta_ok = trend_ok = hits = 0
     for report in seeded_runs(cfg, 5, tmp_path):
@@ -176,7 +167,7 @@ def test_mass_migrates_to_grid_scale(tmp_path):
 @pytest.mark.parametrize("n_steps, zeta_claimed", [(1600, True), (3200, False)])
 def test_free_coupled_run_holds_at_each_stop_step(tmp_path, n_steps, zeta_claimed):
     cfg = replace(bundled("rastrigin1d_micromacro"), n_steps=n_steps)
-    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    dx = cfg.macro.dx
     hits = zeta_ok = 0
     for report in seeded_runs(cfg, 5, tmp_path):
         hits += abs(report.summary["argmin_estimate"][0]) <= 2 * dx
@@ -188,7 +179,7 @@ def test_free_coupled_run_holds_at_each_stop_step(tmp_path, n_steps, zeta_claime
 
 def test_constrained_coupled_run_peaks_near_minimizer(tmp_path):
     cfg = bundled("rastrigin1d_micromacro_constrained")
-    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    dx = cfg.macro.dx
     hits = 0
     for report in seeded_runs(cfg, 5, tmp_path):
         estimate = report.summary["argmin_estimate"][0]
@@ -200,7 +191,7 @@ def test_constrained_coupled_run_peaks_near_minimizer(tmp_path):
 @pytest.mark.parametrize("n_steps", [300, 800])
 def test_constrained_coupled_peak_holds_at_each_stop_step(tmp_path, n_steps):
     cfg = replace(bundled("rastrigin1d_micromacro_constrained"), n_steps=n_steps)
-    dx = (cfg.macro.x_max - cfg.macro.x_min) / cfg.macro.n_cells
+    dx = cfg.macro.dx
     hits = 0
     for report in seeded_runs(cfg, 5, tmp_path):
         estimate = report.summary["argmin_estimate"][0]

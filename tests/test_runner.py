@@ -4,12 +4,16 @@ pinned traces of the bundled configs and the grid steps that runs of one config 
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from swarmscale import macro, micro, objectives, runner
 from swarmscale.config import ConfigError, config_from_dict
@@ -83,7 +87,7 @@ def test_a_non_finite_last_sub_step_fails_its_step(tmp_path, monkeypatch, n_step
         assert isinstance(exc.value.__cause__, FloatingPointError)
         digests.append(exc.value.digest)
     assert digests[0] == digests[1]
-    assert len(runner._shared.steps) == 2
+    assert len(shared_records(cfg)) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -208,6 +212,24 @@ def test_snapshots_follow_their_cadence(tmp_path, mode, steps):
         assert rows[0] == ["x", "rho", "rho_u"] and len(rows) == 1 + 21
 
 
+@pytest.mark.parametrize("mode", ["micro", "macro", "micromacro"])
+def test_every_row_has_the_header_columns(tmp_path, mode):
+    cfg = tiny(tmp_path, mode)
+    report = run_experiment(cfg)
+    with open(report.csv_path) as fh:
+        header, *lines = list(csv.reader(fh))
+    assert len(set(header)) == len(header)
+    assert list(report.rows[0]) == header
+    assert len(lines) == cfg.n_steps + 1
+    assert all(len(line) == len(header) for line in lines)
+
+
+def test_a_row_longer_than_its_columns_fails_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner._Transfer, "columns", runner._Transfer.columns[:-1])
+    with pytest.raises(ValueError, match="zip"):
+        run_experiment(tiny(tmp_path, "micromacro"))
+
+
 @pytest.mark.parametrize("mode, dim, header", [
     ("micro", 2, "run,seed,step,time,consensus_0,consensus_1"),
     ("macro", 1, "run,seed,step,time,consensus"),
@@ -232,40 +254,98 @@ def test_an_ensemble_whose_last_seed_is_out_of_range_fails_before_its_first_run(
     assert [r["seed"] for r in report.runs] == [2**64 - 2, 2**64 - 1]
 
 
-PINNED = [
-    # name, trace.csv digest, summary.json digest
-    ("ackley2d_unconstrained", "b86e85e3b1d14a9e", "9630fc27dfa633ec"),
-    ("ackley2d_constrained", "371afaa0dea46248", "f096088083c80597"),
-    ("ackley1d_macro_constrained", "e80992b8e6cb9d58", "c1550ce028f17478"),
-    ("rastrigin1d_micromacro", "65318edc76e8f727", "d3a69b081549b0ea"),
-    ("rastrigin1d_micromacro_constrained", "b20b25a5a2f45424", "0638348306ee9620"),
-]
+# bundled config -> (trace.csv digest, summary.json digest), for each kernel numpy may
+# dispatch float64 exp to: exp and log differ in their last bits between kernels
+PINNED = {
+    "X86_V4": {  # AVX-512
+        "ackley2d_unconstrained": ("b86e85e3b1d14a9e", "9630fc27dfa633ec"),
+        "ackley2d_constrained": ("371afaa0dea46248", "f096088083c80597"),
+        "ackley1d_macro_constrained": ("e80992b8e6cb9d58", "c1550ce028f17478"),
+        "rastrigin1d_micromacro": ("65318edc76e8f727", "d3a69b081549b0ea"),
+        "rastrigin1d_micromacro_constrained": ("b20b25a5a2f45424", "0638348306ee9620"),
+    },
+    "X86_V3": {  # AVX2
+        "ackley2d_unconstrained": ("968946ab5aa0675b", "bbf4ab5b26715853"),
+        "ackley2d_constrained": ("0c5eff775e5b5000", "d0018ebcd2f2c329"),
+        "ackley1d_macro_constrained": ("20e6ed6c266450a7", "a5fa9545c1be45e7"),
+        "rastrigin1d_micromacro": ("cb3becfd1b1ccebd", "92af5d858992cbdc"),
+        "rastrigin1d_micromacro_constrained": ("20f43da499443be7", "30a3db94f965042b"),
+    },
+}
+BUNDLED = list(PINNED["X86_V4"])
+# the environment under which numpy on an AVX-512 CPU dispatches as on an AVX2 one
+AVX2_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
-@pytest.mark.parametrize("name, digest, summary_digest", PINNED,
-                         ids=[f"{name}-{digest}" for name, digest, _ in PINNED])
-def test_bundled_trace_is_pinned(load_bundled, name, digest, summary_digest):
+def exp_targets():
+    """The float64 exp kernel numpy runs in this process, and the ones the CPU offers."""
+    (info,) = opt_func_info(func_name="^exp$", signature="float64.*")["exp"].values()
+    return info["current"], info["available"].split()
+
+
+def digests(cfg):
+    """Run cfg; the sha256 prefixes of the trace.csv and summary.json it writes."""
+    run_experiment(cfg)
+    return tuple(hashlib.sha256(Path(cfg.output, f).read_bytes()).hexdigest()[:16]
+                 for f in ("trace.csv", "summary.json"))
+
+
+@pytest.mark.parametrize("name", BUNDLED,
+                         ids=[f"{name}-{trace}" for name, (trace, _) in PINNED["X86_V4"].items()])
+def test_bundled_trace_is_pinned(load_bundled, name):
     """Each bundled config at its own seed writes the pinned trace.csv and summary.json.
 
-    Each digest is a sha256 prefix, produced with numpy 2.4.6.  A change
-    that keeps the numerics keeps them; a scheme change that moves one
-    updates it here and states the reason with the change.
+    Each digest is a sha256 prefix, produced with numpy 2.4.6 and read from
+    the row of the float64 exp kernel this process runs; the test ids name
+    the X86_V4 trace digest.  A change that keeps the numerics keeps them; a
+    scheme change that moves one updates both rows here and states the
+    reason with the change.
     """
+    target = exp_targets()[0]
+    assert target in PINNED, f"no digests are pinned for numpy's float64 exp kernel {target}"
     cfg = load_bundled(name)
     assert cfg.seed == 20240815
-    run_experiment(cfg)
-    for filename, expected in [("trace.csv", digest), ("summary.json", summary_digest)]:
-        with open(f"{cfg.output}/{filename}", "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest()[:16] == expected, filename
+    assert digests(cfg) == PINNED[target][name]
+
+
+@pytest.mark.skipif("X86_V3" not in exp_targets()[1], reason="numpy offers no X86_V3 exp kernel")
+def test_bundled_traces_are_pinned_under_the_avx2_exp_kernel(tmp_path):
+    # one process under the AVX2 kernel runs all five, so a change that moves a digest
+    # updates the X86_V3 row on an AVX-512 machine as well
+    script = (
+        "import json, sys\n"
+        "from dataclasses import replace\n"
+        "from swarmscale.config import load_config\n"
+        "import test_runner as t\n"
+        "from conftest import bundled_config_path\n"
+        "print(json.dumps([t.exp_targets()[0], {n: t.digests(replace(\n"
+        "    load_config(bundled_config_path(n)), output=f'{sys.argv[1]}/{n}'))\n"
+        "    for n in t.BUNDLED}]))\n"
+    )
+    tests, src = Path(__file__).parent, Path(runner.__file__).parents[1]
+    env = {**os.environ, **AVX2_ENV,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(tests), str(src),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    target, got = json.loads(done.stdout)
+    assert target == "X86_V3"
+    assert {n: tuple(d) for n, d in got.items()} == PINNED["X86_V3"]
 
 
 # ------------------------------------------------ grid steps shared across runs
 
 
+def shared_records(cfg):
+    """The records of cfg's grid steps in the shared slot, as a new run of cfg finds them."""
+    return runner._build_scales(cfg)[0][-1].shared
+
+
 def written(cfg, cold=False):
     """Run cfg, from an empty slot if cold; its files but timings.json, and the shared count."""
     if cold:
-        runner._shared.clear()
+        runner._shared_steps.cache_clear()
     run_experiment(cfg)
     out = Path(cfg.output)
     files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
@@ -278,7 +358,7 @@ def shared_steps(cfg):
     return {"micro": 0, "macro": cfg.n_steps}.get(cfg.mode, min(cfg.n_steps, cfg.coupling.t_star))
 
 
-@pytest.mark.parametrize("name", [name for name, *_ in PINNED])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_a_warm_run_writes_what_a_cold_run_writes(load_bundled, name):
     cfg = load_bundled(name)
     cold, warm = {}, {}
@@ -304,7 +384,7 @@ def test_configs_run_in_turn_write_what_their_cold_runs_write(load_bundled):
     assert cold["a"] != cold["b"]
     assert sorted(cold["a"]) == ["fields_000100.csv", "fields_000200.csv", "summary.json",
                                  "trace.csv"]
-    runner._shared.clear()
+    runner._shared_steps.cache_clear()
     for k, (cfg, tag) in enumerate([(a, "a"), (b, "b"), (a, "a")]):
         files, shared = written(replace(cfg, output=f"{cfg.output}/{k}"))
         assert files == cold[tag], k
@@ -314,14 +394,14 @@ def test_configs_run_in_turn_write_what_their_cold_runs_write(load_bundled):
 def test_a_longer_run_extends_the_shared_steps(load_bundled):
     cfg = load_bundled("rastrigin1d_micromacro_constrained", n_steps=300)
     cold = written(replace(cfg, output=f"{cfg.output}/cold"), cold=True)[0]
-    runner._shared.clear()
+    runner._shared_steps.cache_clear()
     short = replace(cfg, n_steps=100, output=f"{cfg.output}/short")
     assert written(short)[1] == 0
-    assert len(runner._shared.steps) == 100
+    assert len(shared_records(cfg)) == 100
     for k, shared in enumerate([100, cfg.coupling.t_star]):
         files, got = written(replace(cfg, output=f"{cfg.output}/{k}"))
         assert files == cold and got == shared
-        assert len(runner._shared.steps) == cfg.coupling.t_star
+        assert len(shared_records(cfg)) == cfg.coupling.t_star
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -335,4 +415,4 @@ def test_a_particle_blowup_in_the_shared_steps_fails_alike_warm_and_cold(tmp_pat
         errors.append((exc.value.step, exc.value.digest))
     assert errors[0] == errors[1]
     assert errors[0][0] == 2
-    assert len(runner._shared.steps) == 1
+    assert len(shared_records(cfg)) == 1

@@ -9,8 +9,9 @@ subprocess, once with ``--trace 0`` (the end-to-end metrics) and once with
 ``--trace 1`` (the per-layer metrics), one after another so that no two
 runs share the cores.  The last line a run prints, its result, is copied
 verbatim.  The file also records the git HEAD the sources were read at and
-whether the working tree differed from it, the python and numpy versions
-and the number of usable cores.  Every run lasts the benchmark's
+whether the working tree differed from it, the python and numpy versions,
+the kernel numpy dispatches float64 ``exp`` to (digests and counters depend
+on it) and the number of usable cores.  Every run lasts the benchmark's
 ``run_seconds`` and uses perfbench's own base seed.
 """
 
@@ -24,6 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +33,12 @@ ROOT = Path(__file__).resolve().parent.parent
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def exp_target():
+    """The kernel numpy dispatches float64 exp to in this process, such as X86_V4."""
+    (info,) = opt_func_info(func_name="^exp$", signature="float64.*")["exp"].values()
+    return info["current"]
 
 
 def result_line(workload, trace, seconds):
@@ -55,6 +63,7 @@ def main(argv=None):
         "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "exp_float64": exp_target(),
         "nproc": len(os.sched_getaffinity(0)),
         "seconds": seconds,
         "runs": [],
