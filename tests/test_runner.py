@@ -273,8 +273,6 @@ PINNED = {
     },
 }
 BUNDLED = list(PINNED["X86_V4"])
-# the environment under which numpy on an AVX-512 CPU dispatches as on an AVX2 one
-AVX2_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
 def exp_targets():
@@ -323,7 +321,8 @@ def test_bundled_traces_are_pinned_under_the_avx2_exp_kernel(tmp_path):
         "    for n in t.BUNDLED}]))\n"
     )
     tests, src = Path(__file__).parent, Path(runner.__file__).parents[1]
-    env = {**os.environ, **AVX2_ENV,
+    # numpy on an AVX-512 CPU then dispatches as on an AVX2 one
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(tests), str(src),
                                                        os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
