@@ -30,10 +30,10 @@ from swarmscale.objectives import ObjectiveFunction, PenalizedObjective
 
 grid = Grid1D(-4.0, 4.0, 200, T=0.1, cfl=0.45, boundary="periodic")
 params = MicroParams(m=0.5, lam=1.0)
-pf = PenalizedObjective(ObjectiveFunction("ackley", 1), None, beta=0.0)
+pf = PenalizedObjective(ObjectiveFunction("ackley", 1))
 # the cells never move and beta is fixed, so F_beta there and its Gibbs
-# weights are built once
-weights = gibbs_weights(pf.evaluate(grid.centers[:, None]), alpha=30.0)
+# weights are built once; unconstrained, F_beta is the objective for any beta
+weights = gibbs_weights(pf.evaluate(grid.centers[:, None], 0.0), alpha=30.0)
 
 # Unit-mass bump centered well away from the minimizer at 0.
 rho = np.exp(-0.5 * ((grid.centers - 1.5) / 0.4) ** 2)

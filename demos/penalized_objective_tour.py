@@ -42,8 +42,8 @@ for p, d in zip(probes, region.distance(probes)):
 f = ObjectiveFunction("ackley", 2)
 candidates = np.array([[0.0, 0.0], [1.0, 1.0]])
 print("\npenalized values at the origin vs the feasible center:")
+pf = PenalizedObjective(f, region)
 for beta in (0.0, 1.0, 3.0, 10.0):
-    pf = PenalizedObjective(f, region, beta=beta)
-    v0, v1 = pf.evaluate(candidates)
+    v0, v1 = pf.evaluate(candidates, beta)
     marker = "origin wins" if v0 < v1 else "feasible center wins"
     print(f"  beta={beta:5.1f}: {v0:8.4f} vs {v1:8.4f}  ({marker})")

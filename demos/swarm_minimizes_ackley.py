@@ -11,16 +11,18 @@ import numpy as np
 
 from swarmscale.config import load_bundled
 from swarmscale.micro import consensus_point, gibbs_weights, init_swarm, step_euler_maruyama
-from swarmscale.penalty import violation_micro
+from swarmscale.objectives import PenalizedObjective
+from swarmscale.penalty import PenaltyController, violation_micro
 
 # The bundled problem: Ackley in 2D, feasible set = union of six balls,
 # none of which contains the unconstrained minimizer at the origin.
 cfg = load_bundled("ackley2d_constrained")
 params = cfg.micro
 # the config's one penalty section seeds this controller; a coupled run seeds
-# the grid's from the same section, and the two then move apart
-pf = cfg.build_penalized()
-ctrl = cfg.build_controller()
+# the grid's from the same section, and the two then move apart; the
+# controller holds the one beta that F_beta is built at
+pf = PenalizedObjective(cfg.objective, cfg.feasible_set)
+ctrl = PenaltyController(cfg.penalty)
 
 rng = np.random.default_rng(cfg.seed)
 swarm = init_swarm(cfg.n_particles, 2, rng, box=params.init_box)
@@ -32,21 +34,21 @@ print(f"{'step':>5} {'consensus':>20} {'beta':>7} {'violation':>10}")
 # step; the penalized values F_beta for any beta are built from the two, and
 # their Gibbs weights exp(-alpha F_beta) weigh every swarm average.
 value, penalty = pf.parts(swarm.positions)
-weights = gibbs_weights(pf.combine(value, penalty), params.alpha)
+weights = gibbs_weights(pf.combine(value, penalty, ctrl.beta), params.alpha)
 x = consensus_point(swarm.positions, weights)
 
 for step in range(cfg.n_steps):
     swarm = step_euler_maruyama(swarm, params, x, rng)
     value, penalty = pf.parts(swarm.positions)
-    weights = gibbs_weights(pf.combine(value, penalty), params.alpha)
+    weights = gibbs_weights(pf.combine(value, penalty, ctrl.beta), params.alpha)
 
     # weighted distance of the swarm to the feasible set, then the
     # success/failure update: shrink the threshold or raise the penalty
     v = violation_micro(weights, penalty)
+    beta = ctrl.beta
     ctrl = ctrl.update(v)
-    if ctrl.beta != pf.beta:
-        pf = pf.with_beta(ctrl.beta)
-        weights = gibbs_weights(pf.combine(value, penalty), params.alpha)
+    if ctrl.beta != beta:
+        weights = gibbs_weights(pf.combine(value, penalty, ctrl.beta), params.alpha)
 
     # the consensus under the updated beta is the next step's drift target
     x = consensus_point(swarm.positions, weights)

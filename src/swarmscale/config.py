@@ -15,13 +15,11 @@ from importlib import resources
 import yaml
 
 from .keys import check_keys, choice, integer, key, path_string, read_keys, section
-from .macro import Grid1D
+from .macro import LANDING_TOL, MAX_SUBSTEPS, Grid1D
 from .micro import MicroParams
 from .micromacro import CouplingConfig
-from .objectives import (
-    FEASIBLE_SETS, BallUnion, FeasibleSet, ObjectiveFunction, PenalizedObjective,
-)
-from .penalty import PenaltyConfig, PenaltyController
+from .objectives import FEASIBLE_SETS, BallUnion, FeasibleSet, ObjectiveFunction
+from .penalty import PenaltyConfig
 
 MODES = ("micro", "macro", "micromacro")
 
@@ -66,8 +64,16 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc).splitlines()) from None
         dim, fs, errors = self.objective.dim, self.feasible_set, []
-        if self.mode in ("macro", "micromacro") and dim != 1:
-            errors.append(f"objective.dim: mode {self.mode!r} runs on a 1D grid; dim must be 1")
+        if self.mode in ("macro", "micromacro"):
+            if dim != 1:
+                errors.append(f"objective.dim: mode {self.mode!r} runs on a 1D grid; dim must be 1")
+            # every characteristic speed is at least |T|, so each sub-step covers at most
+            # cfl * dx / |T| of the outer step's micro.dt
+            grid = self.macro
+            least = (self.micro.dt - LANDING_TOL) * abs(grid.T) / (grid.cfl * grid.dx)
+            if least > MAX_SUBSTEPS:
+                errors.append(f"macro.T: one outer step needs at least {least:.6g} grid "
+                              f"sub-steps, over the solver's limit of {MAX_SUBSTEPS}")
         if isinstance(fs, BallUnion):
             errors += [f"feasible_set.balls[{i}].center: must be a list of {dim} numbers"
                        for i, ball in enumerate(fs.balls) if len(ball.center) != dim]
@@ -76,18 +82,8 @@ class ExperimentConfig:
         if errors:
             raise ConfigError(errors)
 
-    # -- builders for the runtime objects ---------------------------------
-
     def build_feasible_set(self) -> FeasibleSet | None:  # the section is the set
         return self.feasible_set
-
-    def build_penalized(self) -> PenalizedObjective:
-        fs = self.feasible_set
-        beta = self.penalty.beta0 if fs is not None else 0.0
-        return PenalizedObjective(self.objective, fs, beta)
-
-    def build_controller(self) -> PenaltyController:
-        return PenaltyController(self.penalty.beta0, self.penalty.kappa0, self.penalty)
 
 
 def config_from_dict(data) -> ExperimentConfig:

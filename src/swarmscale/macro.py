@@ -28,6 +28,7 @@ BOUNDARIES = ("outflow", "periodic", "absorbing")
 
 # at most this many CFL sub-steps per advance_macro call before declaring a stall
 MAX_SUBSTEPS = 100_000
+LANDING_TOL = 1e-12  # advance_macro has reached its target time within this
 
 T_MIN = 1.5717277847026288e-162  # the smallest |T| whose square does not underflow to 0
 
@@ -261,7 +262,7 @@ def advance_macro(state, grid, params, weights, target_time):
     state.check_per_cell(weights=weights)
     for _ in range(MAX_SUBSTEPS):
         remaining = target_time - state.time
-        if remaining <= 1e-12:
+        if remaining <= LANDING_TOL:
             finite = np.isfinite(state.rho) & np.isfinite(state.rho_u)
             if not finite.all():
                 _fail_at_first_cell(state, ~finite)

@@ -59,9 +59,7 @@ class CouplingState:
         object.__setattr__(self, "rho_m_prev", np.asarray(self.rho_m_prev, dtype=float))
 
 
-def init_coupling(
-    swarm: SwarmState, grid: Grid1D, rule: CouplingConfig = CouplingConfig()
-) -> CouplingState:
+def init_coupling(swarm: SwarmState, grid: Grid1D, rule: CouplingConfig) -> CouplingState:
     """Coupling state at step 0, zeta at rule.zeta0; mu0 is read off the swarm's current mass."""
     return CouplingState(rule.zeta0, swarm.total_mass, micro_cell_density(swarm, grid), rule)
 

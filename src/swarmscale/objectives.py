@@ -189,19 +189,15 @@ FEASIBLE_SETS = {"balls": BallUnion, "intervals": IntervalUnion, "halfline": Hal
 
 @dataclass(frozen=True)
 class PenalizedObjective:
-    """Objective plus ``beta`` times the distance to the feasible set.
+    """F_beta: the objective plus ``beta`` times the distance to the feasible set.
 
-    With no feasible set (or beta = 0) this is the plain objective; the
-    two coincide on the set itself for any beta.
+    beta is an argument, not a field: each scale's controller holds its one
+    beta.  With no feasible set (or beta = 0) this is the plain objective;
+    the two coincide on the set itself for any beta.
     """
 
     objective: ObjectiveFunction
     feasible_set: FeasibleSet | None = None
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("penalty strength beta must be nonnegative")
 
     def penalty(self, x: np.ndarray) -> np.ndarray:
         """Distance to the feasible set; identically 0 when unconstrained."""
@@ -218,19 +214,18 @@ class PenalizedObjective:
         """
         return self.objective(x), self.penalty(x)
 
-    def combine(self, value: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    def combine(self, value: np.ndarray, penalty: np.ndarray, beta: float) -> np.ndarray:
         """F_beta built from the parts, value + beta * penalty.
 
-        The value alone when unconstrained or beta = 0.  evaluate(x) is
-        combine(*parts(x)), so F_beta built from cached parts equals
+        The value alone when unconstrained or beta = 0.  evaluate(x, beta) is
+        combine(*parts(x), beta), so F_beta built from cached parts equals
         evaluate bit for bit.
         """
-        if self.feasible_set is None or self.beta == 0.0:
+        if beta < 0:
+            raise ValueError("penalty strength beta must be nonnegative")
+        if self.feasible_set is None or beta == 0.0:
             return value
-        return value + self.beta * penalty
+        return value + beta * penalty
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.combine(*self.parts(x))
-
-    def with_beta(self, beta: float) -> "PenalizedObjective":
-        return PenalizedObjective(self.objective, self.feasible_set, beta)
+    def evaluate(self, x: np.ndarray, beta: float) -> np.ndarray:
+        return self.combine(*self.parts(x), beta)

@@ -32,18 +32,23 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class PenaltyController:
-    """Current (beta, kappa), updated by ``rule``.
+    """Current (beta, kappa), updated by ``rule``; the one beta of its scale.
 
-    On success (violation within tolerance) kappa grows, tightening the
+    It starts at the rule's (beta0, kappa0) unless given other values.  On
+    success (violation within tolerance) kappa grows, tightening the
     tolerance 1/sqrt(kappa), and beta holds.  On failure beta grows and
     kappa backs off to min{kappa/eta_kappa, kappa0}.
     """
 
-    beta: float = PenaltyConfig.beta0
-    kappa: float = PenaltyConfig.kappa0
     rule: PenaltyConfig = PenaltyConfig()
+    beta: float | None = None
+    kappa: float | None = None
 
     def __post_init__(self):
+        if self.beta is None:
+            object.__setattr__(self, "beta", self.rule.beta0)
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", self.rule.kappa0)
         if self.beta <= 0 or self.kappa <= 0:
             raise ValueError("beta and kappa must be positive")
 

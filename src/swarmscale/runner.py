@@ -32,7 +32,8 @@ from .config import ConfigError, ExperimentConfig
 from .macro import MacroState, advance_macro, consensus_point_macro, init_macro
 from .micro import consensus_point, gibbs_weights, init_swarm, softmin_gap, step_euler_maruyama
 from .micromacro import init_coupling, micro_cell_density, transfer_mass
-from .penalty import violation_macro, violation_micro
+from .objectives import PenalizedObjective
+from .penalty import PenaltyController, violation_macro, violation_micro
 
 
 class RunError(RuntimeError):
@@ -97,8 +98,8 @@ class _Scale:
         # one coefficient set for both scales: the grid solves the moments of the particles' SDE
         self.params = cfg.micro
         # both scales start from the one penalty section; each then moves its own controller
-        self.pf = cfg.build_penalized()
-        self.ctrl = cfg.build_controller()
+        self.pf = PenalizedObjective(cfg.objective, cfg.feasible_set)
+        self.ctrl = PenaltyController(cfg.penalty)
         self.violation, self.branch = 0.0, "none"
 
     def evaluate(self, points):
@@ -107,8 +108,9 @@ class _Scale:
         self.weigh()
 
     def weigh(self):
-        """Gibbs weights of F_beta at the current beta; each average of the scale reads them."""
-        self.weights = gibbs_weights(self.pf.combine(*self.parts), self.params.alpha)
+        """Gibbs weights of F_beta at the controller's beta; the scale's averages read them."""
+        self.weights = gibbs_weights(self.pf.combine(*self.parts, self.ctrl.beta),
+                                     self.params.alpha)
 
     def penalize(self):
         """One (beta, kappa) update from the current violation; unconstrained runs skip it."""
@@ -119,7 +121,6 @@ class _Scale:
         beta = self.ctrl.beta
         self.ctrl = self.ctrl.update(self.violation)
         if self.ctrl.beta != beta:
-            self.pf = self.pf.with_beta(self.ctrl.beta)
             self.weigh()
 
     def move(self, n):
@@ -186,11 +187,11 @@ def _shared_steps(mode, objective, feasible_set, micro, macro, penalty, coupling
     The grid's steps up to the first transfer follow from these sections
     alone: not from the seed, the output, the particle count or the run
     length.  Record n holds the grid's arrays and time, and its controller,
-    penalized objective, weights, violation and branch, after step n's move
-    and penalty update.  The arrays are kept read-only, not as a live
-    MacroState, so no velocity is cached across runs.  A run of another key
-    evicts the list; a step that fails records nothing.  Runs fill the list
-    one after another, never from two threads at once.
+    weights, violation and branch, after step n's move and penalty update.
+    The arrays are kept read-only, not as a live MacroState, so no velocity
+    is cached across runs.  A run of another key evicts the list; a step
+    that fails records nothing.  Runs fill the list one after another, never
+    from two threads at once.
     """
     return []
 
@@ -222,7 +223,7 @@ class _Grid(_Scale):
         if n > self.last_shared:
             return super().move(n)
         if n <= len(self.shared):
-            (rho, rho_u, t, self.ctrl, self.pf, self.weights, self.violation,
+            (rho, rho_u, t, self.ctrl, self.weights, self.violation,
              self.branch) = self.shared[n - 1]
             self.state = MacroState._unchecked(rho, rho_u, t)  # checked when computed
             self.steps_shared += 1
@@ -230,7 +231,7 @@ class _Grid(_Scale):
         super().move(n)
         for a in (*self.arrays(), self.weights):
             a.flags.writeable = False  # every later run of the config reads them
-        self.shared.append((*self.arrays(), self.state.time, self.ctrl, self.pf, self.weights,
+        self.shared.append((*self.arrays(), self.state.time, self.ctrl, self.weights,
                             self.violation, self.branch))
 
     def clock(self, n):

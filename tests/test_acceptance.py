@@ -220,7 +220,7 @@ def random_swarm(rng):
 
 
 def plain_pf(dim):
-    return PenalizedObjective(ObjectiveFunction("rastrigin", dim), None, beta=0.0)
+    return PenalizedObjective(ObjectiveFunction("rastrigin", dim))
 
 
 class TestPropertySuite:
@@ -230,7 +230,7 @@ class TestPropertySuite:
             for _ in range(1000):
                 state = random_swarm(rng)
                 alpha = float(rng.choice([10.0, 30.0, 100.0]))
-                values = plain_pf(state.dim).evaluate(state.positions)
+                values = plain_pf(state.dim).evaluate(state.positions, 0.0)
                 gap = softmin_gap(gibbs_weights(values, alpha), alpha)
                 assert 0.0 <= gap <= math.log(state.n_particles) / alpha + 1e-12
 
@@ -239,8 +239,8 @@ class TestPropertySuite:
             def __init__(self, pf):
                 self.pf = pf
 
-            def evaluate(self, x):
-                return self.pf.evaluate(x) + 1e3
+            def evaluate(self, x, beta):
+                return self.pf.evaluate(x, beta) + 1e3
 
         rng = np.random.default_rng(1002)
         with timed("consensus"):
@@ -248,9 +248,9 @@ class TestPropertySuite:
                 state = random_swarm(rng)
                 pf = plain_pf(state.dim)
                 x = consensus_point(state.positions,
-                                    gibbs_weights(pf.evaluate(state.positions), 30.0))
+                                    gibbs_weights(pf.evaluate(state.positions, 0.0), 30.0))
                 y = consensus_point(state.positions,
-                                    gibbs_weights(Shifted(pf).evaluate(state.positions), 30.0))
+                                    gibbs_weights(Shifted(pf).evaluate(state.positions, 0.0), 30.0))
                 np.testing.assert_allclose(x, y, atol=1e-10)
                 assert np.all(x >= state.positions.min(axis=0) - 1e-12)
                 assert np.all(x <= state.positions.max(axis=0) + 1e-12)
@@ -369,7 +369,7 @@ class TestPropertySuite:
             # consensus point vs unstabilized double loop
             positions = rng.uniform(-0.05, 0.05, size=(5, 2))
             pf = plain_pf(2)
-            vals = pf.evaluate(positions)
+            vals = pf.evaluate(positions, 0.0)
             num, den = np.zeros(2), 0.0
             for x, v in zip(positions, vals):
                 w = math.exp(-30.0 * v)
@@ -382,16 +382,14 @@ class TestPropertySuite:
             # microscopic violation vs double loop
             from swarmscale.objectives import Halfspace1D
 
-            cpf = PenalizedObjective(
-                ObjectiveFunction("rastrigin", 1), Halfspace1D(-0.5), beta=1.0
-            )
+            cpf = PenalizedObjective(ObjectiveFunction("rastrigin", 1), Halfspace1D(-0.5))
             pos1 = rng.uniform(-0.55, -0.45, size=(5, 1))
             num = den = 0.0
             for x in pos1:
-                w = math.exp(-30.0 * float(cpf.evaluate(x)))
+                w = math.exp(-30.0 * float(cpf.evaluate(x, 1.0)))
                 num += w * float(cpf.penalty(x))
                 den += w
-            got = violation_micro(gibbs_weights(cpf.evaluate(pos1), 30.0), cpf.penalty(pos1))
+            got = violation_micro(gibbs_weights(cpf.evaluate(pos1, 1.0), 30.0), cpf.penalty(pos1))
             assert got == pytest.approx(num / den, abs=1e-10)
 
             # macroscopic violation vs cellwise summation
@@ -401,11 +399,11 @@ class TestPropertySuite:
             num = den = 0.0
             for x, r in zip(grid.centers, rho):
                 xv = np.array([x])
-                w = math.exp(-3.0 * float(cpf.evaluate(xv))) * r
+                w = math.exp(-3.0 * float(cpf.evaluate(xv, 1.0))) * r
                 num += w * float(cpf.penalty(xv))
                 den += w
             centers = grid.centers[:, None]
-            got = violation_macro(mstate, gibbs_weights(cpf.evaluate(centers), 3.0),
+            got = violation_macro(mstate, gibbs_weights(cpf.evaluate(centers, 1.0), 3.0),
                                   cpf.penalty(centers))
             assert got == pytest.approx(num / den, abs=1e-10)
 

@@ -9,6 +9,7 @@ import re
 import tempfile
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
@@ -27,9 +28,9 @@ from swarmscale.macro import T_MIN, Grid1D
 from swarmscale.micro import MicroParams
 from swarmscale.micromacro import CouplingConfig
 from swarmscale.objectives import (
-    Ball, BallUnion, Halfspace1D, IntervalUnion, ObjectiveFunction,
+    Ball, BallUnion, Halfspace1D, IntervalUnion, ObjectiveFunction, PenalizedObjective,
 )
-from swarmscale.penalty import PenaltyConfig
+from swarmscale.penalty import PenaltyConfig, PenaltyController
 from swarmscale.runner import RunError, run_experiment
 
 
@@ -172,6 +173,27 @@ def test_grid_modes_require_dimension_one():
         config_from_dict(d)
 
 
+def test_a_certain_cfl_stall_is_refused_at_load(tmp_path):
+    # every characteristic speed is at least |T|, so at T = 1e6 one outer step of
+    # micro.dt = 0.005 takes at least 0.005 * 1e6 / (0.8 * 6 / 401) grid sub-steps
+    tree = yaml.safe_load(bundled_config_path("rastrigin1d_micromacro").read_text())
+    tree["n_steps"] = 1
+    tree["macro"]["T"] = 1e6
+    path = tmp_path / "stall.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == ["macro.T: one outer step needs at least 417708 grid sub-steps, "
+                                "over the solver's limit of 100000"]
+    for mode in ("macro", "micromacro"):
+        with pytest.raises(ConfigError, match=r"^invalid config:\n  - macro\.T: "):
+            config_from_dict({**tree, "mode": mode, "macro": {**tree["macro"], "T": -1e6}})
+    # at a bound just under the limit the config loads; a lone swarm never reads the grid
+    assert config_from_dict({**tree, "macro": {**tree["macro"], "T": 2.39e5}}).macro.T == 2.39e5
+    micro = {**tree, "mode": "micro", "objective": {"name": "rastrigin", "dim": 1}}
+    assert config_from_dict(micro).macro.T == 1e6
+
+
 def test_zeta_bounds_ordering():
     d = base_dict(
         mode="micromacro",
@@ -222,13 +244,11 @@ def test_builders_wire_the_parameters():
     assert f.name == "rastrigin" and f.dim == 1
 
     fs = cfg.feasible_set  # the section is the feasible set itself
-    import numpy as np
-
     assert fs.distance(np.array([0.0])) == pytest.approx(0.5)
     assert cfg.build_feasible_set() is fs  # kept for perfbench's gates
 
-    pf = cfg.build_penalized()
-    assert pf.beta == cfg.penalty.beta0 and pf.objective is f
+    pf = PenalizedObjective(cfg.objective, cfg.feasible_set)
+    assert pf.objective is f and pf.feasible_set is fs
 
     params = cfg.micro  # the section is the particles' (and the grid's) parameter object
     assert isinstance(params, MicroParams)
@@ -239,7 +259,7 @@ def test_builders_wire_the_parameters():
 
     assert params.gamma == pytest.approx(1.0 - params.m)
 
-    ctrl = cfg.build_controller()
+    ctrl = PenaltyController(cfg.penalty)
     assert ctrl.beta == 1.0 and ctrl.kappa == 5.0 and ctrl.rule is cfg.penalty
 
 
@@ -343,7 +363,11 @@ def test_feasible_set_rules(over, errors):
 def test_null_feasible_set_is_unconstrained():
     cfg = config_from_dict(base_dict(feasible_set=None))
     assert cfg == config_from_dict(base_dict())
-    assert cfg.feasible_set is None and cfg.build_penalized().feasible_set is None
+    assert cfg.feasible_set is None
+    # F_beta of an unconstrained config is its objective, whatever beta
+    x = np.array([[0.3, -1.2], [2.0, 0.5]])
+    pf = PenalizedObjective(cfg.objective, cfg.feasible_set)
+    assert np.array_equal(pf.evaluate(x, cfg.penalty.beta0), cfg.objective(x))
     assert "feasible_set" not in config_to_dict(cfg)
 
 
@@ -365,7 +389,7 @@ def test_penalty_section_is_read_from_yaml(tmp_path):
     cfg = load_config(p)
     assert cfg.penalty.beta0 == 2.5 and cfg.penalty.kappa0 == 7.0
     assert cfg.penalty.eta_beta == 1.1  # an absent key takes its default
-    ctrl = cfg.build_controller()
+    ctrl = PenaltyController(cfg.penalty)
     assert (ctrl.beta, ctrl.kappa, ctrl.rule.kappa0) == (2.5, 7.0, 7.0)
 
 

@@ -24,17 +24,17 @@ PARAMS = MicroParams(m=0.5, lam=1.0)
 
 
 def ackley_pf(dim=1):
-    return PenalizedObjective(ObjectiveFunction("ackley", dim), None, beta=0.0)
+    return PenalizedObjective(ObjectiveFunction("ackley", dim))
 
 
-def at_centers(grid, pf):
+def at_centers(grid, pf, beta):
     """F_beta at the cell centers."""
-    return pf.evaluate(grid.centers[:, None])
+    return pf.evaluate(grid.centers[:, None], beta)
 
 
-def weights_at(grid, pf, alpha):
+def weights_at(grid, pf, beta, alpha):
     """The cells' Gibbs weights, which the grid functions take."""
-    return gibbs_weights(at_centers(grid, pf), alpha)
+    return gibbs_weights(at_centers(grid, pf, beta), alpha)
 
 
 def test_grid_geometry():
@@ -71,7 +71,7 @@ def test_consensus_macro_single_cell():
     rho = np.zeros(11)
     rho[3] = 2.0
     state = MacroState(rho, np.zeros(11))
-    got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 30.0))
+    got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 0.0, 30.0))
     assert got == pytest.approx(grid.centers[3], abs=1e-14)
 
 
@@ -79,7 +79,7 @@ def test_consensus_macro_symmetry():
     # even objective, uniform density, symmetric grid: the midpoint wins
     grid = Grid1D(-2.0, 2.0, 41)
     state = MacroState(np.ones(41), np.zeros(41))
-    got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 30.0))
+    got = consensus_point_macro(state, grid, weights_at(grid, ackley_pf(), 0.0, 30.0))
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -92,10 +92,10 @@ def test_consensus_macro_matches_naive_summation():
     alpha = 2.0
     num = den = 0.0
     for x, r in zip(grid.centers, rho):
-        w = math.exp(-alpha * float(pf.evaluate(np.array([x])))) * r
+        w = math.exp(-alpha * float(pf.evaluate(np.array([x]), 0.0))) * r
         num += w * x
         den += w
-    got = consensus_point_macro(state, grid, weights_at(grid, pf, alpha))
+    got = consensus_point_macro(state, grid, weights_at(grid, pf, 0.0, alpha))
     assert got == pytest.approx(num / den, rel=1e-10)
     assert grid.x_min <= got <= grid.x_max
 
@@ -103,7 +103,7 @@ def test_consensus_macro_matches_naive_summation():
 def test_consensus_macro_zero_mass_raises():
     grid = Grid1D(-1.0, 1.0, 11)
     state = MacroState(np.zeros(11), np.zeros(11))
-    values = at_centers(grid, ackley_pf())
+    values = at_centers(grid, ackley_pf(), 0.0)
     weights = gibbs_weights(values, 30.0)
     with pytest.raises(ZeroDivisionError):
         consensus_point_macro(state, grid, weights)
@@ -360,22 +360,23 @@ def test_advance_macro_lands_on_the_target_and_conserves_mass():
     state = MacroState(rng.uniform(0.5, 1.5, 40), np.zeros(40))
     m0 = state.rho.sum() * grid.dx
     for target in (0.05, 0.3, 0.31):
-        state = advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), target)
+        weights = weights_at(grid, ackley_pf(), 0.0, 10.0)
+        state = advance_macro(state, grid, PARAMS, weights, target)
         assert abs(state.time - target) <= 1e-12
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-12
 
 
-def reference_advance(state, grid, params, pf, alpha, target_time):
+def reference_advance(state, grid, params, pf, beta, alpha, target_time):
     """The sub-step loop spelled out with the public pieces, evaluating everything each step."""
     while target_time - state.time > 1e-12:
-        c = consensus_point_macro(state, grid, weights_at(grid, pf, alpha))
+        c = consensus_point_macro(state, grid, weights_at(grid, pf, beta, alpha))
         dt = min(cfl_dt(max_wavespeed(state, grid), grid), target_time - state.time)
         state = lax_friedrichs_step(state, grid, dt, params, c)
     return state
 
 
-def halfline_pf(beta):
-    return PenalizedObjective(ObjectiveFunction("rastrigin", 1), Halfspace1D(0.5), beta)
+def halfline_pf():
+    return PenalizedObjective(ObjectiveFunction("rastrigin", 1), Halfspace1D(0.5))
 
 
 # the bare boundary id starts from a random flow, the -hydrostatic one from the
@@ -391,10 +392,10 @@ def test_advance_macro_matches_the_reference_loop_bit_for_bit(boundary, start):
         state = MacroState(rng.uniform(0.2, 1.5, 81), rng.uniform(-0.3, 0.3, 81))
     else:
         state = hydrostatic_equilibrium(grid, -1.0)
-    pf = halfline_pf(2.5)
+    pf = halfline_pf()
     for target in (0.05, 0.4):
-        got = advance_macro(state, grid, PARAMS, weights_at(grid, pf, 30.0), target)
-        ref = reference_advance(state, grid, PARAMS, pf, 30.0, target)
+        got = advance_macro(state, grid, PARAMS, weights_at(grid, pf, 2.5, 30.0), target)
+        ref = reference_advance(state, grid, PARAMS, pf, 2.5, 30.0, target)
         assert np.array_equal(got.rho, ref.rho)
         assert np.array_equal(got.rho_u, ref.rho_u)
         assert got.time == ref.time
@@ -406,7 +407,7 @@ def test_advance_macro_reports_a_stall(monkeypatch):
     state = init_macro(grid)
     monkeypatch.setattr(macro, "MAX_SUBSTEPS", 3)
     with pytest.raises(RuntimeError, match="grid solver stalled: 3 sub-steps"):
-        advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 10.0), 100.0)
+        advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 0.0, 10.0), 100.0)
 
 
 def test_non_finite_state_raises_naming_the_cell():

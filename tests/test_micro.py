@@ -19,8 +19,11 @@ from swarmscale.objectives import BallUnion, ObjectiveFunction, PenalizedObjecti
 from swarmscale.penalty import violation_micro
 
 
-def plain(name="rastrigin", dim=1, beta=0.0):
-    return PenalizedObjective(ObjectiveFunction(name, dim), None, beta=beta)
+BETA = 0.0  # plain objectives are unconstrained, so F_beta is the objective at any beta
+
+
+def plain(name="rastrigin", dim=1):
+    return PenalizedObjective(ObjectiveFunction(name, dim))
 
 
 def naive_consensus(positions, values, alpha):
@@ -36,7 +39,8 @@ def naive_consensus(positions, values, alpha):
 
 def consensus(state, pf, alpha):
     """consensus_point of a swarm, with the Gibbs weights of F_beta at its positions."""
-    return consensus_point(state.positions, gibbs_weights(pf.evaluate(state.positions), alpha))
+    weights = gibbs_weights(pf.evaluate(state.positions, BETA), alpha)
+    return consensus_point(state.positions, weights)
 
 
 def step(state, params, pf, rng):
@@ -64,7 +68,7 @@ def test_consensus_matches_naive_summation():
     positions = rng.uniform(-0.05, 0.05, size=(5, 1))  # small values, no underflow
     state = SwarmState(positions, np.zeros((5, 1)))
     pf = plain("rastrigin", 1)
-    expected = naive_consensus(positions, pf.evaluate(positions), 30.0)
+    expected = naive_consensus(positions, pf.evaluate(positions, BETA), 30.0)
     np.testing.assert_allclose(
         consensus(state, pf, 30.0), expected, rtol=1e-10
     )
@@ -72,7 +76,7 @@ def test_consensus_matches_naive_summation():
 
 def test_consensus_rejects_nonfinite_objective():
     class Bad:
-        def evaluate(self, x):
+        def evaluate(self, x, beta):
             out = np.zeros(x.shape[0])
             out[1] = np.nan
             return out
@@ -117,10 +121,10 @@ def test_weights_once_match_the_value_taking_bodies_bit_for_bit():
     for _ in range(300):
         d, n = int(rng.integers(1, 4)), int(rng.integers(1, 60))
         balls = [(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 1.0))) for _ in range(3)]
-        pf = PenalizedObjective(ObjectiveFunction(str(rng.choice(["ackley", "rastrigin"])), d),
-                                BallUnion(balls), beta=float(rng.uniform(0.0, 5.0)))
+        f = ObjectiveFunction(str(rng.choice(["ackley", "rastrigin"])), d)
+        pf, beta = PenalizedObjective(f, BallUnion(balls)), float(rng.uniform(0.0, 5.0))
         positions = rng.uniform(-3, 3, size=(n, d))
-        values, penalty = pf.evaluate(positions), pf.penalty(positions)
+        values, penalty = pf.evaluate(positions, beta), pf.penalty(positions)
         alpha = float(rng.choice([1.0, 30.0, 100.0, 1e4]))
         weights = gibbs_weights(values, alpha)
         assert np.array_equal(consensus_point(positions, weights),
@@ -135,8 +139,8 @@ def test_consensus_shift_invariance_and_hull():
         def __init__(self, pf, c):
             self.pf, self.c = pf, c
 
-        def evaluate(self, x):
-            return self.pf.evaluate(x) + self.c
+        def evaluate(self, x, beta):
+            return self.pf.evaluate(x, beta) + self.c
 
     pf = plain("rastrigin", 2)
     rng = np.random.default_rng(123)
@@ -186,7 +190,7 @@ def test_step_matches_independent_transcription():
     out = step(SwarmState(positions.copy(), velocities.copy()), params, pf, seed_state)
 
     theta = np.random.default_rng(77).standard_normal((3, 2))
-    target = naive_consensus(positions, pf.evaluate(positions), 30.0)
+    target = naive_consensus(positions, pf.evaluate(positions, BETA), 30.0)
     m, lam, sigma, dt = 0.5, 1.0, 1.0 / math.sqrt(3.0), 0.1
     c = m + (1.0 - m) * dt
     vel2 = np.empty_like(velocities)
@@ -314,18 +318,18 @@ def test_diffusion_modes_agree_in_1d_distribution():
 
 
 def test_softmin_gap_single_particle():
-    values = plain().evaluate(np.array([[0.7]]))
+    values = plain().evaluate(np.array([[0.7]]), BETA)
     assert softmin_gap(gibbs_weights(values, 30.0), 30.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_softmin_gap_equal_values():
-    values = plain().evaluate(np.array([[0.5], [-0.5]]))
+    values = plain().evaluate(np.array([[0.5], [-0.5]]), BETA)
     assert softmin_gap(gibbs_weights(values, 30.0), 30.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_softmin_gap_bounded_and_decreasing_in_alpha():
     rng = np.random.default_rng(21)
-    values = plain().evaluate(rng.uniform(-2, 2, size=(100, 1)))
+    values = plain().evaluate(rng.uniform(-2, 2, size=(100, 1)), BETA)
     gaps = [softmin_gap(gibbs_weights(values, a), a) for a in (10.0, 30.0, 100.0)]
     for g, a in zip(gaps, (10.0, 30.0, 100.0)):
         assert 0.0 <= g <= math.log(100.0) / a + 1e-12

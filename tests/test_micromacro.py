@@ -438,7 +438,7 @@ def test_transfer_keeps_momentum_where_it_lowers_the_density():
     # Pins the transcribed rule: rho_u is kept while rho falls, so the cell's
     # velocity grows by the inverse ratio.  Observed on rastrigin1d_micromacro,
     # this is what raises the CFL sub-steps per outer step after t_star; a
-    # velocity-preserving rule belongs with the zeta work of ROADMAP item 3.
+    # velocity-preserving rule belongs with the zeta work of ROADMAP item 2, the coupling rule.
     grid = Grid1D(0.0, 5.0, 5)
     swarm = two_cell_swarm()
     macro = MacroState(np.array([0.5, 0.6, 0.5, 0.5, 0.5]),

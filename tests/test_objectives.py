@@ -283,24 +283,24 @@ def test_coordinate_loops_match_pairwise_sums_closely(d):
 
 def test_penalized_beta_zero_is_plain_objective():
     f = ObjectiveFunction("ackley", 2)
-    pf = PenalizedObjective(f, BallUnion(SIX_BALLS), beta=0.0)
+    pf = PenalizedObjective(f, BallUnion(SIX_BALLS))
     rng = np.random.default_rng(1)
     x = rng.uniform(-3, 3, size=(100, 2))
-    np.testing.assert_allclose(pf.evaluate(x), f(x), rtol=0, atol=0)
+    np.testing.assert_allclose(pf.evaluate(x, 0.0), f(x), rtol=0, atol=0)
 
 
 def test_penalized_feasible_point_unaffected():
     f = ObjectiveFunction("ackley", 2)
-    pf = PenalizedObjective(f, BallUnion(SIX_BALLS), beta=7.0)
+    pf = PenalizedObjective(f, BallUnion(SIX_BALLS))
     x = np.array([1.0, -1.0])
-    assert pf.evaluate(x) == pytest.approx(f(x), abs=0.0)
+    assert pf.evaluate(x, 7.0) == pytest.approx(f(x), abs=0.0)
 
 
 def test_penalized_halfline_example():
     f = ObjectiveFunction("ackley", 1)
-    pf = PenalizedObjective(f, Halfspace1D(-0.5), beta=2.0)
+    pf = PenalizedObjective(f, Halfspace1D(-0.5))
     # objective zero at the origin, distance 0.5, beta 2
-    assert pf.evaluate(np.array([0.0])) == pytest.approx(1.0, abs=1e-12)
+    assert pf.evaluate(np.array([0.0]), 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_penalized_monotone_in_beta():
@@ -308,17 +308,17 @@ def test_penalized_monotone_in_beta():
     fs = Halfspace1D(-0.5)
     rng = np.random.default_rng(9)
     xs = rng.uniform(-0.4, 3.0, size=(200, 1))  # all strictly infeasible
-    lo = PenalizedObjective(f, fs, beta=1.0).evaluate(xs)
-    hi = PenalizedObjective(f, fs, beta=2.5).evaluate(xs)
+    pf = PenalizedObjective(f, fs)
+    lo, hi = pf.evaluate(xs, 1.0), pf.evaluate(xs, 2.5)
     assert np.all(hi > lo)
 
 
 def test_penalized_no_set_means_no_penalty():
     f = ObjectiveFunction("ackley", 2)
-    pf = PenalizedObjective(f, None, beta=5.0)
+    pf = PenalizedObjective(f, None)
     x = np.array([2.0, 2.0])
     assert pf.penalty(x) == 0.0
-    assert pf.evaluate(x) == pytest.approx(f(x), abs=0.0)
+    assert pf.evaluate(x, 5.0) == pytest.approx(f(x), abs=0.0)
 
 
 @pytest.mark.parametrize("beta", [0.0, 2.5])
@@ -328,27 +328,33 @@ def test_parts_recombine_to_evaluate_bit_for_bit(kind, beta):
     fs = {"balls": BallUnion(SIX_BALLS), "intervals": IntervalUnion(FOUR_INTERVALS),
           "halfline": Halfspace1D(-0.5), None: None}[kind]
     f = ObjectiveFunction("rastrigin", dim)
-    pf = PenalizedObjective(f, fs, beta=beta)
+    pf = PenalizedObjective(f, fs)
     x = np.random.default_rng(17).uniform(-3, 3, size=(50, dim))
     value, penalty = pf.parts(x)
     assert np.array_equal(value, f(x))
     assert np.array_equal(penalty, np.zeros(50) if fs is None else fs.distance(x))
     # the formula F_beta had before the split, so cached parts reproduce it bit for bit
     expected = f(x) if fs is None or beta == 0.0 else f(x) + beta * fs.distance(x)
-    assert np.array_equal(pf.combine(value, penalty), pf.evaluate(x))
-    assert np.array_equal(pf.evaluate(x), expected)
+    assert np.array_equal(pf.combine(value, penalty, beta), pf.evaluate(x, beta))
+    assert np.array_equal(pf.evaluate(x, beta), expected)
 
 
 def test_penalized_rejects_bad_arguments():
     f = ObjectiveFunction("ackley", 1)
-    with pytest.raises(ValueError):
-        PenalizedObjective(f, None, beta=-1.0)
-
-
-def test_with_beta_returns_updated_copy():
-    f = ObjectiveFunction("ackley", 1)
-    pf = PenalizedObjective(f, Halfspace1D(-0.5), beta=1.0)
-    pf2 = pf.with_beta(4.0)
-    assert pf.beta == 1.0 and pf2.beta == 4.0
     x = np.array([0.5])
-    assert pf2.evaluate(x) == pytest.approx(f(x) + 4.0 * 1.0, rel=1e-12)
+    for fs in (None, Halfspace1D(-0.5)):
+        with pytest.raises(ValueError, match="^penalty strength beta must be nonnegative$"):
+            PenalizedObjective(f, fs).evaluate(x, -1.0)
+
+
+def test_one_objective_serves_every_beta():
+    f = ObjectiveFunction("ackley", 1)
+    pf = PenalizedObjective(f, Halfspace1D(-0.5))
+    x = np.array([[0.5], [1.5], [-1.0]])  # distances 1, 2 and 0
+    dist = pf.penalty(x)
+    lo, hi = pf.evaluate(x, 1.0), pf.evaluate(x, 4.0)
+    assert hi - lo == pytest.approx(3.0 * dist, rel=1e-12, abs=0.0)
+    assert np.array_equal(hi, f(x) + 4.0 * dist)
+    assert hi[2] == lo[2] == f(x)[2]  # a feasible point takes no penalty at either beta
+    for beta, values in ((1.0, lo), (4.0, hi)):
+        assert np.array_equal(pf.combine(*pf.parts(x), beta), values)

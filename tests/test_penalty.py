@@ -16,21 +16,24 @@ from swarmscale.penalty import (
 )
 
 
-def halfline_pf(beta=1.0):
-    return PenalizedObjective(
-        ObjectiveFunction("rastrigin", 1), Halfspace1D(-0.5), beta=beta
-    )
+BETA = 1.0  # the beta the violations' Gibbs weights are built at
+
+
+def halfline_pf():
+    return PenalizedObjective(ObjectiveFunction("rastrigin", 1), Halfspace1D(-0.5))
 
 
 def micro_violation(positions, pf, alpha):
     """violation_micro with the Gibbs weights and the penalty evaluated at the positions."""
-    return violation_micro(gibbs_weights(pf.evaluate(positions), alpha), pf.penalty(positions))
+    weights = gibbs_weights(pf.evaluate(positions, BETA), alpha)
+    return violation_micro(weights, pf.penalty(positions))
 
 
 def macro_violation(state, grid, pf, alpha):
     """violation_macro with the Gibbs weights and the penalty evaluated at the cell centers."""
     centers = grid.centers[:, None]
-    return violation_macro(state, gibbs_weights(pf.evaluate(centers), alpha), pf.penalty(centers))
+    weights = gibbs_weights(pf.evaluate(centers, BETA), alpha)
+    return violation_macro(state, weights, pf.penalty(centers))
 
 
 def test_violation_micro_all_feasible():
@@ -49,7 +52,7 @@ def test_violation_micro_matches_naive_summation():
     pf = halfline_pf()
     num = den = 0.0
     for x in positions:
-        w = math.exp(-30.0 * float(pf.evaluate(x)))
+        w = math.exp(-30.0 * float(pf.evaluate(x, BETA)))
         num += w * float(pf.penalty(x))
         den += w
     got = micro_violation(positions, pf, 30.0)
@@ -86,7 +89,7 @@ def test_violation_macro_matches_naive_summation():
     num = den = 0.0
     for x, r in zip(grid.centers, rho):
         xv = np.array([x])
-        w = math.exp(-alpha * float(pf.evaluate(xv))) * r
+        w = math.exp(-alpha * float(pf.evaluate(xv, BETA))) * r
         num += w * float(pf.penalty(xv))
         den += w
     assert macro_violation(state, grid, pf, alpha) == pytest.approx(
@@ -102,7 +105,7 @@ def test_violation_macro_zero_mass_raises():
     # arrays of the wrong length would broadcast against the density, so they raise
     unit = MacroState(np.ones(11), np.zeros(11))
     pf, centers = halfline_pf(), grid.centers[:, None]
-    weights, penalty = gibbs_weights(pf.evaluate(centers), 30.0), pf.penalty(centers)
+    weights, penalty = gibbs_weights(pf.evaluate(centers, BETA), 30.0), pf.penalty(centers)
     for wrong in (np.array([0.3]), np.zeros(10), np.zeros(12), np.zeros((11, 1))):
         with pytest.raises(ValueError, match="weights must have shape"):
             violation_macro(unit, wrong, penalty)
@@ -170,6 +173,20 @@ def test_update_is_pure():
     b = ctrl.update(0.9)
     assert a == b
     assert ctrl.beta == 2.0 and ctrl.kappa == 3.0
+
+
+def test_controller_starts_at_its_rules_values():
+    def start(ctrl):
+        return ctrl.beta, ctrl.kappa
+
+    rule = PenaltyConfig(beta0=2.0, kappa0=9.0)
+    assert start(PenaltyController(rule)) == (2.0, 9.0)
+    assert start(PenaltyController()) == (1.0, 5.0)  # the default rule's
+    # a value given overrides the rule's, one at a time
+    assert start(PenaltyController(rule, beta=3.0)) == (3.0, 9.0)
+    assert start(PenaltyController(rule, kappa=4.0)) == (2.0, 4.0)
+    # a failure backs kappa off to at most the rule's kappa0
+    assert PenaltyController(rule, kappa=20.0).update(1.0).kappa == 9.0
 
 
 def test_controller_validation():

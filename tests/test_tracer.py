@@ -2,9 +2,11 @@
 short run of each benchmark workload calls every layer the benchmark requires."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # the package import loads every module the tracer patches
@@ -53,8 +55,16 @@ def test_a_short_traced_run_calls_every_required_layer(tmp_path, name):
         small["macro"]["n_cells"] = 41
         small["coupling"]["t_star"] = 3  # the transfer, and so compute_zeta, runs from step 3
         run_cfg = config_from_dict(small)
-        runner.run_experiment(run_cfg)
+        report = runner.run_experiment(run_cfg)
     assert [key for key in workload.required if tracer.calls[key] == 0] == []
+    # perfbench's accuracy gate reads the feasible set, the rows' mass_total, the summary
+    # and the grid section; a short run need not meet it, but the gate must answer, also
+    # at the run's own estimate, where a gate that stops at a failed clause reads the rest
+    target = workload.minimiser(np, objectives.ackley)
+    own = np.reshape(report.summary["argmin_estimate"], np.shape(target)).tolist()
+    for at in (target, own):
+        met, err = workload.gate(np, report, run_cfg, at)
+        assert type(met) is bool and type(err) is float and math.isfinite(err)
     # only the run evaluates: the particles at step 0 and after each move, the
     # summary at its estimate, and a grid once per run at its fixed centers
     grid = int(run_cfg.mode == "micromacro")
