@@ -257,10 +257,11 @@ def advance_macro(state, grid, params, weights, target_time):
     cfl_dt and the step's CFL check, and so checks each sub-step's input;
     the state handed back is checked once, on return, and a non-finite one
     raises FloatingPointError naming its first bad cell.  Raises
-    RuntimeError after MAX_SUBSTEPS sub-steps.
+    RuntimeError if MAX_SUBSTEPS sub-steps do not reach target_time.
     """
     state.check_per_cell(weights=weights)
-    for _ in range(MAX_SUBSTEPS):
+    # one pass more than the sub-steps: the last pass only checks the landing
+    for _ in range(MAX_SUBSTEPS + 1):
         remaining = target_time - state.time
         if remaining <= LANDING_TOL:
             finite = np.isfinite(state.rho) & np.isfinite(state.rho_u)

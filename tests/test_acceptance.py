@@ -1,20 +1,23 @@
-"""End-to-end acceptance runs plus the exact property suite.
+"""End-to-end acceptance claims plus the exact property suite.
 
-The solver runs are stochastic, so the run-level checks are statistical:
-fixed seed blocks, loose tolerances, and pass counts with slack.  The
-property suite at the bottom is exact and deterministic.
+The solver runs are stochastic, so the run-level claims are statistical:
+each bundled config declares one claim in CLAIMS, a target with a loose
+tolerance and a pass count with slack over a fixed seed block, and one test
+per config reads it.  The property suite at the bottom is exact and
+deterministic.
 """
 
+import functools
 import math
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from swarmscale.config import load_config
+from swarmscale.config import load_bundled
 from swarmscale.macro import (
     Grid1D,
     MacroState,
@@ -41,162 +44,198 @@ from swarmscale.penalty import (
     violation_micro,
 )
 from swarmscale.runner import run_experiment
-
-def bundled(name):
-    return load_config(resources.files("swarmscale.configs") / f"{name}.yaml")
+from test_tracer import BENCH  # perfbench/run.py, whose gates copy these claims
 
 
-def seeded_runs(cfg, n, tmp_path):
-    for k in range(n):
-        yield run_experiment(
-            replace(cfg, seed=cfg.seed + k, output=str(tmp_path / f"run{k}"))
-        )
+class Claim(NamedTuple):
+    """What a bundled config's seed block, seeds seed + 0..seeds-1, must show.
+
+    At each stop step at least `passes` seeds end near `target`: below `tol`
+    in max-norm, or, where `in_cells` is set, within `tol` cells of the grid,
+    ends included.  The bundled n_steps is one of the stop steps.
+    """
+
+    target: tuple
+    tol: float
+    in_cells: bool
+    seeds: int
+    passes: int
+    stops: tuple
+
+
+# the targets are the (feasible) minimizers, checked by the two scan tests below
+CLAIMS = {
+    "ackley2d_unconstrained": Claim((0.0, 0.0), 0.25, False, 20, 18, (400,)),
+    "ackley2d_constrained": Claim(
+        (0.9687722339831623, -0.9682277660168763), 0.25, False, 20, 16, (400,)),
+    "ackley1d_macro_constrained": Claim((-0.9684777,), 2, True, 1, 1, tuple(range(371, 801))),
+    "rastrigin1d_micromacro": Claim((0.0,), 2, True, 5, 4, (800, 1600, 3200)),
+    "rastrigin1d_micromacro_constrained": Claim((-0.994959,), 2, True, 5, 4, (300, 400, 800)),
+}
+
+
+class Block(NamedTuple):
+    cfg: object     # the bundled config, stopped at the block's step
+    reports: list   # one per seed
+    elapsed: float  # seconds the runs took
+
+
+@pytest.fixture(scope="session")
+def seed_block(tmp_path_factory):
+    """block(name, n_steps): the claim's seed block of a config, run once a session."""
+    blocks = {}
+
+    def block(name, n_steps):
+        if (name, n_steps) not in blocks:
+            cfg = replace(load_bundled(name), n_steps=n_steps)
+            out = tmp_path_factory.mktemp(f"{name}-{n_steps}")
+            t0 = time.perf_counter()
+            reports = [run_experiment(replace(cfg, seed=cfg.seed + k, output=str(out / f"run{k}")))
+                       for k in range(CLAIMS[name].seeds)]
+            blocks[name, n_steps] = Block(cfg, reports, time.perf_counter() - t0)
+        return blocks[name, n_steps]
+
+    return block
+
+
+def near(claim, cfg, x):
+    err = float(np.abs(np.asarray(x) - claim.target).max())
+    return err <= claim.tol * cfg.macro.dx if claim.in_cells else err < claim.tol
+
+
+def lands(claim, cfg, report):
+    """The swarm's consensus ends near the target, inside the balls and settled."""
+    s = report.summary
+    x = np.asarray(s["final_consensus"]["micro"])
+    return (near(claim, cfg, x) and cfg.feasible_set.distance(x) < 0.05
+            and s["final_violation"]["micro"] < 0.05)
+
+
+def conserved(report):
+    total0 = report.rows[0]["mass_total"]
+    return all(abs(row["mass_total"] - total0) <= 1e-10 * total0 for row in report.rows)
+
+
+def peaks(claim, cfg, report):
+    return near(claim, cfg, report.summary["argmin_estimate"])
 
 
 # ------------------------------------------------------- swarm-only runs
 
 
-def test_unconstrained_swarm_finds_origin(tmp_path):
-    # 20 seeds; at least 18 consensus points end inside the 0.25 box
-    cfg = bundled("ackley2d_unconstrained")
-    t0 = time.perf_counter()
-    hits = 0
-    for report in seeded_runs(cfg, 20, tmp_path):
-        x = np.asarray(report.summary["final_consensus"]["micro"])
-        hits += float(np.abs(x).max()) < 0.25
-    elapsed = time.perf_counter() - t0
-    assert hits >= 18
-    assert elapsed < 10.0
+def test_unconstrained_swarm_finds_origin(seed_block):
+    claim = CLAIMS["ackley2d_unconstrained"]
+    for stop in claim.stops:
+        block = seed_block("ackley2d_unconstrained", stop)
+        hits = sum(near(claim, block.cfg, r.summary["final_consensus"]["micro"])
+                   for r in block.reports)
+        assert hits >= claim.passes
+        assert block.elapsed < 10.0
 
 
-def feasible_minimizer_by_scan():
-    # brute force at 1e-3 resolution over every ball of the bundled admissible set
-    best_val, best_pt = np.inf, None
-    for ball in bundled("ackley2d_constrained").feasible_set.balls:
-        (cx, cy), r2 = ball.center, ball.radius_sq
-        r = math.sqrt(r2)
-        xs = np.arange(cx - r, cx + r + 1e-3, 1e-3)
-        ys = np.arange(cy - r, cy + r + 1e-3, 1e-3)
-        gx, gy = np.meshgrid(xs, ys)
-        mask = (gx - cx) ** 2 + (gy - cy) ** 2 <= r2
-        pts = np.stack([gx[mask], gy[mask]], axis=-1)
-        vals = ackley(pts)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_pt = float(vals[i]), pts[i]
-    return best_pt, best_val
-
-
-def test_constrained_swarm_lands_on_feasible_minimizer(tmp_path):
-    target, _ = feasible_minimizer_by_scan()
-    cfg = bundled("ackley2d_constrained")
-    fs = cfg.feasible_set
-
-    consensus_ok = beta_ok = 0
-    for report in seeded_runs(cfg, 20, tmp_path):
-        s = report.summary
-        x = np.asarray(s["final_consensus"]["micro"])
-        near = float(np.abs(x - target).max()) < 0.25
-        feasible = fs.distance(x) < 0.05
-        settled = s["final_violation"]["micro"] < 0.05
-        consensus_ok += near and feasible and settled
-        beta_ok += 3.0 <= s["final_beta"]["micro"] <= 12.0
-    assert consensus_ok >= 16
-    assert beta_ok >= 16
+def test_constrained_swarm_lands_on_feasible_minimizer(seed_block):
+    claim = CLAIMS["ackley2d_constrained"]
+    for stop in claim.stops:
+        block = seed_block("ackley2d_constrained", stop)
+        assert sum(lands(claim, block.cfg, r) for r in block.reports) >= claim.passes
+        assert sum(3.0 <= r.summary["final_beta"]["micro"] <= 12.0
+                   for r in block.reports) >= claim.passes
 
 
 # --------------------------------------------------------- grid-only run
 
 
-def test_grid_solver_concentrates_at_feasible_minimizer(tmp_path):
-    cfg = bundled("ackley1d_macro_constrained")
-    report = run_experiment(replace(cfg, output=str(tmp_path / "macro")))
-    dx = cfg.macro.dx
-    estimate = report.summary["argmin_estimate"][0]
-    assert abs(estimate - (-1.0)) <= 2 * dx
-
-    betas = [row["beta"] for row in report.rows]
-    assert all(b >= a for a, b in zip(betas, betas[1:]))
-
-
-def test_grid_peak_holds_over_a_window_of_stop_steps(tmp_path):
-    # the result must not rest on one stop step: every step from 400 to 800
-    cfg = bundled("ackley1d_macro_constrained")
-    report = run_experiment(replace(cfg, n_steps=800, output=str(tmp_path / "macro")))
-    dx = cfg.macro.dx
-    misses = [row["step"] for row in report.rows[400:]
-              if abs(row["argmax_center"] - (-1.0)) > 2 * dx]
+def test_grid_solver_concentrates_at_feasible_minimizer(seed_block):
+    # a lone grid draws no random number, so row n of one run is the estimate of
+    # the run stopped at step n, and one run to the last stop serves every stop
+    claim = CLAIMS["ackley1d_macro_constrained"]
+    block = seed_block("ackley1d_macro_constrained", max(claim.stops))
+    for report in block.reports:
+        assert report.summary["argmin_estimate"] == [report.rows[-1]["argmax_center"]]
+        betas = [row["beta"] for row in report.rows]
+        assert all(b >= a for a, b in zip(betas, betas[1:]))
+    misses = [n for n in claim.stops
+              if sum(near(claim, block.cfg, r.rows[n]["argmax_center"])
+                     for r in block.reports) < claim.passes]
     assert misses == []
 
 
 # ------------------------------------------------------ coupled-scale runs
 
 
-def test_mass_migrates_to_grid_scale(tmp_path):
-    cfg = bundled("rastrigin1d_micromacro")
-    t_star = cfg.coupling.t_star
-    dx = cfg.macro.dx
-
-    zeta_ok = trend_ok = hits = 0
-    for report in seeded_runs(cfg, 5, tmp_path):
-        hits += abs(report.summary["argmin_estimate"][0]) <= 2 * dx
-        rows = report.rows
-        assert all(0.1 <= row["zeta"] <= 0.9 for row in rows)
-
-        total0 = rows[0]["mass_total"]
-        for row in rows:
-            assert abs(row["mass_total"] - total0) <= 1e-10 * total0
-
-        zeta_ok += report.summary["final_zeta"] < 0.2
-
-        # the per-step series rattles inside the clamp band, so the claim
-        # is about the trend: fit the active window and ask for decay
-        steps = np.array([row["step"] for row in rows if row["step"] >= t_star])
-        mass = np.array([row["mass_micro"] for row in rows if row["step"] >= t_star])
-        slope = np.polyfit(steps, mass, 1)[0]
-        trend_ok += slope <= 0.0
-
-    assert zeta_ok >= 4
-    assert trend_ok >= 4
-    assert hits >= 4
+def test_mass_migrates_to_grid_scale(seed_block):
+    claim = CLAIMS["rastrigin1d_micromacro"]
+    bundled = load_bundled("rastrigin1d_micromacro")
+    for stop in claim.stops:
+        block = seed_block("rastrigin1d_micromacro", stop)
+        reports = block.reports
+        assert sum(peaks(claim, block.cfg, r) for r in reports) >= claim.passes
+        for r in reports:
+            assert conserved(r)
+            assert all(0.1 <= row["zeta"] <= 0.9 for row in r.rows)
+        # the particle share does not stay low: at the last stop final zeta < 0.2
+        # held on only 2 of the 5 seeds, so there the argmin alone is claimed
+        if stop < claim.stops[-1]:
+            assert sum(r.summary["final_zeta"] < 0.2 for r in reports) >= claim.passes
+        if stop == bundled.n_steps:
+            # the per-step series rattles inside the clamp band, so the claim
+            # is about the trend: fit the active window and ask for decay
+            decays = 0
+            for r in reports:
+                active = [row for row in r.rows if row["step"] >= bundled.coupling.t_star]
+                slope = np.polyfit([row["step"] for row in active],
+                                   [row["mass_micro"] for row in active], 1)[0]
+                decays += slope <= 0.0
+            assert decays >= claim.passes
 
 
-# the bundled stop step 800 is the run of test_mass_migrates_to_grid_scale.  The
-# particle share does not stay low: at 3,200 steps final zeta < 0.2 held on only
-# 2 of these 5 seeds, so there the argmin alone is claimed
-@pytest.mark.parametrize("n_steps, zeta_claimed", [(1600, True), (3200, False)])
-def test_free_coupled_run_holds_at_each_stop_step(tmp_path, n_steps, zeta_claimed):
-    cfg = replace(bundled("rastrigin1d_micromacro"), n_steps=n_steps)
-    dx = cfg.macro.dx
-    hits = zeta_ok = 0
-    for report in seeded_runs(cfg, 5, tmp_path):
-        hits += abs(report.summary["argmin_estimate"][0]) <= 2 * dx
-        zeta_ok += report.summary["final_zeta"] < 0.2
-    assert hits >= 4
-    if zeta_claimed:
-        assert zeta_ok >= 4
+def test_constrained_coupled_run_peaks_near_minimizer(seed_block):
+    claim = CLAIMS["rastrigin1d_micromacro_constrained"]
+    for stop in claim.stops:
+        block = seed_block("rastrigin1d_micromacro_constrained", stop)
+        assert sum(peaks(claim, block.cfg, r) for r in block.reports) >= claim.passes
 
 
-def test_constrained_coupled_run_peaks_near_minimizer(tmp_path):
-    cfg = bundled("rastrigin1d_micromacro_constrained")
-    dx = cfg.macro.dx
-    hits = 0
-    for report in seeded_runs(cfg, 5, tmp_path):
-        estimate = report.summary["argmin_estimate"][0]
-        hits += abs(estimate - (-1.0)) <= 2 * dx
-    assert hits >= 4
+# ------------------------------------------- the targets and perfbench's gates
 
 
-# the bundled stop step 400 is the run of test_constrained_coupled_run_peaks_near_minimizer
-@pytest.mark.parametrize("n_steps", [300, 800])
-def test_constrained_coupled_peak_holds_at_each_stop_step(tmp_path, n_steps):
-    cfg = replace(bundled("rastrigin1d_micromacro_constrained"), n_steps=n_steps)
-    dx = cfg.macro.dx
-    hits = 0
-    for report in seeded_runs(cfg, 5, tmp_path):
-        estimate = report.summary["argmin_estimate"][0]
-        hits += abs(estimate - (-1.0)) <= 2 * dx
-    assert hits >= 4
+@functools.cache
+def perfbench_target(workload):
+    return BENCH.WORKLOADS[workload].minimiser(np, ackley)
+
+
+def test_the_ball_target_is_perfbench_scan_of_the_bundled_balls():
+    balls = load_bundled("ackley2d_constrained").feasible_set.balls
+    assert [(ball.center, ball.radius_sq) for ball in balls] == BENCH.SIX_BALLS
+    target = perfbench_target("swarm_balls_2d")
+    assert tuple(target.tolist()) == CLAIMS["ackley2d_constrained"].target
+
+
+@pytest.mark.parametrize("name", [name for name, c in CLAIMS.items() if len(c.target) == 1])
+def test_a_fine_scan_of_the_grid_finds_the_target(name):
+    cfg = load_bundled(name)
+    grid = cfg.macro
+    xs = np.linspace(grid.x_min, grid.x_max, round((grid.x_max - grid.x_min) / 1e-5) + 1)[:, None]
+    if cfg.feasible_set is not None:
+        xs = xs[cfg.feasible_set.distance(xs) == 0.0]
+    assert abs(xs[np.argmin(cfg.objective(xs)), 0] - CLAIMS[name].target[0]) <= 1e-5
+
+
+# the clause of each workload's claim that its perfbench gate copies
+CLAUSES = {
+    "swarm_balls_2d": lands,
+    "coupled_free_1d": lambda claim, cfg, r: conserved(r) and r.summary["final_zeta"] < 0.2,
+    "coupled_halfline_1d": peaks,
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+def test_perfbench_gates_give_the_claims_verdicts(seed_block, workload):
+    config = BENCH.WORKLOADS[workload].config
+    claim, gate = CLAIMS[config], BENCH.WORKLOADS[workload].gate
+    block = seed_block(config, load_bundled(config).n_steps)
+    verdicts = [gate(np, r, block.cfg, perfbench_target(workload))[0] for r in block.reports]
+    assert verdicts == [CLAUSES[workload](claim, block.cfg, r) for r in block.reports]
 
 
 # ---------------------------------------------------------- property suite

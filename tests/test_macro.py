@@ -410,6 +410,26 @@ def test_advance_macro_reports_a_stall(monkeypatch):
         advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 0.0, 10.0), 100.0)
 
 
+def test_advance_macro_may_take_exactly_max_substeps(monkeypatch):
+    grid = Grid1D(-2.0, 2.0, 40, T=0.3, boundary="periodic")
+    state, weights = init_macro(grid), weights_at(grid, ackley_pf(), 0.0, 10.0)
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return lax_friedrichs_step(*args, **kwargs)
+
+    monkeypatch.setattr(macro, "lax_friedrichs_step", counted)
+    advance_macro(state, grid, PARAMS, weights, 0.9)
+    n = len(steps)
+    assert n > 1
+    monkeypatch.setattr(macro, "MAX_SUBSTEPS", n)
+    assert advance_macro(state, grid, PARAMS, weights, 0.9).time == pytest.approx(0.9)
+    monkeypatch.setattr(macro, "MAX_SUBSTEPS", n - 1)
+    with pytest.raises(RuntimeError, match=f"grid solver stalled: {n - 1} sub-steps"):
+        advance_macro(state, grid, PARAMS, weights, 0.9)
+
+
 def test_non_finite_state_raises_naming_the_cell():
     grid = Grid1D(0.0, 1.0, 10)
     rho_u = np.zeros(10)

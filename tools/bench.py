@@ -5,11 +5,15 @@ Usage, from the repository root:
     python3 tools/bench.py BENCH_<n>.json
 
 Each workload that BENCHMARK.json lists is run by ``perfbench/run.py`` as a
-subprocess, once with ``--trace 0`` (the end-to-end metrics) and once with
-``--trace 1`` (the per-layer metrics), one after another so that no two
+subprocess, once with ``--trace 0`` (the end-to-end metrics) and three times
+with ``--trace 1`` (the per-layer metrics), one after another so that no two
 runs share the cores.  The last line a run prints, its result, is copied
-verbatim.  The file also records the git HEAD the sources were read at and
-whether the working tree differed from it, the python and numpy versions,
+verbatim.  The per-layer counters (every ``.calls`` and ``.points``,
+``macro.substeps_per_step``, ``micromacro.active_share`` and
+``runner.trace_bytes``) depend on no clock, so if they differ between the
+three traced runs of a workload the script names them, writes no file and
+exits non-zero.  The file also records the git HEAD the sources were read at
+and whether the working tree differed from it, the python and numpy versions,
 the kernel numpy dispatches float64 ``exp`` to (digests and counters depend
 on it) and the number of usable cores.  Every run lasts the benchmark's
 ``run_seconds`` and uses perfbench's own base seed.
@@ -28,6 +32,15 @@ import numpy as np
 from numpy.lib.introspect import opt_func_info
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3
+COUNTERS = {"macro.substeps_per_step", "micromacro.active_share", "runner.trace_bytes"}
+
+
+def counters(line):
+    """The clock-free per-layer metrics of one result line."""
+    metrics = json.loads(line)["metrics"]
+    return {name: m["value"] for name, m in metrics.items()
+            if name in COUNTERS or name.endswith((".calls", ".points"))}
 
 
 def git(*args):
@@ -68,11 +81,20 @@ def main(argv=None):
         "seconds": seconds,
         "runs": [],
     }
+    drift = []
     for workload in (w["name"] for w in bench["workloads"]):
-        for trace in (0, 1):
+        traced = []
+        for trace in (0,) + (1,) * TRACED_RUNS:
             line = result_line(workload, trace, seconds)
             payload["runs"].append({"workload": workload, "trace": trace, "result": line})
             print(f"{workload} --trace {trace}: {line}", flush=True)
+            if trace:
+                traced.append(counters(line))
+        names = sorted(set().union(*traced))
+        drift += [f"{workload} {name}: {[run.get(name) for run in traced]}"
+                  for name in names if any(run.get(name) != traced[0].get(name) for run in traced)]
+    if drift:
+        raise SystemExit("counters differ between the traced runs:\n" + "\n".join(drift))
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
