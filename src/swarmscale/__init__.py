@@ -27,7 +27,6 @@ from .micro import (
     MicroParams,
     SwarmState,
     consensus_point,
-    diffusion_diagonal,
     gibbs_weights,
     init_swarm,
     softmin_gap,
@@ -80,7 +79,6 @@ __all__ = [
     "MicroParams",
     "SwarmState",
     "consensus_point",
-    "diffusion_diagonal",
     "gibbs_weights",
     "init_swarm",
     "softmin_gap",

@@ -46,26 +46,18 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = load_bundled(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
 
-    if args.command == "validate-config":
-        print(f"config valid: mode={cfg.mode}, "
-              f"objective={cfg.objective.name} (dim {cfg.objective.dim}), "
-              f"{cfg.n_steps} steps")
-        return 0
+        if args.command == "validate-config":
+            print(f"config valid: mode={cfg.mode}, "
+                  f"objective={cfg.objective.name} (dim {cfg.objective.dim}), "
+                  f"{cfg.n_steps} steps")
+            return 0
 
-    # --seed and --out set config keys, so the config's own checks bound them
-    overrides = {key: value for key, value in [("seed", args.seed), ("output", args.out)]
-                 if value is not None}
-    try:
+        # --seed and --out set config keys, so the config's own checks bound them
+        overrides = {key: value for key, value in [("seed", args.seed), ("output", args.out)]
+                     if value is not None}
         cfg = replace(cfg, **overrides)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
 
-    try:
         if args.command == "run":
             report = run_experiment(cfg)
             s = report.summary
@@ -82,12 +74,12 @@ def main(argv=None) -> int:
         failures = [r for r in report.runs if not r["ok"]]
         print(f"wrote {report.pooled_csv}")
         print(f"wrote {report.json_path}")
-        print(f"{report.n_runs - len(failures)}/{report.n_runs} runs succeeded")
+        print(f"{len(report.runs) - len(failures)}/{len(report.runs)} runs succeeded")
         for f in failures:
             print(f"run {f['run']} (seed {f['seed']}) failed: {f['error']}",
                   file=sys.stderr)
         return 1 if failures else 0
-    except ConfigError as exc:  # an ensemble whose last seed is out of range
+    except ConfigError as exc:  # the file, an override, or an ensemble's last seed
         print(exc, file=sys.stderr)
         return 2
     except RunError as exc:

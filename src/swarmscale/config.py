@@ -14,7 +14,8 @@ from importlib import resources
 
 import yaml
 
-from .keys import check_keys, choice, integer, key, path_string, read_keys, section
+from .keys import (MAX_ARRAY_VALUES, check_keys, choice, integer, key, path_string, read_keys,
+                   section)
 from .macro import LANDING_TOL, MAX_SUBSTEPS, Grid1D
 from .micro import MicroParams
 from .micromacro import CouplingConfig
@@ -64,6 +65,9 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc).splitlines()) from None
         dim, fs, errors = self.objective.dim, self.feasible_set, []
+        if self.n_particles * dim > MAX_ARRAY_VALUES:
+            errors.append(f"n_particles: {self.n_particles} particles in dim {dim} exceed the "
+                          f"budget of MAX_ARRAY_VALUES = {MAX_ARRAY_VALUES} values per array")
         if self.mode in ("macro", "micromacro"):
             if dim != 1:
                 errors.append(f"objective.dim: mode {self.mode!r} runs on a 1D grid; dim must be 1")

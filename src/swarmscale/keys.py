@@ -12,6 +12,9 @@ from __future__ import annotations
 import sys
 from dataclasses import MISSING, field, fields, is_dataclass
 
+# the most values one float64 array of a run may hold (32 MiB), checked when the config loads
+MAX_ARRAY_VALUES = 2**22
+
 # -- value checks: each returns the parsed value or raises ValueError ------
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .keys import check_keys, choice, integer, key, number
+from .keys import MAX_ARRAY_VALUES, check_keys, choice, integer, key, number
 from .micro import MicroParams, weighted_mean
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
@@ -43,7 +43,7 @@ class Grid1D:
 
     x_min: float = key(number, -3.0)
     x_max: float = key(number, 3.0)
-    n_cells: int = key(integer, 401, lo=3)
+    n_cells: int = key(integer, 401, lo=3, hi=MAX_ARRAY_VALUES)
     T: float = key(number, 0.1)
     cfl: float = key(number, 0.8, lo=0, hi=1, lo_open=True)
     boundary: str = key(choice, "outflow", options=BOUNDARIES)

@@ -44,7 +44,7 @@ class MicroParams:
 
 @dataclass
 class SwarmState:
-    """Positions (N, d), velocities (N, d), uniform particle mass, step counter.
+    """Positions (N, d), velocities (N, d) and the uniform particle mass.
 
     Public construction checks the fields.  _unchecked skips the checks; only a
     solver may call it, for a swarm it derives from one it already holds:
@@ -54,7 +54,6 @@ class SwarmState:
     positions: np.ndarray
     velocities: np.ndarray
     particle_mass: float = 1.0
-    step: int = 0
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -67,11 +66,10 @@ class SwarmState:
             raise ValueError("particle mass must be nonnegative")
 
     @classmethod
-    def _unchecked(cls, positions, velocities, particle_mass, step):
+    def _unchecked(cls, positions, velocities, particle_mass):
         """A swarm of float64 (N, d) arrays, N >= 1, mass >= 0, built without re-checking them."""
         swarm = object.__new__(cls)
-        swarm.positions, swarm.velocities = positions, velocities
-        swarm.particle_mass, swarm.step = particle_mass, step
+        swarm.positions, swarm.velocities, swarm.particle_mass = positions, velocities, particle_mass
         return swarm
 
     @property
@@ -140,31 +138,14 @@ def consensus_point(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weighted_mean(weights, positions)
 
 
-def diffusion_diagonal(mode: str, displacement: np.ndarray) -> np.ndarray:
-    """Diagonal of the exploration matrix for each displacement vector.
-
-    isotropic   -> ||r||_2 in every component (the matrix ||r|| * I)
-    anisotropic -> the displacement itself    (the matrix diag(r))
-
-    The anisotropic diagonal is the input array itself (as float), not a copy.
-    """
-    displacement = np.asarray(displacement, dtype=float)
-    if mode == "isotropic":
-        norms = np.linalg.norm(displacement, axis=-1, keepdims=True)
-        return np.broadcast_to(norms, displacement.shape).copy()
-    if mode == "anisotropic":
-        return displacement
-    raise ValueError(f"diffusion must be one of {DIFFUSION_MODES}")
-
-
 def step_euler_maruyama(
     state: SwarmState, params: MicroParams, target: np.ndarray, rng: np.random.Generator
 ) -> SwarmState:
     """One Euler-Maruyama step of the inertial swarm SDE toward the drift target.
 
     The target is the consensus point of the pre-step state, shared by all
-    particles.  Draw order: one standard normal per particle (isotropic) or
-    per particle component (anisotropic), in a single generator call.
+    particles; r = target - x.  One generator call draws a standard normal per
+    particle for ||r|| * I (isotropic) or per component for diag(r) (anisotropic).
     """
     m, lam, sigma, dt = params.m, params.lam, params.sigma, params.dt
     c = m + params.gamma * dt
@@ -173,9 +154,10 @@ def step_euler_maruyama(
 
     if params.diffusion == "isotropic":
         theta = rng.standard_normal(state.n_particles)[:, None]
+        scale = np.linalg.norm(r, axis=-1, keepdims=True)  # (N, 1): the product broadcasts it
     else:
         theta = rng.standard_normal(state.positions.shape)
-    scale = diffusion_diagonal(params.diffusion, r)
+        scale = r
 
     velocities = (
         (m / c) * state.velocities
@@ -186,10 +168,9 @@ def step_euler_maruyama(
 
     if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
         raise FloatingPointError(
-            f"swarm blew up at step {state.step + 1}: non-finite positions or "
-            "velocities (check m, lambda, sigma, dt)"
+            "swarm blew up: non-finite positions or velocities (check m, lambda, sigma, dt)"
         )
-    return SwarmState._unchecked(positions, velocities, state.particle_mass, state.step + 1)
+    return SwarmState._unchecked(positions, velocities, state.particle_mass)
 
 
 def softmin_gap(weights: np.ndarray, alpha: float) -> float:

@@ -64,7 +64,8 @@ def init_coupling(swarm: SwarmState, grid: Grid1D, rule: CouplingConfig) -> Coup
     return CouplingState(rule.zeta0, swarm.total_mass, micro_cell_density(swarm, grid), rule)
 
 
-def _cell_indices(swarm: SwarmState, grid: Grid1D) -> np.ndarray:
+def _bin(swarm: SwarmState, grid: Grid1D):
+    """Each particle's cell index and the particle count of every cell."""
     # coupling runs on the 1D macro grid only
     if swarm.dim != 1:
         raise ValueError("scale coupling requires 1D positions")
@@ -73,12 +74,7 @@ def _cell_indices(swarm: SwarmState, grid: Grid1D) -> np.ndarray:
     # in float, so a stray beyond the int64 range never reaches the cast
     cells = np.floor((x - grid.x_min) / grid.dx)
     np.maximum(cells, 0, out=cells)
-    return np.minimum(cells, grid.n_cells - 1, out=cells).astype(int)
-
-
-def _bin(swarm: SwarmState, grid: Grid1D):
-    """Each particle's cell index and the particle count of every cell."""
-    idx = _cell_indices(swarm, grid)
+    idx = np.minimum(cells, grid.n_cells - 1, out=cells).astype(int)
     return idx, np.bincount(idx, minlength=grid.n_cells)
 
 
@@ -168,8 +164,7 @@ def transfer_mass(
     binned = _bin(swarm, grid)
     zeta = compute_zeta(swarm, macro, grid, coupling, binned=binned)
     mu_new = zeta * coupling.mu0
-    new_swarm = SwarmState._unchecked(swarm.positions, swarm.velocities,
-                                      mu_new / swarm.n_particles, swarm.step)
+    new_swarm = SwarmState._unchecked(swarm.positions, swarm.velocities, mu_new / swarm.n_particles)
     # micro_cell_density of new_swarm, from the same counts
     rho_m_new = new_swarm.particle_mass * binned[1] / dx
     delta = rho_m_new - coupling.rho_m_prev

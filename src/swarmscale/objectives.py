@@ -20,8 +20,6 @@ import numpy as np
 
 from .keys import check_keys, choice, integer, key, key_list, number, numbers, span
 
-OBJECTIVE_NAMES = ("ackley", "rastrigin")
-
 
 def ackley(x: np.ndarray) -> np.ndarray:
     """Ackley function, global minimum 0 at the origin."""
@@ -47,11 +45,14 @@ def rastrigin(x: np.ndarray) -> np.ndarray:
     return 10.0 * d + total
 
 
+OBJECTIVES = {"ackley": ackley, "rastrigin": rastrigin}
+
+
 @dataclass(frozen=True)
 class ObjectiveFunction:
     """A named benchmark objective in a fixed dimension: the config's ``objective`` section."""
 
-    name: str = key(choice, options=OBJECTIVE_NAMES)
+    name: str = key(choice, options=tuple(OBJECTIVES))
     dim: int = key(integer, lo=1)
 
     def __post_init__(self):
@@ -64,9 +65,7 @@ class ObjectiveFunction:
                 f"dimension mismatch: objective is {self.dim}-dimensional, "
                 f"got points of dimension {x.shape[-1]}"
             )
-        if self.name == "ackley":
-            return ackley(x)
-        return rastrigin(x)
+        return OBJECTIVES[self.name](x)
 
 
 class FeasibleSet:

@@ -385,7 +385,6 @@ def _summary(cfg, scales, transfer, final_time):
 
 @dataclass
 class EnsembleReport:
-    n_runs: int
     pooled_csv: str
     json_path: str
     runs: list
@@ -428,5 +427,4 @@ def run_ensemble(cfg: ExperimentConfig, n_runs: int) -> EnsembleReport:
     payload = {"n_runs": n_runs, "base_seed": cfg.seed, "runs": records}
     json_path = os.path.join(cfg.output, "ensemble.json")
     _write_json(json_path, payload)
-    return EnsembleReport(n_runs=n_runs, pooled_csv=pooled_csv, json_path=json_path,
-                          runs=records)
+    return EnsembleReport(pooled_csv=pooled_csv, json_path=json_path, runs=records)

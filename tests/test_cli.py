@@ -6,7 +6,7 @@ import json
 import pytest
 import yaml
 
-from swarmscale import cli
+from swarmscale import cli, runner
 from swarmscale.runner import RunError
 
 
@@ -185,9 +185,13 @@ def test_run_reports_solver_failure(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_run_reports_a_config_the_solver_cannot_build(tmp_path, capsys):
-    # the largest particle count passes validation but not the particle set-up
-    p = write_config(tmp_path, n_particles=2**63 - 1)
+def test_run_reports_a_config_the_solver_cannot_build(tmp_path, capsys, monkeypatch):
+    # the config bounds the swarm's size, so a set-up that fails is stood in for
+    def refused(*args, **kwargs):
+        raise ValueError("array is too big")
+
+    monkeypatch.setattr(runner, "init_swarm", refused)
+    p = write_config(tmp_path)
     assert cli.main(["run", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert "solver failure" in err and "(step 0," in err

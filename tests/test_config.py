@@ -24,6 +24,7 @@ from swarmscale.config import (
     load_config,
     save_config,
 )
+from swarmscale.keys import MAX_ARRAY_VALUES
 from swarmscale.macro import T_MIN, Grid1D
 from swarmscale.micro import MicroParams
 from swarmscale.micromacro import CouplingConfig
@@ -194,6 +195,31 @@ def test_a_certain_cfl_stall_is_refused_at_load(tmp_path):
     assert config_from_dict(micro).macro.T == 1e6
 
 
+def test_an_array_over_the_budget_is_refused_at_load(tmp_path):
+    # 20,240,815 particles asked for 162 MB per (N, 1) array, in every mode
+    tree = yaml.safe_load(bundled_config_path("rastrigin1d_micromacro").read_text())
+    for mode in ("micro", "macro", "micromacro"):
+        path = tmp_path / f"{mode}.yaml"
+        path.write_text(yaml.safe_dump({**tree, "mode": mode, "n_particles": 20240815}))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.errors == ["n_particles: 20240815 particles in dim 1 exceed the budget "
+                                    "of MAX_ARRAY_VALUES = 4194304 values per array"]
+    # the budget bounds n_particles * objective.dim: at dim 2 half of it fits, one more does not
+    half = MAX_ARRAY_VALUES // 2
+    assert config_from_dict(base_dict(n_particles=half)).n_particles == half
+    for over in ({"n_particles": half + 1}, {"objective": {"name": "ackley", "dim": half}}):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(base_dict(**over))
+        assert [e.split(":")[0] for e in exc.value.errors] == ["n_particles"]
+    # the grid's cell count is bounded in its key
+    grid = {**tree, "macro": {**tree["macro"], "n_cells": MAX_ARRAY_VALUES}}
+    assert config_from_dict(grid).macro.n_cells == MAX_ARRAY_VALUES
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({**tree, "macro": {**tree["macro"], "n_cells": MAX_ARRAY_VALUES + 1}})
+    assert exc.value.errors == [f"macro.n_cells: must lie in [3, {MAX_ARRAY_VALUES}]"]
+
+
 def test_zeta_bounds_ordering():
     d = base_dict(
         mode="micromacro",
@@ -301,7 +327,7 @@ def test_non_finite_numbers_rejected(over, key):
     ({"n_particles": 10**400}, "n_particles", [1, 2**63 - 1]),
     ({"n_steps": 10**400}, "n_steps", [1, 2**63 - 1]),
     ({"objective": {"name": "ackley", "dim": 10**400}}, "objective.dim", [1, 2**63 - 1]),
-    ({"macro": {"n_cells": 10**400}}, "macro.n_cells", [3, 2**63 - 1]),
+    ({"macro": {"n_cells": 10**400}}, "macro.n_cells", [3, MAX_ARRAY_VALUES]),
     ({"macro": {"snapshot_every": 10**400}}, "macro.snapshot_every", [0, 2**63 - 1]),
     ({"coupling": {"t_star": 10**400}}, "coupling.t_star", [0, 2**63 - 1]),
     ({"seed": 2**64}, "seed", [0, 2**64 - 1]),

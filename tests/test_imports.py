@@ -2,10 +2,12 @@
 
 No linter is installed, so this walks the syntax tree of each ``.py`` file
 under ``src/``, ``tests/`` and ``demos/``.  A name listed in ``__all__``
-counts as used: the package re-exports it.
+counts as used: the package re-exports it.  So each ``__all__`` entry under
+``src/`` must also be a name its module defines.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,3 +44,25 @@ def test_every_import_is_used():
     assert len(files) > 20
     unused = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def exported_names(source):
+    """The strings of the module's ``__all__``, or None when it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_name_in_all_exists():
+    # a stale entry passes the import check above but breaks `from swarmscale import *`
+    missing = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        names = exported_names(path.read_text())
+        if names is not None:
+            dotted = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+            module = importlib.import_module(dotted.removesuffix(".__init__"))
+            missing[dotted] = [name for name in names if not hasattr(module, name)]
+    assert "swarmscale.__init__" in missing
+    assert {dotted: names for dotted, names in missing.items() if names} == {}

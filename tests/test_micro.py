@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from swarmscale.micro import (
+    DIFFUSION_MODES,
     MicroParams,
     SwarmState,
     consensus_point,
-    diffusion_diagonal,
     gibbs_weights,
     init_swarm,
     softmin_gap,
@@ -166,7 +166,6 @@ def test_step_coincident_swarm_is_ballistic():
     out = step(state, params, plain("ackley", 2), np.random.default_rng(0))
     np.testing.assert_array_equal(out.velocities, vel)
     np.testing.assert_array_equal(out.positions, pos + 0.1 * vel)
-    assert out.step == 1
 
 
 def test_step_single_particle_velocity_decay():
@@ -177,10 +176,11 @@ def test_step_single_particle_velocity_decay():
     assert out.velocities[0, 0] == pytest.approx(3.0 * 0.5 / c, rel=1e-14)
 
 
-def test_step_matches_independent_transcription():
+@pytest.mark.parametrize("diffusion", DIFFUSION_MODES)
+def test_step_matches_independent_transcription(diffusion):
     # replay the exact normal draws and redo the update from scratch
     params = MicroParams(m=0.5, lam=1.0, sigma=1.0 / math.sqrt(3.0), dt=0.1,
-                         alpha=30.0, diffusion="anisotropic")
+                         alpha=30.0, diffusion=diffusion)
     rng = np.random.default_rng(2024)
     positions = rng.uniform(-0.05, 0.05, size=(3, 2))
     velocities = rng.uniform(-1, 1, size=(3, 2))
@@ -189,7 +189,9 @@ def test_step_matches_independent_transcription():
     seed_state = np.random.default_rng(77)
     out = step(SwarmState(positions.copy(), velocities.copy()), params, pf, seed_state)
 
-    theta = np.random.default_rng(77).standard_normal((3, 2))
+    isotropic = diffusion == "isotropic"
+    # isotropic: one draw per particle, shared by its components
+    theta = np.random.default_rng(77).standard_normal(3 if isotropic else (3, 2))
     target = naive_consensus(positions, pf.evaluate(positions, BETA), 30.0)
     m, lam, sigma, dt = 0.5, 1.0, 1.0 / math.sqrt(3.0), 0.1
     c = m + (1.0 - m) * dt
@@ -197,11 +199,57 @@ def test_step_matches_independent_transcription():
     pos2 = np.empty_like(positions)
     for i in range(3):
         r = target - positions[i]
+        scale = math.sqrt(sum(rk * rk for rk in r)) if isotropic else r
         vel2[i] = (m / c) * velocities[i] + (lam * dt / c) * r \
-            + (sigma * math.sqrt(dt) / c) * r * theta[i]
+            + (sigma * math.sqrt(dt) / c) * scale * theta[i]
         pos2[i] = positions[i] + dt * vel2[i]
     np.testing.assert_allclose(out.velocities, vel2, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.positions, pos2, rtol=1e-12, atol=1e-14)
+
+
+def reference_diffusion_diagonal(mode, displacement):
+    """The exploration matrix's diagonal, body for body as the step first called it."""
+    displacement = np.asarray(displacement, dtype=float)
+    if mode == "isotropic":
+        norms = np.linalg.norm(displacement, axis=-1, keepdims=True)
+        return np.broadcast_to(norms, displacement.shape).copy()
+    if mode == "anisotropic":
+        return displacement
+    raise ValueError(f"diffusion must be one of {DIFFUSION_MODES}")
+
+
+def reference_step(state, params, target, rng):
+    """step_euler_maruyama as first written, on reference_diffusion_diagonal."""
+    m, lam, sigma, dt = params.m, params.lam, params.sigma, params.dt
+    c = m + params.gamma * dt
+    r = target - state.positions
+    if params.diffusion == "isotropic":
+        theta = rng.standard_normal(state.n_particles)[:, None]
+    else:
+        theta = rng.standard_normal(state.positions.shape)
+    scale = reference_diffusion_diagonal(params.diffusion, r)
+    velocities = (
+        (m / c) * state.velocities
+        + (lam * dt / c) * r
+        + (sigma * math.sqrt(dt) / c) * scale * theta
+    )
+    return state.positions + dt * velocities, velocities
+
+
+@pytest.mark.parametrize("diffusion", DIFFUSION_MODES)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_step_matches_the_reference_diagonal_bit_for_bit(diffusion, dim):
+    params = MicroParams(diffusion=diffusion)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 50))
+        state = SwarmState(rng.uniform(-3, 3, (n, dim)), rng.normal(0.0, 1.0, (n, dim)))
+        target = rng.uniform(-1, 1, dim)
+        out = step_euler_maruyama(state, params, target, np.random.default_rng(seed + 100))
+        positions, velocities = reference_step(state, params, target,
+                                               np.random.default_rng(seed + 100))
+        assert np.array_equal(out.positions, positions)
+        assert np.array_equal(out.velocities, velocities)
 
 
 def test_step_isotropic_draw_shape():
@@ -290,23 +338,19 @@ def test_init_swarm_box_and_velocities():
 # ----------------------------------------------------------------- diffusion
 
 
-def test_diffusion_diagonal_modes():
-    r = np.array([3.0, -4.0])
-    np.testing.assert_array_equal(diffusion_diagonal("anisotropic", r), r)
-    np.testing.assert_allclose(diffusion_diagonal("isotropic", r), [5.0, 5.0])
-    with pytest.raises(ValueError):
-        diffusion_diagonal("diagonal", r)
-
-
 def test_diffusion_modes_agree_in_1d_distribution():
-    # in one dimension both modes scale the noise by |r| up to sign
+    # in one dimension both modes scale the noise by |r| up to sign; with zero
+    # velocity, m = 1 (no friction), dt = 1 and a negligible attraction the new
+    # velocity is the noise term sigma * scale * theta alone
+    n, r = 100_000, 1.7
     rng = np.random.default_rng(8)
-    n = 100_000
-    r = 1.7
-    iso = np.abs(diffusion_diagonal("isotropic", np.full((n, 1), r))[:, 0]
-                 * rng.standard_normal(n))
-    aniso = np.abs(diffusion_diagonal("anisotropic", np.full((n, 1), r))[:, 0]
-                   * rng.standard_normal(n))
+    state = SwarmState(np.zeros((n, 1)), np.zeros((n, 1)))
+    speeds = {}
+    for mode in DIFFUSION_MODES:
+        params = MicroParams(m=1.0, lam=1e-300, sigma=1.0, dt=1.0, diffusion=mode)
+        out = step_euler_maruyama(state, params, np.array([r]), rng)
+        speeds[mode] = np.abs(out.velocities[:, 0])
+    iso, aniso = speeds["isotropic"], speeds["anisotropic"]
     # folded-normal moments: mean r*sqrt(2/pi), second moment r^2
     se_mean = r * math.sqrt((1.0 - 2.0 / math.pi) / n)
     se_m2 = r * r * math.sqrt(2.0 / n)

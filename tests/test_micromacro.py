@@ -77,7 +77,7 @@ def test_a_stray_beyond_the_int64_range_lands_in_the_last_cell():
     grid = Grid1D(0.0, 5.0, 5)
     far = 1.8446744073709552e19
     swarm = SwarmState([[far], [-far], [2.3]], np.zeros((3, 1)))
-    np.testing.assert_array_equal(mm._cell_indices(swarm, grid), [4, 0, 2])
+    np.testing.assert_array_equal(mm._bin(swarm, grid)[0], [4, 0, 2])
     np.testing.assert_array_equal(micro_cell_density(swarm, grid), [1.0, 0.0, 1.0, 0.0, 1.0])
 
 
@@ -302,7 +302,7 @@ def test_transfer_zero_total_mass_raises():
 
 def reference_compute_zeta(swarm, macro, grid, coupling):
     """compute_zeta as first written: boolean-indexed vbar and max over occupied cells."""
-    idx = mm._cell_indices(swarm, grid)
+    idx = mm._bin(swarm, grid)[0]
     counts = np.bincount(idx, minlength=grid.n_cells)
     occupied = counts > 0
 
@@ -354,7 +354,7 @@ def coupled_states(rng, grid, n, spread):
     with vacuum cells, thin cells that still carry momentum, and full ones."""
     pos = rng.normal(rng.uniform(-1.0, 1.0), spread, size=(n, 1))
     vel = rng.normal(0.0, 0.5, size=(n, 1))
-    swarm = SwarmState(pos, vel, particle_mass=rng.uniform(0.2, 0.8) / n, step=7)
+    swarm = SwarmState(pos, vel, particle_mass=rng.uniform(0.2, 0.8) / n)
     rho = rng.uniform(0.0, 0.6, grid.n_cells)
     rho[rng.random(grid.n_cells) < 0.2] = 0.0
     thin = rng.random(grid.n_cells) < 0.2
@@ -368,7 +368,7 @@ def assert_transfers_equal(got, ref):
     assert c.zeta == rc.zeta
     assert np.array_equal(c.rho_m_prev, rc.rho_m_prev)
     assert (c.mu0, c.rule) == (rc.mu0, rc.rule)
-    assert s.particle_mass == rs.particle_mass and s.step == rs.step
+    assert s.particle_mass == rs.particle_mass
     assert np.array_equal(s.positions, rs.positions)
     assert np.array_equal(s.velocities, rs.velocities)
     assert np.array_equal(m.rho, rm.rho) and np.array_equal(m.rho_u, rm.rho_u)

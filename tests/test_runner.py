@@ -109,9 +109,14 @@ def test_a_non_finite_cell_value_fails_step_0_naming_the_cell(tmp_path, monkeypa
     assert str(exc.value.__cause__) == f"non-finite value {bad} at index 7"
 
 
-def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path):
-    # the largest count the config accepts: numpy refuses the array before allocating it
-    cfg = tiny(tmp_path, "micro", n_particles=2**63 - 1)
+def test_a_scale_that_cannot_be_built_fails_step_0(tmp_path, monkeypatch):
+    # the config bounds the swarm's size, so the refusal of its arrays is stood in for
+    def refused(*args, **kwargs):
+        raise ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+                         "the maximum possible size.")
+
+    monkeypatch.setattr(runner, "init_swarm", refused)
+    cfg = tiny(tmp_path, "micro")
     with pytest.raises(RunError) as exc:
         run_experiment(cfg)
     assert exc.value.step == 0

@@ -17,7 +17,7 @@ def public(state):
     """The state rebuilt through its public, checked constructor."""
     if isinstance(state, MacroState):
         return MacroState(state.rho, state.rho_u, time=state.time)
-    return SwarmState(state.positions, state.velocities, state.particle_mass, state.step)
+    return SwarmState(state.positions, state.velocities, state.particle_mass)
 
 
 def assert_rebuilds(state):
@@ -43,7 +43,7 @@ def grid_state(grid, rng):
 
 def swarm_state(rng, n, dim=1):
     return SwarmState(rng.normal(0.0, 1.0, (n, dim)), rng.normal(0.0, 0.5, (n, dim)),
-                      particle_mass=0.5 / n, step=3)
+                      particle_mass=0.5 / n)
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
