@@ -67,9 +67,6 @@ def main(argv=None) -> int:
                   f"(objective {s['objective_at_estimate']:.6g})")
             return 0
 
-        if args.runs < 1:
-            print("--runs must be at least 1", file=sys.stderr)
-            return 2
         report = run_ensemble(cfg, args.runs)
         failures = [r for r in report.runs if not r["ok"]]
         print(f"wrote {report.pooled_csv}")
@@ -79,7 +76,7 @@ def main(argv=None) -> int:
             print(f"run {f['run']} (seed {f['seed']}) failed: {f['error']}",
                   file=sys.stderr)
         return 1 if failures else 0
-    except ConfigError as exc:  # the file, an override, or an ensemble's last seed
+    except ConfigError as exc:  # the file, an override, or an ensemble's run count or last seed
         print(exc, file=sys.stderr)
         return 2
     except RunError as exc:

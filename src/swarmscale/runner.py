@@ -4,8 +4,8 @@ A run holds one or both scales of the swarm, the particles and the grid
 density, and drives them through one loop.  Each outer iteration advances
 every active scale to the shared time n * dt (the swarm takes one SDE step,
 the grid solver takes its own sub-steps) and lets it update its own penalty
-controller; a coupled run then transfers mass between the scales, and each
-scale finally observes its consensus point.  Given (config, seed) every
+controller; a coupled grid, the last scale, ends its move with the transfer,
+and each scale then observes its consensus point.  Given (config, seed) every
 written file except timings.json is byte-identical across repeat runs.
 
 Until the first transfer, at step t_star, the grid draws no random number
@@ -81,13 +81,12 @@ def _write_snapshot(out_dir, step, grid, macro):
 class _Scale:
     """One representation of the swarm, with its own penalized objective and controller.
 
-    Each part of a run (a scale, or a coupled run's transfer) declares its
-    trace ``columns`` when it is built, and its ``row()`` returns the values
-    in that order as Python ints, floats and strs, which csv writes as
-    ``str(v)``: a float's shortest round-trip repr.  A scale that runs alone
-    uses bare names and reports extra columns (the particle gap, or the grid
-    mass and peak); a coupled scale suffixes its name, and the transfer
-    reports the masses.
+    Each scale declares its trace ``columns`` when it is built, and its
+    ``row()`` returns the values in that order as Python ints, floats and
+    strs, which csv writes as ``str(v)``: a float's shortest round-trip
+    repr.  A scale that runs alone uses bare names and reports extra columns
+    (the particle gap, or the grid mass and peak); a coupled scale suffixes
+    its name, and the coupled grid also reports zeta and the masses.
     """
 
     def __init__(self, cfg, name, alone):
@@ -187,7 +186,8 @@ def _shared_steps(mode, objective, feasible_set, micro, macro, penalty, coupling
     The grid's steps up to the first transfer follow from these sections
     alone: not from the seed, the output, the particle count or the run
     length.  Record n holds the grid's arrays and time, and its controller,
-    weights, violation and branch, after step n's move and penalty update.
+    weights, violation and branch, after step n's move and penalty update
+    and before its transfer, which from t_star on reads the particles.
     The arrays are kept read-only, not as a live MacroState, so no velocity
     is cached across runs.  A run of another key evicts the list; a step
     that fails records nothing.  Runs fill the list one after another, never
@@ -203,36 +203,46 @@ class _Grid(_Scale):
     with beta: they are built once per run and again after each penalty
     update that raises beta.  The steps before the first transfer are
     loaded from the shared slot when an earlier run of the config made them.
+    A coupled grid holds the particles and the coupling state, and ends each
+    move, loaded or computed, with the step's transfer of mass.
     """
 
-    def __init__(self, cfg, mass, alone):
-        super().__init__(cfg, "macro", alone)
+    def __init__(self, cfg, mass, particles=None):
+        super().__init__(cfg, "macro", particles is None)
         self.grid = cfg.macro  # the section is the grid, with its solver's settings
         self.state = init_macro(self.grid, total_mass=mass)
         self.columns = ["consensus" + self.suffix] + self.penalty_columns
-        if alone:
+        if self.alone:
             self.columns += ["total_mass", "argmax_center"]
+        else:
+            self.particles = particles
+            self.coupling = init_coupling(particles.swarm, self.grid, cfg.coupling)
+            self.columns += ["zeta", "mass_micro", "mass_macro", "mass_total"]
         self.evaluate(self.grid.centers[:, None])  # the centers never move
         # a lone grid never reads a particle; a coupled one first does after transfer t_star
-        self.last_shared = cfg.n_steps if alone else cfg.coupling.t_star
+        self.last_shared = cfg.n_steps if self.alone else cfg.coupling.t_star
         self.shared = _shared_steps(cfg.mode, cfg.objective, cfg.feasible_set, cfg.micro,
                                     cfg.macro, cfg.penalty, cfg.coupling)
         self.steps_shared = 0  # steps this run loaded rather than computed
 
     def move(self, n):
         if n > self.last_shared:
-            return super().move(n)
-        if n <= len(self.shared):
+            super().move(n)
+        elif n <= len(self.shared):
             (rho, rho_u, t, self.ctrl, self.weights, self.violation,
              self.branch) = self.shared[n - 1]
             self.state = MacroState._unchecked(rho, rho_u, t)  # checked when computed
             self.steps_shared += 1
-            return
-        super().move(n)
-        for a in (*self.arrays(), self.weights):
-            a.flags.writeable = False  # every later run of the config reads them
-        self.shared.append((*self.arrays(), self.state.time, self.ctrl, self.weights,
-                            self.violation, self.branch))
+        else:
+            super().move(n)
+            for a in (*self.arrays(), self.weights):
+                a.flags.writeable = False  # every later run of the config reads them
+            self.shared.append((*self.arrays(), self.state.time, self.ctrl, self.weights,
+                                self.violation, self.branch))
+        # a loaded step transfers too: step t_star - 1 takes the first active transfer's snapshot
+        if not self.alone:
+            self.coupling, self.particles.swarm, self.state = transfer_mass(
+                self.coupling, self.particles.swarm, self.state, self.grid, n)
 
     def clock(self, n):
         return self.state.time
@@ -262,52 +272,34 @@ class _Grid(_Scale):
     def row(self):
         row = [self.consensus] + self.penalty_row()
         if self.alone:
-            row += [self.mass(), self.peak(self.state.rho)]
-        return row
-
-
-class _Transfer:
-    """Post-step hook of a coupled run: re-splits the mass between the two scales."""
-
-    columns = ["zeta", "mass_micro", "mass_macro", "mass_total"]
-
-    def __init__(self, cfg, particles, grid):
-        self.particles, self.grid = particles, grid
-        self.state = init_coupling(particles.swarm, grid.grid, cfg.coupling)
-
-    def __call__(self, n):
-        p, g = self.particles, self.grid
-        self.state, p.swarm, g.state = transfer_mass(self.state, p.swarm, g.state, g.grid, n)
-
-    def row(self):
-        mass_micro, mass_macro = self.particles.mass(), self.grid.mass()
-        return [self.state.zeta, mass_micro, mass_macro, mass_micro + mass_macro]
+            return row + [self.mass(), self.peak(self.state.rho)]
+        mass_micro, mass_macro = self.particles.mass(), self.mass()
+        return row + [self.coupling.zeta, mass_micro, mass_macro, mass_micro + mass_macro]
 
 
 def _build_scales(cfg):
-    """The active scales in step order, and the transfer hook of a coupled run or None."""
+    """The active scales in step order: the swarm, the grid, or the swarm and its coupled grid."""
     rng = np.random.default_rng(cfg.seed)
     if cfg.mode == "micro":
-        return [_Particles(cfg, rng, 1.0, alone=True)], None
+        return [_Particles(cfg, rng, 1.0, alone=True)]
     if cfg.mode == "macro":
-        return [_Grid(cfg, 1.0, alone=True)], None
+        return [_Grid(cfg, 1.0)]
     zeta0 = cfg.coupling.zeta0
     particles = _Particles(cfg, rng, zeta0, alone=False)
-    grid = _Grid(cfg, 1.0 - zeta0, alone=False)
-    return [particles, grid], _Transfer(cfg, particles, grid)
+    return [particles, _Grid(cfg, 1.0 - zeta0, particles)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Execute one configured run and write trace.csv, summary.json and timings.json.
 
     Each trace row is written as soon as it is made, under a header built at
-    step 0 from the columns each part declares, so a run that fails keeps its
+    step 0 from the columns each scale declares, so a run that fails keeps its
     completed rows on disk.
     """
     os.makedirs(cfg.output, exist_ok=True)
     started = time.perf_counter()
     snap = cfg.macro.snapshot_every if cfg.mode != "micro" else 0  # the grid steps last
-    scales, transfer, rows = [], None, []
+    scales, rows = [], []
 
     csv_path = os.path.join(cfg.output, "trace.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -316,30 +308,27 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         for n in range(cfg.n_steps + 1):
             try:
                 if n == 0:
-                    scales, transfer = _build_scales(cfg)
+                    scales = _build_scales(cfg)
                 else:
                     for s in scales:
                         s.move(n)
-                    if transfer is not None:
-                        transfer(n)
                 for s in scales:
                     s.observe()
             except Exception as exc:
                 arrays = (a for s in scales for a in s.arrays())
                 raise RunError(str(exc), n, _digest(*arrays)) from exc
             if n == 0:
-                parts = scales + ([transfer] if transfer is not None else [])
-                header = ["step", "time"] + [c for p in parts for c in p.columns]
+                header = ["step", "time"] + [c for s in scales for c in s.columns]
                 trace.writerow(header)
             # the row time is the leading scale's clock: n * dt for the swarm,
             # the accumulated sub-step time for a lone grid
-            values = [n, scales[0].clock(n)] + [v for p in parts for v in p.row()]
+            values = [n, scales[0].clock(n)] + [v for s in scales for v in s.row()]
             rows.append(dict(zip(header, values, strict=True)))
             trace.writerow(values)
             if snap and n and n % snap == 0:
                 _write_snapshot(cfg.output, n, scales[-1].grid, scales[-1].state)
 
-    summary = _summary(cfg, scales, transfer, rows[-1]["time"])
+    summary = _summary(cfg, scales, rows[-1]["time"])
     json_path = os.path.join(cfg.output, "summary.json")
     _write_json(json_path, summary)
     _write_json(os.path.join(cfg.output, "timings.json"),
@@ -348,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return RunReport(csv_path=csv_path, json_path=json_path, summary=summary, rows=rows)
 
 
-def _summary(cfg, scales, transfer, final_time):
+def _summary(cfg, scales, final_time):
     """Final state keyed by scale name, None for a scale the run does not hold."""
     by_name = {s.name: s for s in scales}
 
@@ -375,7 +364,7 @@ def _summary(cfg, scales, transfer, final_time):
         "final_beta": per_scale(lambda s: s.ctrl.beta),
         "final_kappa": per_scale(lambda s: s.ctrl.kappa),
         "final_violation": per_scale(lambda s: s.violation),
-        "final_zeta": transfer.state.zeta if transfer is not None else None,
+        "final_zeta": grid.coupling.zeta if cfg.mode == "micromacro" else None,
         "final_masses": masses,
         "argmin_estimate": estimate,
         "objective_at_estimate": float(cfg.objective(np.asarray(estimate))),
@@ -393,11 +382,11 @@ class EnsembleReport:
 def run_ensemble(cfg: ExperimentConfig, n_runs: int) -> EnsembleReport:
     """Independent runs with seeds cfg.seed + k; failures are recorded, not fatal.
 
-    Raises ConfigError before the first run when the last seed fails the
-    ``seed`` key's check.
+    Raises ConfigError, before it makes any directory, when n_runs is below 1
+    or the last seed fails the ``seed`` key's check.
     """
     if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
+        raise ConfigError(["n_runs: must be at least 1"])
     last = cfg.seed + n_runs - 1
     try:
         replace(cfg, seed=last)

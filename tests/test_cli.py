@@ -234,6 +234,7 @@ def test_ensemble_seeds_are_consecutive(tmp_path):
 def test_ensemble_rejects_zero_runs(tmp_path, capsys):
     p = write_config(tmp_path)
     assert cli.main(["ensemble", "--config", str(p), "--runs", "0"]) == 2
+    assert "n_runs: must be at least 1" in capsys.readouterr().err
 
 
 def test_ensemble_rejects_a_last_seed_out_of_range(tmp_path, capsys):

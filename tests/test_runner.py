@@ -230,7 +230,13 @@ def test_every_row_has_the_header_columns(tmp_path, mode):
 
 
 def test_a_row_longer_than_its_columns_fails_the_run(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner._Transfer, "columns", runner._Transfer.columns[:-1])
+    init = runner._Grid.__init__
+
+    def drop_last_column(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.columns = self.columns[:-1]
+
+    monkeypatch.setattr(runner._Grid, "__init__", drop_last_column)
     with pytest.raises(ValueError, match="zip"):
         run_experiment(tiny(tmp_path, "micromacro"))
 
@@ -257,6 +263,14 @@ def test_an_ensemble_whose_last_seed_is_out_of_range_fails_before_its_first_run(
     assert not (tmp_path / "micro").exists()  # no run_* directory either
     report = run_ensemble(replace(cfg, seed=2**64 - 2), 2)
     assert [r["seed"] for r in report.runs] == [2**64 - 2, 2**64 - 1]
+
+
+def test_an_ensemble_of_no_runs_fails_before_it_makes_a_directory(tmp_path):
+    cfg = tiny(tmp_path, "micro")
+    with pytest.raises(ConfigError) as exc:
+        run_ensemble(cfg, 0)
+    assert exc.value.errors == ["n_runs: must be at least 1"]
+    assert not os.path.exists(cfg.output)
 
 
 # bundled config -> (trace.csv digest, summary.json digest), for each kernel numpy may
@@ -343,7 +357,7 @@ def test_bundled_traces_are_pinned_under_the_avx2_exp_kernel(tmp_path):
 
 def shared_records(cfg):
     """The records of cfg's grid steps in the shared slot, as a new run of cfg finds them."""
-    return runner._build_scales(cfg)[0][-1].shared
+    return runner._build_scales(cfg)[-1].shared
 
 
 def written(cfg, cold=False):
@@ -363,15 +377,29 @@ def shared_steps(cfg):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_a_warm_run_writes_what_a_cold_run_writes(load_bundled, name):
+def test_a_warm_run_writes_what_a_cold_run_writes(load_bundled, name, monkeypatch):
     cfg = load_bundled(name)
+    transfer_mass, steps = runner.transfer_mass, []
+
+    def counted(*args):
+        steps.append(args[-1])
+        return transfer_mass(*args)
+
+    monkeypatch.setattr(runner, "transfer_mass", counted)
+    # a coupled run transfers once per step, on the steps it loads as on those it computes
+    transfers = list(range(1, cfg.n_steps + 1)) if cfg.mode == "micromacro" else []
+
+    def run(seed, tag, cold=False):
+        steps.clear()
+        files = written(replace(cfg, seed=seed, output=f"{cfg.output}/{tag}"), cold)
+        assert steps == transfers, f"{tag}: transfer_mass calls by step"
+        return files
+
     cold, warm = {}, {}
     for k, other in [(0, 1), (1, 0)]:
-        cold[k] = written(replace(cfg, seed=cfg.seed + k, output=f"{cfg.output}/cold{k}"),
-                          cold=True)
+        cold[k] = run(cfg.seed + k, f"cold{k}", cold=True)
         # the slot holds seed +k's steps, and the other seed loads them
-        warm[other] = written(replace(cfg, seed=cfg.seed + other,
-                                      output=f"{cfg.output}/warm{other}"))
+        warm[other] = run(cfg.seed + other, f"warm{other}")
     for k in (0, 1):
         assert warm[k][0] == cold[k][0], f"seed +{k}"
         assert (cold[k][1], warm[k][1]) == (0, shared_steps(cfg))

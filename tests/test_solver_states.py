@@ -86,7 +86,7 @@ def test_a_grid_step_loaded_from_the_slot_is_what_the_checked_constructor_builds
         load_bundled, name):
     cfg = load_bundled(name, n_steps=3)
     runner.run_experiment(cfg)  # computes the shared steps
-    grid = runner._build_scales(cfg)[0][-1]
+    grid = runner._build_scales(cfg)[-1]
     for n in (1, 2, 3):
         grid.move(n)
         assert_rebuilds(grid.state)

@@ -15,8 +15,10 @@ three traced runs of a workload the script names them, writes no file and
 exits non-zero.  The file also records the git HEAD the sources were read at
 and whether the working tree differed from it, the python and numpy versions,
 the kernel numpy dispatches float64 ``exp`` to (digests and counters depend
-on it) and the number of usable cores.  Every run lasts the benchmark's
-``run_seconds`` and uses perfbench's own base seed.
+on it), the number of usable cores and ``src_lines``, the line count of
+``src/swarmscale/*.py`` as ``cat src/swarmscale/*.py | wc -l`` prints it.
+Every run lasts the benchmark's ``run_seconds`` and uses perfbench's own
+base seed.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ def exp_target():
     return info["current"]
 
 
+def src_lines():
+    """The newlines in the package's sources, the number ``cat src/swarmscale/*.py | wc -l`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "swarmscale").glob("*.py"))
+
+
 def result_line(workload, trace, seconds):
     """The last stdout line of one perfbench run; exits with its stderr if the run fails."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -78,6 +85,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "exp_float64": exp_target(),
         "nproc": len(os.sched_getaffinity(0)),
+        "src_lines": src_lines(),
         "seconds": seconds,
         "runs": [],
     }
