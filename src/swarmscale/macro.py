@@ -248,9 +248,9 @@ def advance_macro(state, grid, params, weights, target_time):
     """CFL sub-steps until target_time, each with its own consensus point.
 
     The weights are the cells' Gibbs weights gibbs_weights(F_beta, alpha),
-    one per cell, so each sub-step's consensus is the centers' mean under
-    those weights times its own density, bit for bit what
-    consensus_point_macro returns.  Each step is sized by cfl_dt from the
+    one per cell, checked on entry so that a call needing no sub-step still
+    rejects them; each sub-step's consensus is consensus_point_macro at
+    its own density.  Each step is sized by cfl_dt from the
     wavespeed alone, since the face states carry the attraction and keep
     the density nonnegative under dt * max(|u| + |T|) <= dx.  The last step
     is cut to land on target_time.  One wavespeed per sub-step serves both
@@ -268,7 +268,7 @@ def advance_macro(state, grid, params, weights, target_time):
             if not finite.all():
                 _fail_at_first_cell(state, ~finite)
             return state
-        consensus = float(weighted_mean(weights * state.rho, grid.centers))
+        consensus = consensus_point_macro(state, grid, weights)
         speed = max_wavespeed(state, grid)
         dt = min(cfl_dt(speed, grid), remaining)
         state = lax_friedrichs_step(state, grid, dt, params, consensus, max_speed=speed)

@@ -7,9 +7,9 @@ runs over all the points rather than over a short trailing axis of
 coordinates or balls.  Summing the coordinates in order is bit-identical to
 numpy's reduction over the last axis for ``d <= 7``; from ``d = 8`` numpy
 sums in pairwise blocks and the two may differ in the last bits.  Feasible
-sets expose a closed-form distance (the penalty ``r``) and a geometric
-membership test; the two agree to within 1e-12 at set boundaries.  Each
-is the config's ``feasible_set`` section of its kind, and checks its key.
+sets expose a closed-form distance (the penalty ``r``), the one way the
+penalty reads them.  Each is the config's ``feasible_set`` section of its
+kind, and checks its key.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class FeasibleSet:
         """Euclidean distance from ``x`` to the set; 0 inside."""
         raise NotImplementedError
 
-    def member(self, x: np.ndarray) -> np.ndarray:
-        """Geometric membership test (closed sets: boundaries count)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -108,11 +104,7 @@ class BallUnion(FeasibleSet):
         object.__setattr__(self, "centers", np.array([b.center for b in self.balls]))  # (n, d)
         object.__setattr__(self, "radii_sq", np.array([b.radius_sq for b in self.balls]))
 
-    def _sq_to_centers(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Squared distances (n_balls, ...) from each center to each point.
-
-        Also returns the shape that broadcasts a per-ball array against them.
-        """
+    def distance(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.centers.shape[1]:
             # the loop runs over the points' coordinates; fewer would pass silently
@@ -120,20 +112,13 @@ class BallUnion(FeasibleSet):
                 f"dimension mismatch: balls are {self.centers.shape[1]}-dimensional, "
                 f"got points of dimension {x.shape[-1]}"
             )
+        # squared distances (n_balls, ...) from each center to each point
         per_ball = (-1,) + (1,) * (x.ndim - 1)
         sq = (x[..., 0] - self.centers[:, 0].reshape(per_ball)) ** 2
         for k in range(1, x.shape[-1]):
             sq += (x[..., k] - self.centers[:, k].reshape(per_ball)) ** 2
-        return sq, per_ball
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        sq, per_ball = self._sq_to_centers(x)
         radii = np.sqrt(self.radii_sq).reshape(per_ball)
         return np.maximum(0.0, np.sqrt(sq) - radii).min(axis=0)
-
-    def member(self, x: np.ndarray) -> np.ndarray:
-        sq, per_ball = self._sq_to_centers(x)
-        return (sq <= self.radii_sq.reshape(per_ball)).any(axis=0)
 
 
 def _scalarize(x: np.ndarray) -> np.ndarray:
@@ -160,11 +145,6 @@ class IntervalUnion(FeasibleSet):
         per = np.maximum(np.maximum(lo - x[..., None], x[..., None] - hi), 0.0)
         return np.min(per, axis=-1)
 
-    def member(self, x: np.ndarray) -> np.ndarray:
-        x = _scalarize(x)
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        return np.any((x[..., None] >= lo) & (x[..., None] <= hi), axis=-1)
-
 
 @dataclass(frozen=True)
 class Halfspace1D(FeasibleSet):
@@ -177,9 +157,6 @@ class Halfspace1D(FeasibleSet):
 
     def distance(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, _scalarize(x) - self.bound)
-
-    def member(self, x: np.ndarray) -> np.ndarray:
-        return _scalarize(x) <= self.bound
 
 
 # each kind of feasible set: the config's ``feasible_set.kind`` picks its class

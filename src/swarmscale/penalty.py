@@ -37,12 +37,16 @@ class PenaltyController:
     It starts at the rule's (beta0, kappa0) unless given other values.  On
     success (violation within tolerance) kappa grows, tightening the
     tolerance 1/sqrt(kappa), and beta holds.  On failure beta grows and
-    kappa backs off to min{kappa/eta_kappa, kappa0}.
+    kappa backs off to min{kappa/eta_kappa, kappa0}.  Each update also
+    records the violation it was given and its branch, "success" or
+    "failure"; a controller no update has made reads (0.0, "none").
     """
 
     rule: PenaltyConfig = PenaltyConfig()
     beta: float | None = None
     kappa: float | None = None
+    violation: float = 0.0
+    branch: str = "none"
 
     def __post_init__(self):
         if self.beta is None:
@@ -64,9 +68,11 @@ class PenaltyController:
         """Pure one-step update of (beta, kappa) given a violation measure."""
         rule = self.rule
         if self.accepts(violation):
-            return replace(self, kappa=rule.eta_kappa * self.kappa)
+            return replace(self, kappa=rule.eta_kappa * self.kappa, violation=violation,
+                           branch="success")
         kappa = min(self.kappa / rule.eta_kappa, rule.kappa0)
-        return replace(self, beta=rule.eta_beta * self.beta, kappa=kappa)
+        return replace(self, beta=rule.eta_beta * self.beta, kappa=kappa, violation=violation,
+                       branch="failure")
 
 
 def violation_micro(weights: np.ndarray, penalty: np.ndarray) -> float:

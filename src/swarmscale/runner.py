@@ -99,7 +99,6 @@ class _Scale:
         # both scales start from the one penalty section; each then moves its own controller
         self.pf = PenalizedObjective(cfg.objective, cfg.feasible_set)
         self.ctrl = PenaltyController(cfg.penalty)
-        self.violation, self.branch = 0.0, "none"
 
     def evaluate(self, points):
         """The objective and the distance at this scale's points, and their weights."""
@@ -115,10 +114,8 @@ class _Scale:
         """One (beta, kappa) update from the current violation; unconstrained runs skip it."""
         if self.pf.feasible_set is None:
             return
-        self.violation = self.measure_violation()
-        self.branch = "success" if self.ctrl.accepts(self.violation) else "failure"
         beta = self.ctrl.beta
-        self.ctrl = self.ctrl.update(self.violation)
+        self.ctrl = self.ctrl.update(self.measure_violation())
         if self.ctrl.beta != beta:
             self.weigh()
 
@@ -128,7 +125,7 @@ class _Scale:
         self.penalize()
 
     def penalty_row(self):
-        return [self.ctrl.beta, self.ctrl.kappa, self.violation, self.branch]
+        return [self.ctrl.beta, self.ctrl.kappa, self.ctrl.violation, self.ctrl.branch]
 
 
 class _Particles(_Scale):
@@ -185,9 +182,10 @@ def _shared_steps(mode, objective, feasible_set, micro, macro, penalty, coupling
 
     The grid's steps up to the first transfer follow from these sections
     alone: not from the seed, the output, the particle count or the run
-    length.  Record n holds the grid's arrays and time, and its controller,
-    weights, violation and branch, after step n's move and penalty update
-    and before its transfer, which from t_star on reads the particles.
+    length.  Record n holds the grid's arrays and time, and its controller
+    (with the update's violation and branch) and weights, after step n's
+    move and penalty update and before its transfer, which from t_star on
+    reads the particles.
     The arrays are kept read-only, not as a live MacroState, so no velocity
     is cached across runs.  A run of another key evicts the list; a step
     that fails records nothing.  Runs fill the list one after another, never
@@ -229,16 +227,14 @@ class _Grid(_Scale):
         if n > self.last_shared:
             super().move(n)
         elif n <= len(self.shared):
-            (rho, rho_u, t, self.ctrl, self.weights, self.violation,
-             self.branch) = self.shared[n - 1]
+            rho, rho_u, t, self.ctrl, self.weights = self.shared[n - 1]
             self.state = MacroState._unchecked(rho, rho_u, t)  # checked when computed
             self.steps_shared += 1
         else:
             super().move(n)
             for a in (*self.arrays(), self.weights):
                 a.flags.writeable = False  # every later run of the config reads them
-            self.shared.append((*self.arrays(), self.state.time, self.ctrl, self.weights,
-                                self.violation, self.branch))
+            self.shared.append((*self.arrays(), self.state.time, self.ctrl, self.weights))
         # a loaded step transfers too: step t_star - 1 takes the first active transfer's snapshot
         if not self.alone:
             self.coupling, self.particles.swarm, self.state = transfer_mass(
@@ -363,7 +359,7 @@ def _summary(cfg, scales, final_time):
         "final_consensus": per_scale(lambda s: s.consensus),
         "final_beta": per_scale(lambda s: s.ctrl.beta),
         "final_kappa": per_scale(lambda s: s.ctrl.kappa),
-        "final_violation": per_scale(lambda s: s.violation),
+        "final_violation": per_scale(lambda s: s.ctrl.violation),
         "final_zeta": grid.coupling.zeta if cfg.mode == "micromacro" else None,
         "final_masses": masses,
         "argmin_estimate": estimate,

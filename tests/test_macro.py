@@ -173,6 +173,16 @@ def test_step_errors():
         Grid1D(0.0, 1.0, 10, boundary="reflecting")
 
 
+def test_the_cfl_guard_holds_at_its_edge():
+    # dt * max_speed may reach dx, up to rounding, but not pass it by a millionth
+    grid = Grid1D(0.0, 1.0, 10, T=1.0)
+    state = MacroState(np.ones(10), np.full(10, 0.3))
+    speed = max_wavespeed(state, grid)
+    lax_friedrichs_step(state, grid, grid.dx / speed, PARAMS, 0.0)
+    with pytest.raises(ValueError, match="CFL violation"):
+        lax_friedrichs_step(state, grid, grid.dx * (1 + 1e-6) / speed, PARAMS, 0.0)
+
+
 def test_hydrostatic_step_errors():
     # the CFL check counts the flow speed |u| as well as |T|
     grid = Grid1D(0.0, 1.0, 10, T=1.0)
@@ -428,6 +438,23 @@ def test_advance_macro_may_take_exactly_max_substeps(monkeypatch):
     monkeypatch.setattr(macro, "MAX_SUBSTEPS", n - 1)
     with pytest.raises(RuntimeError, match=f"grid solver stalled: {n - 1} sub-steps"):
         advance_macro(state, grid, PARAMS, weights, 0.9)
+
+
+def test_advance_macro_lands_from_just_short_of_its_target(monkeypatch):
+    # 5e-10 short lies beyond the landing tolerance, so one sub-step closes the gap
+    grid = Grid1D(-2.0, 2.0, 40, T=0.3, boundary="periodic")
+    start = init_macro(grid)
+    state = MacroState(start.rho, start.rho_u, time=1.0 - 5e-10)
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return lax_friedrichs_step(*args, **kwargs)
+
+    monkeypatch.setattr(macro, "lax_friedrichs_step", counted)
+    got = advance_macro(state, grid, PARAMS, weights_at(grid, ackley_pf(), 0.0, 10.0), 1.0)
+    assert len(steps) == 1
+    assert abs(got.time - 1.0) <= 1e-12
 
 
 def test_non_finite_state_raises_naming_the_cell():

@@ -285,6 +285,20 @@ def test_transfer_rebalance_failure_raises():
         transfer_mass(coupling, swarm, macro, grid, 0)
 
 
+def test_transfer_refuses_a_grid_target_of_exactly_zero():
+    # at zeta = zeta_min the particles' new mass zeta * mu0 = 1 is all the system holds
+    grid = Grid1D(0.0, 4.0, 4)
+    pos, vel = cluster(0.5, 4)
+    swarm = SwarmState(pos, vel, particle_mass=0.125)
+    macro = MacroState(np.full(4, 0.125), np.zeros(4))
+    rule = CouplingConfig(zeta0=0.5, zeta_min=0.5, t_star=0)
+    coupling = CouplingState(zeta=0.5, mu0=2.0, rho_m_prev=micro_cell_density(swarm, grid),
+                             rule=rule)
+    assert compute_zeta(swarm, macro, grid, coupling) == rule.zeta_min
+    with pytest.raises(ValueError, match="cannot rebalance"):
+        transfer_mass(coupling, swarm, macro, grid, 0)
+
+
 def test_transfer_zero_total_mass_raises():
     grid = Grid1D(0.0, 5.0, 5)
     pos, vel = cluster(0.5, 4)

@@ -144,6 +144,19 @@ def test_update_scripted_trace():
         assert ctrl.kappa == pytest.approx(ek, rel=1e-12)
 
 
+def test_update_records_its_violation_and_branch():
+    # the branch is the one accepts decision of the controller being updated
+    assert (PenaltyController().violation, PenaltyController().branch) == (0.0, "none")
+    ctrl, branches = PenaltyController(), []
+    for v in [0.0, 0.5, 0.447, 1.0, 1.0, 0.0, 0.2, 0.43, 0.0, 2.0]:
+        new = ctrl.update(v)
+        assert new.violation == v
+        assert new.branch == ("success" if ctrl.accepts(v) else "failure")
+        ctrl = new
+        branches.append(ctrl.branch)
+    assert set(branches) == {"success", "failure"}
+
+
 def test_beta_never_decreases():
     rng = np.random.default_rng(31)
     for _ in range(100):

@@ -448,3 +448,18 @@ def test_a_particle_blowup_in_the_shared_steps_fails_alike_warm_and_cold(tmp_pat
     assert errors[0] == errors[1]
     assert errors[0][0] == 2
     assert len(shared_records(cfg)) == 1
+
+
+def test_the_shared_steps_are_read_only(tmp_path):
+    # every later run of the config loads these arrays, so none may change in place
+    cfg = tiny(tmp_path, "micromacro")
+    run_experiment(cfg)
+    records = shared_records(cfg)
+    assert len(records) == cfg.n_steps
+    for rho, rho_u, _, _, weights in records:
+        assert not any(a.flags.writeable for a in (rho, rho_u, weights))
+    grid = runner._build_scales(cfg)[-1]
+    grid.move(1)
+    assert grid.steps_shared == 1
+    with pytest.raises(ValueError, match="read-only"):
+        grid.state.rho[0] += 1.0
