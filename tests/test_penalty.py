@@ -146,8 +146,8 @@ def test_update_scripted_trace():
 
 def test_update_records_its_violation_and_branch():
     # the branch is the one accepts decision of the controller being updated
-    assert (PenaltyController().violation, PenaltyController().branch) == (0.0, "none")
     ctrl, branches = PenaltyController(), []
+    assert (ctrl.violation, ctrl.branch) == (0.0, "none")
     for v in [0.0, 0.5, 0.447, 1.0, 1.0, 0.0, 0.2, 0.43, 0.0, 2.0]:
         new = ctrl.update(v)
         assert new.violation == v
