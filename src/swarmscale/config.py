@@ -14,9 +14,9 @@ from importlib import resources
 
 import yaml
 
-from .keys import (MAX_ARRAY_VALUES, check_keys, choice, integer, key, path_string, read_keys,
+from .keys import (MAX_ARRAY_VALUES, Keyed, choice, integer, key, path_string, read_keys,
                    section)
-from .macro import LANDING_TOL, MAX_SUBSTEPS, Grid1D
+from .macro import MAX_SUBSTEPS, Grid1D
 from .micro import MicroParams
 from .micromacro import CouplingConfig
 from .objectives import FEASIBLE_SETS, BallUnion, FeasibleSet, ObjectiveFunction
@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Keyed):
     """One experiment.  The field tree is the YAML tree.
 
     Every field is a key of the file and every nested dataclass a section of
@@ -61,7 +61,7 @@ class ExperimentConfig:
     def __post_init__(self):
         """Check each key, then the rules that span sections; raises ConfigError."""
         try:
-            check_keys(self)
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc).splitlines()) from None
         dim, fs, errors = self.objective.dim, self.feasible_set, []
@@ -71,10 +71,7 @@ class ExperimentConfig:
         if self.mode in ("macro", "micromacro"):
             if dim != 1:
                 errors.append(f"objective.dim: mode {self.mode!r} runs on a 1D grid; dim must be 1")
-            # every characteristic speed is at least |T|, so each sub-step covers at most
-            # cfl * dx / |T| of the outer step's micro.dt
-            grid = self.macro
-            least = (self.micro.dt - LANDING_TOL) * abs(grid.T) / (grid.cfl * grid.dx)
+            least = self.macro.least_substeps(self.micro.dt)
             if least > MAX_SUBSTEPS:
                 errors.append(f"macro.T: one outer step needs at least {least:.6g} grid "
                               f"sub-steps, over the solver's limit of {MAX_SUBSTEPS}")
@@ -98,8 +95,6 @@ def config_from_dict(data) -> ExperimentConfig:
     """
     if data is None:
         data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(["top level: must be a mapping"])
     errors = []
     values = read_keys(ExperimentConfig, data, "", errors)
     if errors:

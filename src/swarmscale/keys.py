@@ -2,9 +2,10 @@
 
 A config section is a frozen dataclass whose fields are its keys.  The
 solvers' sections are their parameter objects, and the config's root is one
-too.  Each section's ``__post_init__`` calls ``check_keys``, and ``read`` is
-the one reader of a field's spec, for the walk over a YAML tree and for a
-section built in code (or by ``dataclasses.replace``) alike.
+too.  Each section subclasses ``Keyed``, whose ``__post_init__`` parses its
+keys, and ``read`` is the one reader of a field's spec, for the walk over a
+YAML tree and for a section built in code (or by ``dataclasses.replace``)
+alike.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def read_keys(cls, data, path, errors):
     or null with a None default, is left out, so the section takes its default.
     """
     if not isinstance(data, dict):
-        errors.append(f"{path}: must be a mapping")
+        errors.append(f"{path or 'top level'}: must be a mapping")
         return None
     at = f"{path}." if path else ""
     names = {f.name for f in fields(cls)}
@@ -177,15 +178,19 @@ def read_keys(cls, data, path, errors):
     return values
 
 
-def check_keys(obj) -> None:
-    """Parse each key of a section in place by its field's spec.
+class Keyed:
+    """Base of every config section: building one parses each key by its field's spec.
 
     Raises ValueError naming each key that fails, one a line, e.g. ``dt: must
-    be a number`` or ``balls[0].center: must be a list of numbers``.
+    be a number`` or ``balls[0].center: must be a list of numbers``.  A
+    section with rules between its keys checks them after calling this.
     """
-    errors = []
-    values = read_keys(type(obj), {f.name: getattr(obj, f.name) for f in fields(obj)}, "", errors)
-    if errors:
-        raise ValueError("\n".join(errors))
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
+
+    def __post_init__(self):
+        errors = []
+        values = read_keys(type(self), {f.name: getattr(self, f.name) for f in fields(self)}, "",
+                           errors)
+        if errors:
+            raise ValueError("\n".join(errors))
+        for name, value in values.items():
+            object.__setattr__(self, name, value)

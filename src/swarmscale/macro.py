@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .keys import MAX_ARRAY_VALUES, check_keys, choice, integer, key, number
+from .keys import MAX_ARRAY_VALUES, Keyed, choice, integer, key, number
 from .micro import MicroParams, weighted_mean
 
 # Density floor used whenever a velocity u = rho_u / rho is formed; density
@@ -34,7 +34,7 @@ T_MIN = 1.5717277847026288e-162  # the smallest |T| whose square does not underf
 
 
 @dataclass(frozen=True)
-class Grid1D:
+class Grid1D(Keyed):
     """Uniform cell-centered grid on [x_min, x_max] with n_cells cells: the ``macro`` section.
 
     It also carries the solver's settings, which the grid functions read:
@@ -50,7 +50,7 @@ class Grid1D:
     snapshot_every: int = key(integer, 0, lo=0)  # 0 disables full-field snapshots
 
     def __post_init__(self):
-        check_keys(self)
+        super().__post_init__()
         if self.x_min >= self.x_max:
             raise ValueError("x_min: must be below x_max")
         if self.T * self.T == 0:  # the step divides by T*T
@@ -60,6 +60,11 @@ class Grid1D:
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
+
+    def least_substeps(self, dt: float) -> float:
+        """A lower bound on the CFL sub-steps that advance_macro takes over one outer step dt."""
+        # every characteristic speed is at least |T|, so each sub-step covers at most cfl * dx / |T|
+        return (dt - LANDING_TOL) * abs(self.T) / (self.cfl * self.dx)
 
     @cached_property
     def centers(self) -> np.ndarray:

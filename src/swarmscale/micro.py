@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keys import check_keys, choice, key, number, span
+from .keys import Keyed, choice, key, number, span
 
 DIFFUSION_MODES = ("isotropic", "anisotropic")
 
 
 @dataclass(frozen=True)
-class MicroParams:
+class MicroParams(Keyed):
     """Coefficients of the particle update and of its moments: the ``micro`` section.
 
     The friction coefficient is derived as ``gamma = 1 - m`` and never
@@ -33,9 +33,6 @@ class MicroParams:
     alpha: float = key(number, 30.0, lo=0, lo_open=True)
     diffusion: str = key(choice, "anisotropic", options=DIFFUSION_MODES)
     init_box: tuple = key(span, (-3.0, 3.0))  # the initial particles are uniform on init_box^d
-
-    def __post_init__(self):
-        check_keys(self)
 
     @property
     def gamma(self) -> float:

@@ -8,17 +8,17 @@ compensating update of the macroscopic density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .keys import check_keys, integer, key, number
+from .keys import Keyed, integer, key, number
 from .macro import EPS_RHO, Grid1D, MacroState
 from .micro import SwarmState
 
 
 @dataclass(frozen=True)
-class CouplingConfig:
+class CouplingConfig(Keyed):
     """The mass-transfer rule, the config's ``coupling`` section.
 
     zeta starts at zeta0, stays in [zeta_min, zeta_max], and mass first
@@ -31,7 +31,7 @@ class CouplingConfig:
     t_star: int = key(integer, 240, lo=0)
 
     def __post_init__(self):
-        check_keys(self)
+        super().__post_init__()
         if not self.zeta_min < self.zeta_max:
             raise ValueError("zeta_min: must be below zeta_max")
         if not self.zeta_min <= self.zeta0 <= self.zeta_max:
@@ -49,7 +49,7 @@ class CouplingState:
     zeta: float
     mu0: float
     rho_m_prev: np.ndarray
-    rule: CouplingConfig = CouplingConfig()
+    rule: CouplingConfig
 
     def __post_init__(self):
         if not self.rule.zeta_min <= self.zeta <= self.rule.zeta_max:
@@ -154,7 +154,8 @@ def transfer_mass(
     if step < t_star - 1:
         return coupling, swarm, macro
     if step < t_star:
-        return replace(coupling, rho_m_prev=micro_cell_density(swarm, grid)), swarm, macro
+        snapshot = micro_cell_density(swarm, grid)
+        return CouplingState(coupling.zeta, coupling.mu0, snapshot, coupling.rule), swarm, macro
 
     dx = grid.dx
     total_before = swarm.total_mass + macro.rho.sum() * dx
@@ -179,5 +180,5 @@ def transfer_mass(
     # a cell emptied by the transfer must not keep stale momentum
     rho_u = np.where(rho_macro <= EPS_RHO, 0.0, macro.rho_u)
     new_macro = MacroState._unchecked(rho_macro, rho_u, macro.time)
-    new_coupling = replace(coupling, zeta=zeta, rho_m_prev=rho_m_new)
+    new_coupling = CouplingState(zeta, coupling.mu0, rho_m_new, coupling.rule)
     return new_coupling, new_swarm, new_macro

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keys import check_keys, choice, integer, key, key_list, number, numbers, span
+from .keys import Keyed, choice, integer, key, key_list, number, numbers, span
 
 
 def ackley(x: np.ndarray) -> np.ndarray:
@@ -49,14 +49,11 @@ OBJECTIVES = {"ackley": ackley, "rastrigin": rastrigin}
 
 
 @dataclass(frozen=True)
-class ObjectiveFunction:
+class ObjectiveFunction(Keyed):
     """A named benchmark objective in a fixed dimension: the config's ``objective`` section."""
 
     name: str = key(choice, options=tuple(OBJECTIVES))
     dim: int = key(integer, lo=1)
-
-    def __post_init__(self):
-        check_keys(self)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -68,7 +65,7 @@ class ObjectiveFunction:
         return OBJECTIVES[self.name](x)
 
 
-class FeasibleSet:
+class FeasibleSet(Keyed):
     """Base class for closed feasible regions with closed-form distance."""
 
     @property
@@ -81,14 +78,11 @@ class FeasibleSet:
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(Keyed):
     """A closed Euclidean ball, given as (center, radius^2): an entry of ``balls``."""
 
     center: tuple = key(numbers)
     radius_sq: float = key(number, lo=0, lo_open=True)
-
-    def __post_init__(self):
-        check_keys(self)
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class BallUnion(FeasibleSet):
     balls: tuple = key_list(Ball)
 
     def __post_init__(self):
-        check_keys(self)
+        super().__post_init__()
         if len({len(b.center) for b in self.balls}) > 1:
             raise ValueError("balls: every center must have the same length")
         object.__setattr__(self, "centers", np.array([b.center for b in self.balls]))  # (n, d)
@@ -136,7 +130,7 @@ class IntervalUnion(FeasibleSet):
     intervals: tuple = key_list(span)
 
     def __post_init__(self):
-        check_keys(self)
+        super().__post_init__()
         object.__setattr__(self, "bounds", np.array(self.intervals))  # (n_intervals, 2)
 
     def distance(self, x: np.ndarray) -> np.ndarray:
@@ -151,9 +145,6 @@ class Halfspace1D(FeasibleSet):
     """Closed half-line {x <= bound} on the real axis."""
 
     bound: float = key(number)
-
-    def __post_init__(self):
-        check_keys(self)
 
     def distance(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, _scalarize(x) - self.bound)

@@ -8,26 +8,23 @@ from the config's one penalty section and then update their own
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .keys import check_keys, key, number
+from .keys import Keyed, key, number
 from .macro import MacroState
 from .micro import weighted_mean
 
 
 @dataclass(frozen=True)
-class PenaltyConfig:
+class PenaltyConfig(Keyed):
     """The config's ``penalty`` section: each scale's controller starts at (beta0, kappa0)."""
 
     beta0: float = key(number, 1.0, lo=0, lo_open=True)
     kappa0: float = key(number, 5.0, lo=0, lo_open=True)
     eta_kappa: float = key(number, 1.1, lo=1, lo_open=True)
     eta_beta: float = key(number, 1.1, lo=1, lo_open=True)
-
-    def __post_init__(self):
-        check_keys(self)
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,10 @@ class PenaltyController:
         """Pure one-step update of (beta, kappa) given a violation measure."""
         rule = self.rule
         if self.accepts(violation):
-            return replace(self, kappa=rule.eta_kappa * self.kappa, violation=violation,
-                           branch="success")
+            return PenaltyController(rule, self.beta, rule.eta_kappa * self.kappa, violation,
+                                     "success")
         kappa = min(self.kappa / rule.eta_kappa, rule.kappa0)
-        return replace(self, beta=rule.eta_beta * self.beta, kappa=kappa, violation=violation,
-                       branch="failure")
+        return PenaltyController(rule, rule.eta_beta * self.beta, kappa, violation, "failure")
 
 
 def violation_micro(weights: np.ndarray, penalty: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from swarmscale.config import (
     load_config,
     save_config,
 )
-from swarmscale.keys import MAX_ARRAY_VALUES
+from swarmscale.keys import MAX_ARRAY_VALUES, Keyed
 from swarmscale.macro import T_MIN, Grid1D
 from swarmscale.micro import MicroParams
 from swarmscale.micromacro import CouplingConfig
@@ -524,7 +524,7 @@ BUILT = {ObjectiveFunction: ObjectiveFunction("ackley", 2), Ball: Ball((0.0, 0.0
 
 
 def test_every_section_checks_its_keys_when_built():
-    """A section added to the config tree without check_keys in __post_init__ fails here."""
+    """A section added to the config tree that does not parse its keys as a Keyed fails here."""
 
     def sections(cls):
         for f in fields(cls):
@@ -536,6 +536,7 @@ def test_every_section_checks_its_keys_when_built():
     found = {ExperimentConfig, *sections(ExperimentConfig)}
     assert {Ball, BallUnion, IntervalUnion, Halfspace1D, Grid1D} <= found
     for cls in found:
+        assert issubclass(cls, Keyed), cls
         # nan fails every value check, a list key's included
         name = next(f.name for f in fields(cls) if f.metadata.keys() & {"check", "each"})
         with pytest.raises(ValueError, match=f"^(invalid config:\n  - )?{name}: "):

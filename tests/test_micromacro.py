@@ -139,9 +139,9 @@ def test_coupling_state_validation():
     with pytest.raises(ValueError, match="zeta_min"):
         CouplingState(0.5, 1.0, ones, CouplingConfig(zeta_min=0.9, zeta_max=0.1))
     with pytest.raises(ValueError, match="zeta must lie"):
-        CouplingState(0.95, 1.0, ones)
+        CouplingState(0.95, 1.0, ones, CouplingConfig())
     with pytest.raises(ValueError, match="positive"):
-        CouplingState(0.5, 0.0, ones)
+        CouplingState(0.5, 0.0, ones, CouplingConfig())
     with pytest.raises(ValueError, match="t_star"):
         CouplingState(0.5, 1.0, ones, CouplingConfig(t_star=-1))
 

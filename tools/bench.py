@@ -5,10 +5,12 @@ Usage, from the repository root:
     python3 tools/bench.py BENCH_<n>.json
 
 Each workload that BENCHMARK.json lists is run by ``perfbench/run.py`` as a
-subprocess, once with ``--trace 0`` (the end-to-end metrics) and three times
-with ``--trace 1`` (the per-layer metrics), one after another so that no two
-runs share the cores.  The last line a run prints, its result, is copied
-verbatim.  The per-layer counters (every ``.calls`` and ``.points``,
+subprocess, three times with ``--trace 0`` (the end-to-end metrics) and three
+times with ``--trace 1`` (the per-layer metrics), one after another so that no
+two runs share the cores.  The last line a run prints, its result, is copied
+verbatim, and ``block_s_median`` records each workload's median ``block_s``
+over its plain runs, since one run's ``block_s`` moves with the box's load.
+The per-layer counters (every ``.calls`` and ``.points``,
 ``macro.substeps_per_step``, ``micromacro.active_share`` and
 ``runner.trace_bytes``) depend on no clock, so if they differ between the
 three traced runs of a workload the script names them, writes no file and
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +37,7 @@ import numpy as np
 from numpy.lib.introspect import opt_func_info
 
 ROOT = Path(__file__).resolve().parent.parent
+PLAIN_RUNS = 3
 TRACED_RUNS = 3
 COUNTERS = {"macro.substeps_per_step", "micromacro.active_share", "runner.trace_bytes"}
 
@@ -88,16 +92,20 @@ def main(argv=None):
         "src_lines": src_lines(),
         "seconds": seconds,
         "runs": [],
+        "block_s_median": {},
     }
     drift = []
     for workload in (w["name"] for w in bench["workloads"]):
-        traced = []
-        for trace in (0,) + (1,) * TRACED_RUNS:
+        plain, traced = [], []
+        for trace in (0,) * PLAIN_RUNS + (1,) * TRACED_RUNS:
             line = result_line(workload, trace, seconds)
             payload["runs"].append({"workload": workload, "trace": trace, "result": line})
             print(f"{workload} --trace {trace}: {line}", flush=True)
             if trace:
                 traced.append(counters(line))
+            else:
+                plain.append(json.loads(line)["metrics"]["block_s"]["value"])
+        payload["block_s_median"][workload] = statistics.median(plain)
         names = sorted(set().union(*traced))
         drift += [f"{workload} {name}: {[run.get(name) for run in traced]}"
                   for name in names if any(run.get(name) != traced[0].get(name) for run in traced)]
