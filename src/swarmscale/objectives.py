@@ -66,15 +66,11 @@ class ObjectiveFunction(Keyed):
 
 
 class FeasibleSet(Keyed):
-    """Base class for closed feasible regions with closed-form distance."""
+    """A closed feasible region; each kind defines its Euclidean ``distance(x)``, 0 inside."""
 
     @property
     def kind(self) -> str:  # the config's feasible_set.kind: its class's key in FEASIBLE_SETS
         return next(k for k, cls in FEASIBLE_SETS.items() if isinstance(self, cls))
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean distance from ``x`` to the set; 0 inside."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

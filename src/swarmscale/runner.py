@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -146,9 +146,6 @@ class _Particles(_Scale):
                         if alone else ["consensus" + self.suffix]) + self.penalty_columns
         self.evaluate(self.swarm.positions)
 
-    def clock(self, n):
-        return n * self.params.dt
-
     def advance(self, n):
         # the drift target is the consensus observed after the last step: the
         # positions and beta have not changed since, only the particle mass
@@ -177,12 +174,12 @@ class _Particles(_Scale):
 
 
 @functools.lru_cache(maxsize=1)
-def _shared_steps(mode, objective, feasible_set, micro, macro, penalty, coupling):
+def _shared_steps(key):
     """The records of the grid's seed-free steps of the last config run, loaded by its next runs.
 
-    The grid's steps up to the first transfer follow from these sections
-    alone: not from the seed, the output, the particle count or the run
-    length.  Record n holds the grid's arrays and time, and its controller
+    The key is every field of the config except seed, output, n_particles
+    and n_steps: the grid's steps up to the first transfer follow from the
+    others alone.  Record n holds the grid's arrays and time, and its controller
     (with the update's violation and branch) and weights, after step n's
     move and penalty update and before its transfer, which from t_star on
     reads the particles.
@@ -219,8 +216,9 @@ class _Grid(_Scale):
         self.evaluate(self.grid.centers[:, None])  # the centers never move
         # a lone grid never reads a particle; a coupled one first does after transfer t_star
         self.last_shared = cfg.n_steps if self.alone else cfg.coupling.t_star
-        self.shared = _shared_steps(cfg.mode, cfg.objective, cfg.feasible_set, cfg.micro,
-                                    cfg.macro, cfg.penalty, cfg.coupling)
+        self.shared = _shared_steps(tuple(
+            getattr(cfg, f.name) for f in fields(cfg)
+            if f.name not in ("seed", "output", "n_particles", "n_steps")))
         self.steps_shared = 0  # steps this run loaded rather than computed
 
     def move(self, n):
@@ -239,9 +237,6 @@ class _Grid(_Scale):
         if not self.alone:
             self.coupling, self.particles.swarm, self.state = transfer_mass(
                 self.coupling, self.particles.swarm, self.state, self.grid, n)
-
-    def clock(self, n):
-        return self.state.time
 
     def advance(self, n):
         # the PDE sub-steps, but the penalty loop lives on the shared outer
@@ -316,15 +311,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             if n == 0:
                 header = ["step", "time"] + [c for s in scales for c in s.columns]
                 trace.writerow(header)
-            # the row time is the leading scale's clock: n * dt for the swarm,
-            # the accumulated sub-step time for a lone grid
-            values = [n, scales[0].clock(n)] + [v for s in scales for v in s.row()]
+            values = [n, n * cfg.micro.dt] + [v for s in scales for v in s.row()]
             rows.append(dict(zip(header, values, strict=True)))
             trace.writerow(values)
             if snap and n and n % snap == 0:
                 _write_snapshot(cfg.output, n, scales[-1].grid, scales[-1].state)
 
-    summary = _summary(cfg, scales, rows[-1]["time"])
+    summary = _summary(cfg, scales)
     json_path = os.path.join(cfg.output, "summary.json")
     _write_json(json_path, summary)
     _write_json(os.path.join(cfg.output, "timings.json"),
@@ -333,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return RunReport(csv_path=csv_path, json_path=json_path, summary=summary, rows=rows)
 
 
-def _summary(cfg, scales, final_time):
+def _summary(cfg, scales):
     """Final state keyed by scale name, None for a scale the run does not hold."""
     by_name = {s.name: s for s in scales}
 
@@ -364,7 +357,7 @@ def _summary(cfg, scales, final_time):
         "final_masses": masses,
         "argmin_estimate": estimate,
         "objective_at_estimate": float(cfg.objective(np.asarray(estimate))),
-        "final_time": final_time,
+        "final_time": cfg.n_steps * cfg.micro.dt,
     }
 
 

@@ -250,3 +250,15 @@ def test_validate_config_rejects_non_finite_numbers(tmp_path, capsys):
     p.write_text(write_config(tmp_path).read_text().replace("dt: 0.1", "m: .nan"))
     assert cli.main(["validate-config", "--config", str(p)]) == 2
     assert "micro.m: must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_ensemble_reports_each_failed_run(tmp_path, capsys):
+    p = write_config(tmp_path, n_steps=3, micro={"dt": 0.1, "sigma": 1e300})
+    assert cli.main(["ensemble", "--config", str(p), "--runs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "0/2 runs succeeded" in captured.out
+    lines = captured.err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["run 0 (seed 7) failed",
+                                                        "run 1 (seed 8) failed"]
+    assert all("swarm blew up" in line for line in lines)

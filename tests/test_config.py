@@ -323,6 +323,16 @@ def test_non_finite_numbers_rejected(over, key):
     assert exc.value.errors[0].startswith(f"{key}: ")
 
 
+def test_balls_of_mixed_dimension_are_refused_at_their_key():
+    mixed = [((0.0, 0.0), 1.0), ((0.0,), 1.0)]
+    with pytest.raises(ValueError, match="^balls: every center must have the same length$"):
+        BallUnion(mixed)
+    balls = [{"center": list(c), "radius_sq": r} for c, r in mixed]
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(base_dict(feasible_set={"kind": "balls", "balls": balls}))
+    assert exc.value.errors == ["feasible_set.balls: every center must have the same length"]
+
+
 @pytest.mark.parametrize("over, key, bounds", [
     ({"n_particles": 10**400}, "n_particles", [1, 2**63 - 1]),
     ({"n_steps": 10**400}, "n_steps", [1, 2**63 - 1]),

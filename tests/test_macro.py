@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swarmscale import macro
 from swarmscale.macro import (
+    BOUNDARIES,
     EPS_RHO,
     Grid1D,
     MacroState,
@@ -333,6 +336,63 @@ def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
         assert unfloored.min() >= 0.0
         state = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-14 * m0
+
+
+
+def test_the_floor_clears_a_rounding_undershoot_at_cfl_one():
+    # at cfl = 1 the unfloored update can dip below zero by rounding alone
+    grid = Grid1D(-3.0, 3.0, 3, T=0.5, cfl=1.0, boundary="periodic")
+    state = MacroState(np.array([0.42, 1.82, 1.22]), np.array([0.57, -0.12, 0.33]))
+    dt = cfl_dt(max_wavespeed(state, grid), grid)
+    unfloored, _ = macro._hydrostatic_update(state, grid, dt, MicroParams(), 2.5)
+    assert unfloored[0] == -2.0**-54
+    out = lax_friedrichs_step(state, grid, dt, MicroParams(), 2.5)
+    assert out.rho[0] == 0.0 and out.rho_u[0] == 0.0
+    assert np.array_equal(out.rho[1:], unfloored[1:])
+
+
+@st.composite
+def one_step_grids(draw, boundaries=BOUNDARIES):
+    """A grid on [-3, 3] of 3-40 cells, T log-uniform in [0.01, 10], cfl in [0.01, 1]."""
+    return Grid1D(-3.0, 3.0, draw(st.integers(3, 40)), T=10.0 ** draw(st.floats(-2.0, 1.0)),
+                  cfl=draw(st.floats(0.01, 1.0)),
+                  boundary=draw(st.sampled_from(boundaries)))
+
+
+@st.composite
+def grid_states(draw):
+    """A grid and a state on it: rho in [0, 2) with vacuum cells, which carry no momentum."""
+    grid = draw(one_step_grids())
+    n = grid.n_cells
+    rho = draw(arrays(float, n, elements=st.floats(0.0, 2.0, exclude_max=True)))
+    mom = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    vacuum = draw(arrays(bool, n))
+    rho[vacuum] = mom[vacuum] = 0.0
+    return grid, MacroState(rho, mom), draw(st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(grid_states())
+def test_one_step_keeps_the_density_and_the_periodic_mass(case):
+    grid, state, consensus = case
+    dt = cfl_dt(max_wavespeed(state, grid), grid)
+    scale = state.rho.max()
+    unfloored, _ = macro._hydrostatic_update(state, grid, dt, PARAMS, consensus)
+    assert unfloored.min() >= -4 * np.finfo(float).eps * scale
+    if grid.boundary == "periodic":
+        out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
+        assert abs(out.rho.sum() - state.rho.sum()) <= 1e-14 * state.rho.sum()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(one_step_grids(("periodic", "outflow")), st.floats(-1.5, 1.5))
+def test_the_equilibrium_stays_fixed_on_generated_grids(grid, consensus):
+    state = hydrostatic_equilibrium(grid, consensus)
+    dt = cfl_dt(max_wavespeed(state, grid), grid)
+    out = lax_friedrichs_step(state, grid, dt, PARAMS, consensus)
+    scale = state.rho.max()
+    np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-14 * scale)
 
 
 # ------------------------------------------------------------------ CFL & co

@@ -91,3 +91,17 @@ def test_a_grid_step_loaded_from_the_slot_is_what_the_checked_constructor_builds
         grid.move(n)
         assert_rebuilds(grid.state)
     assert grid.steps_shared == 3
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (SwarmState, (np.zeros((3, 2)), np.zeros((2, 2))),
+     "positions and velocities must have identical shapes"),
+    (SwarmState, (np.zeros((0, 2)), np.zeros((0, 2))), "swarm needs at least one particle"),
+    (SwarmState, (np.zeros((3, 2)), np.zeros((3, 2)), -1.0), "particle mass must be nonnegative"),
+    (MacroState, (np.ones((2, 3)), np.zeros((2, 3))),
+     "rho and rho_u must be 1D arrays of equal length"),
+    (MacroState, (np.ones(3), np.zeros(4)), "rho and rho_u must be 1D arrays of equal length"),
+])
+def test_the_checked_constructors_refuse_a_malformed_state(cls, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(*args)

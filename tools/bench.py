@@ -8,8 +8,9 @@ Each workload that BENCHMARK.json lists is run by ``perfbench/run.py`` as a
 subprocess, three times with ``--trace 0`` (the end-to-end metrics) and three
 times with ``--trace 1`` (the per-layer metrics), one after another so that no
 two runs share the cores.  The last line a run prints, its result, is copied
-verbatim, and ``block_s_median`` records each workload's median ``block_s``
-over its plain runs, since one run's ``block_s`` moves with the box's load.
+verbatim, and ``<metric>_median`` records each workload's median of every
+end-to-end metric (``block_s``, ``setup_s`` and ``peak_rss_mb``) over its plain
+runs, since one run's figures move with the box's load.
 The per-layer counters (every ``.calls`` and ``.points``,
 ``macro.substeps_per_step``, ``micromacro.active_share`` and
 ``runner.trace_bytes``) depend on no clock, so if they differ between the
@@ -81,6 +82,7 @@ def main(argv=None):
     parser.add_argument("out", help="the file to write, BENCH_<n>.json")
     args = parser.parse_args(argv)
     seconds = bench["run_seconds"]
+    end_to_end = [m["name"] for m in bench["end_to_end"]]
 
     payload = {
         "git_head": git("rev-parse", "HEAD"),
@@ -92,7 +94,7 @@ def main(argv=None):
         "src_lines": src_lines(),
         "seconds": seconds,
         "runs": [],
-        "block_s_median": {},
+        **{f"{name}_median": {} for name in end_to_end},
     }
     drift = []
     for workload in (w["name"] for w in bench["workloads"]):
@@ -104,8 +106,10 @@ def main(argv=None):
             if trace:
                 traced.append(counters(line))
             else:
-                plain.append(json.loads(line)["metrics"]["block_s"]["value"])
-        payload["block_s_median"][workload] = statistics.median(plain)
+                plain.append(json.loads(line)["metrics"])
+        for name in end_to_end:
+            payload[f"{name}_median"][workload] = statistics.median(
+                run[name]["value"] for run in plain)
         names = sorted(set().union(*traced))
         drift += [f"{workload} {name}: {[run.get(name) for run in traced]}"
                   for name in names if any(run.get(name) != traced[0].get(name) for run in traced)]
