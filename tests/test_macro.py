@@ -338,7 +338,6 @@ def test_hydrostatic_density_stays_nonnegative_under_the_wavespeed_bound():
         assert abs(state.rho.sum() * grid.dx - m0) <= 1e-14 * m0
 
 
-
 def test_the_floor_clears_a_rounding_undershoot_at_cfl_one():
     # at cfl = 1 the unfloored update can dip below zero by rounding alone
     grid = Grid1D(-3.0, 3.0, 3, T=0.5, cfl=1.0, boundary="periodic")
