@@ -56,6 +56,8 @@ class Grid1D(Keyed):
         if self.T * self.T == 0:  # the step divides by T*T
             raise ValueError("T: must be nonzero (T = 0 loses strict hyperbolicity)" if self.T == 0
                              else f"T: |T| must be at least {T_MIN}, or T*T underflows to 0")
+        if not self.cfl * self.dx > 0:  # the CFL step is cfl * dx / speed
+            raise ValueError("cfl: cfl * dx underflows to 0, so the grid cannot step")
 
     @property
     def dx(self) -> float:

@@ -1,7 +1,9 @@
 """Benchmark objectives, feasible sets, and the distance-penalized objective.
 
 Objectives are vectorized over the leading axes: an input of shape
-``(..., d)`` yields values of shape ``(...)``.  They, and the ball-union
+``(..., d)`` yields values of shape ``(...)``.  Every entry point (an
+objective, a set's distance, the penalty) takes ``(..., d)`` points, 1D sets
+``(..., 1)``, and refuses another ``d`` or a 0-d value.  They, and the ball-union
 distance, go one coordinate ``x[..., k]`` at a time, so each numpy operation
 runs over all the points rather than over a short trailing axis of
 coordinates or balls.  Summing the coordinates in order is bit-identical to
@@ -48,6 +50,14 @@ def rastrigin(x: np.ndarray) -> np.ndarray:
 OBJECTIVES = {"ackley": ackley, "rastrigin": rastrigin}
 
 
+def _points(x, dim: int) -> np.ndarray:
+    """x as a float array of (..., dim) points; any other shape is a dimension mismatch."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise ValueError(f"dimension mismatch: expected (..., {dim}) points, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class ObjectiveFunction(Keyed):
     """A named benchmark objective in a fixed dimension: the config's ``objective`` section."""
@@ -56,13 +66,7 @@ class ObjectiveFunction(Keyed):
     dim: int = key(integer, lo=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(
-                f"dimension mismatch: objective is {self.dim}-dimensional, "
-                f"got points of dimension {x.shape[-1]}"
-            )
-        return OBJECTIVES[self.name](x)
+        return OBJECTIVES[self.name](_points(x, self.dim))
 
 
 class FeasibleSet(Keyed):
@@ -95,28 +99,16 @@ class BallUnion(FeasibleSet):
         object.__setattr__(self, "radii_sq", np.array([b.radius_sq for b in self.balls]))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.centers.shape[1]:
-            # the loop runs over the points' coordinates; fewer would pass silently
-            raise ValueError(
-                f"dimension mismatch: balls are {self.centers.shape[1]}-dimensional, "
-                f"got points of dimension {x.shape[-1]}"
-            )
+        d = self.centers.shape[1]
+        # the loop runs over the balls' coordinates; points with more would pass silently
+        x = _points(x, d)
         # squared distances (n_balls, ...) from each center to each point
         per_ball = (-1,) + (1,) * (x.ndim - 1)
         sq = (x[..., 0] - self.centers[:, 0].reshape(per_ball)) ** 2
-        for k in range(1, x.shape[-1]):
+        for k in range(1, d):
             sq += (x[..., k] - self.centers[:, k].reshape(per_ball)) ** 2
         radii = np.sqrt(self.radii_sq).reshape(per_ball)
         return np.maximum(0.0, np.sqrt(sq) - radii).min(axis=0)
-
-
-def _scalarize(x: np.ndarray) -> np.ndarray:
-    """Drop a trailing axis of length 1, so (..., 1) points become (...) scalars."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim and x.shape[-1] == 1:
-        x = x[..., 0]
-    return x
 
 
 @dataclass(frozen=True)
@@ -130,7 +122,7 @@ class IntervalUnion(FeasibleSet):
         object.__setattr__(self, "bounds", np.array(self.intervals))  # (n_intervals, 2)
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        x = _scalarize(x)
+        x = _points(x, 1)[..., 0]
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         per = np.maximum(np.maximum(lo - x[..., None], x[..., None] - hi), 0.0)
         return np.min(per, axis=-1)
@@ -143,7 +135,7 @@ class Halfspace1D(FeasibleSet):
     bound: float = key(number)
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, _scalarize(x) - self.bound)
+        return np.maximum(0.0, _points(x, 1)[..., 0] - self.bound)
 
 
 # each kind of feasible set: the config's ``feasible_set.kind`` picks its class
@@ -165,8 +157,7 @@ class PenalizedObjective:
     def penalty(self, x: np.ndarray) -> np.ndarray:
         """Distance to the feasible set; identically 0 when unconstrained."""
         if self.feasible_set is None:
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape[:-1])
+            return np.zeros(_points(x, self.objective.dim).shape[:-1])
         return self.feasible_set.distance(x)
 
     def parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -356,7 +356,7 @@ def _summary(cfg, scales):
         "final_zeta": grid.coupling.zeta if cfg.mode == "micromacro" else None,
         "final_masses": masses,
         "argmin_estimate": estimate,
-        "objective_at_estimate": float(cfg.objective(np.asarray(estimate))),
+        "objective_at_estimate": float(cfg.objective(estimate)),
         "final_time": cfg.n_steps * cfg.micro.dt,
     }
 

@@ -458,6 +458,7 @@ def test_parameter_objects_built_in_code_reject_what_the_config_rejects():
         ("T", Grid1D, {"T": math.nan}),  # the spread that the grid functions read
         ("T", Grid1D, {"T": 1e-300}),  # the step divides by T*T, which underflows to 0
         ("cfl", Grid1D, {"cfl": 0}),
+        ("cfl", Grid1D, {"cfl": 5e-324}),  # cfl * dx underflows to 0, so the grid cannot step
         ("boundary", Grid1D, {"boundary": "reflecting"}),
         ("zeta0", CouplingConfig, {"zeta0": 1.0}),
         ("t_star", CouplingConfig, {"t_star": -1}),
@@ -502,6 +503,7 @@ def test_feasible_sets_built_in_code_reject_what_the_config_rejects(build, messa
     ({"macro": {"x_min": 1.0, "x_max": 1.0}}, ["macro.x_min: must be below x_max"]),
     ({"macro": {"T": 0}}, ["macro.T: must be nonzero (T = 0 loses strict hyperbolicity)"]),
     ({"macro": {"T": 1e-162}}, [f"macro.T: |T| must be at least {T_MIN}, or T*T underflows to 0"]),
+    ({"macro": {"cfl": 5e-324}}, ["macro.cfl: cfl * dx underflows to 0, so the grid cannot step"]),
     ({"coupling": {"zeta_min": 0.5, "zeta_max": 0.5}},
      ["coupling.zeta_min: must be below zeta_max"]),
     ({"coupling": {"zeta0": 0.95}}, ["coupling.zeta0: must lie in [zeta_min, zeta_max]"]),
@@ -510,8 +512,8 @@ def test_feasible_sets_built_in_code_reject_what_the_config_rejects(build, messa
     ({"macro": {"x_min": "a", "x_max": -5}}, ["macro.x_min: must be a number"]),
     # the rules that span sections run only once every key has parsed
     ({"mode": "macro", "n_steps": -1}, [f"n_steps: must lie in [1, {2**63 - 1}]"]),
-], ids=["x_min-above-x_max", "T-zero", "T-squares-to-zero", "zeta_min-above-zeta_max",
-        "zeta0-out-of-bounds", "failed-key-suppresses-the-rule",
+], ids=["x_min-above-x_max", "T-zero", "T-squares-to-zero", "cfl-step-underflows",
+        "zeta_min-above-zeta_max", "zeta0-out-of-bounds", "failed-key-suppresses-the-rule",
         "failed-key-suppresses-the-rules-across-sections"])
 def test_a_rule_between_keys_is_reported_at_its_key(over, errors):
     with pytest.raises(ConfigError) as exc:
@@ -631,8 +633,13 @@ def config_trees(draw):
     return tree
 
 
+FREE_TREE = TREES[BUNDLED.index("rastrigin1d_micromacro")]
+
+
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)
 @given(config_trees())
+# a CFL step that underflows to 0, which the generator does not draw
+@example({**FREE_TREE, "macro": {**FREE_TREE["macro"], "cfl": 5e-324}})
 def test_every_tree_is_rejected_at_key_paths_or_loads_and_round_trips(tree):
     try:
         cfg = config_from_dict(tree)

@@ -260,12 +260,28 @@ def test_a_nan_coordinate_gives_nan_at_that_point_only(d):
         assert np.array_equal(got[finite], reference(x[finite])), name
 
 
-@pytest.mark.parametrize("n_coords", [1, 3])
-def test_ball_union_rejects_points_of_another_dimension(n_coords):
-    balls = BallUnion(SIX_BALLS)
-    x = np.zeros((5, n_coords))
+# each entry point that reads points, and its dimension
+ENTRY_POINTS = {
+    "balls": (BallUnion(SIX_BALLS).distance, 2),
+    "intervals": (IntervalUnion(FOUR_INTERVALS).distance, 1),
+    "halfline": (Halfspace1D(-0.5).distance, 1),
+    "objective-1d": (ObjectiveFunction("ackley", 1), 1),
+    "objective-2d": (ObjectiveFunction("rastrigin", 2), 2),
+    "penalty-unconstrained": (PenalizedObjective(ObjectiveFunction("ackley", 2)).penalty, 2),
+}
+
+
+@pytest.mark.parametrize("entry, n_coords", [
+    # the ball cases keep their first ids, the point's dimension alone
+    pytest.param(entry, n, id=str(n) if entry == "balls" and n != "0-d" else f"{entry}-{n}")
+    for entry, (_, dim) in ENTRY_POINTS.items() for n in [k for k in (1, 2, 3) if k != dim] + ["0-d"]
+])
+def test_ball_union_rejects_points_of_another_dimension(entry, n_coords):
+    """Every entry point refuses (5, n) points with n != d, and a 0-d value."""
+    read, _ = ENTRY_POINTS[entry]
+    x = np.float64(0.5) if n_coords == "0-d" else np.zeros((5, n_coords))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        balls.distance(x)
+        read(x)
 
 
 @pytest.mark.parametrize("d", [8, 16, 64])
