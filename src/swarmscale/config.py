@@ -9,13 +9,13 @@ its key path (e.g. ``micro.m``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import yaml
 
-from .keys import (MAX_ARRAY_VALUES, Keyed, choice, integer, key, path_string, read_keys,
-                   section)
+from .keys import MAX_ARRAY_VALUES, Keyed, choice, integer, key, path_string, read, section
 from .macro import MAX_SUBSTEPS, Grid1D
 from .micro import MicroParams
 from .micromacro import CouplingConfig
@@ -39,8 +39,8 @@ class ExperimentConfig(Keyed):
 
     Every field is a key of the file and every nested dataclass a section of
     it, a solver's own object that checks its keys when it is built.  The
-    root is a section too: built in code or by ``dataclasses.replace``, it
-    runs the walk's checks.  Each key declares its default and bounds once,
+    root is a section too: built from a file, in code or by ``replace``, it
+    runs the same checks.  Each key declares its default and bounds once,
     in its field, and ``config_to_dict`` writes the same tree back.
     ``feasible_set.kind`` picks that section's class from ``FEASIBLE_SETS``;
     absent or null, the run is unconstrained.
@@ -90,23 +90,30 @@ class ExperimentConfig(Keyed):
 def config_from_dict(data) -> ExperimentConfig:
     """Validate a parsed key-tree and build the config; raises ConfigError.
 
-    Every key is read before any rule that spans sections runs, so those
-    rules run only on a tree whose keys all parse.
+    The tree is read as the root section: each unknown key is named, and the
+    constructors parse each known key once, then the rules that span sections.
     """
-    if data is None:
-        data = {}
     errors = []
-    values = read_keys(ExperimentConfig, data, "", errors)
+    cfg = read({"section": ExperimentConfig}, {} if data is None else data, "", errors)
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(**values)
+    return cfg
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, whose YAML 1.1 floats need a dot, plus YAML 1.2's ``5e-3``."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
 
 
 def load_config(path) -> ExperimentConfig:
     """Read a YAML config file; raises ConfigError on parse or validation failure."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     except yaml.YAMLError as exc:

@@ -1,17 +1,17 @@
 """Config keys: each key's check, bounds and default, declared once in its field.
 
-A config section is a frozen dataclass whose fields are its keys.  The
-solvers' sections are their parameter objects, and the config's root is one
-too.  Each section subclasses ``Keyed``, whose ``__post_init__`` parses its
-keys, and ``read`` is the one reader of a field's spec, for the walk over a
-YAML tree and for a section built in code (or by ``dataclasses.replace``)
-alike.
+A config section is a frozen dataclass whose fields are its keys: a solver's
+parameter object, or the config's root.  Each subclasses ``Keyed``, whose
+``__post_init__`` alone parses its keys, each once through ``read``, the one
+reader of a field's spec.  The YAML walk only names unknown keys and calls
+the section, so a section built from YAML, in code or by ``replace`` parses
+alike, and a required key left at its default, ``REQUIRED``, is missing.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, field, fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 
 # the most values one float64 array of a run may hold (32 MiB), checked when the config loads
 MAX_ARRAY_VALUES = 2**22
@@ -86,33 +86,42 @@ def path_string(v) -> str:
 # -- declaring keys --------------------------------------------------------
 
 
-def key(check, default=MISSING, **bounds):
+# the default of a required key: ``read`` reports a field that still holds it
+REQUIRED = type("Required", (), {"__repr__": lambda self: "REQUIRED"})()
+
+
+def key(check, default=REQUIRED, **bounds):
     """A key: its value check and bounds, and its default (none: a required key)."""
     return field(default=default, metadata={"check": check, "bounds": bounds})
 
 
 def section(cls, required=False):
     """A nested section; an absent optional one takes all its defaults."""
-    return field(default_factory=MISSING if required else cls, metadata={"section": cls})
+    default = {"default": REQUIRED} if required else {"default_factory": cls}
+    return field(**default, metadata={"section": cls})
 
 
 def key_list(entry):
     """A required, nonempty list key; each entry is a value of ``entry``, a check or a section."""
     spec = {"section": entry} if is_dataclass(entry) else {"check": entry, "bounds": {}}
-    return field(metadata={"each": spec})
+    return field(default=REQUIRED, metadata={"each": spec})
 
 
 def read(spec, value, path, errors):
     """``value`` parsed by the spec of the field at key path ``path``.
 
     The one reader of a spec that ``key``, ``key_list`` or ``section``
-    declares, or of a ``kinds`` one.  A check runs on the value, and a list
-    reads each entry.  A section is built from a mapping of its keys, or in
-    code taken as an instance or built from a tuple of its keys in order; a
-    ``kinds`` section picks its class by its ``kind`` key.  Each failure is
-    appended to ``errors`` as ``key.path: message``, and None stands in for
-    the value.
+    declares, or of a ``kinds`` one; ``REQUIRED`` is a missing key.  A check
+    runs on the value, and a list reads each entry.  A section is taken as an
+    instance, built from a tuple of its keys in order, or called with the
+    known keys of a mapping, so its constructor parses each key once; each
+    unknown key is reported.  A ``kinds`` section picks its class by its
+    ``kind`` key.  Each failure is appended to ``errors`` as ``key.path:
+    message``, and None stands in for the value.
     """
+    if value is REQUIRED:
+        errors.append(f"{path}: missing required key")
+        return None
     if "kinds" in spec:
         kinds = spec["kinds"]
         if isinstance(value, tuple(kinds.values())):
@@ -120,11 +129,8 @@ def read(spec, value, path, errors):
         if not isinstance(value, dict):
             errors.append(f"{path}: must be a mapping")
             return None
-        if "kind" not in value:
-            errors.append(f"{path}.kind: missing required key")
-            return None
         kind_spec = key(choice, options=tuple(kinds)).metadata
-        kind = read(kind_spec, value["kind"], f"{path}.kind", errors)
+        kind = read(kind_spec, value.get("kind", REQUIRED), f"{path}.kind", errors)
         if kind is None:
             return None
         others = {f.name for cls in kinds.values() if cls is not kinds[kind] for f in fields(cls)}
@@ -133,18 +139,20 @@ def read(spec, value, path, errors):
         spec = {"section": kinds[kind]}
         value = {k: v for k, v in value.items() if k != "kind" and k not in others}
     if "section" in spec:
-        cls, n_errors = spec["section"], len(errors)
+        cls, at = spec["section"], f"{path}." if path else ""
         if isinstance(value, cls):
             return value
+        if not isinstance(value, (dict, tuple)):
+            errors.append(f"{path or 'top level'}: must be a mapping")
+            return None
         try:
             if isinstance(value, tuple):
                 return cls(*value)
-            values = read_keys(cls, value, path, errors)
-            # a section with a failed key is not built, so no rule between its
-            # keys runs on what stands in for it
-            return None if len(errors) > n_errors else cls(**values)
-        except ValueError as exc:  # its keys or a rule between them, reported at its key
-            errors += [f"{path}.{line}" for line in str(exc).splitlines()]
+            names = {f.name for f in fields(cls)}
+            errors += [f"{at}{name}: unknown key" for name in value if name not in names]
+            return cls(**{k: v for k, v in value.items() if k in names})
+        except ValueError as exc:  # its keys or its rules, at its key (the root's: ConfigError's)
+            errors += [f"{at}{line}" for line in getattr(exc, "errors", str(exc).splitlines())]
             return None
     try:
         if "each" not in spec:
@@ -154,28 +162,6 @@ def read(spec, value, path, errors):
         errors.append(f"{path}: {exc}")
         return None
     return tuple(read(spec["each"], v, f"{path}[{i}]", errors) for i, v in enumerate(value))
-
-
-def read_keys(cls, data, path, errors):
-    """Each key of section ``cls`` read from the mapping ``data``; None if it is not one.
-
-    Unknown keys fail first, then each field in order.  A key that is absent,
-    or null with a None default, is left out, so the section takes its default.
-    """
-    if not isinstance(data, dict):
-        errors.append(f"{path or 'top level'}: must be a mapping")
-        return None
-    at = f"{path}." if path else ""
-    names = {f.name for f in fields(cls)}
-    errors += [f"{at}{name}: unknown key" for name in data if name not in names]
-    values = {}
-    for f in fields(cls):
-        if f.name not in data or (data[f.name] is None and f.default is None):
-            if f.default is MISSING and f.default_factory is MISSING:
-                errors.append(f"{at}{f.name}: missing required key")
-        else:
-            values[f.name] = read(f.metadata, data[f.name], f"{at}{f.name}", errors)
-    return values
 
 
 class Keyed:
@@ -188,9 +174,9 @@ class Keyed:
 
     def __post_init__(self):
         errors = []
-        values = read_keys(type(self), {f.name: getattr(self, f.name) for f in fields(self)}, "",
-                           errors)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:  # null with a None default stays
+                object.__setattr__(self, f.name, read(f.metadata, value, f.name, errors))
         if errors:
             raise ValueError("\n".join(errors))
-        for name, value in values.items():
-            object.__setattr__(self, name, value)

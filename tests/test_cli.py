@@ -252,6 +252,16 @@ def test_validate_config_rejects_non_finite_numbers(tmp_path, capsys):
     assert "micro.m: must be a number" in capsys.readouterr().err
 
 
+def test_validate_config_reads_exponent_floats(tmp_path, capsys):
+    # YAML 1.1 reads 5e-3 as a string, which failed as "must be a number"
+    p = write_config(tmp_path, mode="micromacro", objective={"name": "rastrigin", "dim": 1},
+                     macro={"cfl": 0.5})
+    p.write_text(p.read_text().replace("dt: 0.1", "dt: 5e-3").replace("cfl: 0.5", "cfl: 5e-324"))
+    assert cli.main(["validate-config", "--config", str(p)]) == 2
+    assert capsys.readouterr().err.strip().splitlines()[1:] == [
+        "  - macro.cfl: cfl * dx underflows to 0, so the grid cannot step"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_ensemble_reports_each_failed_run(tmp_path, capsys):
     p = write_config(tmp_path, n_steps=3, micro={"dt": 0.1, "sigma": 1e300})

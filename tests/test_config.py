@@ -7,7 +7,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from swarmscale.config import (
     load_config,
     save_config,
 )
+from swarmscale import keys
 from swarmscale.keys import MAX_ARRAY_VALUES, Keyed
 from swarmscale.macro import T_MIN, Grid1D
 from swarmscale.micro import MicroParams
@@ -93,6 +94,10 @@ def test_empty_file_lists_every_required_key(tmp_path):
     for key in ("mode", "objective", "n_steps", "n_particles", "seed", "output"):
         assert f"{key}: missing required key" in str(exc.value)
     assert len(exc.value.errors) == 6
+    # a config built in code without its required keys lists the same six
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig()
+    assert built.value.errors == exc.value.errors
 
 
 def test_missing_file_and_bad_yaml(tmp_path):
@@ -450,8 +455,10 @@ def test_parameter_objects_built_in_code_reject_what_the_config_rejects():
         ("dim", ObjectiveFunction, {"name": "ackley", "dim": True}),
         ("dim", ObjectiveFunction, {"name": "ackley", "dim": 2.0}),
         ("eta_beta", PenaltyConfig, {"eta_beta": math.inf}),
-        # a required key is checked even when it is None
+        # a required key is checked even when it is None, and reported when it is absent
         ("name", ObjectiveFunction, {"name": None, "dim": 2}),
+        ("name", ObjectiveFunction, {"dim": 2}),
+        ("radius_sq", Ball, {"center": (0.0,)}),
         ("x_min", Grid1D, {"x_min": math.nan, "x_max": 1.0, "n_cells": 10}),
         ("x_max", Grid1D, {"x_min": 0.0, "x_max": math.inf, "n_cells": 10}),
         ("n_cells", Grid1D, {"x_min": 0.0, "x_max": 1.0, "n_cells": 10.5}),
@@ -512,13 +519,49 @@ def test_feasible_sets_built_in_code_reject_what_the_config_rejects(build, messa
     ({"macro": {"x_min": "a", "x_max": -5}}, ["macro.x_min: must be a number"]),
     # the rules that span sections run only once every key has parsed
     ({"mode": "macro", "n_steps": -1}, [f"n_steps: must lie in [1, {2**63 - 1}]"]),
+    # an unknown key is not a failed key: the section is built from the rest,
+    # so its rules run and are reported beside it
+    ({"extra": 1, "mode": "macro"},
+     ["extra: unknown key", "objective.dim: mode 'macro' runs on a 1D grid; dim must be 1"]),
 ], ids=["x_min-above-x_max", "T-zero", "T-squares-to-zero", "cfl-step-underflows",
         "zeta_min-above-zeta_max", "zeta0-out-of-bounds", "failed-key-suppresses-the-rule",
-        "failed-key-suppresses-the-rules-across-sections"])
+        "failed-key-suppresses-the-rules-across-sections", "unknown-key-leaves-the-rules"])
 def test_a_rule_between_keys_is_reported_at_its_key(over, errors):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(base_dict(**over))
     assert exc.value.errors == errors
+
+
+def test_reading_a_mapping_checks_each_key_once():
+    calls = []
+
+    def counted(check):
+        def counted_check(v, **bounds):
+            calls.append(check.__name__)
+            return check(v, **bounds)
+        return counted_check
+
+    @dataclass(frozen=True)
+    class Inner(Keyed):
+        label: str = keys.key(counted(keys.path_string))
+        rate: float = keys.key(counted(keys.number), 1.0, lo=0)
+
+    @dataclass(frozen=True)
+    class Outer(Keyed):
+        steps: int = keys.key(counted(keys.integer), lo=1)
+        inner: Inner = keys.section(Inner, required=True)
+        points: tuple = keys.key_list(counted(keys.span))
+
+    errors = []
+    outer = keys.read({"section": Outer}, {"steps": 3, "inner": {"rate": 2.0, "label": "a"},
+                                           "points": [[0, 1], [1, 2]]}, "", errors)
+    assert sorted(calls) == ["integer", "number", "path_string", "span", "span"]
+    assert errors == [] and outer == Outer(3, Inner("a", 2.0), ((0.0, 1.0), (1.0, 2.0)))
+    # an absent key's default is checked once too, and an absent required key is named
+    calls.clear()
+    assert keys.read({"section": Outer}, {"inner": {"label": "a"}}, "", errors) is None
+    assert calls == ["path_string", "number"]
+    assert errors == ["steps: missing required key", "points: missing required key"]
 
 
 def section_classes(spec):
@@ -577,6 +620,8 @@ def test_every_config_key_declares_its_check():
     ({"n_steps": 0}, [f"n_steps: must lie in [1, {2**63 - 1}]"]),
     ({"output": ""}, ["output: must be a nonempty path string"]),
     ({"mode": "macro"}, ["objective.dim: mode 'macro' runs on a 1D grid; dim must be 1"]),
+    # a tuple is not a mapping, even where a section of a fixed class takes one
+    ({"feasible_set": (1.0,)}, ["feasible_set: must be a mapping"]),
 ])
 def test_replace_on_a_config_runs_the_walks_checks(over, errors):
     cfg = config_from_dict(base_dict())  # a 2-D objective
