@@ -113,11 +113,12 @@ def read(spec, value, path, errors):
     The one reader of a spec that ``key``, ``key_list`` or ``section``
     declares, or of a ``kinds`` one; ``REQUIRED`` is a missing key.  A check
     runs on the value, and a list reads each entry.  A section is taken as an
-    instance, built from a tuple of its keys in order, or called with the
-    known keys of a mapping, so its constructor parses each key once; each
-    unknown key is reported.  A ``kinds`` section picks its class by its
-    ``kind`` key.  Each failure is appended to ``errors`` as ``key.path:
-    message``, and None stands in for the value.
+    instance, or called with the known keys of a mapping, so its constructor
+    parses each key once; each unknown key is reported.  Below the root, a
+    tuple is read as the mapping of the section's keys in order.  A
+    ``kinds`` section picks its class by its ``kind`` key.  Each failure is
+    appended to ``errors`` as ``key.path: message``, and None stands in for
+    the value.
     """
     if value is REQUIRED:
         errors.append(f"{path}: missing required key")
@@ -142,14 +143,17 @@ def read(spec, value, path, errors):
         cls, at = spec["section"], f"{path}." if path else ""
         if isinstance(value, cls):
             return value
-        if not isinstance(value, (dict, tuple)):
+        names = [f.name for f in fields(cls)]
+        if isinstance(value, tuple) and path:  # a section's keys in order; the root is a mapping
+            if len(value) > len(names):
+                errors.append(f"{path}: must hold at most {len(names)} values, one per key")
+                return None
+            value = dict(zip(names, value))
+        if not isinstance(value, dict):
             errors.append(f"{path or 'top level'}: must be a mapping")
             return None
+        errors += [f"{at}{name}: unknown key" for name in value if name not in names]
         try:
-            if isinstance(value, tuple):
-                return cls(*value)
-            names = {f.name for f in fields(cls)}
-            errors += [f"{at}{name}: unknown key" for name in value if name not in names]
             return cls(**{k: v for k, v in value.items() if k in names})
         except ValueError as exc:  # its keys or its rules, at its key (the root's: ConfigError's)
             errors += [f"{at}{line}" for line in getattr(exc, "errors", str(exc).splitlines())]

@@ -218,33 +218,24 @@ def _hydrostatic_update(state, grid, dt, params, consensus):
 
 
 def lax_friedrichs_step(
-    state: MacroState,
-    grid: Grid1D,
-    dt: float,
-    params: MicroParams,
-    consensus: float,
-    max_speed: float | None = None,
+    state: MacroState, grid: Grid1D, dt: float, params: MicroParams, consensus: float
 ) -> MacroState:
-    """One explicit step; raises on a CFL violation instead of going unstable.
+    """One explicit step of at most dt, cut to the CFL step; its time records the step taken.
 
+    The step is min(dt, cfl_dt(max_wavespeed(state, grid), grid)), so no
+    caller can ask for an unstable one: the face states carry the
+    attraction and keep the density nonnegative under
+    dt * max(|u| + |T|) <= dx, and the wavespeed refuses a non-finite state.
     Each cell is updated by the local Lax-Friedrichs fluxes of the
     hydrostatic reconstruction (see _hydrostatic_update), with the grid's
     boundary rule.  Density is floored at zero afterwards and vacuum cells
     carry no momentum.
     params are the particles' MicroParams: the grid solves the moments of
-    the same SDE, so it reads the same m, lam and gamma = 1 - m.  max_speed
-    is max_wavespeed(state, grid), computed here unless the caller already has it.
+    the same SDE, so it reads the same m, lam and gamma = 1 - m.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if max_speed is None:
-        max_speed = max_wavespeed(state, grid)
-    if dt * max_speed > grid.dx * (1 + 1e-9):
-        raise ValueError(
-            f"CFL violation: dt={dt:g} exceeds dx/max_speed with "
-            f"max wavespeed {max_speed:g}"
-        )
-
+    dt = min(dt, cfl_dt(max_wavespeed(state, grid), grid))
     rho_new, mom_new = _hydrostatic_update(state, grid, dt, params, consensus)
     np.maximum(rho_new, 0.0, out=rho_new)
     mom_new[rho_new <= EPS_RHO] = 0.0
@@ -257,14 +248,12 @@ def advance_macro(state, grid, params, weights, target_time):
     The weights are the cells' Gibbs weights gibbs_weights(F_beta, alpha),
     one per cell, checked on entry so that a call needing no sub-step still
     rejects them; each sub-step's consensus is consensus_point_macro at
-    its own density.  Each step is sized by cfl_dt from the
-    wavespeed alone, since the face states carry the attraction and keep
-    the density nonnegative under dt * max(|u| + |T|) <= dx.  The last step
-    is cut to land on target_time.  One wavespeed per sub-step serves both
-    cfl_dt and the step's CFL check, and so checks each sub-step's input;
-    the state handed back is checked once, on return, and a non-finite one
-    raises FloatingPointError naming its first bad cell.  Raises
-    RuntimeError if MAX_SUBSTEPS sub-steps do not reach target_time.
+    its own density.  Each sub-step is lax_friedrichs_step allowed the time
+    left, so it sizes itself by the CFL step and the last one lands on
+    target_time; its wavespeed checks each sub-step's input.  The state
+    handed back is checked once, on return, and a non-finite one raises
+    FloatingPointError naming its first bad cell.  Raises RuntimeError if
+    MAX_SUBSTEPS sub-steps do not reach target_time.
     """
     state.check_per_cell(weights=weights)
     # one pass more than the sub-steps: the last pass only checks the landing
@@ -276,9 +265,7 @@ def advance_macro(state, grid, params, weights, target_time):
                 _fail_at_first_cell(state, ~finite)
             return state
         consensus = consensus_point_macro(state, grid, weights)
-        speed = max_wavespeed(state, grid)
-        dt = min(cfl_dt(speed, grid), remaining)
-        state = lax_friedrichs_step(state, grid, dt, params, consensus, max_speed=speed)
+        state = lax_friedrichs_step(state, grid, remaining, params, consensus)
     raise RuntimeError(
         f"grid solver stalled: {MAX_SUBSTEPS} sub-steps before t={target_time:g}"
     )

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keys import Keyed, choice, key, number, span
-
-DIFFUSION_MODES = ("isotropic", "anisotropic")
+from .keys import Keyed, key, number, span
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,6 @@ class MicroParams(Keyed):
     sigma: float = key(number, 1.0 / 3.0**0.5, lo=0)
     dt: float = key(number, 0.1, lo=0, lo_open=True)
     alpha: float = key(number, 30.0, lo=0, lo_open=True)
-    diffusion: str = key(choice, "anisotropic", options=DIFFUSION_MODES)
     init_box: tuple = key(span, (-3.0, 3.0))  # the initial particles are uniform on init_box^d
 
     @property
@@ -141,25 +138,19 @@ def step_euler_maruyama(
     """One Euler-Maruyama step of the inertial swarm SDE toward the drift target.
 
     The target is the consensus point of the pre-step state, shared by all
-    particles; r = target - x.  One generator call draws a standard normal per
-    particle for ||r|| * I (isotropic) or per component for diag(r) (anisotropic).
+    particles; r = target - x.  The exploration is anisotropic, diag(r): one
+    generator call draws a standard normal per component, scaled by r.
     """
     m, lam, sigma, dt = params.m, params.lam, params.sigma, params.dt
     c = m + params.gamma * dt
 
     r = target - state.positions  # (N, d)
-
-    if params.diffusion == "isotropic":
-        theta = rng.standard_normal(state.n_particles)[:, None]
-        scale = np.linalg.norm(r, axis=-1, keepdims=True)  # (N, 1): the product broadcasts it
-    else:
-        theta = rng.standard_normal(state.positions.shape)
-        scale = r
+    theta = rng.standard_normal(state.positions.shape)
 
     velocities = (
         (m / c) * state.velocities
         + (lam * dt / c) * r
-        + (sigma * math.sqrt(dt) / c) * scale * theta
+        + (sigma * math.sqrt(dt) / c) * r * theta
     )
     positions = state.positions + dt * velocities
 

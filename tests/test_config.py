@@ -76,7 +76,6 @@ def test_bundled_constrained_swarm_parameters():
     assert cfg.micro.lam == 1.0
     assert cfg.micro.sigma == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
     assert cfg.micro.alpha == 30.0
-    assert cfg.micro.diffusion == "anisotropic"
     assert cfg.penalty.beta0 == 1.0
     assert cfg.penalty.kappa0 == 5.0
     assert cfg.penalty.eta_kappa == 1.1
@@ -116,7 +115,7 @@ def test_non_mapping_top_level(tmp_path):
         load_config(p)
     assert exc.value.errors == ["top level: must be a mapping"]
     # the public parser names a non-mapping once, not as its missing keys
-    for data in ([1, 2], "x"):
+    for data in ([1, 2], "x", ("micro",)):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(data)
         assert exc.value.errors == ["top level: must be a mapping"]
@@ -152,6 +151,16 @@ def test_unknown_macro_scheme_is_rejected_at_its_key(tmp_path):
         with pytest.raises(ConfigError) as exc:
             load_config(p)
         assert exc.value.errors == ["macro.scheme: unknown key"]
+
+
+def test_a_file_that_picks_a_diffusion_is_refused_at_its_key(tmp_path):
+    # the particle step has one exploration, diag(r), so the key that picked one is gone
+    for mode in ("anisotropic", "isotropic"):
+        p = tmp_path / f"{mode}.yaml"
+        p.write_text(yaml.safe_dump(base_dict(micro={"diffusion": mode})))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert exc.value.errors == ["micro.diffusion: unknown key"]
 
 
 def test_mode_and_objective_validation():
@@ -496,10 +505,12 @@ def test_tiny_T_is_rejected_exactly_where_its_square_underflows():
     (lambda: IntervalUnion([]), "intervals: must not be empty"),
     (lambda: BallUnion([((0, math.nan), 1)]), "balls[0].center: must be a list of numbers"),
     (lambda: BallUnion([((0, 0), math.inf)]), "balls[0].radius_sq: must be a number"),
+    # a tuple is the entry's keys in order, so it holds no more values than the keys
+    (lambda: BallUnion([((0.0, 0.0), 1.0, 2.0)]), "balls[0]: must hold at most 2 values, one per key"),
     (lambda: Ball((0, math.nan), math.inf),
      "center: must be a list of numbers\nradius_sq: must be a number"),
 ], ids=["bound-nan", "bound-str", "interval-inf", "no-intervals", "center-nan", "radius-inf",
-        "each-bad-key"])
+        "ball-tuple-too-long", "each-bad-key"])
 def test_feasible_sets_built_in_code_reject_what_the_config_rejects(build, message):
     with pytest.raises(ValueError) as exc:
         build()
@@ -622,6 +633,8 @@ def test_every_config_key_declares_its_check():
     ({"mode": "macro"}, ["objective.dim: mode 'macro' runs on a 1D grid; dim must be 1"]),
     # a tuple is not a mapping, even where a section of a fixed class takes one
     ({"feasible_set": (1.0,)}, ["feasible_set: must be a mapping"]),
+    # a section of a fixed class reads a tuple as its keys in order, no more of them
+    ({"macro": (1.0,) * 9}, ["macro: must hold at most 7 values, one per key"]),
 ])
 def test_replace_on_a_config_runs_the_walks_checks(over, errors):
     cfg = config_from_dict(base_dict())  # a 2-D objective

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from swarmscale.micro import (
-    DIFFUSION_MODES,
     MicroParams,
     SwarmState,
     consensus_point,
@@ -176,11 +175,9 @@ def test_step_single_particle_velocity_decay():
     assert out.velocities[0, 0] == pytest.approx(3.0 * 0.5 / c, rel=1e-14)
 
 
-@pytest.mark.parametrize("diffusion", DIFFUSION_MODES)
-def test_step_matches_independent_transcription(diffusion):
-    # replay the exact normal draws and redo the update from scratch
-    params = MicroParams(m=0.5, lam=1.0, sigma=1.0 / math.sqrt(3.0), dt=0.1,
-                         alpha=30.0, diffusion=diffusion)
+def test_step_matches_independent_transcription():
+    # replay the exact normal draws, one per component, and redo the update from scratch
+    params = MicroParams(m=0.5, lam=1.0, sigma=1.0 / math.sqrt(3.0), dt=0.1, alpha=30.0)
     rng = np.random.default_rng(2024)
     positions = rng.uniform(-0.05, 0.05, size=(3, 2))
     velocities = rng.uniform(-1, 1, size=(3, 2))
@@ -189,9 +186,7 @@ def test_step_matches_independent_transcription(diffusion):
     seed_state = np.random.default_rng(77)
     out = step(SwarmState(positions.copy(), velocities.copy()), params, pf, seed_state)
 
-    isotropic = diffusion == "isotropic"
-    # isotropic: one draw per particle, shared by its components
-    theta = np.random.default_rng(77).standard_normal(3 if isotropic else (3, 2))
+    theta = np.random.default_rng(77).standard_normal((3, 2))
     target = naive_consensus(positions, pf.evaluate(positions, BETA), 30.0)
     m, lam, sigma, dt = 0.5, 1.0, 1.0 / math.sqrt(3.0), 0.1
     c = m + (1.0 - m) * dt
@@ -199,47 +194,30 @@ def test_step_matches_independent_transcription(diffusion):
     pos2 = np.empty_like(positions)
     for i in range(3):
         r = target - positions[i]
-        scale = math.sqrt(sum(rk * rk for rk in r)) if isotropic else r
         vel2[i] = (m / c) * velocities[i] + (lam * dt / c) * r \
-            + (sigma * math.sqrt(dt) / c) * scale * theta[i]
+            + (sigma * math.sqrt(dt) / c) * r * theta[i]
         pos2[i] = positions[i] + dt * vel2[i]
     np.testing.assert_allclose(out.velocities, vel2, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.positions, pos2, rtol=1e-12, atol=1e-14)
 
 
-def reference_diffusion_diagonal(mode, displacement):
-    """The exploration matrix's diagonal, body for body as the step first called it."""
-    displacement = np.asarray(displacement, dtype=float)
-    if mode == "isotropic":
-        norms = np.linalg.norm(displacement, axis=-1, keepdims=True)
-        return np.broadcast_to(norms, displacement.shape).copy()
-    if mode == "anisotropic":
-        return displacement
-    raise ValueError(f"diffusion must be one of {DIFFUSION_MODES}")
-
-
 def reference_step(state, params, target, rng):
-    """step_euler_maruyama as first written, on reference_diffusion_diagonal."""
+    """step_euler_maruyama as first written: the exploration diagonal is r itself."""
     m, lam, sigma, dt = params.m, params.lam, params.sigma, params.dt
     c = m + params.gamma * dt
     r = target - state.positions
-    if params.diffusion == "isotropic":
-        theta = rng.standard_normal(state.n_particles)[:, None]
-    else:
-        theta = rng.standard_normal(state.positions.shape)
-    scale = reference_diffusion_diagonal(params.diffusion, r)
+    theta = rng.standard_normal(state.positions.shape)
     velocities = (
         (m / c) * state.velocities
         + (lam * dt / c) * r
-        + (sigma * math.sqrt(dt) / c) * scale * theta
+        + (sigma * math.sqrt(dt) / c) * r * theta
     )
     return state.positions + dt * velocities, velocities
 
 
-@pytest.mark.parametrize("diffusion", DIFFUSION_MODES)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-def test_step_matches_the_reference_diagonal_bit_for_bit(diffusion, dim):
-    params = MicroParams(diffusion=diffusion)
+def test_step_matches_the_reference_diagonal_bit_for_bit(dim):
+    params = MicroParams()
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 50))
@@ -250,23 +228,6 @@ def test_step_matches_the_reference_diagonal_bit_for_bit(diffusion, dim):
                                                np.random.default_rng(seed + 100))
         assert np.array_equal(out.positions, positions)
         assert np.array_equal(out.velocities, velocities)
-
-
-def test_step_isotropic_draw_shape():
-    # one draw per particle, shared across components: equal noise directions
-    params = MicroParams(m=0.5, lam=1.0, sigma=1.0, dt=0.1, diffusion="isotropic")
-    positions = np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -0.5]])
-    state = SwarmState(positions, np.zeros((3, 2)))
-    pf = plain("ackley", 2)
-    out = step(state, params, pf, np.random.default_rng(5))
-
-    theta = np.random.default_rng(5).standard_normal(3)[:, None]
-    target = consensus(state, pf, params.alpha)
-    r = target - positions
-    scale = np.linalg.norm(r, axis=-1, keepdims=True)
-    c = 0.5 + 0.5 * 0.1
-    vel = (1.0 * 0.1 / c) * r + (1.0 * math.sqrt(0.1) / c) * scale * theta
-    np.testing.assert_allclose(out.velocities, vel, rtol=1e-12, atol=1e-14)
 
 
 def test_step_determinism():
@@ -321,8 +282,6 @@ def test_params_validation():
         MicroParams(dt=-0.1)
     with pytest.raises(ValueError, match="^alpha: "):
         MicroParams(alpha=0.0)
-    with pytest.raises(ValueError, match="^diffusion: "):
-        MicroParams(diffusion="sideways")
     assert MicroParams(m=0.3).gamma == pytest.approx(0.7)
 
 
@@ -333,29 +292,6 @@ def test_init_swarm_box_and_velocities():
     assert np.all(s.positions >= -2.0) and np.all(s.positions <= 2.0)
     assert np.all(s.velocities == 0.0)
     assert s.total_mass == pytest.approx(25.0)
-
-
-# ----------------------------------------------------------------- diffusion
-
-
-def test_diffusion_modes_agree_in_1d_distribution():
-    # in one dimension both modes scale the noise by |r| up to sign; with zero
-    # velocity, m = 1 (no friction), dt = 1 and a negligible attraction the new
-    # velocity is the noise term sigma * scale * theta alone
-    n, r = 100_000, 1.7
-    rng = np.random.default_rng(8)
-    state = SwarmState(np.zeros((n, 1)), np.zeros((n, 1)))
-    speeds = {}
-    for mode in DIFFUSION_MODES:
-        params = MicroParams(m=1.0, lam=1e-300, sigma=1.0, dt=1.0, diffusion=mode)
-        out = step_euler_maruyama(state, params, np.array([r]), rng)
-        speeds[mode] = np.abs(out.velocities[:, 0])
-    iso, aniso = speeds["isotropic"], speeds["anisotropic"]
-    # folded-normal moments: mean r*sqrt(2/pi), second moment r^2
-    se_mean = r * math.sqrt((1.0 - 2.0 / math.pi) / n)
-    se_m2 = r * r * math.sqrt(2.0 / n)
-    assert abs(iso.mean() - aniso.mean()) < 3.0 * math.sqrt(2.0) * se_mean
-    assert abs((iso**2).mean() - (aniso**2).mean()) < 3.0 * math.sqrt(2.0) * se_m2
 
 
 # --------------------------------------------------------------- softmin gap

@@ -5,6 +5,10 @@ grid's centroid both follow the damped oscillator m x'' + gamma x' +
 lam (x - c) = 0, gamma = 1 - m: the Euler-Maruyama step is linear in each
 particle, and the grid's pressure integrates to zero over the domain.  Both
 solvers are first order, so each halving of dt or dx halves the error.
+
+The grid's equilibrium at a fixed consensus, rho ~ exp(-phi/T^2) with
+phi = (lam/m)(x - c)^2/2, is a Gaussian of standard deviation sqrt(m/lam)|T|:
+the closure sets the grid's width, however narrow the swarm.
 """
 
 import math
@@ -12,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from swarmscale.macro import (LANDING_TOL, Grid1D, MacroState, cfl_dt, lax_friedrichs_step,
-                              max_wavespeed)
+from swarmscale.config import load_bundled
+from swarmscale.macro import LANDING_TOL, Grid1D, MacroState, lax_friedrichs_step
 from swarmscale.micro import MicroParams, SwarmState, step_euler_maruyama
 
 C, X0 = 0.5, -1.0  # the consensus held fixed, and the start of the mean at rest
@@ -43,9 +47,7 @@ def grid_centroid_error(T, n_cells, t_end=2.0):
     x = grid.centers
     state = MacroState(np.exp(-0.5 * ((x - X0) / 0.3) ** 2), np.zeros(n_cells))
     while t_end - state.time > LANDING_TOL:
-        speed = max_wavespeed(state, grid)
-        dt = min(cfl_dt(speed, grid), t_end - state.time)
-        state = lax_friedrichs_step(state, grid, dt, PARAMS, C, speed)
+        state = lax_friedrichs_step(state, grid, t_end - state.time, PARAMS, C)
     return abs(state.rho @ x / state.rho.sum() - closed_form(t_end))
 
 
@@ -66,3 +68,26 @@ def test_grid_centroid_follows_the_moment_equation_to_first_order(T, coarsest):
     errors = [grid_centroid_error(T, n) for n in (401, 801, 1601)]
     assert errors[0] < coarsest
     assert_first_order(errors)
+
+
+def spread(rho, x):
+    """Standard deviation of the density rho over the cell centers x."""
+    mean = rho @ x / rho.sum()
+    return math.sqrt(rho @ (x - mean) ** 2 / rho.sum())
+
+
+# the two bundled T = 0.1 grids: 3.2 and 4.7 cells per standard deviation
+@pytest.mark.parametrize("name", ["ackley1d_macro_constrained",
+                                  "rastrigin1d_micromacro_constrained"])
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_the_grid_equilibrium_has_the_closure_width(name, c):
+    cfg = load_bundled(name)
+    grid, params = cfg.macro, cfg.micro
+    width = math.sqrt(params.m / params.lam) * abs(grid.T)
+    phi = (params.lam / params.m) * 0.5 * (grid.centers - c) ** 2
+    state = MacroState(np.exp(-phi / grid.T**2), np.zeros(grid.n_cells))
+    assert spread(state.rho, grid.centers) == pytest.approx(width, rel=1e-12, abs=0)
+    out = lax_friedrichs_step(state, grid, math.inf, params, c)  # one CFL step
+    np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-14)
+    assert spread(out.rho, grid.centers) == pytest.approx(width, rel=1e-12, abs=0)

@@ -10,7 +10,8 @@ times with ``--trace 1`` (the per-layer metrics), one after another so that no
 two runs share the cores.  The last line a run prints, its result, is copied
 verbatim, and ``<metric>_median`` records each workload's median of every
 end-to-end metric (``block_s``, ``setup_s`` and ``peak_rss_mb``) over its plain
-runs, since one run's figures move with the box's load.
+runs, since one run's figures move with the box's load; ``<metric>_range``
+records their ``[min, max]`` beside it, so each file shows its own spread.
 The per-layer counters (every ``.calls`` and ``.points``,
 ``macro.substeps_per_step``, ``micromacro.active_share`` and
 ``runner.trace_bytes``) depend on no clock, so if they differ between the
@@ -94,7 +95,7 @@ def main(argv=None):
         "src_lines": src_lines(),
         "seconds": seconds,
         "runs": [],
-        **{f"{name}_median": {} for name in end_to_end},
+        **{f"{name}_{stat}": {} for name in end_to_end for stat in ("median", "range")},
     }
     drift = []
     for workload in (w["name"] for w in bench["workloads"]):
@@ -108,8 +109,9 @@ def main(argv=None):
             else:
                 plain.append(json.loads(line)["metrics"])
         for name in end_to_end:
-            payload[f"{name}_median"][workload] = statistics.median(
-                run[name]["value"] for run in plain)
+            values = [run[name]["value"] for run in plain]
+            payload[f"{name}_median"][workload] = statistics.median(values)
+            payload[f"{name}_range"][workload] = [min(values), max(values)]
         names = sorted(set().union(*traced))
         drift += [f"{workload} {name}: {[run.get(name) for run in traced]}"
                   for name in names if any(run.get(name) != traced[0].get(name) for run in traced)]
