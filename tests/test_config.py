@@ -506,7 +506,8 @@ def test_tiny_T_is_rejected_exactly_where_its_square_underflows():
     (lambda: BallUnion([((0, math.nan), 1)]), "balls[0].center: must be a list of numbers"),
     (lambda: BallUnion([((0, 0), math.inf)]), "balls[0].radius_sq: must be a number"),
     # a tuple is the entry's keys in order, so it holds no more values than the keys
-    (lambda: BallUnion([((0.0, 0.0), 1.0, 2.0)]), "balls[0]: must hold at most 2 values, one per key"),
+    (lambda: BallUnion([((0.0, 0.0), 1.0, 2.0)]),
+     "balls[0]: must hold at most 2 values, one per key"),
     (lambda: Ball((0, math.nan), math.inf),
      "center: must be a list of numbers\nradius_sq: must be a number"),
 ], ids=["bound-nan", "bound-str", "interval-inf", "no-intervals", "center-nan", "radius-inf",
