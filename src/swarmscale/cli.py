@@ -38,6 +38,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def predicted_work(cfg) -> list[str]:
+    """The least work a run of cfg does: its particle steps, grid sub-steps and largest array."""
+    lines, values = [], []
+    if cfg.mode != "macro":
+        lines.append(f"particle steps: {cfg.n_steps} of {cfg.n_particles} particles")
+        values.append(cfg.n_particles * cfg.objective.dim)
+    if cfg.mode != "micro":
+        least = max(cfg.n_steps * cfg.macro.least_substeps(cfg.micro.dt), 0.0)
+        lines.append(f"grid sub-steps: at least {least:.6g}")
+        values.append(cfg.macro.n_cells + 2)  # the step's rows with their ghost cells
+    return lines + [f"largest array: {max(values) * 8} bytes of float64"]
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -51,6 +64,7 @@ def main(argv=None) -> int:
             print(f"config valid: mode={cfg.mode}, "
                   f"objective={cfg.objective.name} (dim {cfg.objective.dim}), "
                   f"{cfg.n_steps} steps")
+            print("\n".join(predicted_work(cfg)))
             return 0
 
         # --seed and --out set config keys, so the config's own checks bound them

@@ -39,6 +39,9 @@ class Grid1D(Keyed):
 
     It also carries the solver's settings, which the grid functions read:
     the closure spread T, the CFL factor, the boundary rule and the snapshot cadence.
+    Its constants are built once: dx, the centers, and the padded centers, whose
+    ghost cells follow the boundary rule (wrapped on a periodic grid, the edge
+    cell copied otherwise), so the step forms its padded potential from them.
     """
 
     x_min: float = key(number, -3.0)
@@ -59,7 +62,7 @@ class Grid1D(Keyed):
         if not self.cfl * self.dx > 0:  # the CFL step is cfl * dx / speed
             raise ValueError("cfl: cfl * dx underflows to 0, so the grid cannot step")
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
@@ -75,12 +78,23 @@ class Grid1D(Keyed):
         x.flags.writeable = False
         return x
 
+    @cached_property
+    def padded_centers(self) -> np.ndarray:
+        """The centers with one ghost cell per side by the boundary rule; read-only."""
+        x = self.centers
+        x = np.concatenate((x[-1:], x, x[:1]) if self.boundary == "periodic" else (x[:1], x, x[-1:]))
+        x.flags.writeable = False
+        return x
+
 
 @dataclass
 class MacroState:
     """Cell values of density and momentum at a time; the closure spread T is the grid's.
 
-    A state's arrays are not written in place once built, so its velocity is formed once.
+    A state's arrays are not written in place once built, so its velocity is formed
+    once, and so is its consensus under one weights array: the state memoizes the
+    last (weights, consensus) pair, which consensus_point_macro reuses when given
+    that same weights object.
     Public construction checks the arrays.  _unchecked skips the checks; only a
     solver may call it, for a state it derives from one it already holds:
     lax_friedrichs_step, transfer_mass, and the runner's load of a shared grid step.
@@ -90,6 +104,7 @@ class MacroState:
     rho_u: np.ndarray
     time: float = field(default=0.0, kw_only=True)
     _velocity: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _consensus: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -103,7 +118,8 @@ class MacroState:
     def _unchecked(cls, rho, rho_u, time):
         """A state of float64 arrays of one shape, rho >= 0, built without re-checking them."""
         state = object.__new__(cls)
-        state.rho, state.rho_u, state.time, state._velocity = rho, rho_u, time, None
+        state.rho, state.rho_u, state.time = rho, rho_u, time
+        state._velocity = state._consensus = None
         return state
 
     def velocity(self) -> np.ndarray:
@@ -133,10 +149,14 @@ def consensus_point_macro(state: MacroState, grid: Grid1D, weights) -> float:
 
     The weights are gibbs_weights(F_beta, alpha) at the cell centers, one
     per cell; the grid builds them once per beta, since its centers never
-    move.  Midpoint quadrature: the common dx cancels.
+    move.  Midpoint quadrature: the common dx cancels.  Given the weights
+    object of the state's last call, it returns that call's value: neither the
+    state nor the weights are written in place, and weights belong to one grid.
     """
     state.check_per_cell(weights=weights)
-    return float(weighted_mean(weights * state.rho, grid.centers))
+    if state._consensus is None or state._consensus[0] is not weights:
+        state._consensus = (weights, float(weighted_mean(weights * state.rho, grid.centers)))
+    return state._consensus[1]
 
 
 def max_wavespeed(state: MacroState, grid: Grid1D) -> float:
@@ -172,6 +192,20 @@ def cfl_dt(s: float, grid: Grid1D) -> float:
     return grid.cfl * grid.dx / s
 
 
+def _padded(a, boundary):
+    """a with one ghost cell per side: wrapped, copied from the edge, or vacuum if absorbing."""
+    p = np.empty(a.size + 2)
+    p[1:-1] = a
+    if boundary == "periodic":
+        p[0], p[-1] = a[-1], a[0]
+    elif boundary == "absorbing":
+        # vacuum ghosts, so mass that reaches an edge leaves and never returns
+        p[0] = p[-1] = 0.0
+    else:
+        p[0], p[-1] = a[0], a[-1]  # zero-gradient ghost cells
+    return p
+
+
 def _hydrostatic_update(state, grid, dt, params, consensus):
     """Rusanov fluxes of the hydrostatically reconstructed face states, plus friction.
 
@@ -179,41 +213,63 @@ def _hydrostatic_update(state, grid, dt, params, consensus):
     side's density by exp(-(phi_f - phi)/T^2), keeping that cell's u.  The
     pressure correction T^2 (rho_i - rho_face) seen from cell i replaces the
     attraction source.  The potential's ghost cells wrap on a periodic grid
-    and copy the edge cell otherwise.
+    and copy the edge cell otherwise, as the grid's padded centers do, even
+    where rho and u have vacuum ghosts.  Every temporary below is fresh, so
+    the in-place updates round each sum and product exactly as the
+    expressions in the comments do.
     """
     T2 = grid.T * grid.T
-    # rows phi, rho, u, each with one ghost cell per side
-    pad = np.empty((3, state.rho.size + 2))
-    pad[0, 1:-1] = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
-    pad[1, 1:-1] = state.rho
-    pad[2, 1:-1] = state.velocity()
-    if grid.boundary == "periodic":
-        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
-    else:
-        # zero-gradient ghost cells
-        pad[:, 0], pad[:, -1] = pad[:, 1], pad[:, -2]
-    if grid.boundary == "absorbing":
-        # vacuum ghosts for rho and u, so mass that reaches an edge leaves and
-        # never returns; phi's ghosts still copy the edge
-        pad[1:, 0] = pad[1:, -1] = 0.0
-    phi_p, rho_p, u_p = pad
+    phi_p = (params.lam / params.m) * 0.5 * (grid.padded_centers - consensus) ** 2
+    rho_p = _padded(state.rho, grid.boundary)
+    u_p = _padded(state.velocity(), grid.boundary)
 
     # faces j = 0..n sit between padded cells j and j+1; the side with the higher
     # potential keeps its density exactly, since exp(0) == 1
-    rise = (phi_p[1:] - phi_p[:-1]) / T2
-    rho_l = rho_p[:-1] * np.exp(-np.maximum(rise, 0.0))
-    rho_r = rho_p[1:] * np.exp(np.minimum(rise, 0.0))
+    rise = phi_p[1:] - phi_p[:-1]
+    rise /= T2
+    rho_l = np.maximum(rise, 0.0)  # rho_p[:-1] * exp(-max(rise, 0))
+    np.negative(rho_l, out=rho_l)
+    np.exp(rho_l, out=rho_l)
+    rho_l *= rho_p[:-1]
+    rho_r = np.minimum(rise, 0.0, out=rise)  # rho_p[1:] * exp(min(rise, 0))
+    np.exp(rho_r, out=rho_r)
+    rho_r *= rho_p[1:]
     u_l, u_r = u_p[:-1], u_p[1:]
     q_l, q_r = rho_l * u_l, rho_r * u_r
-    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(grid.T)
-    f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
-    f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
+    speed = np.abs(u_p)  # max(|u_l|, |u_r|) + |T|
+    speed = np.maximum(speed[:-1], speed[1:])
+    speed += abs(grid.T)
+    # f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
+    f_rho = rho_r - rho_l
+    f_rho *= speed
+    f_rho = np.subtract(q_l + q_r, f_rho, out=f_rho)
+    f_rho *= 0.5
+    # f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
+    f_mom = q_l * u_l
+    f_mom += q_r * u_r
+    mass = rho_l + rho_r
+    mass *= T2
+    f_mom += mass
+    q_r -= q_l
+    q_r *= speed
+    f_mom -= q_r
+    f_mom *= 0.5
 
     ratio = dt / grid.dx
-    rho_new = state.rho - ratio * (f_rho[1:] - f_rho[:-1])
-    # cell i meets its right face as that face's left state and its left face as the right one
-    mom_new = state.rho_u - ratio * (f_mom[1:] - f_mom[:-1] + T2 * (rho_r[:-1] - rho_l[1:]))
-    mom_new = mom_new - dt * (params.gamma / params.m) * state.rho_u
+    # rho_new = state.rho - ratio * (f_rho[1:] - f_rho[:-1])
+    rho_new = f_rho[1:] - f_rho[:-1]
+    rho_new *= ratio
+    np.subtract(state.rho, rho_new, out=rho_new)
+    # cell i meets its right face as that face's left state and its left face as the right one:
+    # mom_new = state.rho_u - ratio * (f_mom[1:] - f_mom[:-1] + T2 * (rho_r[:-1] - rho_l[1:]))
+    mom_new = f_mom[1:] - f_mom[:-1]
+    jump = rho_r[:-1] - rho_l[1:]
+    jump *= T2
+    mom_new += jump
+    mom_new *= ratio
+    np.subtract(state.rho_u, mom_new, out=mom_new)
+    # then the friction: mom_new - dt * (gamma / m) * state.rho_u
+    mom_new -= dt * (params.gamma / params.m) * state.rho_u
     return rho_new, mom_new
 
 
