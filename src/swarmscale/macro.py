@@ -214,9 +214,9 @@ def _hydrostatic_update(state, grid, dt, params, consensus):
     pressure correction T^2 (rho_i - rho_face) seen from cell i replaces the
     attraction source.  The potential's ghost cells wrap on a periodic grid
     and copy the edge cell otherwise, as the grid's padded centers do, even
-    where rho and u have vacuum ghosts.  Every temporary below is fresh, so
-    the in-place updates round each sum and product exactly as the
-    expressions in the comments do.
+    where rho and u have vacuum ghosts.  The temporaries are updated in
+    place, each with the operands and order of the expression in its
+    comment, so every value rounds as that expression does.
     """
     T2 = grid.T * grid.T
     phi_p = (params.lam / params.m) * 0.5 * (grid.padded_centers - consensus) ** 2
@@ -242,7 +242,7 @@ def _hydrostatic_update(state, grid, dt, params, consensus):
     # f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
     f_rho = rho_r - rho_l
     f_rho *= speed
-    f_rho = np.subtract(q_l + q_r, f_rho, out=f_rho)
+    np.subtract(q_l + q_r, f_rho, out=f_rho)
     f_rho *= 0.5
     # f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
     f_mom = q_l * u_l

@@ -6,7 +6,7 @@ import json
 import pytest
 import yaml
 
-from swarmscale import cli, runner
+from swarmscale import cli, macro, runner
 from swarmscale.runner import RunError
 
 
@@ -35,6 +35,23 @@ def test_validate_config_bundled_name(capsys):
     assert cli.main(["validate-config", "--config", "ackley2d_unconstrained"]) == 0
     out = capsys.readouterr().out
     assert "config valid" in out and "ackley" in out
+
+
+def test_validate_config_predicts_the_work_of_a_grid_config(load_bundled, monkeypatch, capsys):
+    assert cli.main(["validate-config", "--config", "rastrigin1d_micromacro"]) == 0
+    cfg = load_bundled("rastrigin1d_micromacro")
+    least = cfg.n_steps * cfg.macro.least_substeps(cfg.micro.dt)
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "particle steps: 800 of 480 particles",
+        f"grid sub-steps: at least {least:.6g}",
+        # the particles' positions, 480 values, outsize the grid's padded rows of 403
+        "largest array: 3840 bytes of float64",
+    ]
+    # a run takes at least that many sub-steps
+    substeps, step = [], macro.lax_friedrichs_step
+    monkeypatch.setattr(macro, "lax_friedrichs_step", lambda *a: substeps.append(a) or step(*a))
+    runner.run_experiment(cfg)
+    assert len(substeps) >= least
 
 
 def test_unknown_bundled_name_lists_options(capsys):

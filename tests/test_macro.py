@@ -20,7 +20,7 @@ from swarmscale.macro import (
     lax_friedrichs_step,
     max_wavespeed,
 )
-from swarmscale.micro import MicroParams, gibbs_weights
+from swarmscale.micro import MicroParams, gibbs_weights, weighted_mean
 from swarmscale.objectives import Halfspace1D, ObjectiveFunction, PenalizedObjective
 
 PARAMS = MicroParams(m=0.5, lam=1.0)
@@ -50,6 +50,12 @@ def test_grid_geometry():
     assert grid.centers is grid.centers
     with pytest.raises(ValueError):
         grid.centers[0] = 0.0
+    # the padded centers' ghosts copy the edge cells, or wrap on a periodic grid
+    pad = grid.padded_centers
+    assert pad is grid.padded_centers and not pad.flags.writeable
+    assert np.array_equal(pad, np.concatenate([grid.centers[:1], grid.centers, grid.centers[-1:]]))
+    ring = Grid1D(-3.0, 3.0, 401, boundary="periodic").padded_centers
+    assert np.array_equal(ring, np.concatenate([grid.centers[-1:], grid.centers, grid.centers[:1]]))
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 2)
     with pytest.raises(ValueError):
@@ -124,6 +130,40 @@ def test_consensus_macro_zero_mass_raises():
             consensus_point_macro(unit, grid, wrong)
         with pytest.raises(ValueError, match="weights must have shape"):
             advance_macro(unit, grid, PARAMS, wrong, 0.1)
+
+
+def test_a_state_forms_its_consensus_once_per_weights_object(monkeypatch):
+    grid = Grid1D(-1.0, 1.0, 11)
+    rng = np.random.default_rng(19)
+    state = MacroState(rng.uniform(0.2, 1.0, 11), rng.uniform(-0.1, 0.1, 11))
+    weights = weights_at(grid, ackley_pf(), 0.0, 2.0)
+    calls = []
+
+    def counted(w, q):
+        calls.append(w)
+        return weighted_mean(w, q)
+
+    monkeypatch.setattr(macro, "weighted_mean", counted)
+    first = consensus_point_macro(state, grid, weights)
+    assert consensus_point_macro(state, grid, weights) == first
+    assert len(calls) == 1
+    # an equal-shaped array with other values is another weighting
+    other = weights * rng.uniform(0.5, 2.0, 11)
+    want = float(weighted_mean(other * state.rho, grid.centers))
+    assert consensus_point_macro(state, grid, other) == want != first
+    assert len(calls) == 2
+    # the shape is still checked on a state that holds a consensus
+    for wrong in (other[:-1], other[:, None]):
+        with pytest.raises(ValueError, match="weights must have shape"):
+            consensus_point_macro(state, grid, wrong)
+    assert len(calls) == 2
+    # a stepped state forms its own
+    stepped = lax_friedrichs_step(state, grid, math.inf, PARAMS, want)
+    assert consensus_point_macro(stepped, grid, other) != want
+    assert len(calls) == 3
+    # so a one-sub-step advance reuses the consensus observed on its input
+    advance_macro(stepped, grid, PARAMS, other, stepped.time + 1e-3)
+    assert len(calls) == 3
 
 
 # ------------------------------------------------------------------- stepping
@@ -406,6 +446,72 @@ def test_the_equilibrium_stays_fixed_on_generated_grids(grid, consensus):
     scale = state.rho.max()
     np.testing.assert_allclose(out.rho, state.rho, rtol=0, atol=1e-14 * scale)
     np.testing.assert_allclose(out.rho_u, 0.0, rtol=0, atol=1e-14 * scale)
+
+
+def pad_matrix_hydrostatic_update(state, grid, dt, params, consensus):
+    """The hydrostatic update as it stood with one (3, n+2) pad matrix, frozen as the reference."""
+    T2 = grid.T * grid.T
+    pad = np.empty((3, state.rho.size + 2))
+    pad[0, 1:-1] = (params.lam / params.m) * 0.5 * (grid.centers - consensus) ** 2
+    pad[1, 1:-1] = state.rho
+    pad[2, 1:-1] = state.velocity()
+    if grid.boundary == "periodic":
+        pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
+    else:
+        pad[:, 0], pad[:, -1] = pad[:, 1], pad[:, -2]
+    if grid.boundary == "absorbing":
+        pad[1:, 0] = pad[1:, -1] = 0.0
+    phi_p, rho_p, u_p = pad
+
+    rise = (phi_p[1:] - phi_p[:-1]) / T2
+    rho_l = rho_p[:-1] * np.exp(-np.maximum(rise, 0.0))
+    rho_r = rho_p[1:] * np.exp(np.minimum(rise, 0.0))
+    u_l, u_r = u_p[:-1], u_p[1:]
+    q_l, q_r = rho_l * u_l, rho_r * u_r
+    speed = np.maximum(np.abs(u_l), np.abs(u_r)) + abs(grid.T)
+    f_rho = 0.5 * (q_l + q_r - speed * (rho_r - rho_l))
+    f_mom = 0.5 * (q_l * u_l + q_r * u_r + T2 * (rho_l + rho_r) - speed * (q_r - q_l))
+
+    ratio = dt / grid.dx
+    rho_new = state.rho - ratio * (f_rho[1:] - f_rho[:-1])
+    mom_new = state.rho_u - ratio * (f_mom[1:] - f_mom[:-1] + T2 * (rho_r[:-1] - rho_l[1:]))
+    mom_new = mom_new - dt * (params.gamma / params.m) * state.rho_u
+    return rho_new, mom_new
+
+
+@st.composite
+def kernel_cases(draw):
+    """A grid step's inputs: |T| in {0.1, 0.3, 1}, each boundary, empty and near-empty
+    cells, a step at or below the CFL bound, and a consensus up to 3 beyond the grid."""
+    n = draw(st.integers(3, 60))
+    grid = Grid1D(-3.0, 3.0, n, T=draw(st.sampled_from([0.1, 0.3, 1.0, -0.3])),
+                  cfl=draw(st.floats(0.05, 1.0)), boundary=draw(st.sampled_from(BOUNDARIES)))
+    rho = draw(arrays(float, n, elements=st.floats(0.0, 2.0)))
+    mom = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    empty = draw(arrays(bool, n))
+    rho[empty] = mom[empty] = 0.0
+    # near-empty cells, on both sides of the velocity's density floor, keep their momentum
+    rho[draw(arrays(bool, n))] = draw(st.floats(1e-300, 1e-11))
+    params = MicroParams(m=draw(st.floats(0.05, 0.95)), lam=draw(st.floats(0.1, 10.0)))
+    share = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))  # of the CFL step
+    return grid, MacroState(rho, mom, time=0.25), params, share, draw(st.floats(-6.0, 6.0))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_the_grid_step_is_the_pad_matrix_step_byte_for_byte(case):
+    grid, state, params, share, consensus = case
+    dt = share * cfl_dt(max_wavespeed(state, grid), grid)
+    got = macro._hydrostatic_update(state, grid, dt, params, consensus)
+    rho_ref, mom_ref = pad_matrix_hydrostatic_update(state, grid, dt, params, consensus)
+    # tobytes, so a zero's sign counts too
+    assert [a.tobytes() for a in got] == [rho_ref.tobytes(), mom_ref.tobytes()]
+    out = lax_friedrichs_step(state, grid, dt, params, consensus)
+    np.maximum(rho_ref, 0.0, out=rho_ref)
+    mom_ref[rho_ref <= EPS_RHO] = 0.0
+    assert out.rho.tobytes() == rho_ref.tobytes()
+    assert out.rho_u.tobytes() == mom_ref.tobytes()
+    assert out.time == state.time + dt
 
 
 # ------------------------------------------------------------------ CFL & co
