@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench.py BENCH_<n>.json [--parent REV [--pairs N]]
+    python3 tools/bench.py BENCH_<n>.json [--parent REV]
 
 Each workload that BENCHMARK.json lists is run by ``perfbench/run.py`` as a
 subprocess, three times with ``--trace 0`` (the end-to-end metrics) and three
@@ -27,15 +27,15 @@ base seed.
 With ``--parent REV`` the file also measures the commit REV beside the working
 tree.  REV is exported with ``git archive`` into a temporary directory, and
 that tree's own ``perfbench/run.py``, unedited, runs it from its own ``src/``.
-Each workload then runs N plain pairs (``--pairs``, default 10), one run of
-each tree, and the tree that goes first alternates from pair to pair, since
-the second of two back-to-back runs can read a few percent slower on the same
-code.  ``parent`` records, per workload and end-to-end metric, each side's
-values in pair order, their median and quartiles (``statistics.quantiles``,
-inclusive method) and IQR, and ``wins``, the pairs in which the working tree
-read lower.  One traced run of REV per workload gives its counters, which are
-recorded beside the working tree's, and ``counters_differ`` names those that
-are not equal.
+Each workload then runs ``PAIRS`` plain pairs, one run of each tree, and the
+tree that goes first alternates from pair to pair, since the second of two
+back-to-back runs can read a few percent slower on the same code.
+``parent`` records, per workload and end-to-end metric, each side's values in
+pair order, their median and quartiles (``statistics.quantiles``, inclusive
+method) and IQR, and ``wins``, the pairs in which the working tree read lower.
+One traced run of REV per workload gives its counters, which are recorded
+beside the working tree's, and ``counters_differ`` names those that are not
+equal.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from numpy.lib.introspect import opt_func_info
 ROOT = Path(__file__).resolve().parent.parent
 PLAIN_RUNS = 3
 TRACED_RUNS = 3
+PAIRS = 10  # parent/working-tree pairs per workload, the fewest a gain may be claimed on
 COUNTERS = {"macro.substeps_per_step", "micromacro.active_share", "runner.trace_bytes"}
 
 
@@ -82,12 +83,13 @@ def src_lines():
 
 
 def result_line(workload, trace, seconds, root=ROOT):
-    """The last stdout line of one perfbench run of the tree at root; exits with its stderr if it fails."""
+    """The last stdout line of a perfbench run of the tree at root; exits with stderr if it fails."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"{' '.join(command)} in {root} exited {done.returncode}:\n{done.stderr}")
+        raise SystemExit(f"{' '.join(command)} in {root} exited {done.returncode}:\n"
+                         f"{done.stderr}")
     return done.stdout.strip().splitlines()[-1]
 
 
@@ -104,10 +106,10 @@ def spread(values):
     return {"median": median, "quartiles": [q1, q3], "iqr": q3 - q1}
 
 
-def paired(workload, seconds, pairs, parent_root, end_to_end):
-    """N alternating plain pairs of the parent tree and the working tree, summarized per metric."""
+def paired(workload, seconds, parent_root, end_to_end):
+    """PAIRS alternating plain pairs of the parent tree and the working tree, per metric."""
     sides = {"parent": [], "change": []}
-    for k in range(pairs):
+    for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             line = result_line(workload, 0, seconds, parent_root if side == "parent" else ROOT)
@@ -127,11 +129,7 @@ def main(argv=None):
     parser.add_argument("out", help="the file to write, BENCH_<n>.json")
     parser.add_argument("--parent", metavar="REV",
                         help="a commit to measure beside the working tree, in alternating pairs")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="parent/working-tree pairs per workload (default 10)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, so that quartiles exist")
     seconds = bench["run_seconds"]
     end_to_end = [m["name"] for m in bench["end_to_end"]]
 
@@ -151,7 +149,7 @@ def main(argv=None):
         if args.parent:
             rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
             export(rev, parent_root)
-            payload["parent"] = {"rev": rev, "pairs": args.pairs, "workloads": {}}
+            payload["parent"] = {"rev": rev, "pairs": PAIRS, "workloads": {}}
         drift = []
         for workload in (w["name"] for w in bench["workloads"]):
             plain, traced = [], []
@@ -168,14 +166,14 @@ def main(argv=None):
                 payload[f"{name}_median"][workload] = statistics.median(values)
                 payload[f"{name}_range"][workload] = [min(values), max(values)]
             names = sorted(set().union(*traced))
-            drift += [f"{workload} {name}: {[run.get(name) for run in traced]}"
-                      for name in names if any(run.get(name) != traced[0].get(name) for run in traced)]
+            drift += [f"{workload} {name}: {[run.get(name) for run in traced]}" for name in names
+                      if any(run.get(name) != traced[0].get(name) for run in traced)]
             if args.parent:
                 line = result_line(workload, 1, seconds, parent_root)
                 print(f"{workload} parent --trace 1: {line}", flush=True)
                 theirs, ours = counters(line), traced[0]
                 payload["parent"]["workloads"][workload] = {
-                    **paired(workload, seconds, args.pairs, parent_root, end_to_end),
+                    **paired(workload, seconds, parent_root, end_to_end),
                     "counters": {"parent": theirs, "change": ours},
                     "counters_differ": sorted(name for name in set(theirs) | set(ours)
                                               if theirs.get(name) != ours.get(name)),
