@@ -80,9 +80,8 @@ class Grid1D(Keyed):
 
     @cached_property
     def padded_centers(self) -> np.ndarray:
-        """The centers with one ghost cell per side by the boundary rule; read-only."""
-        x = self.centers
-        x = np.concatenate((x[-1:], x, x[:1]) if self.boundary == "periodic" else (x[:1], x, x[-1:]))
+        """The centers ghosted as rho and u are, but the edge copied for their vacuum; read-only."""
+        x = _padded(self.centers, "outflow" if self.boundary == "absorbing" else self.boundary)
         x.flags.writeable = False
         return x
 

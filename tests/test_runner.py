@@ -291,6 +291,8 @@ PINNED = {
         "rastrigin1d_micromacro_constrained": ("20f43da499443be7", "30a3db94f965042b"),
     },
 }
+# without AVX2 numpy falls back to its baseline kernel, which writes the AVX2 digests
+PINNED["baseline(X86_V2)"] = PINNED["X86_V3"]
 BUNDLED = list(PINNED["X86_V4"])
 
 
@@ -326,9 +328,13 @@ def test_bundled_trace_is_pinned(load_bundled, name):
 
 
 @pytest.mark.skipif("X86_V3" not in exp_targets()[1], reason="numpy offers no X86_V3 exp kernel")
-def test_bundled_traces_are_pinned_under_the_avx2_exp_kernel(tmp_path):
-    # one process under the AVX2 kernel runs all five, so a change that moves a digest
-    # updates the X86_V3 row on an AVX-512 machine as well
+@pytest.mark.parametrize("disabled, target", [
+    ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V3"),
+    ("X86_V4 X86_V3 AVX512_ICL AVX512_SPR", "baseline(X86_V2)"),
+], ids=["X86_V3", "baseline(X86_V2)"])
+def test_bundled_traces_are_pinned_under_the_avx2_exp_kernel(tmp_path, disabled, target):
+    # one process under each older kernel runs all five, so a change that moves a digest
+    # updates those rows on an AVX-512 machine as well
     script = (
         "import json, sys\n"
         "from dataclasses import replace\n"
@@ -340,16 +346,16 @@ def test_bundled_traces_are_pinned_under_the_avx2_exp_kernel(tmp_path):
         "    for n in t.BUNDLED}]))\n"
     )
     tests, src = Path(__file__).parent, Path(runner.__file__).parents[1]
-    # numpy on an AVX-512 CPU then dispatches as on an AVX2 one
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    # numpy on an AVX-512 CPU then dispatches as on an AVX2 one, or one without AVX2
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(tests), str(src),
                                                        os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    target, got = json.loads(done.stdout)
-    assert target == "X86_V3"
-    assert {n: tuple(d) for n, d in got.items()} == PINNED["X86_V3"]
+    current, got = json.loads(done.stdout)
+    assert current == target
+    assert {n: tuple(d) for n, d in got.items()} == PINNED[target]
 
 
 # ------------------------------------------------ grid steps shared across runs

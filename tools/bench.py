@@ -1,41 +1,36 @@
-"""Write a BENCH_<n>.json file: perfbench's result line for every workload, plain and traced.
+"""Write a BENCH_<n>.json file: the working tree and a parent commit, in alternating pairs.
 
 Usage, from the repository root:
 
-    python3 tools/bench.py BENCH_<n>.json [--parent REV]
+    python3 tools/bench.py BENCH_<n>.json REV
 
-Each workload that BENCHMARK.json lists is run by ``perfbench/run.py`` as a
-subprocess, three times with ``--trace 0`` (the end-to-end metrics) and three
-times with ``--trace 1`` (the per-layer metrics), one after another so that no
-two runs share the cores.  The last line a run prints, its result, is copied
-verbatim, and ``<metric>_median`` records each workload's median of every
-end-to-end metric (``block_s``, ``setup_s`` and ``peak_rss_mb``) over its plain
-runs, since one run's figures move with the box's load; ``<metric>_range``
-records their ``[min, max]`` beside it, so each file shows its own spread.
-The per-layer counters (every ``.calls`` and ``.points``,
+The commit REV is exported with ``git archive`` into a temporary directory, and
+that tree's own ``perfbench/run.py``, unedited, runs it from its own ``src/``.
+Each workload that BENCHMARK.json lists runs ``PAIRS`` pairs with ``--trace 0``,
+one run of each tree, one after another so that no two runs share the cores.
+The tree that goes first alternates from pair to pair, since the second of two
+back-to-back runs can read a few percent slower on the same code.  ``parent``
+records, per workload and end-to-end metric, each side's values in pair order,
+their median, quartiles (``statistics.quantiles``, inclusive method) and IQR;
+``wins``, the pairs in which the working tree read lower; and ``difference``,
+the median, quartiles and IQR of ``change - parent`` over the pairs, which the
+box's slow load swings move far less than either side.  ``<metric>_median``
+and ``<metric>_range`` are the working tree's median and ``[min, max]``.
+
+The working tree then runs ``TRACED_RUNS`` times with ``--trace 1``, and REV
+once.  The per-layer counters (every ``.calls`` and ``.points``,
 ``macro.substeps_per_step``, ``micromacro.active_share`` and
 ``runner.trace_bytes``) depend on no clock, so if they differ between the
-three traced runs of a workload the script names them, writes no file and
-exits non-zero.  The file also records the git HEAD the sources were read at
-and whether the working tree differed from it, the python and numpy versions,
-the kernel numpy dispatches float64 ``exp`` to (digests and counters depend
-on it), the number of usable cores and ``src_lines``, the line count of
-``src/swarmscale/*.py`` as ``cat src/swarmscale/*.py | wc -l`` prints it.
-Every run lasts the benchmark's ``run_seconds`` and uses perfbench's own
-base seed.
-
-With ``--parent REV`` the file also measures the commit REV beside the working
-tree.  REV is exported with ``git archive`` into a temporary directory, and
-that tree's own ``perfbench/run.py``, unedited, runs it from its own ``src/``.
-Each workload then runs ``PAIRS`` plain pairs, one run of each tree, and the
-tree that goes first alternates from pair to pair, since the second of two
-back-to-back runs can read a few percent slower on the same code.
-``parent`` records, per workload and end-to-end metric, each side's values in
-pair order, their median and quartiles (``statistics.quantiles``, inclusive
-method) and IQR, and ``wins``, the pairs in which the working tree read lower.
-One traced run of REV per workload gives its counters, which are recorded
-beside the working tree's, and ``counters_differ`` names those that are not
-equal.
+working tree's traced runs the script names them, writes no file and exits
+non-zero; ``counters_differ`` names those that differ from REV's.  ``runs``
+keeps every result line, perfbench's last, with its workload, side and
+``--trace``; a line that does not read ``"correct": true`` with ``"failed": 0``
+stops the script, naming the run.  The file also records the git HEAD and
+whether the working tree differed from it, the python and numpy versions, the
+kernel numpy dispatches float64 ``exp`` to (digests and counters depend on it),
+the usable cores, and both trees' ``src_lines``, the count that
+``cat src/swarmscale/*.py | wc -l`` prints.  Every run lasts the benchmark's
+``run_seconds`` and uses perfbench's own base seed.
 """
 
 from __future__ import annotations
@@ -53,15 +48,13 @@ import numpy as np
 from numpy.lib.introspect import opt_func_info
 
 ROOT = Path(__file__).resolve().parent.parent
-PLAIN_RUNS = 3
 TRACED_RUNS = 3
 PAIRS = 10  # parent/working-tree pairs per workload, the fewest a gain may be claimed on
 COUNTERS = {"macro.substeps_per_step", "micromacro.active_share", "runner.trace_bytes"}
 
 
-def counters(line):
-    """The clock-free per-layer metrics of one result line."""
-    metrics = json.loads(line)["metrics"]
+def counters(metrics):
+    """The clock-free per-layer metrics of one run."""
     return {name: m["value"] for name, m in metrics.items()
             if name in COUNTERS or name.endswith((".calls", ".points"))}
 
@@ -77,9 +70,9 @@ def exp_target():
     return info["current"]
 
 
-def src_lines():
+def src_lines(root=ROOT):
     """The newlines in the package's sources, the number ``cat src/swarmscale/*.py | wc -l`` prints."""
-    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "swarmscale").glob("*.py"))
+    return sum(p.read_bytes().count(b"\n") for p in Path(root, "src", "swarmscale").glob("*.py"))
 
 
 def result_line(workload, trace, seconds, root=ROOT):
@@ -91,6 +84,18 @@ def result_line(workload, trace, seconds, root=ROOT):
         raise SystemExit(f"{' '.join(command)} in {root} exited {done.returncode}:\n"
                          f"{done.stderr}")
     return done.stdout.strip().splitlines()[-1]
+
+
+def measure(runs, workload, side, trace, seconds, root):
+    """One run's metrics, its line kept in runs; exits, naming the run, if its outputs are wrong."""
+    line = result_line(workload, trace, seconds, root)
+    name = f"{workload} {side} --trace {trace}"
+    print(f"{name}: {line}", flush=True)
+    runs.append({"workload": workload, "side": side, "trace": trace, "result": line})
+    result = json.loads(line)
+    if result.get("correct") is not True or result.get("failed") != 0:
+        raise SystemExit(f"{name} reports wrong outputs: {line}")
+    return result["metrics"]
 
 
 def export(rev, into):
@@ -106,20 +111,15 @@ def spread(values):
     return {"median": median, "quartiles": [q1, q3], "iqr": q3 - q1}
 
 
-def paired(workload, seconds, parent_root, end_to_end):
-    """PAIRS alternating plain pairs of the parent tree and the working tree, per metric."""
-    sides = {"parent": [], "change": []}
-    for k in range(PAIRS):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            line = result_line(workload, 0, seconds, parent_root if side == "parent" else ROOT)
-            sides[side].append(json.loads(line)["metrics"])
-            print(f"{workload} pair {k} {side}: {line}", flush=True)
+def paired(sides, end_to_end):
+    """Per end-to-end metric: each side's values and spread, wins, and the per-pair differences."""
     summary = {}
     for name in end_to_end:
-        values = {side: [run[name]["value"] for run in runs] for side, runs in sides.items()}
-        summary[name] = {side: {"values": v, **spread(v)} for side, v in values.items()}
-        summary[name]["wins"] = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        parent, change = ([run[name]["value"] for run in sides[s]] for s in ("parent", "change"))
+        summary[name] = {"parent": {"values": parent, **spread(parent)},
+                         "change": {"values": change, **spread(change)},
+                         "wins": sum(c < p for p, c in zip(parent, change)),
+                         "difference": spread([c - p for p, c in zip(parent, change)])}
     return summary
 
 
@@ -127,57 +127,53 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="the file to write, BENCH_<n>.json")
-    parser.add_argument("--parent", metavar="REV",
-                        help="a commit to measure beside the working tree, in alternating pairs")
+    parser.add_argument("rev", help="the parent commit, measured beside the working tree")
     args = parser.parse_args(argv)
     seconds = bench["run_seconds"]
     end_to_end = [m["name"] for m in bench["end_to_end"]]
+    rev = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
 
-    payload = {
-        "git_head": git("rev-parse", "HEAD"),
-        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "exp_float64": exp_target(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "src_lines": src_lines(),
-        "seconds": seconds,
-        "runs": [],
-        **{f"{name}_{stat}": {} for name in end_to_end for stat in ("median", "range")},
-    }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
-        if args.parent:
-            rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-            export(rev, parent_root)
-            payload["parent"] = {"rev": rev, "pairs": PAIRS, "workloads": {}}
-        drift = []
+        export(rev, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        runs, workloads, drift = [], {}, []
+        payload = {
+            "git_head": git("rev-parse", "HEAD"),
+            "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "exp_float64": exp_target(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "src_lines": src_lines(),
+            "seconds": seconds,
+            "runs": runs,
+            **{f"{name}_{stat}": {} for name in end_to_end for stat in ("median", "range")},
+            "parent": {"rev": rev, "src_lines": src_lines(parent_root), "pairs": PAIRS,
+                       "workloads": workloads},
+        }
         for workload in (w["name"] for w in bench["workloads"]):
-            plain, traced = [], []
-            for trace in (0,) * PLAIN_RUNS + (1,) * TRACED_RUNS:
-                line = result_line(workload, trace, seconds)
-                payload["runs"].append({"workload": workload, "trace": trace, "result": line})
-                print(f"{workload} --trace {trace}: {line}", flush=True)
-                if trace:
-                    traced.append(counters(line))
-                else:
-                    plain.append(json.loads(line)["metrics"])
+            sides = {"parent": [], "change": []}
+            for k in range(PAIRS):
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    sides[side].append(measure(runs, workload, side, 0, seconds, roots[side]))
+            summary = paired(sides, end_to_end)
             for name in end_to_end:
-                values = [run[name]["value"] for run in plain]
-                payload[f"{name}_median"][workload] = statistics.median(values)
-                payload[f"{name}_range"][workload] = [min(values), max(values)]
-            names = sorted(set().union(*traced))
-            drift += [f"{workload} {name}: {[run.get(name) for run in traced]}" for name in names
+                change = summary[name]["change"]
+                payload[f"{name}_median"][workload] = change["median"]
+                payload[f"{name}_range"][workload] = [min(change["values"]), max(change["values"])]
+            traced = [counters(measure(runs, workload, "change", 1, seconds, ROOT))
+                      for _ in range(TRACED_RUNS)]
+            drift += [f"{workload} {name}: {[run.get(name) for run in traced]}"
+                      for name in sorted(set().union(*traced))
                       if any(run.get(name) != traced[0].get(name) for run in traced)]
-            if args.parent:
-                line = result_line(workload, 1, seconds, parent_root)
-                print(f"{workload} parent --trace 1: {line}", flush=True)
-                theirs, ours = counters(line), traced[0]
-                payload["parent"]["workloads"][workload] = {
-                    **paired(workload, seconds, parent_root, end_to_end),
-                    "counters": {"parent": theirs, "change": ours},
-                    "counters_differ": sorted(name for name in set(theirs) | set(ours)
-                                              if theirs.get(name) != ours.get(name)),
-                }
+            theirs = counters(measure(runs, workload, "parent", 1, seconds, parent_root))
+            ours = traced[0]
+            workloads[workload] = {
+                **summary,
+                "counters": {"parent": theirs, "change": ours},
+                "counters_differ": sorted(name for name in set(theirs) | set(ours)
+                                          if theirs.get(name) != ours.get(name)),
+            }
     if drift:
         raise SystemExit("counters differ between the traced runs:\n" + "\n".join(drift))
     with open(args.out, "w") as fh:
