@@ -103,6 +103,19 @@ def config_from_dict(data) -> ExperimentConfig:
 class _Loader(yaml.SafeLoader):
     """PyYAML's safe loader, whose YAML 1.1 floats need a dot, plus YAML 1.2's ``5e-3``."""
 
+    def construct_mapping(self, node, deep=False):
+        """The mapping, refusing a key written twice in it, where PyYAML keeps the last value."""
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                name = self.construct_object(key_node)
+                if name in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {name!r}", key_node.start_mark)
+                seen.add(name)
+        return super().construct_mapping(node, deep)
+
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",

@@ -108,6 +108,21 @@ def test_missing_file_and_bad_yaml(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("text, name, line", [
+    ("mode: micro\nobjective: {name: ackley, dim: 2}\nn_steps: 10\nn_steps: 400\n", "n_steps", 4),
+    ("mode: micro\nobjective: {name: ackley, dim: 2}\nmicro:\n  dt: 0.1\n  dt: 5.0\n", "dt", 5),
+], ids=["top level", "section"])
+def test_a_key_written_twice_is_a_parse_error(tmp_path, text, name, line):
+    # PyYAML alone keeps the last value, so the file would run with n_steps 400 or dt 5.0
+    p = tmp_path / "twice.yaml"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    (error,) = exc.value.errors
+    assert error.startswith("parse error: ")
+    assert f"found duplicate key {name!r}\n  in \"{p}\", line {line}," in error
+
+
 def test_non_mapping_top_level(tmp_path):
     p = tmp_path / "list.yaml"
     p.write_text("- 1\n- 2\n")
