@@ -100,15 +100,19 @@ def gibbs_weights(values: np.ndarray, alpha: float) -> np.ndarray:
     average built from them is unchanged while alpha up to 1e4 stays clear
     of overflow.  Raises ValueError unless alpha > 0, since a negative alpha
     would weight the worst points most, and FloatingPointError naming the
-    index of the first non-finite value.
+    index of the first non-finite value: a NaN propagates through the min,
+    and an infinity is the min or the max.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
+    low = values.min()
+    if not (math.isfinite(low) and math.isfinite(values.max())):
         idx = int(np.argmax(~np.isfinite(values)))
         raise FloatingPointError(f"non-finite value {values[idx]} at index {idx}")
-    return np.exp(-alpha * (values - values.min()))
+    weights = values - low
+    weights *= -alpha
+    return np.exp(weights, out=weights)
 
 
 def weighted_mean(weights: np.ndarray, quantity: np.ndarray):
@@ -140,6 +144,9 @@ def step_euler_maruyama(
     The target is the consensus point of the pre-step state, shared by all
     particles; r = target - x.  The exploration is anisotropic, diag(r): one
     generator call draws a standard normal per component, scaled by r.
+    The velocity (m/c) v + (lam dt/c) r + ((sigma sqrt(dt)/c) r) theta is
+    built in place on the step's own arrays.  Since dt > 0, a non-finite
+    velocity makes a non-finite position, so only the positions are tested.
     """
     m, lam, sigma, dt = params.m, params.lam, params.sigma, params.dt
     c = m + params.gamma * dt
@@ -147,14 +154,15 @@ def step_euler_maruyama(
     r = target - state.positions  # (N, d)
     theta = rng.standard_normal(state.positions.shape)
 
-    velocities = (
-        (m / c) * state.velocities
-        + (lam * dt / c) * r
-        + (sigma * math.sqrt(dt) / c) * r * theta
-    )
-    positions = state.positions + dt * velocities
+    velocities = (lam * dt / c) * r
+    r *= sigma * math.sqrt(dt) / c
+    theta *= r
+    velocities += np.multiply(m / c, state.velocities, out=r)
+    velocities += theta
+    positions = dt * velocities
+    positions += state.positions
 
-    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
+    if not np.isfinite(positions).all():
         raise FloatingPointError(
             "swarm blew up: non-finite positions or velocities (check m, lambda, sigma, dt)"
         )

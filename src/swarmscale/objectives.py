@@ -95,20 +95,24 @@ class BallUnion(FeasibleSet):
         super().__post_init__()
         if len({len(b.center) for b in self.balls}) > 1:
             raise ValueError("balls: every center must have the same length")
-        object.__setattr__(self, "centers", np.array([b.center for b in self.balls]))  # (n, d)
-        object.__setattr__(self, "radii_sq", np.array([b.radius_sq for b in self.balls]))
+        # built once: each coordinate of the centers, one (n_balls,) array per axis, and the radii
+        centers = np.array([b.center for b in self.balls])  # (n, d)
+        object.__setattr__(self, "center_columns", tuple(np.ascontiguousarray(centers.T)))
+        object.__setattr__(self, "radii", np.sqrt([b.radius_sq for b in self.balls]))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        d = self.centers.shape[1]
+        d = len(self.center_columns)
         # the loop runs over the balls' coordinates; points with more would pass silently
         x = _points(x, d)
         # squared distances (n_balls, ...) from each center to each point
         per_ball = (-1,) + (1,) * (x.ndim - 1)
-        sq = (x[..., 0] - self.centers[:, 0].reshape(per_ball)) ** 2
+        sq = (x[..., 0] - self.center_columns[0].reshape(per_ball)) ** 2
         for k in range(1, d):
-            sq += (x[..., k] - self.centers[:, k].reshape(per_ball)) ** 2
-        radii = np.sqrt(self.radii_sq).reshape(per_ball)
-        return np.maximum(0.0, np.sqrt(sq) - radii).min(axis=0)
+            sq += (x[..., k] - self.center_columns[k].reshape(per_ball)) ** 2
+        gap = np.sqrt(sq, out=sq)
+        gap -= self.radii.reshape(per_ball)
+        # max(0, .) is monotone, so it commutes with the min over the balls
+        return np.maximum(0.0, gap.min(axis=0))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -144,6 +145,7 @@ class _Particles(_Scale):
         # the lone swarm names each coordinate and reports its gap; a coupled run is 1D
         self.columns = ([f"consensus_{k}" for k in range(cfg.objective.dim)] + ["softmin_gap"]
                         if alone else ["consensus" + self.suffix]) + self.penalty_columns
+        self.max_gap = math.log(cfg.n_particles) / cfg.micro.alpha + 1e-9  # softmin_gap's bound
         self.evaluate(self.swarm.positions)
 
     def advance(self, n):
@@ -157,11 +159,10 @@ class _Particles(_Scale):
 
     def observe(self):
         self.target = consensus_point(self.swarm.positions, self.weights)
-        self.consensus = [float(c) for c in self.target]
+        self.consensus = self.target.tolist()
         if self.alone:
             self.gap = softmin_gap(self.weights, self.params.alpha)
-            if __debug__:
-                assert self.gap <= np.log(self.swarm.n_particles) / self.params.alpha + 1e-9
+            assert self.gap <= self.max_gap
 
     def mass(self):
         return self.swarm.total_mass

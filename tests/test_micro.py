@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmscale.micro import (
     MicroParams,
@@ -271,6 +272,33 @@ def test_step_blowup_raises():
         step(state, params, plain(), np.random.default_rng(0))
 
 
+def test_a_nan_target_blows_the_step_up():
+    state = SwarmState(np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.raises(FloatingPointError, match="blew up"):
+        step_euler_maruyama(state, MicroParams(), np.array([0.0, np.nan]),
+                            np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_step_whose_velocity_overflows_blows_up():
+    # the drift (lam dt / c) r overflows in the velocity itself, not only in x + dt v
+    params = MicroParams(m=1.0, lam=2.0, sigma=0.0, dt=1.0)
+    state = SwarmState(np.zeros((2, 1)), np.array([[1e308], [0.0]]))
+    target = np.array([1e308])
+    _, velocities = reference_step(state, params, target, np.random.default_rng(0))
+    assert np.isinf(velocities[0, 0])
+    with pytest.raises(FloatingPointError, match="blew up"):
+        step_euler_maruyama(state, params, target, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])  # the max's, the min's, both's
+def test_gibbs_weights_name_the_first_non_finite_value(bad):
+    values = np.array([0.5, -1.0, 2.0, bad, 3.0, bad])
+    with pytest.raises(FloatingPointError) as exc:
+        gibbs_weights(values, 30.0)
+    assert str(exc.value) == f"non-finite value {bad} at index 3"
+
+
 def test_params_validation():
     with pytest.raises(ValueError, match=r"^m: must lie in \(0, 1\]"):
         MicroParams(m=0.0)
@@ -314,3 +342,57 @@ def test_softmin_gap_bounded_and_decreasing_in_alpha():
     for g, a in zip(gaps, (10.0, 30.0, 100.0)):
         assert 0.0 <= g <= math.log(100.0) / a + 1e-12
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+# ------------------------------------------------- in-place kernels, byte for byte
+
+
+def reference_gibbs_weights(values, alpha):
+    """gibbs_weights as it stood with a fresh array per pass, frozen as the reference."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        idx = int(np.argmax(~np.isfinite(values)))
+        raise FloatingPointError(f"non-finite value {values[idx]} at index {idx}")
+    return np.exp(-alpha * (values - values.min()))
+
+
+@st.composite
+def swarm_cases(draw):
+    """N in {1, 2, 480} particles in d in {1, 2, 3}, at a scale from 1e-3 to 1e3, a target
+    among them, the step's coefficients and a generator seed."""
+    n, d = draw(st.sampled_from([1, 2, 480])), draw(st.sampled_from([1, 2, 3]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = SwarmState(scale * rng.uniform(-1, 1, (n, d)), scale * rng.normal(0, 1, (n, d)),
+                       draw(st.floats(0.0, 1.0)))
+    params = MicroParams(m=draw(st.floats(0.05, 1.0)), lam=draw(st.floats(0.1, 10.0)),
+                         sigma=draw(st.floats(0.0, 2.0)), dt=draw(st.floats(1e-3, 1.0)))
+    return state, params, scale * rng.uniform(-1, 1, d), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(swarm_cases())
+def test_the_in_place_step_is_the_fresh_array_step_byte_for_byte(case):
+    state, params, target, seed = case
+    before = state.positions.tobytes(), state.velocities.tobytes()
+    out = step_euler_maruyama(state, params, target, np.random.default_rng(seed))
+    positions, velocities = reference_step(state, params, target, np.random.default_rng(seed))
+    for got, want in [(out.positions, positions), (out.velocities, velocities)]:
+        # tobytes, so a zero's sign counts too
+        assert (got.tobytes(), got.dtype, got.shape) == (want.tobytes(), want.dtype, want.shape)
+    assert out.particle_mass == state.particle_mass
+    assert (state.positions.tobytes(), state.velocities.tobytes()) == before
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 480]), st.floats(-3.0, 3.0), st.floats(-2.0, 4.0),
+       st.integers(0, 2**32 - 1))
+def test_the_in_place_gibbs_weights_are_the_fresh_array_ones_byte_for_byte(n, scale, alpha,
+                                                                           seed):
+    rng = np.random.default_rng(seed)
+    values = 10.0**scale * rng.standard_normal(n) + rng.uniform(-10.0, 10.0)
+    values[rng.integers(0, n, n // 4)] = values[0]  # ties, the minimum's among them
+    before = values.tobytes()
+    got, want = gibbs_weights(values, 10.0**alpha), reference_gibbs_weights(values, 10.0**alpha)
+    assert (got.tobytes(), got.dtype, got.shape) == (want.tobytes(), want.dtype, want.shape)
+    assert values.tobytes() == before

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmscale.objectives import (
     BallUnion,
@@ -207,17 +208,23 @@ def rastrigin_axis(x):
     return 10.0 * x.shape[-1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
+def ball_arrays(balls):
+    """The centers (n_balls, d) and the squared radii (n_balls,) of a ball union's entries."""
+    return (np.array([b.center for b in balls.balls]),
+            np.array([b.radius_sq for b in balls.balls]))
+
+
 def ball_sq_axis(balls, x):
-    return np.sum((x[..., None, :] - balls.centers) ** 2, axis=-1)
+    return np.sum((x[..., None, :] - ball_arrays(balls)[0]) ** 2, axis=-1)
 
 
 def ball_distance_axis(balls, x):
-    per_ball = np.maximum(0.0, np.sqrt(ball_sq_axis(balls, x)) - np.sqrt(balls.radii_sq))
+    per_ball = np.maximum(0.0, np.sqrt(ball_sq_axis(balls, x)) - np.sqrt(ball_arrays(balls)[1]))
     return np.min(per_ball, axis=-1)
 
 
 def ball_member_axis(balls, x):
-    return np.any(ball_sq_axis(balls, x) <= balls.radii_sq, axis=-1)
+    return np.any(ball_sq_axis(balls, x) <= ball_arrays(balls)[1], axis=-1)
 
 
 def random_balls(rng, d, n_balls=6):
@@ -293,6 +300,51 @@ def test_coordinate_loops_match_pairwise_sums_closely(d):
     x = rng.uniform(-3, 3, size=(2000, d))
     for name, kernel, reference in coordinate_kernels(balls):
         np.testing.assert_allclose(kernel(x), reference(x), rtol=tol, atol=tol, err_msg=name)
+
+
+def reference_ball_distance(balls, x):
+    """BallUnion.distance as it stood with its constants built per call and a clamp per ball,
+    frozen as the reference."""
+    centers, radii_sq = ball_arrays(balls)
+    d = centers.shape[1]
+    x = np.asarray(x, dtype=float)
+    per_ball = (-1,) + (1,) * (x.ndim - 1)
+    sq = (x[..., 0] - centers[:, 0].reshape(per_ball)) ** 2
+    for k in range(1, d):
+        sq += (x[..., k] - centers[:, k].reshape(per_ball)) ** 2
+    radii = np.sqrt(radii_sq).reshape(per_ball)
+    return np.maximum(0.0, np.sqrt(sq) - radii).min(axis=0)
+
+
+@st.composite
+def ball_cases(draw):
+    """1-6 balls in d in {1, 2, 3} at a scale from 1e-3 to 1e3, and N in {1, 2, 480} points,
+    each inside, on or outside a ball: its center plus its radius times 0, 0.5, 1, 1.5 or 4
+    along a random direction."""
+    d, n = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2, 480]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_balls = draw(st.integers(1, 6))
+    centers = scale * rng.uniform(-1, 1, (n_balls, d))
+    radii = scale * rng.uniform(0.05, 1.0, n_balls)
+    balls = BallUnion([(c, r * r) for c, r in zip(centers, radii)])
+    which = rng.integers(0, n_balls, n)
+    u = rng.normal(size=(n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    reach = radii[which] * rng.choice([0.0, 0.5, 1.0, 1.5, 4.0], n)
+    return balls, centers[which] + u * reach[:, None]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ball_cases())
+def test_the_prebuilt_ball_distance_is_the_per_call_one_byte_for_byte(case):
+    balls, x = case
+    # a stack, one (d,) point and an empty (0, d) stack; a lone point's distance is a float64
+    for points in (x, x[0], x[:0]):
+        got, want = balls.distance(points), reference_ball_distance(balls, points)
+        assert type(got) is type(want)
+        assert (got.tobytes(), got.dtype, got.shape) == (want.tobytes(), want.dtype, want.shape)
+    assert isinstance(balls.distance(x[0]), np.float64)
 
 
 # ----------------------------------------------------------- penalized form
